@@ -85,7 +85,7 @@ def bench_stable_hash(benchmark):
 
 
 def bench_batch_channel_window(benchmark, small_trace, query):
-    """Columnar mirror channel: switch items -> emitter -> SP, one window."""
+    """Batched engine: switch batches -> emitter -> SP, one window."""
     from repro.planner import QueryPlanner
     from repro.runtime import SonataRuntime
 
@@ -93,7 +93,7 @@ def bench_batch_channel_window(benchmark, small_trace, query):
     plan = planner.plan("sonata")
 
     def run():
-        runtime = SonataRuntime(plan, channel="batch")
+        runtime = SonataRuntime(plan)
         return runtime.run(small_trace)
 
     report = benchmark(run)
@@ -107,7 +107,7 @@ def bench_emitter_columnar_assembly(benchmark, small_trace, query):
 
     planner = QueryPlanner([query], small_trace, window=3.0, time_limit=20)
     plan = planner.plan("sonata")
-    runtime = SonataRuntime(plan, channel="batch")
+    runtime = SonataRuntime(plan)
     items = runtime.switch.process_window_items(small_trace)
     key_reports = runtime.switch.end_window_items()
     tables = runtime.switch.filter_tables
@@ -127,16 +127,12 @@ def bench_wire_codec_batch(benchmark, small_trace, query):
     from repro.planner import QueryPlanner
     from repro.runtime import SonataRuntime
     from repro.runtime.wire import WireCodec
-    from repro.switch.mirror import MirroredBatch
 
     planner = QueryPlanner([query], small_trace, window=3.0, time_limit=20)
     plan = planner.plan("sonata")
-    runtime = SonataRuntime(plan, channel="batch")
+    runtime = SonataRuntime(plan)
     items = runtime.switch.process_window_items(small_trace)
-    batch = max(
-        (it for it in items if isinstance(it, MirroredBatch)),
-        key=lambda b: b.n_rows,
-    )
+    batch = max(items, key=lambda b: b.n_rows)
     codec = WireCodec()
     key = f"{batch.instance}#{batch.kind}#{batch.op_index}"
     widths = {}

@@ -31,6 +31,7 @@ from repro.exec.kernels import (
     filter_mask,
     group_first_occurrence,
     group_keys,
+    key_columns,
     materialize_keys,
     predicate_mask,
     reduce_args,
@@ -57,6 +58,7 @@ __all__ = [
     "apply_map",
     "group_keys",
     "group_first_occurrence",
+    "key_columns",
     "apply_reduce",
     "apply_distinct",
     "state_bits",

@@ -133,18 +133,43 @@ def apply_map(op: Map, state: ColumnarState) -> ColumnarState:
     return ColumnarState(columns=columns, vocabs=vocabs, payloads=state.payloads)
 
 
+def _key_matrix(state: ColumnarState, keys: Sequence[str]) -> np.ndarray:
+    """Key columns stacked as int64; float columns group by their bits."""
+    return np.stack(
+        [
+            col.astype(np.float64, copy=False).view(np.int64)
+            if col.dtype.kind == "f"
+            else col.astype(np.int64)
+            for col in (state.columns[k] for k in keys)
+        ],
+        axis=1,
+    )
+
+
+def key_columns(
+    state: ColumnarState, keys: Sequence[str], unique: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The columns of a unique-key matrix: int64, floats restored."""
+    return {
+        k: unique[:, j].view(np.float64)
+        if state.columns[k].dtype.kind == "f"
+        else unique[:, j]
+        for j, k in enumerate(keys)
+    }
+
+
 def group_keys(
     state: ColumnarState, keys: Sequence[str]
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Group rows by key columns; returns (unique key columns, inverse)."""
     if state.n_rows == 0:
         return {k: state.columns[k][:0] for k in keys}, np.empty(0, dtype=np.int64)
-    stacked = np.stack(
-        [state.columns[k].astype(np.int64) for k in keys], axis=1
+    unique, inverse = np.unique(
+        _key_matrix(state, keys), axis=0, return_inverse=True
     )
-    unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
     unique_cols = {
-        k: unique[:, i].astype(state.columns[k].dtype) for i, k in enumerate(keys)
+        k: col.astype(state.columns[k].dtype)
+        for k, col in key_columns(state, keys, unique).items()
     }
     return unique_cols, inverse.ravel()
 
@@ -155,7 +180,8 @@ def group_first_occurrence(
     """Group rows by key columns, uniques ordered by *first occurrence*.
 
     Returns ``(unique, first_rows, inverse)`` where ``unique`` is the
-    ``(n_keys, len(keys))`` int64 key matrix in the order a row-wise
+    ``(n_keys, len(keys))`` int64 key matrix (float columns as their bit
+    patterns, see :func:`key_columns`) in the order a row-wise
     engine first encounters each key, ``first_rows[j]`` is the row index
     of key ``j``'s first occurrence, and ``inverse[i]`` is row ``i``'s key
     id in that same order. This ordering is what makes the batched
@@ -164,11 +190,8 @@ def group_first_occurrence(
     if state.n_rows == 0:
         empty = np.empty(0, dtype=np.int64)
         return np.empty((0, len(keys)), dtype=np.int64), empty, empty
-    stacked = np.stack(
-        [state.columns[k].astype(np.int64) for k in keys], axis=1
-    )
     unique, first_idx, inverse = np.unique(
-        stacked, axis=0, return_index=True, return_inverse=True
+        _key_matrix(state, keys), axis=0, return_index=True, return_inverse=True
     )
     inverse = inverse.ravel()
     order = np.argsort(first_idx, kind="stable")

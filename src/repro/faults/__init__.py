@@ -14,11 +14,14 @@ first-class fault surfaces:
 - whole switches in network-wide mode (hard failure and flapping);
 - the switch → collector report channel (missed collection deadline).
 
-Injection is fully deterministic: every channel draws from its own
-seeded PRNG stream (keyed by ``(scope, channel)`` with
-:func:`repro.utils.hashing.stable_hash`), so two runs with the same
-:class:`FaultSpec` produce byte-identical accounting, and enabling one
-channel never perturbs another's stream.
+Injection is fully deterministic: every decision is a pure function of
+its position in a stream keyed by ``(scope, channel, window, instance,
+kind/op_index)`` (a counter-based splitmix64 uniform, see
+:mod:`repro.faults.injector`), so two runs with the same
+:class:`FaultSpec` produce byte-identical accounting, enabling one channel
+never perturbs another's stream, and the batched engine applies the same
+decisions as vectorized masks that the per-packet oracle draws one by
+one.
 
 The matching degradation machinery lives in the runtimes and is tuned by
 :class:`DegradationPolicy`: bounded retry-with-backoff for filter-table

@@ -1,15 +1,21 @@
-"""The fault injector: seeded per-channel PRNG streams + fault accounting.
+"""The fault injector: position-keyed fault streams + fault accounting.
 
 One :class:`FaultInjector` wraps the channels of one pipeline (one switch
-runtime, or the network collector). Each channel draws from its own
-``random.Random`` seeded with ``stable_hash((scope, channel), seed)``, so:
+runtime, or the network collector). Every fault decision is a pure
+function of its position: draw ``k`` of the stream ``(scope, channel,
+window, instance, kind/op_index)`` is output ``k`` of a counter-based
+splitmix64 generator seeded with ``stable_hash`` of that key
+(:func:`~repro.utils.hashing.counter_uniform`). So:
 
 - two runs with the same :class:`~repro.faults.spec.FaultSpec` make
-  identical decisions in identical order (determinism);
-- channels are independent: raising the mirror-drop rate never shifts
-  the filter-update stream;
-- in network-wide mode every switch gets its own ``scope`` and therefore
-  its own independent streams.
+  identical decisions (determinism), and a second ``run()`` makes the
+  same decisions as the first — window indices restart with every run;
+- a per-packet draw and a vectorized draw over a whole batch give
+  identical bits, so the batched engine applies faults as masks and
+  index plans while the per-packet oracle draws tuple by tuple;
+- channels, instances and windows are independent streams: raising the
+  mirror-drop rate never shifts the filter-update stream, and in
+  network-wide mode every switch has its own ``scope``.
 
 Every injected fault increments a per-window counter; the runtime drains
 the counters into ``WindowReport.faults_injected`` when the window closes.
@@ -20,33 +26,17 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
+
 from repro.faults.spec import FaultSpec
 from repro.obs import get_observability
-from repro.switch.simulator import MirroredTuple
-from repro.utils.hashing import stable_hash
+from repro.switch.mirror import MirroredBatch, MirroredTuple
+from repro.utils.hashing import counter_uniform, counter_uniforms, stable_hash
 
 #: Channel status values for switch reports in network-wide mode.
 SWITCH_OK = "ok"
 SWITCH_FAILED = "failed"
 SWITCH_TIMEOUT = "timeout"
-
-
-class CountingRandom(random.Random):
-    """A ``random.Random`` that counts its uniform draws.
-
-    The count is the channel's *stream position* — a seeded stream that
-    made ``draws`` calls is in exactly one possible state, so comparing
-    draw counts across executions (serial vs process-parallel) pins that
-    both consumed the same prefix of the same stream.
-    """
-
-    def __init__(self, seed_value: int) -> None:
-        super().__init__(seed_value)
-        self.draws = 0
-
-    def random(self) -> float:
-        self.draws += 1
-        return super().random()
 
 
 class FaultInjector:
@@ -55,37 +45,64 @@ class FaultInjector:
     def __init__(self, spec: FaultSpec, scope: str = "", obs=None) -> None:
         self.spec = spec
         self.scope = scope
-        self._streams: dict[str, CountingRandom] = {}
-        self._deferred: list[MirroredTuple] = []
+        #: Index of the window being executed; part of every stream key.
+        self.window = 0
+        #: Stream key -> [seed, next position], for the current window.
+        self._streams: dict[tuple, list[int]] = {}
+        self._draws: Counter = Counter()
         self._counts: Counter = Counter()
         #: Observability context; the owning runtime overwrites this so
-        #: fault events land in the shared tracer. Never affects the PRNG
-        #: streams — enabling observability cannot change a fault schedule.
+        #: fault events land in the shared tracer. Never affects a fault
+        #: decision — enabling observability cannot change a schedule.
         self.obs = obs if obs is not None else get_observability()
 
-    def _rng(self, channel: str) -> random.Random:
-        rng = self._streams.get(channel)
-        if rng is None:
-            rng = CountingRandom(
-                stable_hash((self.scope, channel), seed=self.spec.seed)
-            )
-            self._streams[channel] = rng
-        return rng
+    # -- streams ------------------------------------------------------------
+    def begin_run(self) -> None:
+        """Reset the draw counts reported by :meth:`rng_draws`."""
+        self._draws.clear()
+
+    def begin_window(self, index: int) -> None:
+        """Key the following draws to window ``index``."""
+        self.window = index
+        self._streams.clear()
+
+    def _advance(self, channel: str, stream: tuple, n: int) -> tuple[int, int]:
+        """Claim the next ``n`` positions of a stream: ``(seed, start)``."""
+        key = (channel,) + stream
+        entry = self._streams.get(key)
+        if entry is None:
+            entry = self._streams[key] = [
+                stable_hash((self.scope, self.window) + key, seed=self.spec.seed),
+                0,
+            ]
+        start = entry[1]
+        entry[1] += n
+        self._draws[channel] += n
+        return entry[0], start
+
+    def _uniform(self, channel: str, stream: tuple) -> float:
+        return counter_uniform(*self._advance(channel, stream, 1))
+
+    def _uniforms(self, channel: str, stream: tuple, n: int) -> np.ndarray:
+        return counter_uniforms(*self._advance(channel, stream, n), n)
 
     def rng_draws(self) -> dict[str, int]:
-        """Per-channel PRNG stream positions (uniform draws consumed)."""
-        return {name: rng.draws for name, rng in sorted(self._streams.items())}
+        """Uniforms drawn per channel since :meth:`begin_run`."""
+        return dict(sorted(self._draws.items()))
 
-    def _note(self, channel: str, **attrs) -> None:
-        """Count one injected fault and emit the structured obs event."""
-        self._counts[channel] += 1
+    def _note(self, channel: str, count: int = 1, **attrs) -> None:
+        """Count injected faults and emit the structured obs event."""
+        if not count:
+            return
+        self._counts[channel] += count
         obs = self.obs
         if obs.enabled:
             obs.counter(
                 "sonata_faults_injected_total",
                 "faults injected, per channel",
-            ).inc(channel=channel, scope=self.scope)
-            obs.event(f"fault.{channel}", scope=self.scope, **attrs)
+            ).inc(count, channel=channel, scope=self.scope)
+            for _ in range(count):  # one event per injected fault
+                obs.event(f"fault.{channel}", scope=self.scope, **attrs)
 
     # -- accounting ---------------------------------------------------------
     def take_window_counts(self) -> dict[str, int]:
@@ -95,79 +112,140 @@ class FaultInjector:
         return counts
 
     # -- mirror channel (switch -> emitter) ---------------------------------
+    def _mirror_armed(self, allow_reorder: bool) -> bool:
+        spec = self.spec
+        return bool(
+            spec.mirror_drop
+            or spec.mirror_duplicate
+            or (allow_reorder and spec.mirror_reorder)
+        )
+
+    def mirror_plan(
+        self,
+        instance: str,
+        kind: str,
+        op_index: int,
+        n: int,
+        allow_reorder: bool = True,
+    ) -> "np.ndarray | None":
+        """Delivery plan of one mirrored stream's ``n`` tuples.
+
+        Returns the indices of the delivered tuples in delivery order, or
+        ``None`` when no mirror fault is armed. Tuple ``k`` is dropped,
+        delayed (reordered) or duplicated by draw ``k`` of that channel's
+        stream; delayed tuples are delivered after the rest at the window
+        deadline, minus the ones ``late_drop`` makes miss it. End-of-window
+        key reports pass ``allow_reorder=False`` — they are produced at the
+        deadline, so only drop and duplicate apply.
+        """
+        if not n or not self._mirror_armed(allow_reorder):
+            return None
+        spec = self.spec
+        stream = (instance, kind, op_index)
+        keep = np.ones(n, dtype=bool)
+        if spec.mirror_drop:
+            keep = self._uniforms("mirror_drop", stream, n) >= spec.mirror_drop
+            self._note("mirror_drop", n - int(keep.sum()), instance=instance, kind=kind)
+        late = np.zeros(n, dtype=bool)
+        if allow_reorder and spec.mirror_reorder:
+            late = keep & (
+                self._uniforms("mirror_reorder", stream, n) < spec.mirror_reorder
+            )
+            keep &= ~late
+            self._note("mirror_reorder", int(late.sum()), instance=instance, kind=kind)
+            if spec.late_drop and late.any():
+                missed = late & (
+                    self._uniforms("late_drop", stream, n) < spec.late_drop
+                )
+                late &= ~missed
+                self._note("late_drop", int(missed.sum()), instance=instance, kind=kind)
+        index = np.flatnonzero(keep)
+        if spec.mirror_duplicate:
+            twice = (
+                self._uniforms("mirror_duplicate", stream, n)[index]
+                < spec.mirror_duplicate
+            )
+            index = np.repeat(index, 1 + twice)
+            self._note(
+                "mirror_duplicate", int(twice.sum()), instance=instance, kind=kind
+            )
+        return np.concatenate([index, np.flatnonzero(late)])
+
     def mirror(
         self, tuples: list[MirroredTuple], allow_reorder: bool = True
     ) -> list[MirroredTuple]:
-        """Apply drop/duplicate/reorder to a batch of mirrored tuples.
+        """Apply the mirror faults to one window's per-packet tuples.
 
-        Reordered tuples are buffered and released by :meth:`drain_deferred`
-        at window end (where the watchdog's ``late_drop`` applies).
-        End-of-window key reports pass ``allow_reorder=False`` — they are
-        already produced at the deadline, so only drop/duplicate apply.
+        Tuples are grouped into their ``(instance, kind, op_index)``
+        streams (keeping channel order within each) and every stream gets
+        its :meth:`mirror_plan` — exactly the plan :meth:`mirror_batch`
+        applies to the same stream's columnar batch.
         """
-        spec = self.spec
-        if not (spec.mirror_drop or spec.mirror_duplicate or spec.mirror_reorder):
+        if not self._mirror_armed(allow_reorder):
             return tuples
-        rng = self._rng("mirror")
-        out: list[MirroredTuple] = []
+        streams: dict[tuple, list[MirroredTuple]] = {}
         for tup in tuples:
-            if spec.mirror_drop and rng.random() < spec.mirror_drop:
-                self._note("mirror_drop", instance=tup.instance, kind=tup.kind)
-                continue
-            if (
-                allow_reorder
-                and spec.mirror_reorder
-                and rng.random() < spec.mirror_reorder
-            ):
-                self._note("mirror_reorder", instance=tup.instance, kind=tup.kind)
-                self._deferred.append(tup)
-                continue
-            out.append(tup)
-            if spec.mirror_duplicate and rng.random() < spec.mirror_duplicate:
-                self._note("mirror_duplicate", instance=tup.instance, kind=tup.kind)
-                out.append(tup)
+            streams.setdefault((tup.instance, tup.kind, tup.op_index), []).append(tup)
+        out: list[MirroredTuple] = []
+        for (instance, kind, op_index), group in streams.items():
+            plan = self.mirror_plan(instance, kind, op_index, len(group), allow_reorder)
+            out.extend(group[i] for i in plan.tolist())
         return out
 
-    def drain_deferred(self) -> list[MirroredTuple]:
-        """Release reordered tuples at window end, minus deadline misses."""
-        deferred, self._deferred = self._deferred, []
-        if not deferred:
-            return deferred
-        spec = self.spec
-        if not spec.late_drop:
-            return deferred
-        rng = self._rng("deadline")
-        survivors = []
-        for tup in deferred:
-            if rng.random() < spec.late_drop:
-                self._note("late_drop", instance=tup.instance, kind=tup.kind)
-            else:
-                survivors.append(tup)
-        return survivors
+    def mirror_batch(
+        self, batch: MirroredBatch, allow_reorder: bool = True
+    ) -> MirroredBatch:
+        """Apply the mirror faults to one stream's columnar batch."""
+        plan = self.mirror_plan(
+            batch.instance, batch.kind, batch.op_index, batch.n_rows, allow_reorder
+        )
+        if plan is None:
+            return batch
+        return MirroredBatch(
+            instance=batch.instance,
+            kind=batch.kind,
+            op_index=batch.op_index,
+            state=batch.state.select(plan),
+            rows=None if batch.rows is None else batch.rows[plan],
+            pos=batch.pos,
+        )
 
     # -- register pressure ---------------------------------------------------
-    def force_overflow(self, instance_key: str) -> bool:
-        """Force this register update to overflow the whole chain?"""
-        if not self.spec.overflow_pressure:
+    def force_overflow_mask(
+        self, instance_key: str, op_index: int, n: int
+    ) -> "np.ndarray | None":
+        """Which of the next ``n`` register updates of one stateful
+        operator are forced to overflow the whole chain (``None``: none
+        can be)."""
+        rate = self.spec.overflow_pressure
+        if not rate or not n:
+            return None
+        forced = self._uniforms("overflow", (instance_key, op_index), n) < rate
+        self._note("forced_overflow", int(forced.sum()), instance=instance_key)
+        return forced
+
+    def force_overflow(self, instance_key: str, op_index: int = 0) -> bool:
+        """Per-update form of :meth:`force_overflow_mask` (same draws)."""
+        rate = self.spec.overflow_pressure
+        if not rate:
             return False
-        if self._rng("overflow").random() < self.spec.overflow_pressure:
+        if self._uniform("overflow", (instance_key, op_index)) < rate:
             self._note("forced_overflow", instance=instance_key)
             return True
         return False
 
     # -- control plane (filter-table updates) --------------------------------
-    def filter_update_outcome(self) -> str:
+    def filter_update_outcome(self, table: str = "") -> str:
         """One delivery attempt: ``"ok"``, ``"loss"`` or ``"delay"``."""
         spec = self.spec
         if not (spec.filter_update_loss or spec.filter_update_delay):
             return "ok"
-        rng = self._rng("filter")
-        roll = rng.random()
+        roll = self._uniform("filter", (table,))
         if roll < spec.filter_update_loss:
-            self._note("filter_update_loss")
+            self._note("filter_update_loss", table=table)
             return "loss"
         if roll < spec.filter_update_loss + spec.filter_update_delay:
-            self._note("filter_update_delay")
+            self._note("filter_update_delay", table=table)
             return "delay"
         return "ok"
 

@@ -92,22 +92,6 @@ class FaultSpec:
             getattr(self, name) > 0.0 for name in _RATE_FIELDS
         )
 
-    @property
-    def mirror_active(self) -> bool:
-        """True if per-tuple mirror faults can fire.
-
-        The injector draws its mirror PRNG stream once per tuple in
-        channel order, which the columnar batch channel cannot replay —
-        the runtime keeps such windows on the row channel so fault
-        schedules stay identical. ``overflow_pressure`` is not a mirror
-        fault (it already forces the per-packet register oracle).
-        """
-        return (
-            self.mirror_drop > 0.0
-            or self.mirror_duplicate > 0.0
-            or self.mirror_reorder > 0.0
-        )
-
 
 def parse_fault_spec(text: str) -> FaultSpec:
     """Parse a ``key=value,key=value`` CLI spec into a :class:`FaultSpec`.

@@ -113,10 +113,10 @@ class NetworkRunReport:
     #: True when :meth:`NetworkRuntime.run` was handed a trace with zero
     #: packets — nothing executed (mirrors ``RunReport.empty_trace``).
     empty_trace: bool = False
-    #: Per-switch fault-injector PRNG stream positions at end of run,
-    #: ``{"switch0": {"mirror": 123, ...}, ...}`` — identical between the
-    #: serial and process-parallel paths by construction, and asserted so
-    #: by the differential suite. Empty without fault injection.
+    #: Per-switch fault-injector draws of this run, per channel,
+    #: ``{"switch0": {"mirror_drop": 123, ...}, ...}`` — identical between
+    #: the serial and process-parallel paths by construction, and asserted
+    #: so by the differential suite. Empty without fault injection.
     fault_draws: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
@@ -240,9 +240,10 @@ class NetworkRuntime:
         shared memory, and ships back a :class:`RunReport` the parent
         merges in switch-id order — so parallel runs are tuple-for-tuple
         identical to serial ones, and ``workers=1`` *is* the serial path.
-        One caveat: workers rebuild per run, so cross-``run()`` pipeline
-        state (fallen-back instances, advanced fault streams) is only
-        carried by the serial path.
+        A repeated run repeats the first (refinement tables and fault
+        streams restart), with one caveat: workers rebuild per run, so
+        instances that fell back to raw-mirror stay fallen back only on
+        the serial path.
         """
         from repro.parallel import resolve_workers
 

@@ -12,14 +12,16 @@ returns:
 - the worker's finished obs spans/events and a metrics snapshot, which
   the parent absorbs into its own tracer/registry in switch-id order so
   the merged observability is deterministic;
-- the fault injector's per-channel PRNG draw counts
+- the fault injector's per-channel draw counts
   (:meth:`FaultInjector.rng_draws`), which the parent records so a
-  differential suite can pin that parallel execution consumed exactly the
-  RNG stream positions the serial path does.
+  differential suite can pin that parallel execution drew exactly the
+  stream positions the serial path does.
 
-Workers rebuild pipelines *per run*: the per-switch fault streams are
-seeded by ``(scope, channel)``, not by runtime identity, so a rebuilt
-pipeline draws the same stream a fresh serial runtime would.
+Workers rebuild pipelines *per run*. That loses nothing a serial run
+keeps except fallen-back instances: every ``run()`` restarts the
+refinement tables, and fault decisions are keyed by ``(scope, channel,
+window, stream, position)``, not by runtime identity, so a rebuilt
+pipeline draws what a reused serial one does.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ local key-value store, and reads the data-plane registers at the end of
 each window. Here the switch simulator already hands over structured
 mirror output, so the emitter's remaining jobs are:
 
-- buffering per-instance mirror output within the window — per-tuple
-  (:meth:`Emitter.ingest`, the row channel) or columnar
-  (:meth:`Emitter.ingest_items`, the batch channel);
+- buffering per-instance mirror output within the window — columnar
+  :class:`~repro.switch.mirror.MirroredBatch` items from the batched
+  engine (:meth:`Emitter.ingest_items`), or per-packet tuples from the
+  ``engine="rowwise"`` oracle (:meth:`Emitter.ingest`);
 - the §3.1.3 collision adjustment: tuples whose key overflowed all ``d``
   registers were mirrored raw, so at window end the emitter replays them
   through the on-switch portion of the query and merges the result with
@@ -16,8 +17,8 @@ mirror output, so the emitter's remaining jobs are:
   switch for a *full*, un-thresholded register dump; the emitter re-
   aggregates the union (a key's contributions can be split between the
   registers and the overflow stream when the overflow happened at a
-  mid-chain distinct) and then re-applies the folded threshold. On the
-  batch channel this merge runs on the shared :mod:`repro.exec` kernels
+  mid-chain distinct) and then re-applies the folded threshold. For
+  batches this merge runs on the shared :mod:`repro.exec` kernels
   (:mod:`repro.streaming.batchops`) without materializing dict rows;
 - counting tuples: the number of tuples crossing the emitter is the
   paper's headline load metric.
@@ -35,13 +36,7 @@ from repro.obs import get_observability
 from repro.planner.plans import InstancePlan
 from repro.streaming.batchops import apply_operator_state, apply_operators_state
 from repro.streaming.rowops import Row, apply_operator, apply_operators
-from repro.switch.mirror import (
-    MirroredBatch,
-    MirroredRows,
-    MirroredTuple,
-    concat_states,
-    merge_tagged,
-)
+from repro.switch.mirror import MirroredBatch, MirroredTuple, concat_states
 
 
 @dataclass
@@ -49,8 +44,8 @@ class EmitterBatch:
     """Per-instance tuples delivered to the stream processor for a window.
 
     Exactly one representation is populated: ``state`` (columnar, the
-    batch channel) or ``rows`` (per-tuple, the row channel). Both stand
-    for the same tuples in the same order.
+    batched engine) or ``rows`` (per-tuple, the rowwise oracle). Both
+    stand for the same tuples in the same order.
     """
 
     rows: list[Row] = field(default_factory=list)
@@ -67,9 +62,8 @@ class Emitter:
         self._overflow: dict[str, dict[int, list[Row]]] = defaultdict(
             lambda: defaultdict(list)
         )
-        #: Batch-channel buffers: per instance, ("batch", MirroredBatch)
-        #: and ("rows", tagged-tuple list) segments in arrival order.
-        self._segments: dict[str, list[tuple]] = defaultdict(list)
+        #: Batched-engine buffers: per instance, its window's batches.
+        self._batches: dict[str, list[MirroredBatch]] = defaultdict(list)
         self.total_tuples = 0
         self.obs = obs if obs is not None else get_observability()
         self._m_tuples = self.obs.counter(
@@ -82,7 +76,7 @@ class Emitter:
         )
 
     def ingest(self, mirrored: list[MirroredTuple]) -> None:
-        """Consume per-packet mirrored tuples (the row channel)."""
+        """Consume per-packet mirrored tuples (the rowwise oracle)."""
         for m in mirrored:
             self.total_tuples += 1
             if m.kind == "stream":
@@ -92,46 +86,21 @@ class Emitter:
             else:  # pragma: no cover - key reports arrive via end_window
                 raise ValueError(f"unexpected mirrored kind {m.kind}")
 
-    def ingest_items(
-        self, items: "list[MirroredBatch | MirroredRows]"
-    ) -> None:
-        """Consume one window's columnar mirror output (the batch channel).
-
-        :class:`MirroredRows` fallbacks (scalar-oracle replays) are kept
-        as tagged tuples so the window can still be assembled in exact
-        channel order when an instance ends up mixed.
-        """
+    def ingest_items(self, items: list[MirroredBatch]) -> None:
+        """Consume one window's columnar mirror output (the batched engine)."""
         for item in items:
-            if isinstance(item, MirroredRows):
-                if not item.tagged:
-                    continue
-                self.total_tuples += len(item.tagged)
-                # A per-packet fallback item can carry tuples for several
-                # instances; each instance buffers only its own slice
-                # (the (row, pos) tags keep channel order recoverable).
-                per_instance: dict[str, list] = {}
-                for entry in item.tagged:
-                    per_instance.setdefault(entry[2].instance, []).append(entry)
-                for instance, tagged in per_instance.items():
-                    self._segments[instance].append(("rows", tagged))
-                continue
             if item.kind not in ("stream", "overflow"):
                 raise ValueError(f"unexpected mirrored kind {item.kind}")
-            self.total_tuples += item.n_rows
-            self._segments[item.instance].append(("batch", item))
+            if item.n_rows:
+                self.total_tuples += item.n_rows
+                self._batches[item.instance].append(item)
 
     def overflow_instances(self) -> set[str]:
         """Instances needing a full register dump this window."""
         out = {key for key, buckets in self._overflow.items() if buckets}
-        for key, segments in self._segments.items():
-            for tag, seg in segments:
-                if tag == "batch":
-                    if seg.kind == "overflow":
-                        out.add(key)
-                        break
-                elif any(t.kind == "overflow" for _, _, t in seg):
-                    out.add(key)
-                    break
+        for key, batches in self._batches.items():
+            if any(batch.kind == "overflow" for batch in batches):
+                out.add(key)
         return out
 
     def end_window(
@@ -141,88 +110,49 @@ class Emitter:
     ) -> dict[str, EmitterBatch]:
         """Assemble the final per-instance batches for the closing window.
 
-        An instance whose mirror output arrived fully columnar (and whose
-        key report, if any, is a batch) is assembled on the columnar path;
-        anything mixed — scalar-oracle replays, per-tuple ingest, shape
-        conflicts — falls back to the row path, which remains the exact
-        reference semantics.
+        An instance with batch input (mirror batches or a batch key
+        report) is assembled columnar; per-packet ingest and tuple-list
+        key reports are assembled on the row path. The batches of one
+        instance must share a schema: a conflict raises ``ValueError``.
         """
         batches: dict[str, EmitterBatch] = {}
         keys = (
             set(self._stream)
             | set(self._overflow)
-            | set(self._segments)
+            | set(self._batches)
             | set(key_reports)
         )
         for key in keys:
             plan = self._instances.get(key)
-            report_item = key_reports.get(key, [])
-            segments = self._segments.get(key, [])
-            n_reports = (
-                report_item.n_rows
-                if isinstance(report_item, MirroredBatch)
-                else len(report_item)
-            )
-            self.total_tuples += n_reports
-            sent = (
-                n_reports
-                + len(self._stream.get(key, []))
-                + sum(len(p) for p in self._overflow.get(key, {}).values())
-                + sum(
-                    len(seg) if tag == "rows" else seg.n_rows
-                    for tag, seg in segments
-                )
-            )
-
-            batch: EmitterBatch | None = None
-            columnar = (
-                key not in self._stream
-                and key not in self._overflow
-                and all(tag == "batch" for tag, _ in segments)
-                and (
-                    isinstance(report_item, MirroredBatch) or not report_item
-                )
-            )
-            if columnar:
-                try:
-                    state = self._assemble_columnar(
-                        key, plan, report_item, segments, tables
-                    )
-                    batch = EmitterBatch(state=state, tuples_sent=sent)
-                except ValueError:
-                    batch = None  # shape conflict: use the row reference
-            if batch is None:
-                batch = self._assemble_rows(
-                    key, plan, report_item, segments, tables
-                )
-                batch.tuples_sent = sent
+            report = key_reports.get(key, [])
+            if isinstance(report, MirroredBatch) or key in self._batches:
+                batch = self._assemble_columnar(key, plan, report, tables)
+            else:
+                batch = self._assemble_rows(key, plan, report, tables)
             batches[key] = batch
-            self._m_tuples.inc(sent, instance=key)
+            self._m_tuples.inc(batch.tuples_sent, instance=key)
 
         self._stream.clear()
         self._overflow.clear()
-        self._segments.clear()
+        self._batches.clear()
         return batches
 
-    # -- columnar assembly (batch channel) --------------------------------
+    # -- columnar assembly (batched engine) -------------------------------
     def _assemble_columnar(
         self,
         key: str,
         plan: "InstancePlan | None",
-        report_item: "MirroredBatch | list",
-        segments: list[tuple],
+        report: "MirroredBatch | list",
         tables: Mapping[str, set] | None,
-    ) -> ColumnarState:
-        stream_states: list[ColumnarState] = []
-        overflow_batches: list[MirroredBatch] = []
-        for _tag, seg in segments:
-            if seg.kind == "stream":
-                stream_states.append(seg.state)
-            else:
-                overflow_batches.append(seg)
+    ) -> EmitterBatch:
+        parts = self._batches.get(key, [])
         report_batch = (
-            report_item if isinstance(report_item, MirroredBatch) else None
+            report if isinstance(report, MirroredBatch) and report.n_rows else None
         )
+        n_reports = report_batch.n_rows if report_batch is not None else 0
+        self.total_tuples += n_reports
+        stream_states = [b.state for b in parts if b.kind == "stream"]
+        overflow_batches = [b for b in parts if b.kind == "overflow"]
         merged: ColumnarState | None = None
         if overflow_batches and plan is not None:
             merged = self._merge_overflow_columnar(
@@ -231,10 +161,11 @@ class Emitter:
             self._m_overflow_merges.inc(instance=key)
         elif report_batch is not None:
             merged = report_batch.state
-        parts = stream_states + ([merged] if merged is not None else [])
-        if not parts:
-            return ColumnarState(columns={})
-        return concat_states(parts)
+        states = stream_states + ([merged] if merged is not None else [])
+        return EmitterBatch(
+            state=concat_states(states),
+            tuples_sent=n_reports + sum(b.n_rows for b in parts),
+        )
 
     def _merge_overflow_columnar(
         self,
@@ -245,15 +176,11 @@ class Emitter:
     ) -> ColumnarState:
         """Columnar twin of :meth:`_merge_overflow` on the shared kernels.
 
-        Buckets are replayed in order of their first overflowing packet —
-        the order the row channel's per-arrival buckets are created in
-        (a later operator can overflow before an earlier one does).
+        Overflow batches are replayed in operator order, like the row
+        path's buckets.
         """
         ops = plan.augmented.operators
-        ordered = sorted(
-            overflow_batches,
-            key=lambda b: int(b.rows[0]) if b.rows is not None and len(b.rows) else 0,
-        )
+        ordered = sorted(overflow_batches, key=lambda b: b.op_index)
         stateful_indices = [
             i for i, op in enumerate(ops[: plan.cut]) if op.stateful
         ]
@@ -266,7 +193,7 @@ class Emitter:
                 )
                 for b in ordered
             ]
-            return concat_states(states) if states else ColumnarState(columns={})
+            return concat_states(states)
         last = stateful_indices[-1]
         level = last + 1  # pre-threshold merge point
 
@@ -274,7 +201,7 @@ class Emitter:
             apply_operators_state(b.state, list(ops[b.op_index : level]), tables)
             for b in ordered
         ]
-        merged = concat_states(states) if states else ColumnarState(columns={})
+        merged = concat_states(states)
         # Re-aggregate partial results for keys split across the paths.
         stateful_op = ops[last]
         if isinstance(stateful_op, Reduce):
@@ -296,36 +223,23 @@ class Emitter:
         self,
         key: str,
         plan: "InstancePlan | None",
-        report_item: "MirroredBatch | list",
-        segments: list[tuple],
+        reports: list[MirroredTuple],
         tables: Mapping[str, set] | None,
     ) -> EmitterBatch:
-        stream_rows: list[Row] = list(self._stream.get(key, []))
-        buckets: dict[int, list[Row]] = {
-            i: list(rows) for i, rows in self._overflow.get(key, {}).items()
-        }
-        if segments:
-            items = [
-                MirroredRows(tagged=seg) if tag == "rows" else seg
-                for tag, seg in segments
-            ]
-            for t in merge_tagged(items):
-                if t.kind == "stream":
-                    stream_rows.append(t.fields)
-                else:
-                    buckets.setdefault(t.op_index, []).append(t.fields)
-        reports = (
-            report_item.materialize()
-            if isinstance(report_item, MirroredBatch)
-            else list(report_item)
+        stream_rows = self._stream.get(key, [])
+        buckets = self._overflow.get(key, {})
+        self.total_tuples += len(reports)
+        sent = (
+            len(reports)
+            + len(stream_rows)
+            + sum(len(rows) for rows in buckets.values())
         )
         if buckets and plan is not None:
             rows = self._merge_overflow(plan, reports, buckets, tables)
             self._m_overflow_merges.inc(instance=key)
         else:
             rows = [m.fields for m in reports]
-        rows = stream_rows + rows
-        return EmitterBatch(rows=rows)
+        return EmitterBatch(rows=stream_rows + rows, tuples_sent=sent)
 
     def _merge_overflow(
         self,
@@ -350,7 +264,7 @@ class Emitter:
         if not stateful_indices:
             # No stateful prefix: just replay overflow to the cut level.
             rows = [m.fields for m in reports]
-            for op_index, pending in buckets.items():
+            for op_index, pending in sorted(buckets.items()):
                 rows.extend(
                     apply_operators(pending, list(ops[op_index : plan.cut]), tables)
                 )
@@ -359,7 +273,7 @@ class Emitter:
         level = last + 1  # pre-threshold merge point
 
         merged: list[Row] = [m.fields for m in reports]
-        for op_index, pending in buckets.items():
+        for op_index, pending in sorted(buckets.items()):
             merged.extend(
                 apply_operators(pending, list(ops[op_index:level]), tables)
             )

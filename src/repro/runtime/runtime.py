@@ -156,24 +156,17 @@ class SonataRuntime:
         self.on_retrain = on_retrain
         self.retrain_overflow_threshold = retrain_overflow_threshold
         #: Data-plane execution engine: ``"batched"`` runs each window
-        #: vectorized through :meth:`PISASwitch.process_window`;
-        #: ``"rowwise"`` keeps the per-packet reference oracle (used by
-        #: differential tests, and implied automatically for fault specs
-        #: that need per-packet PRNG interleaving).
+        #: vectorized and carries columnar :class:`MirroredBatch` items
+        #: from the switch through the emitter to the stream processor;
+        #: ``"rowwise"`` is the per-packet reference oracle the
+        #: differential tests hold it to.
         if engine not in ("batched", "rowwise"):
             raise ValueError(f"unknown engine {engine!r} (batched|rowwise)")
         self.engine = engine
-        #: Mirror-channel representation: ``"batch"`` carries columnar
-        #: :class:`MirroredBatch` items end-to-end (switch -> emitter ->
-        #: stream processor), ``"row"`` materializes per-tuple output at
-        #: the mirror point (the reference channel), ``"auto"`` picks
-        #: batch whenever the batched engine runs. Per-tuple mirror
-        #: faults force the row channel either way — the injector's PRNG
-        #: stream is drawn per tuple in channel order.
-        if channel not in ("auto", "batch", "row"):
-            raise ValueError(f"unknown channel {channel!r} (auto|batch|row)")
-        if channel == "batch" and engine == "rowwise":
-            raise ValueError("channel='batch' requires the batched engine")
+        #: The mirror channel follows the engine; ``"auto"`` is the only
+        #: value, accepted for callers that still pass it.
+        if channel != "auto":
+            raise ValueError(f"unknown channel {channel!r} (only 'auto')")
         self.channel = channel
         self.retrain_signals: list[int] = []  # window indices that fired
         #: Observability context (``repro.obs``). Defaults to the
@@ -220,7 +213,7 @@ class SonataRuntime:
         )
         #: Fault injection (``faults``: a :class:`repro.faults.FaultSpec`)
         #: and the matching degradation policy. ``fault_scope`` namespaces
-        #: the injector's PRNG streams (per-switch in network-wide mode).
+        #: the injector's fault streams (per-switch in network-wide mode).
         from repro.faults import DegradationPolicy, FaultInjector
 
         self.degradation = degradation or DegradationPolicy()
@@ -228,15 +221,6 @@ class SonataRuntime:
             FaultInjector(faults, scope=fault_scope)
             if faults is not None and faults.active
             else None
-        )
-        #: Resolved channel: the columnar batch channel runs only on the
-        #: batched engine and only when no per-tuple mirror fault is
-        #: armed (the injector draws its PRNG per tuple in channel order,
-        #: which batches cannot replay).
-        self._batch_channel = (
-            engine == "batched"
-            and channel != "row"
-            and (faults is None or not faults.mirror_active)
         )
         #: Filter-table updates deferred by the fault injector; applied at
         #: the start of the next window (stale-plan semantics).
@@ -312,6 +296,14 @@ class SonataRuntime:
             # rather than as a clean run that detected nothing.
             logger.warning("run called with an empty trace; nothing executed")
             return RunReport(plan_mode=self.plan.mode, empty_trace=True)
+        # Every run starts from empty refinement tables and restarts the
+        # fault streams (they are keyed by window index), so a repeated
+        # run() repeats the first; only fallen-back instances carry over.
+        self._pending_filter_updates = []
+        for name in self.switch.filter_tables:
+            self.switch.filter_tables[name] = set()
+        if self.faults is not None:
+            self.faults.begin_run()
         report = RunReport(plan_mode=self.plan.mode)
         with self.obs.span(
             "run", mode=self.plan.mode, packets=len(trace), scope=self._scope
@@ -343,6 +335,8 @@ class SonataRuntime:
         events: list[str] = []
         update_seconds = 0.0
         obs = self.obs
+        if faults is not None:
+            faults.begin_window(index)
 
         # 0. Apply filter-table updates the injector deferred last window.
         if self._pending_filter_updates:
@@ -351,71 +345,34 @@ class SonataRuntime:
                 for name, keys in pending:
                     update_seconds += self.switch.update_filter_table(name, keys)
 
-        # 1. Data plane.
+        # 1. Data plane. Fault plans are per mirrored stream, so the
+        # batched engine applies them to whole batches and the oracle to
+        # its window's per-packet tuples — the same decisions either way.
         with obs.span("stage.switch", window=index) as stage_span:
-            if self.switch.instances:
-                if self._batch_channel:
-                    # Columnar mirror channel: the switch emits
-                    # MirroredBatch items that travel to the emitter
-                    # without ever materializing per-tuple rows. Mirror
-                    # faults are guaranteed inactive here (the gate in
-                    # __init__ forces the row channel otherwise), so
-                    # ``faults.mirror`` would be a PRNG-free no-op and is
-                    # skipped.
+            if self.engine == "batched":
+                if self.switch.instances:
                     items = self.switch.process_window_items(window_trace)
-                    if self._wire_codec is not None:
-                        items = [self._wire_roundtrip_item(it) for it in items]
-                    self.emitter.ingest_items(items)
-                elif self.engine == "batched":
-                    # One vectorized pass per window. The fault injector
-                    # consumes its mirror-channel PRNG per tuple, so one
-                    # call over the (packet-ordered) batch draws exactly
-                    # what the per-packet loop would.
-                    mirrored = self.switch.process_window(window_trace)
-                    if faults is not None:
-                        mirrored = faults.mirror(mirrored)
-                    if self._wire_codec is not None:
-                        mirrored = [self._wire_roundtrip(m) for m in mirrored]
-                    self.emitter.ingest(mirrored)
-                else:
-                    for packet in window_trace.packets():
-                        mirrored = self.switch.process_packet(packet)
-                        if faults is not None:
-                            mirrored = faults.mirror(mirrored)
-                        if self._wire_codec is not None:
-                            mirrored = [self._wire_roundtrip(m) for m in mirrored]
-                        self.emitter.ingest(mirrored)
-            if faults is not None:
-                # Watchdog: reordered tuples that still make the window
-                # deadline are delivered out of order; late ones are dropped
-                # and recorded below (``late_drop`` in faults_injected).
-                late = faults.drain_deferred()
-                if self._wire_codec is not None:
-                    late = [self._wire_roundtrip(m) for m in late]
-                self.emitter.ingest(late)
-            if self._batch_channel:
-                key_reports = self.switch.end_window_items(
-                    full_dump=self.emitter.overflow_instances()
-                )
-                if self._wire_codec is not None:
-                    key_reports = {
-                        key: self._wire_roundtrip_item(item)
-                        for key, item in key_reports.items()
-                    }
+                    self.emitter.ingest_items(
+                        [self._deliver_batch(item) for item in items]
+                    )
+                key_reports = {
+                    key: self._deliver_batch(batch, allow_reorder=False)
+                    for key, batch in self.switch.end_window_items(
+                        full_dump=self.emitter.overflow_instances()
+                    ).items()
+                }
             else:
-                key_reports = self.switch.end_window(
-                    full_dump=self.emitter.overflow_instances()
-                )
-                if faults is not None:
-                    key_reports = {
-                        key: faults.mirror(reports, allow_reorder=False)
-                        for key, reports in key_reports.items()
-                    }
-                if self._wire_codec is not None:
-                    key_reports = {
-                        key: [self._wire_roundtrip(m) for m in reports]
-                        for key, reports in key_reports.items()
-                    }
+                mirrored = []
+                if self.switch.instances:
+                    for packet in window_trace.packets():
+                        mirrored.extend(self.switch.process_packet(packet))
+                self.emitter.ingest(self._deliver_rows(mirrored))
+                key_reports = {
+                    key: self._deliver_rows(reports, allow_reorder=False)
+                    for key, reports in self.switch.end_window(
+                        full_dump=self.emitter.overflow_instances()
+                    ).items()
+                }
         self._h_stage.observe(stage_span.duration, stage="switch")
         tables = self.switch.filter_tables
 
@@ -588,7 +545,7 @@ class SonataRuntime:
             policy = self.degradation
             seconds = 0.0
             for attempt in range(policy.filter_update_retries + 1):
-                outcome = self.faults.filter_update_outcome()
+                outcome = self.faults.filter_update_outcome(name)
                 if outcome == "ok":
                     return seconds + self.switch.update_filter_table(name, keys)
                 if outcome == "delay":
@@ -604,6 +561,25 @@ class SonataRuntime:
                 policy.filter_update_retries,
             )
             return seconds
+
+    # -- mirror channel (switch -> emitter) ----------------------------------
+    # Key reports are produced at the window deadline, so they are never
+    # delayed (``allow_reorder=False``).
+    def _deliver_batch(self, batch, allow_reorder: bool = True):
+        """Carry one batch over the mirror channel: faults, wire check."""
+        if self.faults is not None:
+            batch = self.faults.mirror_batch(batch, allow_reorder)
+        if self._wire_codec is not None:
+            batch = self._wire_roundtrip_batch(batch)
+        return batch
+
+    def _deliver_rows(self, tuples, allow_reorder: bool = True):
+        """The per-packet oracle's twin of :meth:`_deliver_batch`."""
+        if self.faults is not None:
+            tuples = self.faults.mirror(tuples, allow_reorder)
+        if self._wire_codec is not None:
+            tuples = [self._wire_roundtrip(m) for m in tuples]
+        return tuples
 
     def _wire_roundtrip(self, mirrored):
         """Encode + decode a tuple via the wire format; must be lossless."""
@@ -649,27 +625,6 @@ class SonataRuntime:
             fields=decoded.fields,
             op_index=decoded.op_index,
         )
-
-    def _wire_roundtrip_item(self, item):
-        """Round-trip one mirror-channel item (batch channel).
-
-        Batches go through :meth:`WireCodec.encode_batch` /
-        ``decode_batch``; per-packet fallback items (``MirroredRows``,
-        plain tuple lists from legacy report paths) reuse the scalar
-        round-trip per tuple.
-        """
-        from repro.switch.mirror import MirroredBatch, MirroredRows
-
-        if isinstance(item, MirroredBatch):
-            return self._wire_roundtrip_batch(item)
-        if isinstance(item, MirroredRows):
-            return MirroredRows(
-                tagged=[
-                    (row, pos, self._wire_roundtrip(t))
-                    for row, pos, t in item.tagged
-                ]
-            )
-        return [self._wire_roundtrip(t) for t in item]
 
     def _wire_roundtrip_batch(self, batch):
         """Encode + decode a columnar batch; must be bit-for-bit lossless."""

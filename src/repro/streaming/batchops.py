@@ -1,4 +1,4 @@
-"""Columnar execution of residual dataflow operators (batch channel).
+"""Columnar execution of residual dataflow operators (batched engine).
 
 The batched twin of :mod:`repro.streaming.rowops`: executes a partitioned
 query's residual operators over the :class:`~repro.exec.ColumnarState`
@@ -27,6 +27,7 @@ from repro.exec import (
     aggregate_groups,
     apply_map,
     group_first_occurrence,
+    key_columns,
     materialize_rows,
     predicate_mask,
 )
@@ -116,7 +117,7 @@ def _apply_reduce(state: ColumnarState, op: Reduce) -> ColumnarState:
     grouped = _canonical_state(state, op.keys)
     unique, _first, inv = group_first_occurrence(grouped, op.keys)
     agg = aggregate_groups(inv, agg_values, len(unique), op.func)
-    columns = {k: unique[:, j] for j, k in enumerate(op.keys)}
+    columns = key_columns(grouped, op.keys, unique)
     columns[op.out] = agg
     vocabs = {k: grouped.vocabs[k] for k in op.keys if k in grouped.vocabs}
     return ColumnarState(columns=columns, vocabs=vocabs, payloads=state.payloads)
@@ -129,7 +130,7 @@ def _apply_distinct(state: ColumnarState, op: Distinct) -> ColumnarState:
         return ColumnarState(columns={})
     grouped = _canonical_state(state, keys)
     unique, _first, _inv = group_first_occurrence(grouped, keys)
-    columns = {k: unique[:, j] for j, k in enumerate(keys)}
+    columns = key_columns(grouped, keys, unique)
     vocabs = {k: grouped.vocabs[k] for k in keys if k in grouped.vocabs}
     return ColumnarState(columns=columns, vocabs=vocabs, payloads=state.payloads)
 

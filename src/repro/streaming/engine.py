@@ -41,7 +41,7 @@ class SubQueryRuntime:
     def process_state(
         self, state: ColumnarState, tables: Mapping[str, set] | None = None
     ) -> list[Row]:
-        """Columnar twin of :meth:`process` (the batch channel's path).
+        """Columnar twin of :meth:`process` (the batched engine's path).
 
         The residual chain runs on the shared :mod:`repro.exec` kernels;
         only the (small) final output is materialized to rows for the

@@ -2,7 +2,9 @@
 
 The compiler walks the operator chain and emits :class:`LogicalTable`
 entries until it meets an operator the data plane cannot execute (payload
-predicates, division, joins, or any operator after an unfolded reduce).
+predicates, division, joins, a reduce or distinct keyed by a float-valued
+field such as the timestamp — a register key is header bits — or any
+operator after an unfolded reduce).
 Everything after that point *must* run at the stream processor; everything
 before it *may*, and the planner chooses the actual cut.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import CompilationError
+from repro.core.expressions import Const, Expression, Quantized
 from repro.core.fields import FIELDS, FieldRegistry
 from repro.core.operators import (
     Distinct,
@@ -30,8 +33,29 @@ from repro.core.operators import (
     Schema,
 )
 from repro.core.query import SubQuery
+from repro.packets.trace import TRACE_DTYPE
 from repro.switch.registers import RegisterSpec
 from repro.switch.tables import LogicalTable
+
+
+def _float_fields(registry: FieldRegistry) -> set[str]:
+    """Packet fields whose trace column holds floats (the timestamp)."""
+    columns = TRACE_DTYPE.fields
+    return {
+        name
+        for name in registry.names()
+        if registry.get(name).column in columns
+        and columns[registry.get(name).column][0].kind == "f"
+    }
+
+
+def _float_valued(expr: Expression, floats: set[str]) -> bool:
+    """Does a map expression yield floats, given the float-valued inputs?"""
+    if isinstance(expr, Const):
+        return isinstance(expr.value, float)
+    if isinstance(expr, Quantized):
+        return False  # rounds to an int
+    return any(name in floats for name in expr.inputs())
 
 
 def _is_threshold_filter(op: Operator, aggregate_field: str) -> bool:
@@ -151,6 +175,7 @@ def compile_subquery(
     compilable_ops = 0
     prefix = f"q{subquery.qid}_{subquery.subid}"
     reduce_done = False  # an unfolded reduce ends the switch prefix
+    floats = _float_fields(registry)  # float-valued fields of the tuple
 
     ops = subquery.operators
     i = 0
@@ -192,6 +217,11 @@ def compile_subquery(
             continue
 
         if isinstance(op, Map):
+            floats = {
+                expr.name
+                for expr in op.keys + op.values
+                if _float_valued(expr, floats)
+            }
             tables.append(
                 LogicalTable(
                     name=f"{prefix}_t{len(tables)}_map",
@@ -216,6 +246,8 @@ def compile_subquery(
                 keys = op.effective_keys(schema_in)
                 value_bits = 1
                 kind = "distinct"
+            if floats.intersection(keys):
+                break  # not a register key: runs at the stream processor
             key_bits = sum(schema_in.width_of(k) for k in keys)
             # Placeholder register: the planner sizes n_slots/d from the
             # training data; the compiler records widths only.

@@ -233,33 +233,23 @@ def concat_states(states: "Sequence[ColumnarState]") -> ColumnarState:
 
 @dataclass
 class MirroredRows:
-    """Row-materialized fallback output of one instance's window.
+    """Retired row-materialized channel item; nothing constructs it.
 
-    Produced when the batched switch path must replay rows through the
-    per-packet oracle (e.g. float-typed key columns). ``tagged`` entries
-    are ``(global_row, instance_pos, tuple)`` so the legacy interleaved
-    ordering can still be reconstructed.
+    Kept importable for external tooling that still type-checks mirror
+    items against it.
     """
 
-    tagged: list = field(default_factory=list)  # (row, pos, MirroredTuple)
-
-    def materialize(self) -> list[MirroredTuple]:
-        return [t for _, _, t in self.tagged]
+    tagged: list = field(default_factory=list)
 
 
-def merge_tagged(
-    items: "Iterable[MirroredBatch | MirroredRows]",
-) -> list[MirroredTuple]:
+def merge_tagged(items: "Iterable[MirroredBatch]") -> list[MirroredTuple]:
     """Flatten batches back to the per-packet channel's tuple order."""
     tagged: list = []
     for item in items:
-        if isinstance(item, MirroredRows):
-            tagged.extend(item.tagged)
-        else:
-            rows = item.rows
-            if rows is None:
-                rows = np.zeros(item.n_rows, dtype=np.int64)
-            for row, tup in zip(rows.tolist(), item.materialize()):
-                tagged.append((row, item.pos, tup))
+        rows = item.rows
+        if rows is None:
+            rows = np.zeros(item.n_rows, dtype=np.int64)
+        for row, tup in zip(rows.tolist(), item.materialize()):
+            tagged.append((row, item.pos, tup))
     tagged.sort(key=lambda entry: (entry[0], entry[1]))
     return [tup for _, _, tup in tagged]

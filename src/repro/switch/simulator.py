@@ -35,7 +35,6 @@ from repro.exec import (
     filter_mask,
     group_first_occurrence,
     materialize_keys,
-    materialize_rows,
     reduce_args,
     running_groups,
     threshold_mask,
@@ -45,12 +44,7 @@ from repro.obs import get_observability
 from repro.packets.packet import Packet
 from repro.switch.compiler import CompiledSubQuery
 from repro.switch.config import SwitchConfig
-from repro.switch.mirror import (
-    MirroredBatch,
-    MirroredRows,
-    MirroredTuple,
-    merge_tagged,
-)
+from repro.switch.mirror import MirroredBatch, MirroredTuple, merge_tagged
 from repro.switch.parser import ParserConfig
 from repro.switch.registers import RegisterChain
 from repro.switch.tables import LogicalTable
@@ -59,15 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.packets.trace import Trace
 
 logger = logging.getLogger(__name__)
-
-#: The mirror channel's window output: columnar batches where the
-#: vectorized path ran, row-materialized fallbacks where it could not.
-MirrorItem = "MirroredBatch | MirroredRows"
-
-
-def _item_len(item: "MirroredBatch | MirroredRows") -> int:
-    return len(item.tagged) if isinstance(item, MirroredRows) else item.n_rows
-
 
 @dataclass
 class _ChainCache:
@@ -444,17 +429,13 @@ class PISASwitch:
         inst.packets_seen += 1
         tup: dict[str, Any] = _PacketTuple(packet)
         ops = inst.compiled.subquery.operators[: inst.n_operators]
-        return self._run_chain(inst, tup, ops, inst.compiled.schemas, 0)
+        return self._run_chain(inst, tup, ops, inst.compiled.schemas)
 
     def _run_chain(
-        self,
-        inst: InstalledInstance,
-        tup: dict[str, Any],
-        ops,
-        schemas,
-        i: int,
+        self, inst: InstalledInstance, tup: dict[str, Any], ops, schemas
     ) -> MirroredTuple | None:
-        """Row-wise operator walk from operator ``i`` (the oracle path)."""
+        """Row-wise operator walk of one packet (the oracle path)."""
+        i = 0
         while i < len(ops):
             op = ops[i]
             if isinstance(op, Filter):
@@ -544,7 +525,7 @@ class PISASwitch:
         signal (re-training, raw-mirror fallback) sees the pressure.
         """
         injector = self.fault_injector
-        if injector is None or not injector.force_overflow(inst.key):
+        if injector is None or not injector.force_overflow(inst.key, op_index):
             return False
         chain = inst.chains.get(op_index)
         if chain is not None:
@@ -556,8 +537,7 @@ class PISASwitch:
         self, inst: InstalledInstance, tup, schemas
     ) -> MirroredTuple:
         # _PacketTuple resolves "payload" to b"" for payload-less packets,
-        # so no packet-level override is needed (and mid-chain replays
-        # carry materialized payload values already).
+        # so no packet-level override is needed.
         inst.packets_surviving += 1
         schema = schemas[inst.n_operators]
         fields = {name: tup[name] for name in schema.fields}
@@ -575,46 +555,26 @@ class PISASwitch:
         packet of ``trace`` in order and concatenating the results —
         including register insertion order, overflow mirroring, counters
         and report sets. This row-materializing wrapper exists for callers
-        that want per-tuple output; the batch channel consumes
+        that want per-tuple output; the batched engine consumes
         :meth:`process_window_items` directly.
         """
         return merge_tagged(self.process_window_items(trace))
 
-    def process_window_items(
-        self, trace: "Trace"
-    ) -> "list[MirroredBatch | MirroredRows]":
+    def process_window_items(self, trace: "Trace") -> list[MirroredBatch]:
         """Run one window, returning the mirror output in columnar batches.
 
-        Each item is either a :class:`MirroredBatch` (one instance's
-        same-kind output, still columnar) or a :class:`MirroredRows`
-        fallback where the scalar oracle had to run (float-typed keys).
-        Flattened through :func:`merge_tagged`, the items reproduce the
-        per-packet channel's tuple stream exactly — including register
-        insertion order, overflow mirroring, counters and report sets —
-        but executed vectorized over the trace columns. Stateful operators
-        are simulated per *unique key* (in first-occurrence order) instead
-        of per packet: register arrays only fill up within a window, so a
-        key's inserted/overflowed fate is decided at its first occurrence
-        and its final value is the window aggregate of its rows.
-
-        Forced register overflow (fault injection) draws its PRNG stream
-        once per register update in per-packet order, which cannot be
-        replayed per-key; with that channel armed the window falls back to
-        the per-packet oracle so fault schedules stay identical.
+        Each :class:`MirroredBatch` is one instance's same-kind output,
+        still columnar. Flattened through :func:`merge_tagged`, the items
+        reproduce the per-packet channel's tuple stream exactly — including
+        register insertion order, overflow mirroring, counters and report
+        sets — but executed vectorized over the trace columns. Stateful
+        operators are simulated per *unique key* (in first-occurrence
+        order) instead of per packet: register arrays only fill up within
+        a window, so a key's inserted/overflowed fate is decided at its
+        first occurrence and its final value is the window aggregate of
+        its rows. Updates the fault injector forces to overflow skip the
+        register chain, as in the per-packet path.
         """
-        injector = self.fault_injector
-        if injector is not None and injector.spec.overflow_pressure:
-            items: list = []
-            for row, packet in enumerate(trace.packets()):
-                tuples = self.process_packet(packet)
-                if tuples:
-                    items.append(
-                        MirroredRows(
-                            tagged=[(row, j, t) for j, t in enumerate(tuples)]
-                        )
-                    )
-            return items
-
         state = ColumnarState.from_trace(trace)
         rows = np.arange(state.n_rows, dtype=np.int64)
         if self.drop_rules:
@@ -635,7 +595,7 @@ class PISASwitch:
         items = []
         for pos, inst in enumerate(self.instances.values()):
             self._process_instance_window(inst, state, rows, pos, items)
-        self.tuples_mirrored += sum(_item_len(item) for item in items)
+        self.tuples_mirrored += sum(item.n_rows for item in items)
         return items
 
     def _process_instance_window(
@@ -704,29 +664,6 @@ class PISASwitch:
             )
         )
 
-    def _replay_rows(
-        self,
-        inst: InstalledInstance,
-        state: ColumnarState,
-        sel: np.ndarray,
-        i: int,
-        pos: int,
-        out: list,
-    ) -> None:
-        """Scalar fallback: run rows through the oracle chain from op ``i``.
-
-        Used for key shapes the int64 key matrix cannot represent
-        faithfully (float-typed key columns) — correctness first.
-        """
-        ops = inst.compiled.subquery.operators[: inst.n_operators]
-        schemas = inst.compiled.schemas
-        names = list(state.columns)
-        for row, tup in zip(sel.tolist(), materialize_rows(state, names)):
-            result = self._run_chain(inst, tup, ops, schemas, i)
-            if result is not None:
-                inst.tuples_mirrored += 1
-                out.append((row, pos, result))
-
     @staticmethod
     def _vector_key_columns(
         state: ColumnarState, keys, unique: np.ndarray
@@ -779,6 +716,37 @@ class PISASwitch:
         inserted = chain.bulk_load(key_tuples, values, func, key_cols)
         return inserted, None, key_tuples
 
+    def _forced_rows(
+        self, inst: InstalledInstance, i: int, n: int
+    ) -> "np.ndarray | None":
+        """Mask of the ``n`` register updates at operator ``i`` that fault
+        injection forces to overflow, or ``None`` when there are none.
+
+        Forced updates skip the register chain and join the operator's
+        overflow batch in packet order — the per-packet path's
+        :meth:`_forced_overflow`, over the same position-keyed draws.
+        """
+        injector = self.fault_injector
+        if injector is None:
+            return None
+        forced = injector.force_overflow_mask(inst.key, i, n)
+        if forced is None or not forced.any():
+            return None
+        return forced
+
+    @staticmethod
+    def _overflow_rows(
+        inserted: np.ndarray, inv: np.ndarray, forced: "np.ndarray | None"
+    ) -> np.ndarray:
+        """Rows mirrored as overflow: forced ones, and live rows whose key
+        collided in every register array."""
+        lost = ~inserted[inv] if len(inv) else np.zeros(0, dtype=bool)
+        if forced is None:
+            return lost
+        over = forced.copy()
+        over[~forced] = lost
+        return over
+
     def _batch_distinct(
         self,
         inst: InstalledInstance,
@@ -792,20 +760,18 @@ class PISASwitch:
     ) -> "tuple[ColumnarState, np.ndarray] | None":
         schemas = inst.compiled.schemas
         keys = op.effective_keys(schemas[i])
-        if any(state.columns[k].dtype.kind == "f" for k in keys):
-            tagged: list = []
-            self._replay_rows(inst, state, sel, i, pos, tagged)
-            if tagged:
-                items.append(MirroredRows(tagged=tagged))
-            return None
-        unique, first_rows, inv = group_first_occurrence(state, keys)
+        forced = self._forced_rows(inst, i, len(sel))
+        live, live_sel = state, sel
+        if forced is not None:
+            live, live_sel = state.select(~forced), sel[~forced]
+        unique, first_rows, inv = group_first_occurrence(live, keys)
         chain = inst.chains[i]
         inserted, array_idx, key_tuples = self._load_chain(
-            chain, state, keys, unique, np.ones(len(unique), dtype=np.int64), "or"
+            chain, live, keys, unique, np.ones(len(unique), dtype=np.int64), "or"
         )
         chain.updates += len(sel)
-        row_overflow = ~inserted[inv] if len(sel) else np.zeros(0, dtype=bool)
-        n_over = int(row_overflow.sum())
+        over = self._overflow_rows(inserted, inv, forced)
+        n_over = int(over.sum())
         if n_over:
             chain.overflows += n_over
             inst.tuples_mirrored += n_over
@@ -815,13 +781,13 @@ class PISASwitch:
                     kind="overflow",
                     op_index=i,
                     state=ColumnarState(
-                        columns={k: state.columns[k][row_overflow] for k in keys},
+                        columns={k: state.columns[k][over] for k in keys},
                         vocabs={
                             k: v for k, v in state.vocabs.items() if k in keys
                         },
                         payloads=state.payloads,
                     ),
-                    rows=sel[row_overflow],
+                    rows=sel[over],
                     pos=pos,
                 )
             )
@@ -845,11 +811,11 @@ class PISASwitch:
         # continuation stays in packet order for later stateful ops).
         cont = first_rows[inserted]
         new_state = ColumnarState(
-            columns={k: state.columns[k][cont] for k in keys},
-            vocabs={k: v for k, v in state.vocabs.items() if k in keys},
-            payloads=state.payloads,
+            columns={k: live.columns[k][cont] for k in keys},
+            vocabs={k: v for k, v in live.vocabs.items() if k in keys},
+            payloads=live.payloads,
         )
-        return new_state, sel[cont]
+        return new_state, live_sel[cont]
 
     def _batch_reduce(
         self,
@@ -862,31 +828,27 @@ class PISASwitch:
         items: list,
         schemas,
     ) -> None:
-        if any(state.columns[k].dtype.kind == "f" for k in op.keys):
-            tagged: list = []
-            self._replay_rows(inst, state, sel, i, pos, tagged)
-            if tagged:
-                items.append(MirroredRows(tagged=tagged))
-            return
         func, args = reduce_args(op, state, schemas[i])
-        unique, _first_rows, inv = group_first_occurrence(state, op.keys)
-        values = None if func == "count" else args
+        forced = self._forced_rows(inst, i, len(sel))
+        live, live_args = state, args
+        if forced is not None:
+            live, live_args = state.select(~forced), args[~forced]
+        unique, _first_rows, inv = group_first_occurrence(live, op.keys)
+        values = None if func == "count" else live_args
         finals = aggregate_groups(inv, values, len(unique), func)
         chain = inst.chains[i]
         inserted, array_idx, key_tuples = self._load_chain(
-            chain, state, op.keys, unique, finals, func
+            chain, live, op.keys, unique, finals, func
         )
         chain.updates += len(sel)
-        row_overflow = ~inserted[inv] if len(sel) else np.zeros(0, dtype=bool)
-        n_over = int(row_overflow.sum())
+        over = self._overflow_rows(inserted, inv, forced)
+        n_over = int(over.sum())
         if n_over:
             chain.overflows += n_over
             inst.tuples_mirrored += n_over
-            over_columns = {k: state.columns[k][row_overflow] for k in op.keys}
+            over_columns = {k: state.columns[k][over] for k in op.keys}
             over_columns[op.out] = (
-                np.ones(n_over, dtype=np.int64)
-                if func == "count"
-                else args[row_overflow]
+                np.ones(n_over, dtype=np.int64) if func == "count" else args[over]
             )
             items.append(
                 MirroredBatch(
@@ -900,7 +862,7 @@ class PISASwitch:
                         },
                         payloads=state.payloads,
                     ),
-                    rows=sel[row_overflow],
+                    rows=sel[over],
                     pos=pos,
                 )
             )
@@ -948,10 +910,10 @@ class PISASwitch:
                     inst.reported_keys.add((i, key_tuples[j]))
         else:  # pragma: no cover - compiler folds only simple thresholds
             if key_tuples is None:
-                key_tuples = materialize_keys(state, op.keys, unique)
+                key_tuples = materialize_keys(live, op.keys, unique)
             run_list = run.tolist()
             inv_list = inv.tolist()
-            for r in range(len(sel)):
+            for r in range(len(inv_list)):
                 j = inv_list[r]
                 if not inserted[j]:
                     continue
@@ -968,12 +930,12 @@ class PISASwitch:
     ) -> dict[str, list[MirroredTuple]]:
         """Close the window: emit per-key reports and reset registers.
 
-        Row-materializing wrapper over :meth:`end_window_items` for
-        callers that want per-tuple reports; the batch channel consumes
-        the columnar items directly.
+        Row-materializing wrapper over :meth:`end_window_items` for the
+        per-packet oracle; the batched engine consumes the columnar items
+        directly.
         """
         return {
-            key: item.materialize() if isinstance(item, MirroredBatch) else item
+            key: item.materialize()
             for key, item in self.end_window_items(full_dump).items()
         }
 
@@ -1015,13 +977,14 @@ class PISASwitch:
 
     def end_window_items(
         self, full_dump: "set[str] | None" = None
-    ) -> "dict[str, MirroredBatch | list[MirroredTuple]]":
+    ) -> dict[str, MirroredBatch]:
         """Close the window: emit per-key reports and reset registers.
 
-        Returns, per instance, the ``key_report`` output the emitter reads
-        from the registers (final aggregates for reported keys) — a
-        columnar :class:`MirroredBatch` when the window ran vectorized, a
-        tuple list where the scalar oracle had to run.
+        Returns, per installed instance, the ``key_report`` batch the
+        emitter reads from the registers (final aggregates for reported
+        keys; empty for stateless-last instances). Chains loaded by the
+        vectorized path report straight from their window cache; the rest
+        are read key by key from the register dump.
 
         ``full_dump`` names instances whose registers must be polled in
         full, *without* folded-threshold gating, with ``op_index`` set to
@@ -1031,13 +994,14 @@ class PISASwitch:
         threshold is re-applied (the §3.1.3 collision adjustment).
         """
         full_dump = full_dump or set()
-        reports: "dict[str, MirroredBatch | list[MirroredTuple]]" = {}
+        reports: dict[str, MirroredBatch] = {}
         # Rebuilt from scratch so stats of uninstalled instances (e.g. a
         # raw-mirror fallback) don't linger and re-trigger signals.
         self.window_overflow_stats = {}
         for inst in self.instances.values():
-            out: "MirroredBatch | list[MirroredTuple]" = []
-            n_out = 0
+            out: list[MirroredTuple] = []
+            batch: "MirroredBatch | None" = None
+            op_end = inst.n_operators
             if inst.n_operators > 0 and inst.last_op_stateful:
                 last_idx = max(inst.chains) if inst.chains else None
                 cache = (
@@ -1046,10 +1010,9 @@ class PISASwitch:
                     else None
                 )
                 if cache is not None:
-                    out = self._report_batch_from_cache(
+                    batch = self._report_batch_from_cache(
                         inst, cache, last_idx, inst.key in full_dump
                     )
-                    n_out = out.n_rows
                 elif last_idx is not None:
                     op = inst.compiled.subquery.operators[last_idx]
                     dump = inst.chains[last_idx].dump()
@@ -1079,10 +1042,14 @@ class PISASwitch:
                                 op_index=op_end,
                             )
                         )
-                    n_out = len(out)
+            if batch is None:
+                batch = MirroredBatch.from_tuples(
+                    inst.key, "key_report", op_end, out
+                )
+            n_out = batch.n_rows
             inst.tuples_mirrored += n_out
             self.tuples_mirrored += n_out
-            reports[inst.key] = out
+            reports[inst.key] = batch
             if n_out:
                 self.obs.counter(
                     "sonata_key_reports_total",

@@ -46,6 +46,28 @@ def _splitmix64_vec(value: np.ndarray) -> np.ndarray:
     return value ^ (value >> _S31)
 
 
+_S11 = np.uint64(11)
+_UNIT = 2.0 ** -53
+
+
+def counter_uniform(base: int, position: int) -> float:
+    """Uniform in [0, 1) at ``position`` of the splitmix64 stream ``base``.
+
+    Output ``k`` of splitmix64 seeded with ``base`` is a pure function of
+    ``(base, k)``, so any draw can be computed without the ones before it;
+    the top 53 bits become the float. Bit-identical to
+    :func:`counter_uniforms`.
+    """
+    return (_splitmix64((base + position * _GAMMA) & _MASK64) >> 11) * _UNIT
+
+
+def counter_uniforms(base: int, start: int, n: int) -> np.ndarray:
+    """Positions ``start .. start + n - 1`` of the stream, vectorized."""
+    positions = np.arange(start, start + n, dtype=np.uint64)
+    mixed = _splitmix64_vec(np.uint64(base) + positions * _GAMMA_U)
+    return (mixed >> _S11).astype(np.float64) * _UNIT
+
+
 def stable_hash(key: int | bytes | str | tuple, seed: int = 0) -> int:
     """Hash ``key`` to a 64-bit integer, deterministically across processes.
 

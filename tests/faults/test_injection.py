@@ -1,5 +1,6 @@
 """FaultInjector channel behaviour + fault-injected runtime execution."""
 
+import numpy as np
 import pytest
 
 from repro.faults import DegradationPolicy, FaultInjector, FaultSpec
@@ -8,6 +9,7 @@ from repro.packets import Trace, attacks
 from repro.planner import QueryPlanner
 from repro.queries.library import build_query
 from repro.runtime import SonataRuntime
+from repro.switch.mirror import MirroredBatch
 from repro.switch.simulator import MirroredTuple
 
 VICTIM = 0x0A000001
@@ -39,19 +41,22 @@ class TestMirrorChannel:
         assert [t.fields["i"] for t in out] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_reorder_defers_to_window_end(self):
-        injector = FaultInjector(FaultSpec(seed=1, mirror_reorder=1.0))
-        assert injector.mirror(make_tuples(7)) == []
-        assert len(injector.drain_deferred()) == 7
-        assert injector.take_window_counts() == {"mirror_reorder": 7}
-        # the buffer drains fully: nothing leaks into the next window
-        assert injector.drain_deferred() == []
+        injector = FaultInjector(FaultSpec(seed=1, mirror_reorder=0.5))
+        out = [t.fields["i"] for t in injector.mirror(make_tuples(40))]
+        late = injector.take_window_counts()["mirror_reorder"]
+        assert 0 < late < 40
+        # nothing is lost; on-time tuples keep their order, and the
+        # delayed ones follow them, in order, at the window deadline
+        assert sorted(out) == list(range(40))
+        on_time, deferred = out[: 40 - late], out[40 - late :]
+        assert on_time == sorted(on_time) and deferred == sorted(deferred)
+        assert out != list(range(40))
 
     def test_late_drop_applies_only_to_deferred(self):
         injector = FaultInjector(
             FaultSpec(seed=1, mirror_reorder=1.0, late_drop=1.0)
         )
-        injector.mirror(make_tuples(4))
-        assert injector.drain_deferred() == []
+        assert injector.mirror(make_tuples(4)) == []
         assert injector.take_window_counts() == {
             "mirror_reorder": 4,
             "late_drop": 4,
@@ -68,6 +73,40 @@ class TestMirrorChannel:
         b = FaultInjector(spec, scope="x").mirror(make_tuples(200))
         assert [t.fields["i"] for t in a] == [t.fields["i"] for t in b]
 
+    def test_batch_plan_matches_tuple_plan(self):
+        """A columnar batch and its per-packet tuples get the same plan."""
+        spec = FaultSpec(
+            seed=4, mirror_drop=0.2, mirror_duplicate=0.2,
+            mirror_reorder=0.2, late_drop=0.3,
+        )
+        tuples = make_tuples(300)
+        batch = MirroredBatch.from_tuples("q1", "stream", 0, tuples)
+        batch.rows = np.arange(300)
+        a = FaultInjector(spec, scope="s")
+        b = FaultInjector(spec, scope="s")
+        for injector in (a, b):
+            injector.begin_window(3)
+        by_tuple = [t.fields for t in a.mirror(tuples)]
+        by_batch = b.mirror_batch(batch)
+        assert [t.fields for t in by_batch.materialize()] == by_tuple
+        assert by_batch.rows.tolist() == [f["i"] for f in by_tuple]
+        assert a.take_window_counts() == b.take_window_counts()
+        assert a.rng_draws() == b.rng_draws()
+
+    def test_streams_are_keyed_by_window_and_position(self):
+        spec = FaultSpec(seed=9, mirror_drop=0.5)
+        injector = FaultInjector(spec)
+        injector.begin_window(0)
+        first = [t.fields["i"] for t in injector.mirror(make_tuples(200))]
+        # the same stream, continued, draws new positions...
+        again = [t.fields["i"] for t in injector.mirror(make_tuples(200))]
+        assert again != first
+        # ...and restarts when the window is begun again
+        injector.begin_window(0)
+        assert [t.fields["i"] for t in injector.mirror(make_tuples(200))] == first
+        injector.begin_window(1)
+        assert [t.fields["i"] for t in injector.mirror(make_tuples(200))] != first
+
     def test_scopes_are_independent_streams(self):
         spec = FaultSpec(seed=9, mirror_drop=0.5)
         a = FaultInjector(spec, scope="switch0").mirror(make_tuples(200))
@@ -81,6 +120,17 @@ class TestOtherChannels:
         injector = FaultInjector(FaultSpec(seed=1, overflow_pressure=1.0))
         assert all(injector.force_overflow("q1") for _ in range(10))
         assert injector.take_window_counts() == {"forced_overflow": 10}
+
+    def test_force_overflow_mask_matches_per_update_draws(self):
+        spec = FaultSpec(seed=3, overflow_pressure=0.3)
+        per_update = FaultInjector(spec)
+        vectorized = FaultInjector(spec)
+        expected = [per_update.force_overflow("q1", 2) for _ in range(500)]
+        mask = vectorized.force_overflow_mask("q1", 2, 200)
+        mask = np.concatenate([mask, vectorized.force_overflow_mask("q1", 2, 300)])
+        assert mask.tolist() == expected
+        assert 0 < sum(expected) < 500
+        assert per_update.rng_draws() == vectorized.rng_draws() == {"overflow": 500}
 
     def test_filter_update_outcomes(self):
         assert FaultInjector(FaultSpec(seed=1)).filter_update_outcome() == "ok"

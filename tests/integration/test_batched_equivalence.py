@@ -3,17 +3,20 @@
 ``PISASwitch.process_window`` promises *exact* per-packet semantics — not
 just the same final aggregates but the same mirrored tuples in the same
 order, the same register insertion fates under overflow, the same
-first-crossing threshold reports and the same fault-injector RNG
-consumption. These tests enforce that promise three ways:
+first-crossing threshold reports and the same fault decisions. These
+tests enforce that promise:
 
-1. a Hypothesis fuzz over random operator chains, random traces and
-   deliberately undersized registers, comparing both switch paths
-   tuple-for-tuple (plus rowops and the columnar kernels where the chain
-   is overflow-free);
+1. a Hypothesis fuzz over random operator chains, random traces,
+   deliberately undersized registers and forced register overflow,
+   comparing both switch paths tuple-for-tuple (plus rowops and the
+   columnar kernels where the chain is overflow-free);
 2. a full-pipeline differential across every Table-3 query library
-   entry, running ``SonataRuntime`` with ``engine="rowwise"`` and
-   ``engine="batched"`` and requiring identical window reports; and
-3. the same pipeline differential under active fault injection.
+   entry and a combined workload, running ``SonataRuntime`` with
+   ``engine="batched"`` (columnar batches from the switch to the stream
+   processor) and ``engine="rowwise"`` and requiring identical window
+   reports, ``level_outputs`` and ``faults_injected`` included;
+3. the same pipeline differential under every chaos fault spec; and
+4. the binary wire round-trip inside the batched pipeline.
 """
 
 import numpy as np
@@ -25,7 +28,7 @@ from repro.core.expressions import Const, FieldRef, Prefixed, Quantized
 from repro.core.operators import Distinct, Filter, Map, Predicate, Reduce
 from repro.core.query import PacketStream, Query
 from repro.evaluation.workloads import build_workload
-from repro.faults import FaultSpec
+from repro.faults import FaultInjector, FaultSpec
 from repro.packets.packet import Packet
 from repro.packets.trace import Trace
 from repro.planner import QueryPlanner
@@ -169,8 +172,12 @@ def _make_switch(ops, n_slots, d):
     return switch
 
 
-def _run_switch(ops, trace, n_slots, d, batched):
+def _run_switch(ops, trace, n_slots, d, batched, pressure=0.0):
     switch = _make_switch(ops, n_slots, d)
+    if pressure:
+        switch.fault_injector = FaultInjector(
+            FaultSpec(seed=1, overflow_pressure=pressure)
+        )
     if batched:
         batch = switch.process_window(trace)
     else:
@@ -201,16 +208,20 @@ class TestFuzzBatchedOracle:
         packets=packets_strategy,
         params=params_strategy,
         register=register_strategy,
+        pressure=st.sampled_from([0.0, 0.3]),
     )
-    def test_batched_matches_per_packet_exactly(self, packets, params, register):
-        """Both switch paths agree tuple-for-tuple under any overflow regime."""
+    def test_batched_matches_per_packet_exactly(
+        self, packets, params, register, pressure
+    ):
+        """Both switch paths agree tuple-for-tuple under any overflow
+        regime, forced overflow included."""
         ops = SHAPES[params["shape"]](params)
         trace = Trace.from_packets(packets)
         row_batch, row_reports, row_stats = _run_switch(
-            ops, trace, register["n_slots"], register["d"], batched=False
+            ops, trace, register["n_slots"], register["d"], False, pressure
         )
         bat_batch, bat_reports, bat_stats = _run_switch(
-            ops, trace, register["n_slots"], register["d"], batched=True
+            ops, trace, register["n_slots"], register["d"], True, pressure
         )
         assert row_stats == bat_stats
         assert len(row_batch) == len(bat_batch)
@@ -246,7 +257,37 @@ class TestFuzzBatchedOracle:
             assert expected == _canon(rows), f"batched={batched}"
 
 
-# -- full-pipeline differential over the Table-3 query library --------------
+# -- full-pipeline differential ---------------------------------------------
+# One harness: the batched engine (columnar batches from the switch through
+# the emitter to the stream processor) against the per-packet
+# ``engine="rowwise"`` oracle, compared on every WindowReport field that
+# carries results or accounting.
+
+CHAOS_SPECS = {
+    "mirror-faults": FaultSpec(
+        seed=11, mirror_drop=0.2, mirror_duplicate=0.1, mirror_reorder=0.1
+    ),
+    "mirror-chaos": FaultSpec(
+        seed=7,
+        mirror_drop=0.1,
+        mirror_duplicate=0.05,
+        mirror_reorder=0.05,
+        late_drop=0.1,
+    ),
+    "overflow-pressure": FaultSpec(seed=5, overflow_pressure=0.3),
+    "overflow-light": FaultSpec(seed=3, overflow_pressure=0.25),
+    "combined": FaultSpec(
+        seed=9, mirror_drop=0.15, overflow_pressure=0.2, late_drop=0.1
+    ),
+    "combined-filter-loss": FaultSpec(
+        seed=19,
+        mirror_drop=0.08,
+        mirror_reorder=0.05,
+        overflow_pressure=0.15,
+        late_drop=0.05,
+        filter_update_loss=0.2,
+    ),
+}
 
 
 def _window_digest(report):
@@ -256,49 +297,93 @@ def _window_digest(report):
             w.packets,
             w.tuples_to_sp,
             {qid: _canon(rows) for qid, rows in w.detections.items()},
+            {k: _canon(rows) for k, rows in w.level_outputs.items()},
             w.tuples_per_instance,
             w.overflow_stats,
+            w.faults_injected,
             w.degraded,
         )
         for w in report.windows
     ]
 
 
-def _run_engine(planner, trace, engine, faults=None):
-    return SonataRuntime(
-        planner.plan("sonata"), faults=faults, engine=engine
-    ).run(trace)
+def _plan(queries, trace):
+    return QueryPlanner(queries, trace, window=3.0, time_limit=20).plan("sonata")
+
+
+def _run(plan, trace, engine="batched", **kwargs):
+    return SonataRuntime(plan, engine=engine, **kwargs).run(trace)
+
+
+def _assert_engines_agree(plan, trace, **kwargs):
+    batched = _run(plan, trace, **kwargs)
+    rowwise = _run(plan, trace, engine="rowwise", **kwargs)
+    assert _window_digest(batched) == _window_digest(rowwise)
+    return batched
 
 
 @pytest.mark.parametrize("name", sorted(QUERY_LIBRARY))
 def test_library_query_differential(name):
     workload = build_workload([name], duration=9.0, pps=1_000, seed=13)
-    planner = QueryPlanner(
-        build_queries([name]), workload.trace, window=3.0, time_limit=20
-    )
-    rowwise = _run_engine(planner, workload.trace, "rowwise")
-    batched = _run_engine(planner, workload.trace, "batched")
-    assert _window_digest(rowwise) == _window_digest(batched)
+    plan = _plan(build_queries([name]), workload.trace)
+    _assert_engines_agree(plan, workload.trace)
 
 
-@pytest.mark.parametrize(
-    "faults",
-    [
-        FaultSpec(seed=11, mirror_drop=0.2, mirror_duplicate=0.1, mirror_reorder=0.1),
-        FaultSpec(seed=5, overflow_pressure=0.3),
-        FaultSpec(seed=9, mirror_drop=0.15, overflow_pressure=0.2, late_drop=0.1),
-    ],
-    ids=["mirror-faults", "overflow-pressure", "combined"],
-)
+def test_combined_workload_differential():
+    """Queries planned together: shared stages, refinement, overflow."""
+    names = ["ddos", "superspreader", "newly_opened_tcp_conns", "zorro"]
+    workload = build_workload(names, duration=9.0, pps=2_000, seed=23)
+    plan = _plan(build_queries(names), workload.trace)
+    _assert_engines_agree(plan, workload.trace)
+
+
+@pytest.mark.parametrize("faults", CHAOS_SPECS.values(), ids=CHAOS_SPECS.keys())
 def test_fault_injection_differential(faults):
-    """Fault RNG streams are consumed identically by both engines."""
-    workload = build_workload(["ddos"], duration=9.0, pps=1_000, seed=29)
-    planner = QueryPlanner(
-        build_queries(["ddos"]), workload.trace, window=3.0, time_limit=20
+    """Both engines apply the same position-keyed fault decisions."""
+    names = ["ddos", "superspreader"]
+    workload = build_workload(names, duration=9.0, pps=1_000, seed=29)
+    plan = _plan(build_queries(names), workload.trace)
+    report = _assert_engines_agree(plan, workload.trace, faults=faults)
+    assert report.total_faults()
+
+
+def test_float_keyed_query_differential():
+    """A distinct keyed by a timestamp alias runs at the stream processor
+    (the compiler ends the switch prefix before it); both engines agree."""
+    stream = PacketStream(name="per_ts", qid=1)
+    stream.operators = (
+        Filter((Predicate("ipv4.proto", "eq", 6),)),
+        Map(keys=(FieldRef("ipv4.dIP"), FieldRef("ts"))),
+        Distinct(),
+        Map(keys=(FieldRef("ipv4.dIP"),), values=(Const(1),)),
+        Reduce(keys=("ipv4.dIP",), func="sum"),
+        Filter((Predicate("count", "gt", 40),)),
     )
-    rowwise = _run_engine(planner, workload.trace, "rowwise", faults=faults)
-    batched = _run_engine(planner, workload.trace, "batched", faults=faults)
-    assert _window_digest(rowwise) == _window_digest(batched)
+    query = Query(stream)
+    assert compile_subquery(query.subquery(0)).compilable_operators == 2
+    workload = build_workload(["ddos"], duration=6.0, pps=1_000, seed=13)
+    plan = _plan([query], workload.trace)
+    report = _assert_engines_agree(plan, workload.trace)
+    assert any(w.detections.get(1) for w in report.windows)
+
+
+@pytest.mark.parametrize("name", ["ddos", "newly_opened_tcp_conns", "zorro"])
+def test_wire_check_differential(name):
+    """encode_batch/decode_batch are lossless inside the live pipeline
+    (``zorro`` exercises the payload/blob path)."""
+    workload = build_workload([name], duration=9.0, pps=1_000, seed=13)
+    plan = _plan(build_queries([name]), workload.trace)
+    checked = _run(plan, workload.trace, wire_check=True)
+    plain = _run(plan, workload.trace)
+    assert _window_digest(checked) == _window_digest(plain)
+
+
+def test_channel_other_than_auto_rejected():
+    workload = build_workload(["ddos"], duration=3.0, pps=200, seed=1)
+    plan = _plan(build_queries(["ddos"]), workload.trace)
+    for channel in ("batch", "row", "columnar"):
+        with pytest.raises(ValueError, match="unknown channel"):
+            SonataRuntime(plan, channel=channel)
 
 
 # -- vectorized hashing / bulk register loads -------------------------------

@@ -1,47 +1,31 @@
-"""Differential suite for the columnar mirror channel.
+"""The columnar mirror channel carries every library query without rows.
 
-The batch channel carries :class:`~repro.switch.mirror.MirroredBatch`
-items end-to-end — switch → wire codec → emitter → stream processor —
-without materializing per-tuple rows at the mirror point. Its contract is
-exact equivalence: tuple-for-tuple identical :class:`RunReport` fields
-against (a) the row channel on the same batched engine and (b) the
-per-packet ``engine="rowwise"`` oracle, across the full Table-3 query
-library, under register overflow, fault injection, the binary wire
-round-trip and process-parallel network execution with ``workers`` > 1.
+On the batched engine the switch's :class:`~repro.switch.mirror.MirroredBatch`
+items travel switch → emitter → stream processor as batches: no per-tuple
+ingest, no row assembly in the emitter and no row-wise residual execution
+at the stream processor. Each library query is run on that channel with
+those row paths probed, and its window reports — ``level_outputs`` and
+``faults_injected`` included — must equal the per-packet
+``engine="rowwise"`` oracle's.
 """
 
 import pytest
 
 from repro.evaluation.workloads import build_workload
-from repro.faults import FaultSpec
-from repro.network import NetworkRuntime, Topology
 from repro.planner import QueryPlanner
 from repro.queries.library import QUERY_LIBRARY, build_queries
 from repro.runtime import SonataRuntime
+from repro.runtime.emitter import Emitter
+from repro.streaming.engine import StreamProcessor
 
 QUERY_NAMES = sorted(QUERY_LIBRARY)
 
-CHAOS_SPECS = {
-    # Per-tuple mirror faults: the auto channel must fall back to rows so
-    # the injector's per-tuple PRNG stream is drawn in channel order.
-    "mirror-chaos": FaultSpec(
-        seed=7,
-        mirror_drop=0.1,
-        mirror_duplicate=0.05,
-        mirror_reorder=0.05,
-        late_drop=0.1,
-    ),
-    # Not a mirror fault: the batch channel stays live and the switch
-    # degrades the pressured instances to per-packet fallback items.
-    "overflow-pressure": FaultSpec(seed=3, overflow_pressure=0.25),
-    "combined": FaultSpec(
-        seed=19,
-        mirror_drop=0.08,
-        overflow_pressure=0.15,
-        late_drop=0.05,
-        filter_update_loss=0.2,
-    ),
-}
+# Row paths that the columnar channel must never enter.
+ROW_PATHS = (
+    (Emitter, "ingest"),
+    (Emitter, "_assemble_rows"),
+    (StreamProcessor, "process"),
+)
 
 
 def _canon(rows):
@@ -65,155 +49,25 @@ def _digest(report):
     ]
 
 
-def _plan(names, trace):
-    return QueryPlanner(
-        build_queries(names), trace, window=3.0, time_limit=20
-    ).plan("sonata")
-
-
-def _run(plan, trace, *, engine="batched", channel="auto", faults=None,
-         wire_check=False):
-    return SonataRuntime(
-        plan, faults=faults, engine=engine, channel=channel,
-        wire_check=wire_check,
-    ).run(trace)
-
-
-# -- channel gating ---------------------------------------------------------
-
-
-class TestChannelGate:
-    def _plan(self):
-        workload = build_workload(["ddos"], duration=3.0, pps=200, seed=1)
-        return _plan(["ddos"], workload.trace)
-
-    def test_unknown_channel_rejected(self):
-        with pytest.raises(ValueError, match="unknown channel"):
-            SonataRuntime(self._plan(), channel="columnar")
-
-    def test_batch_channel_requires_batched_engine(self):
-        with pytest.raises(ValueError, match="batched engine"):
-            SonataRuntime(self._plan(), engine="rowwise", channel="batch")
-
-    def test_auto_resolves_batch_on_batched_engine(self):
-        assert SonataRuntime(self._plan())._batch_channel is True
-        assert SonataRuntime(self._plan(), channel="row")._batch_channel is False
-        assert (
-            SonataRuntime(self._plan(), engine="rowwise")._batch_channel
-            is False
-        )
-
-    def test_mirror_faults_force_row_channel(self):
-        armed = FaultSpec(seed=1, mirror_drop=0.1)
-        assert SonataRuntime(self._plan(), faults=armed)._batch_channel is False
-        # overflow_pressure is not a mirror fault: batches stay live.
-        pressure = FaultSpec(seed=1, overflow_pressure=0.3)
-        assert (
-            SonataRuntime(self._plan(), faults=pressure)._batch_channel is True
-        )
-
-
-# -- full-library differential ----------------------------------------------
-
-
 @pytest.mark.parametrize("name", QUERY_NAMES)
-def test_library_query_channel_differential(name):
-    """batch channel == row channel == rowwise oracle, per library query."""
+def test_library_query_channel_differential(name, monkeypatch):
+    """columnar channel == rowwise oracle, with no row path entered."""
     workload = build_workload([name], duration=9.0, pps=1_000, seed=13)
-    plan = _plan([name], workload.trace)
-    batch = _run(plan, workload.trace, channel="batch")
-    row = _run(plan, workload.trace, channel="row")
-    oracle = _run(plan, workload.trace, engine="rowwise")
-    assert _digest(batch) == _digest(row)
-    assert _digest(batch) == _digest(oracle)
+    plan = QueryPlanner(
+        build_queries([name]), workload.trace, window=3.0, time_limit=20
+    ).plan("sonata")
+    oracle = SonataRuntime(plan, engine="rowwise").run(workload.trace)
 
+    entered = []
+    for owner, attr in ROW_PATHS:
+        original = getattr(owner, attr)
 
-def test_combined_workload_channel_differential():
-    """All queries planned together: shared stages, refinement, overflow."""
-    names = ["ddos", "superspreader", "newly_opened_tcp_conns", "zorro"]
-    workload = build_workload(names, duration=9.0, pps=2_000, seed=23)
-    plan = _plan(names, workload.trace)
-    batch = _run(plan, workload.trace, channel="batch")
-    row = _run(plan, workload.trace, channel="row")
-    assert _digest(batch) == _digest(row)
+        def probe(self, *args, _original=original, _attr=attr, **kwargs):
+            entered.append(_attr)
+            return _original(self, *args, **kwargs)
 
+        monkeypatch.setattr(owner, attr, probe)
+    channel = SonataRuntime(plan, engine="batched").run(workload.trace)
 
-# -- fault injection --------------------------------------------------------
-
-
-@pytest.mark.parametrize("spec", CHAOS_SPECS.values(), ids=CHAOS_SPECS.keys())
-def test_fault_injection_channel_differential(spec):
-    workload = build_workload(
-        ["ddos", "superspreader"], duration=9.0, pps=1_000, seed=29
-    )
-    plan = _plan(["ddos", "superspreader"], workload.trace)
-    auto = _run(plan, workload.trace, channel="auto", faults=spec)
-    row = _run(plan, workload.trace, channel="row", faults=spec)
-    oracle = _run(plan, workload.trace, engine="rowwise", faults=spec)
-    assert _digest(auto) == _digest(row)
-    assert _digest(auto) == _digest(oracle)
-
-
-# -- wire round-trip on the batch channel -----------------------------------
-
-
-@pytest.mark.parametrize("name", ["ddos", "newly_opened_tcp_conns", "zorro"])
-def test_wire_check_batch_channel(name):
-    """encode_batch/decode_batch are lossless inside the live pipeline
-    (``zorro`` exercises the payload/blob path)."""
-    workload = build_workload([name], duration=9.0, pps=1_000, seed=13)
-    plan = _plan([name], workload.trace)
-    checked = _run(plan, workload.trace, channel="batch", wire_check=True)
-    plain = _run(plan, workload.trace, channel="batch", wire_check=False)
-    assert _digest(checked) == _digest(plain)
-
-
-# -- process-parallel network execution -------------------------------------
-
-
-def _network_fields(report):
-    return [
-        {
-            "index": w.index,
-            "switch_tuples": w.switch_tuples,
-            "collector_tuples": w.collector_tuples,
-            "detections": w.detections,
-            "degraded": w.degraded,
-            "faults_injected": w.faults_injected,
-        }
-        for w in report.windows
-    ]
-
-
-def _run_network(workload, queries, channel, workers, faults=None):
-    net = NetworkRuntime(
-        queries,
-        Topology.ecmp(4, seed=3),
-        workload.trace,
-        window=3.0,
-        time_limit=10,
-        faults=faults,
-        channel=channel,
-    )
-    return net.run(workload.trace, workers=workers)
-
-
-@pytest.mark.parametrize("faults", [None, CHAOS_SPECS["combined"]],
-                         ids=["fault-free", "chaos"])
-def test_network_parallel_channel_differential(faults):
-    names = ["ddos", "superspreader", "newly_opened_tcp_conns"]
-    workload = build_workload(names, duration=9.0, pps=1_500, seed=17)
-    queries = build_queries(names)
-    reports = {
-        (channel, workers): _run_network(
-            workload, queries, channel, workers, faults=faults
-        )
-        for channel in ("auto", "row")
-        for workers in (1, 2)
-    }
-    baseline = _network_fields(reports[("row", 1)])
-    for key, report in reports.items():
-        assert _network_fields(report) == baseline, f"config={key}"
-        assert report.detections() == reports[("row", 1)].detections(), (
-            f"config={key}"
-        )
+    assert entered == []
+    assert _digest(channel) == _digest(oracle)

@@ -9,10 +9,11 @@ degradation flags, fault-injection accounting — must be identical for
 1-vs-N equality.
 
 Fault-injection determinism is pinned twice: once through the visible
-accounting (``faults_injected`` per window) and once through the PRNG
-stream positions (``NetworkRunReport.fault_draws``) — two executions that
-consumed the same prefix of the same seeded streams made identical
-decisions in identical order.
+accounting (``faults_injected`` per window) and once through the draws
+per fault channel (``NetworkRunReport.fault_draws``) — fault decisions are
+position-keyed, so two executions that drew the same positions of the same
+streams made identical decisions. A repeated ``run()`` on one runtime
+repeats the first run for any worker count.
 """
 
 import pytest
@@ -49,9 +50,9 @@ def queries():
 
 
 def run_network(workload, queries, workers, faults=None):
-    """A fresh NetworkRuntime per run: the serial path reuses its
-    pipelines across run() calls while workers rebuild from the plan, so
-    differential runs must all start from pristine state."""
+    """A fresh NetworkRuntime per run: fallen-back instances survive a
+    serial run() but not a worker's rebuilt pipeline, so differential
+    runs start from pristine state."""
     net = NetworkRuntime(
         queries,
         Topology.ecmp(4, seed=3),
@@ -116,8 +117,8 @@ class TestFaultInjectionEquivalence:
             assert window_fields(reports[n]) == baseline, f"workers={n}"
 
     def test_rng_streams_pinned(self, reports):
-        """Per-switch, per-channel PRNG stream positions must match: the
-        workers' rebuilt fault injectors drew exactly the same streams."""
+        """Per-switch, per-channel draw counts must match: the workers'
+        rebuilt fault injectors drew exactly the same stream positions."""
         baseline = reports[1].fault_draws
         assert baseline, "chaos spec injected nothing; test is vacuous"
         for n in WORKER_COUNTS[1:]:
@@ -130,6 +131,37 @@ class TestFaultInjectionEquivalence:
             for count in w.faults_injected.values()
         )
         assert total > 0
+
+
+class TestRepeatedRuns:
+    SPEC = FaultSpec(
+        seed=13,
+        mirror_drop=0.05,
+        mirror_reorder=0.05,
+        late_drop=0.2,
+        overflow_pressure=0.05,
+        filter_update_loss=0.3,
+    )
+
+    def test_second_run_repeats_the_first(self, workload, queries):
+        """Runs on one runtime, serial and parallel alternating, are all
+        identical: every run restarts the fault streams and refinement
+        tables (no fallback threshold, so no instance falls back)."""
+        net = NetworkRuntime(
+            queries,
+            Topology.ecmp(4, seed=3),
+            workload.trace,
+            window=3.0,
+            time_limit=10,
+            faults=self.SPEC,
+        )
+        first = net.run(workload.trace, workers=1)
+        assert first.fault_draws
+        assert any(w.faults_injected for w in first.windows)
+        for workers in (1, 2, 2):
+            again = net.run(workload.trace, workers=workers)
+            assert window_fields(again) == window_fields(first), f"workers={workers}"
+            assert again.fault_draws == first.fault_draws, f"workers={workers}"
 
 
 class TestEmptyTrace:

@@ -8,6 +8,7 @@ from repro.core.query import PacketStream, Query
 from repro.planner.plans import InstancePlan
 from repro.runtime.emitter import Emitter
 from repro.switch.compiler import compile_subquery
+from repro.switch.mirror import MirroredBatch
 from repro.switch.simulator import MirroredTuple
 
 
@@ -72,6 +73,21 @@ class TestBuffering:
         emitter = Emitter({plan.key: plan})
         with pytest.raises(ValueError):
             emitter.ingest([mirrored("key_report", {}, 4, plan.key)])
+
+
+class TestBatches:
+    def test_schema_conflict_raises(self):
+        """No silent fallback: one instance's batches must share a schema."""
+        plan = make_plan(cut=1)
+        emitter = Emitter({plan.key: plan})
+        emitter.ingest_items([
+            MirroredBatch.from_tuples(
+                plan.key, "stream", 1, [mirrored("stream", fields, 1)]
+            )
+            for fields in ({"ipv4.dIP": 5}, {"ipv4.dIP": 5, "ipv4.sIP": 1})
+        ])
+        with pytest.raises(ValueError):
+            emitter.end_window({})
 
 
 class TestOverflowAdjustment:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.expressions import Const
+from repro.core.expressions import Const, FieldRef, Quantized
+from repro.core.operators import Distinct, Map, Reduce
 from repro.core.fields import TCP_SYN
 from repro.core.query import PacketStream, Query
 from repro.queries.library import build_query
@@ -84,6 +85,31 @@ class TestTableLayout:
             .map(keys=("ipv4.dIP",))  # not a foldable threshold filter
         ).subquery(0)
         compiled = compile_subquery(sq)
+        assert compiled.compilable_operators == 2
+
+    @pytest.mark.parametrize(
+        "ops, prefix",
+        [
+            ((Map(keys=(FieldRef("ts"),)), Distinct()), 1),
+            ((Reduce(keys=("ts",), func="sum"),), 0),
+        ],
+        ids=["distinct-on-ts-alias", "reduce-on-ts"],
+    )
+    def test_float_keyed_stateful_op_stops_compilation(self, ops, prefix):
+        """A register key is header bits: the timestamp is not one."""
+        stream = PacketStream(name="t")
+        stream.operators = ops
+        compiled = compile_subquery(Query(stream).subquery(0))
+        assert compiled.compilable_operators == prefix
+        assert not any(t.stateful for t in compiled.tables)
+
+    def test_quantized_timestamp_is_a_valid_key(self):
+        stream = PacketStream(name="t")
+        stream.operators = (
+            Map(keys=(Quantized("ts", 4, "bucket"),)),
+            Distinct(),
+        )
+        compiled = compile_subquery(Query(stream).subquery(0))
         assert compiled.compilable_operators == 2
 
     def test_residual_operators(self):

@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.hashing import HashFamily, stable_hash
+from repro.utils.hashing import (
+    HashFamily,
+    counter_uniform,
+    counter_uniforms,
+    stable_hash,
+)
 
 _KEYS = st.one_of(
     st.integers(min_value=-(2**80), max_value=2**80),
@@ -11,6 +16,22 @@ _KEYS = st.one_of(
     st.text(max_size=32),
     st.tuples(st.integers(min_value=0, max_value=2**32), st.integers()),
 )
+
+
+class TestCounterUniforms:
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**40),
+        st.integers(min_value=0, max_value=64),
+    )
+    def test_vector_matches_scalar_bits(self, base, start, n):
+        vec = counter_uniforms(base, start, n)
+        assert vec.tolist() == [counter_uniform(base, start + k) for k in range(n)]
+
+    def test_unit_interval_and_spread(self):
+        draws = counter_uniforms(stable_hash("stream"), 0, 20_000)
+        assert draws.min() >= 0.0 and draws.max() < 1.0
+        assert abs(draws.mean() - 0.5) < 0.01
 
 
 class TestStableHash:
