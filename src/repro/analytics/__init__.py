@@ -2,9 +2,11 @@
 
 This is the trace-driven analysis engine: the planner uses it to estimate
 ``N`` (tuples reaching the stream processor) and ``B`` (register state) for
-every candidate cut of every query (§3.3), and the test suite uses it as
-ground truth that the per-packet switch + stream-processor pipeline must
-agree with.
+every candidate cut of every query (§3.3), the runtime uses it for
+raw-mirrored instances, and the test suite uses it as ground truth that
+the per-packet switch + stream-processor pipeline must agree with. It
+runs operators on the stream processor's columnar interpreter
+(:mod:`repro.streaming.batchops`) and adds the per-operator statistics.
 """
 
 from repro.analytics.columnar import (

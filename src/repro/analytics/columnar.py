@@ -1,4 +1,4 @@
-"""Columnar (numpy) execution of dataflow operator chains.
+"""Cost-model bookkeeping over the columnar operator interpreter.
 
 The engine executes a linear operator chain over one window of a
 :class:`~repro.packets.trace.Trace` and records, after every operator, the
@@ -7,9 +7,12 @@ operators — the number of keys and the register bits needed to hold them.
 Those are exactly the ``N_{q,t}`` and ``B_{q,t}`` inputs of the query
 planning ILP (Table 1 of the paper).
 
-The operator kernels themselves live in :mod:`repro.exec` and are shared
-with the switch's batched window path; this module layers the cost-model
-bookkeeping (:class:`OperatorStats`) and join handling on top.
+The operators themselves run on the stream processor's interpreter,
+:func:`repro.streaming.batchops.apply_operator_state`, so the planner, the
+All-SP ground truth and the raw-mirror path count exactly the tuples the
+stream processor would produce, in the same order. Joins are assembled by
+the row-wise :func:`~repro.streaming.rowops.assemble_join_tree`, as at the
+stream processor.
 """
 
 from __future__ import annotations
@@ -19,25 +22,12 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.errors import QueryValidationError
 from repro.core.fields import FIELDS, FieldRegistry
-from repro.core.operators import (
-    Distinct,
-    Filter,
-    Join,
-    Map,
-    Operator,
-    Reduce,
-    Schema,
-)
-from repro.core.query import JoinNode, Query, SubQuery
-from repro.exec import (
-    ColumnarState,
-    apply_distinct,
-    apply_filter,
-    apply_map,
-    apply_reduce,
-    materialize_value,
-)
+from repro.core.operators import Join, Operator, Schema
+from repro.core.query import Query, SubQuery
+from repro.exec import ColumnarState, materialize_rows, state_bits
 from repro.packets.trace import Trace
+from repro.streaming.batchops import apply_operator_state
+from repro.streaming.rowops import assemble_join_tree
 
 __all__ = [
     "ColumnarState",
@@ -77,17 +67,7 @@ class ColumnarResult:
 
     def rows(self) -> list[dict[str, Any]]:
         """Materialize the final tuples as dicts (ids resolved to strings)."""
-        out: list[dict[str, Any]] = []
-        names = self.schema.fields
-        columns = self.final.columns
-        for i in range(self.final.n_rows):
-            out.append(
-                {
-                    name: materialize_value(self.final, name, columns[name][i])
-                    for name in names
-                }
-            )
-        return out
+        return materialize_rows(self.final, self.schema.fields)
 
 
 def execute_operators(
@@ -103,33 +83,34 @@ def execute_operators(
     input_rows = state.n_rows
     for op in operators:
         op.validate(schema)
-        if isinstance(op, Filter):
-            state = apply_filter(op, state, tables)
-            keys, bits = 0, 0
-        elif isinstance(op, Map):
-            state = apply_map(op, state)
-            keys, bits = 0, 0
-        elif isinstance(op, Reduce):
-            state, keys, bits = apply_reduce(op, state, schema)
-        elif isinstance(op, Distinct):
-            state, keys, bits = apply_distinct(op, state, schema)
-        elif isinstance(op, Join):
+        if isinstance(op, Join):
             raise QueryValidationError(
                 "execute_operators only handles linear chains; use execute_query"
             )
-        else:  # pragma: no cover - future operator types
-            raise QueryValidationError(f"unsupported operator {op!r}")
-        schema = op.output_schema(schema)
+        state = apply_operator_state(state, op, tables)
+        schema_out = op.output_schema(schema)
+        keys = state.n_rows if op.stateful else 0
         stats.append(
             OperatorStats(
                 operator=op.describe(),
                 rows_out=state.n_rows,
                 stateful=op.stateful,
                 keys=keys,
-                state_bits=bits,
+                state_bits=_register_bits(schema_out, keys),
             )
         )
+        schema = schema_out
     return ColumnarResult(stats=stats, final=state, schema=schema, input_rows=input_rows)
+
+
+def _register_bits(schema_out: Schema, n_keys: int) -> int:
+    """Register bits holding ``n_keys`` keys of a stateful operator.
+
+    A slot holds the operator's output key fields and its value fields; a
+    distinct outputs keys only and keeps one presence bit per key.
+    """
+    value_bits = sum(schema_out.width_of(v) for v in schema_out.values) or 1
+    return state_bits(schema_out, schema_out.keys, n_keys, value_bits)
 
 
 def execute_subquery(
@@ -139,24 +120,6 @@ def execute_subquery(
 ) -> ColumnarResult:
     """Execute a :class:`SubQuery` over one window of ``trace``."""
     return execute_operators(subquery.operators, trace, tables, subquery.registry)
-
-
-def _execute_join_tree(
-    query: Query,
-    node: "int | JoinNode",
-    trace: Trace,
-    tables: Mapping[str, set] | None,
-) -> list[dict[str, Any]]:
-    # Imported here: streaming depends on core only, analytics may depend
-    # on streaming's row-wise interpreter for the (small) post-join batches.
-    from repro.streaming.rowops import apply_operators, join_rows
-
-    if isinstance(node, int):
-        return execute_subquery(query.subquery(node), trace, tables).rows()
-    left_rows = _execute_join_tree(query, node.left, trace, tables)
-    right_rows = _execute_join_tree(query, node.right, trace, tables)
-    joined = join_rows(left_rows, right_rows, node.keys, node.how)
-    return apply_operators(joined, node.post_ops, tables)
 
 
 def execute_query(
@@ -169,4 +132,8 @@ def execute_query(
     This is the ground-truth, All-SP semantics: every packet is visible to
     every operator. Returns the output tuples as dicts.
     """
-    return _execute_join_tree(query, query.join_tree, trace, tables)
+    leaf_outputs = {
+        sq.subid: execute_subquery(sq, trace, tables).rows()
+        for sq in query.subqueries
+    }
+    return assemble_join_tree(query.join_tree, leaf_outputs, tables)

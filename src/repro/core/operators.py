@@ -10,7 +10,7 @@ it — the two facts the query planner needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 import numpy as np
 
@@ -345,6 +345,30 @@ class Reduce(Operator):
             return None
         raise QueryValidationError(
             f"reduce({self.func}) is ambiguous: schema values {schema.values}; "
+            "pass value_field explicitly"
+        )
+
+    def observed_value_field(self, fields: Collection[str]) -> str | None:
+        """The field being aggregated, resolved from the fields of the tuples.
+
+        The stream processor sees tuples, not schemas: the value is the
+        single non-key field, or — when the switch already produced
+        partial aggregates — the partial-count field ``out``. Callers
+        handle empty input themselves (it has no fields to look at).
+        """
+        if self.value_field:
+            return self.value_field
+        if self.func == "count":
+            return None
+        candidates = [name for name in fields if name not in self.keys]
+        if len(candidates) == 1:
+            return candidates[0]
+        if self.out in candidates:
+            return self.out
+        if not candidates:
+            return None
+        raise QueryValidationError(
+            f"reduce({self.func}) is ambiguous over fields {sorted(fields)}; "
             "pass value_field explicitly"
         )
 

@@ -4,7 +4,7 @@ A :class:`ColumnarState` holds one window of tuples as ``field name →
 numpy array`` over :class:`~repro.packets.trace.Trace` views. String- and
 bytes-valued fields (DNS names, payloads) are stored as integer ids into a
 vocabulary side table (-1 = absent) so grouping and membership tests stay
-vectorized; :func:`materialize_value` resolves ids back to the exact
+vectorized; :func:`materialize_rows` resolves ids back to the exact
 Python values the row-wise engines produce.
 """
 
@@ -68,21 +68,6 @@ class ColumnarState:
 
 def is_str_field(name: str, state: ColumnarState) -> bool:
     return name in state.vocabs
-
-
-def materialize_value(
-    state: ColumnarState, name: str, raw: Any
-) -> int | float | str | bytes:
-    """Resolve one column cell to the Python value a row engine would hold."""
-    vocab = state.vocabs.get(name)
-    if vocab is not None:
-        idx = int(raw)
-        if 0 <= idx < len(vocab):
-            return vocab[idx]
-        return b"" if name == "payload" else ""
-    if state.columns[name].dtype.kind == "f":
-        return float(raw)
-    return int(raw)
 
 
 def materialize_rows(

@@ -1,11 +1,13 @@
 """Vectorized operator kernels over :class:`ColumnarState` columns.
 
-One shared kernel layer for every batch engine: the columnar analytics
-engine (planner cost estimation, raw-mirror fallback) and the switch's
-batched window path both execute filters, maps, grouping and aggregation
-through these functions, so their semantics cannot drift apart. The
-row-wise interpreters share the scalar half of the same definitions via
-:mod:`repro.exec.alu`.
+One shared kernel layer for both batch engines: the switch's batched
+window path and the columnar operator interpreter
+(:mod:`repro.streaming.batchops`, which also serves the planner's cost
+estimation, the All-SP ground truth and raw mirroring) execute filters,
+maps, grouping and aggregation through these functions, so their
+semantics cannot drift apart. :func:`group_first_occurrence` is the one
+grouping kernel. The row-wise interpreters share the scalar half of the
+same definitions via :mod:`repro.exec.alu`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 from repro.core.errors import QueryValidationError
 from repro.core.expressions import Expression, Prefixed
 from repro.core.fields import FIELDS, coarsen_value
-from repro.core.operators import Distinct, Filter, Map, Predicate, Reduce, Schema
-from repro.exec.alu import aggregate_groups
+from repro.core.operators import Filter, Map, Predicate, Reduce, Schema
 from repro.exec.columns import ColumnarState, is_str_field
 
 
@@ -83,12 +84,6 @@ def filter_mask(
     for pred in op.predicates:
         mask &= predicate_mask(pred, state, tables)
     return mask
-
-
-def apply_filter(
-    op: Filter, state: ColumnarState, tables: Mapping[str, set] | None
-) -> ColumnarState:
-    return state.select(filter_mask(op, state, tables))
 
 
 def eval_expression(
@@ -158,22 +153,6 @@ def key_columns(
     }
 
 
-def group_keys(
-    state: ColumnarState, keys: Sequence[str]
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Group rows by key columns; returns (unique key columns, inverse)."""
-    if state.n_rows == 0:
-        return {k: state.columns[k][:0] for k in keys}, np.empty(0, dtype=np.int64)
-    unique, inverse = np.unique(
-        _key_matrix(state, keys), axis=0, return_inverse=True
-    )
-    unique_cols = {
-        k: col.astype(state.columns[k].dtype)
-        for k, col in key_columns(state, keys, unique).items()
-    }
-    return unique_cols, inverse.ravel()
-
-
 def group_first_occurrence(
     state: ColumnarState, keys: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,38 +177,6 @@ def group_first_occurrence(
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order), dtype=np.int64)
     return unique[order], first_idx[order], rank[inverse]
-
-
-def apply_reduce(
-    op: Reduce, state: ColumnarState, schema_in: Schema
-) -> tuple[ColumnarState, int, int]:
-    unique_cols, inverse = group_keys(state, op.keys)
-    n_keys = len(next(iter(unique_cols.values()))) if unique_cols else 0
-    value_field = op.resolved_value_field(schema_in)
-    if state.n_rows == 0:
-        agg = np.empty(0, dtype=np.int64)
-    else:
-        func = "count" if value_field is None else op.func
-        values = None if value_field is None else state.columns[value_field]
-        agg = aggregate_groups(inverse, values, n_keys, func)
-    columns = dict(unique_cols)
-    columns[op.out] = agg
-    vocabs = {k: v for k, v in state.vocabs.items() if k in op.keys}
-    out_state = ColumnarState(columns=columns, vocabs=vocabs, payloads=state.payloads)
-    bits = state_bits(schema_in, op.keys, n_keys, value_bits=32)
-    return out_state, n_keys, bits
-
-
-def apply_distinct(
-    op: Distinct, state: ColumnarState, schema_in: Schema
-) -> tuple[ColumnarState, int, int]:
-    keys = op.effective_keys(schema_in)
-    unique_cols, _ = group_keys(state, keys)
-    n_keys = len(next(iter(unique_cols.values()))) if unique_cols else 0
-    vocabs = {k: v for k, v in state.vocabs.items() if k in keys}
-    out_state = ColumnarState(columns=dict(unique_cols), vocabs=vocabs, payloads=state.payloads)
-    bits = state_bits(schema_in, keys, n_keys, value_bits=1)
-    return out_state, n_keys, bits
 
 
 def state_bits(schema: Schema, keys: Sequence[str], n_keys: int, value_bits: int) -> int:

@@ -30,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.operators import Distinct, Reduce
+from repro.core.operators import Distinct, Operator, Reduce
 from repro.exec import ColumnarState
 from repro.obs import get_observability
 from repro.planner.plans import InstancePlan
@@ -180,42 +180,18 @@ class Emitter:
         path's buckets.
         """
         ops = plan.augmented.operators
-        ordered = sorted(overflow_batches, key=lambda b: b.op_index)
-        stateful_indices = [
-            i for i, op in enumerate(ops[: plan.cut]) if op.stateful
-        ]
+        level, remerge = overflow_merge_policy(plan)
         base = [] if report_batch is None else [report_batch.state]
-        if not stateful_indices:
-            # No stateful prefix: just replay overflow to the cut level.
-            states = base + [
-                apply_operators_state(
-                    b.state, list(ops[b.op_index : plan.cut]), tables
-                )
-                for b in ordered
+        merged = concat_states(
+            base
+            + [
+                apply_operators_state(b.state, list(ops[b.op_index : level]), tables)
+                for b in sorted(overflow_batches, key=lambda b: b.op_index)
             ]
-            return concat_states(states)
-        last = stateful_indices[-1]
-        level = last + 1  # pre-threshold merge point
-
-        states = base + [
-            apply_operators_state(b.state, list(ops[b.op_index : level]), tables)
-            for b in ordered
-        ]
-        merged = concat_states(states)
-        # Re-aggregate partial results for keys split across the paths.
-        stateful_op = ops[last]
-        if isinstance(stateful_op, Reduce):
-            remerge = Reduce(
-                keys=stateful_op.keys,
-                func=stateful_op.func if stateful_op.func != "count" else "sum",
-                value_field=stateful_op.out,
-                out=stateful_op.out,
-            )
-            merged = apply_operator_state(merged, remerge, tables)
-        elif isinstance(stateful_op, Distinct):
-            merged = apply_operator_state(
-                merged, Distinct(keys=tuple(merged.columns)), tables
-            )
+        )
+        if remerge is None:
+            return merged
+        merged = apply_operator_state(merged, remerge, tables)
         return apply_operators_state(merged, list(ops[level : plan.cut]), tables)
 
     # -- row assembly (reference semantics) --------------------------------
@@ -250,45 +226,47 @@ class Emitter:
     ) -> list[Row]:
         """Union register dump and overflow stream, re-aggregate, re-filter.
 
-        The register reports arrive with ``op_index`` just after the last
-        stateful operator (pre-threshold, full dump); overflow buckets are
-        replayed through the same prefix, the union is re-aggregated with
-        the stateful operator itself (contributions for one key can be
-        split across the two paths), and the remaining on-switch operators
-        (the folded threshold) are applied last.
+        See :func:`overflow_merge_policy`; overflow buckets are replayed in
+        operator order.
         """
         ops = plan.augmented.operators
-        stateful_indices = [
-            i for i, op in enumerate(ops[: plan.cut]) if op.stateful
-        ]
-        if not stateful_indices:
-            # No stateful prefix: just replay overflow to the cut level.
-            rows = [m.fields for m in reports]
-            for op_index, pending in sorted(buckets.items()):
-                rows.extend(
-                    apply_operators(pending, list(ops[op_index : plan.cut]), tables)
-                )
-            return rows
-        last = stateful_indices[-1]
-        level = last + 1  # pre-threshold merge point
-
+        level, remerge = overflow_merge_policy(plan)
         merged: list[Row] = [m.fields for m in reports]
         for op_index, pending in sorted(buckets.items()):
             merged.extend(
                 apply_operators(pending, list(ops[op_index:level]), tables)
             )
-        # Re-aggregate partial results for keys split across the paths.
-        stateful_op = ops[last]
-        if isinstance(stateful_op, Reduce):
-            remerge = Reduce(
-                keys=stateful_op.keys,
-                func=stateful_op.func if stateful_op.func != "count" else "sum",
-                value_field=stateful_op.out,
-                out=stateful_op.out,
-            )
-            merged = apply_operator(merged, remerge, tables)
-        elif isinstance(stateful_op, Distinct):
-            merged = apply_operator(
-                merged, Distinct(keys=tuple(merged[0].keys()) if merged else ()), tables
-            )
+        if remerge is None:
+            return merged
+        merged = apply_operator(merged, remerge, tables)
         return apply_operators(merged, list(ops[level : plan.cut]), tables)
+
+
+def overflow_merge_policy(plan: InstancePlan) -> "tuple[int, Operator | None]":
+    """Where and how the collision adjustment merges an instance's overflow.
+
+    Returns ``(level, remerge)``. The register reports arrive with
+    ``op_index`` just after the last stateful on-switch operator
+    (pre-threshold, full dump); overflow is replayed through the operators
+    before ``level`` and unioned with them, ``remerge`` re-aggregates the
+    union (contributions for one key can be split across the two paths),
+    and the remaining on-switch operators (the folded threshold) run last.
+    Without a stateful prefix ``level`` is the cut and ``remerge`` is
+    ``None``: the replayed overflow is simply appended.
+    """
+    ops = plan.augmented.operators
+    stateful = [i for i, op in enumerate(ops[: plan.cut]) if op.stateful]
+    if not stateful:
+        return plan.cut, None
+    last = ops[stateful[-1]]
+    if isinstance(last, Reduce):
+        remerge: Operator = Reduce(
+            keys=last.keys,
+            func=last.func if last.func != "count" else "sum",
+            value_field=last.out,
+            out=last.out,
+        )
+    else:
+        # Keyless: both interpreters expand it to every column.
+        remerge = Distinct()
+    return stateful[-1] + 1, remerge

@@ -1,12 +1,16 @@
-"""Columnar execution of residual dataflow operators (batched engine).
+"""The columnar operator interpreter (batched engine).
 
-The batched twin of :mod:`repro.streaming.rowops`: executes a partitioned
-query's residual operators over the :class:`~repro.exec.ColumnarState`
-batches the columnar mirror channel delivers, on the same shared
-:mod:`repro.exec` kernels the switch and the analytics engine use. The
-row-wise interpreter stays as the differential oracle — every function
-here must produce exactly the rows :func:`rowops.apply_operators` would,
-in the same order.
+The one interpreter for ``Filter``/``Map``/``Reduce``/``Distinct`` over
+:class:`~repro.exec.ColumnarState` batches outside the switch: the
+stream processor runs a partitioned query's residual operators on the
+batches the mirror channel delivers, the emitter replays overflow and
+re-merges through it, and :mod:`repro.analytics` runs whole sub-queries
+on it for the planner's cost estimation, the All-SP ground truth and
+raw mirroring. It runs on the shared :mod:`repro.exec` kernels, grouping
+in first-occurrence order. The row-wise interpreter
+:mod:`repro.streaming.rowops` stays as the differential oracle — every
+function here must produce exactly the rows
+:func:`rowops.apply_operators` would, in the same order.
 
 Grouping note: a state's vocabulary may hold duplicate entries (trace
 payload tables are not deduplicated) and absent cells (-1) compare equal
@@ -26,10 +30,9 @@ from repro.exec import (
     ColumnarState,
     aggregate_groups,
     apply_map,
+    filter_mask,
     group_first_occurrence,
     key_columns,
-    materialize_rows,
-    predicate_mask,
 )
 
 __all__ = [
@@ -79,28 +82,9 @@ def _canonical_state(state: ColumnarState, keys: Sequence[str]) -> ColumnarState
     return ColumnarState(columns=columns, vocabs=vocabs, payloads=state.payloads)
 
 
-def _reduce_value_field(state: ColumnarState, op: Reduce) -> str | None:
-    """Mirror of :func:`rowops._reduce_value_field` over column names."""
-    if op.value_field:
-        return op.value_field
-    if op.func == "count" or state.n_rows == 0:
-        return None
-    candidates = [name for name in state.columns if name not in op.keys]
-    if len(candidates) == 1:
-        return candidates[0]
-    if op.out in candidates:
-        return op.out
-    if not candidates:
-        return None
-    raise QueryValidationError(
-        f"reduce({op.func}) is ambiguous over fields {sorted(state.columns)}; "
-        "pass value_field explicitly"
-    )
-
-
 def _apply_reduce(state: ColumnarState, op: Reduce) -> ColumnarState:
-    value_field = _reduce_value_field(state, op)
     n = state.n_rows
+    value_field = op.observed_value_field(state.columns) if n else None
     if value_field is None:
         values = np.ones(n, dtype=np.int64)
     else:
@@ -142,9 +126,7 @@ def apply_operator_state(
 ) -> ColumnarState:
     """Apply one operator to a columnar batch, returning the new batch."""
     if isinstance(op, Filter):
-        mask = np.ones(state.n_rows, dtype=bool)
-        for pred in op.predicates:
-            mask &= predicate_mask(pred, state, tables)
+        mask = filter_mask(op, state, tables)
         return state if mask.all() else state.select(mask)
     if isinstance(op, Map):
         return apply_map(op, state)
@@ -173,8 +155,3 @@ def apply_operators_state(
     for op in operators:
         state = apply_operator_state(state, op, tables)
     return state
-
-
-def materialize_state(state: ColumnarState) -> "list[dict]":
-    """Resolve a columnar batch to the exact rows the row engine yields."""
-    return materialize_rows(state, list(state.columns))

@@ -1,10 +1,11 @@
 """Row-wise execution of dataflow operators over dict tuples.
 
-This is the stream-processor-side interpreter: it executes the *residual*
-operators of a partitioned query over the (small) batches of tuples the
-switch mirrors up. The columnar engine in :mod:`repro.analytics` is the
-vectorized twin used for cost estimation; a tested invariant keeps the two
-semantics identical.
+The per-packet reference interpreter: it executes a query's operators
+over dict tuples, one tuple at a time, and serves as the differential
+oracle for the columnar interpreter in :mod:`repro.streaming.batchops`
+(which runs the stream processor, the planner's cost estimation, the
+All-SP ground truth and raw mirroring). Tested invariants keep the two
+identical, row order included. Join trees are assembled here for both.
 """
 
 from __future__ import annotations
@@ -18,33 +19,8 @@ from repro.exec.alu import UPDATE_FUNCS, init_value
 Row = dict[str, Any]
 
 
-def _reduce_value_field(rows: list[Row], op: Reduce) -> str | None:
-    """The field being aggregated: explicit, or the single non-key field.
-
-    Mirrors :meth:`Reduce.resolved_value_field` but works from the observed
-    rows (the stream processor sees tuples, not schemas): when the switch
-    already produced partial aggregates, the partial-count field (op.out)
-    is the one to re-aggregate.
-    """
-    if op.value_field:
-        return op.value_field
-    if op.func == "count" or not rows:
-        return None
-    candidates = [name for name in rows[0] if name not in op.keys]
-    if len(candidates) == 1:
-        return candidates[0]
-    if op.out in candidates:
-        return op.out
-    if not candidates:
-        return None
-    raise QueryValidationError(
-        f"reduce({op.func}) is ambiguous over fields {sorted(rows[0])}; "
-        "pass value_field explicitly"
-    )
-
-
 def _apply_reduce(rows: list[Row], op: Reduce) -> list[Row]:
-    value_field = _reduce_value_field(rows, op)
+    value_field = op.observed_value_field(rows[0]) if rows else None
     update = UPDATE_FUNCS[op.func]  # shared register-ALU fold semantics
     grouped: dict[tuple, int] = {}
     for row in rows:

@@ -201,6 +201,33 @@ class TestRowEquivalence:
         rowwise = apply_operators(row_inputs, ops)
         key = lambda r: tuple(sorted(r.items()))
         assert sorted(map(key, columnar)) == sorted(map(key, rowwise))
+        assert columnar == rowwise  # same interpreter semantics, same order
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (Map(keys=("ipv4.dIP", "payload")), Distinct()),
+            (Map(keys=("payload",)), Reduce(keys=("payload",), func="count")),
+        ],
+        ids=["distinct", "reduce"],
+    )
+    def test_payload_vocab_grouping(self, ops):
+        """Duplicate payload vocab entries and absent vs ``b""`` cells group
+        by value, as in the row engine."""
+        packets = [
+            Packet(ts=0.0, dip=7, payload=b"x"),
+            Packet(ts=0.1, dip=7, payload=b"x"),
+            Packet(ts=0.2, dip=7),
+            Packet(ts=0.3, dip=7, payload=b""),
+        ]
+        trace = trace_from(packets)
+        row_inputs = [
+            {"ipv4.dIP": pkt.get("ipv4.dIP"), "payload": pkt.get("payload")}
+            for pkt in trace.packets()
+        ]
+        rows = execute_operators(ops, trace).rows()
+        assert rows == apply_operators(row_inputs, list(ops))
+        assert len(rows) == 2
 
 
 class TestFullQuery:

@@ -249,6 +249,8 @@ class TestFuzzBatchedOracle:
         rowwise = apply_operators(row_inputs, list(ops))
         expected = _canon(columnar)
         assert expected == _canon(rowwise)
+        # One interpreter: the columnar engine also keeps the row order.
+        assert columnar == rowwise
 
         for batched in (False, True):
             batch, reports, _ = _run_switch(ops, trace, 4096, 2, batched=batched)

@@ -109,3 +109,5 @@ class TestThreeEngineEquivalence:
         switch_rows = [m.fields for m in reports]
 
         assert _canon(columnar) == _canon(rowwise) == _canon(switch_rows)
+        # The columnar and row-wise interpreters also agree on row order.
+        assert columnar == rowwise
