@@ -84,6 +84,31 @@ def bench_stable_hash(benchmark):
     benchmark(lambda: [stable_hash((i, i * 7), seed=3) for i in range(1_000)])
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [("ipv4.dIP",), ("ipv4.dIP", "ipv4.sIP"), ("ipv4.dIP", "ipv4.sIP", "tcp.sPort")],
+    ids=["ip", "ip_pair", "ip_pair_port"],
+)
+def bench_group_first_occurrence(benchmark, keys):
+    """The grouping kernel on 15k seeded rows, 1-3 key columns."""
+    import numpy as np
+
+    from repro.exec import ColumnarState, group_first_occurrence
+
+    rng = np.random.default_rng(5)
+    n = 15_000
+    hosts = rng.integers(0, 2**32, 2_000, dtype=np.uint32)
+    state = ColumnarState(
+        columns={
+            "ipv4.dIP": rng.choice(hosts[:300], n),
+            "ipv4.sIP": rng.choice(hosts, n),
+            "tcp.sPort": rng.integers(0, 2**16, n).astype(np.uint16),
+        }
+    )
+    unique, first_rows, inverse = benchmark(group_first_occurrence, state, keys)
+    assert len(unique) == len(first_rows) and len(inverse) == n
+
+
 def bench_batch_channel_window(benchmark, small_trace, query):
     """Batched engine: switch batches -> emitter -> SP, one window."""
     from repro.planner import QueryPlanner

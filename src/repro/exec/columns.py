@@ -11,7 +11,7 @@ Python values the row-wise engines produce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Collection
 
 import numpy as np
 
@@ -45,6 +45,14 @@ class ColumnarState:
         return ColumnarState(
             columns={name: col[mask] for name, col in self.columns.items()},
             vocabs=self.vocabs,
+            payloads=self.payloads,
+        )
+
+    def project(self, names: Collection[str]) -> "ColumnarState":
+        """Only the columns (and vocabs) named in ``names``, in column order."""
+        return ColumnarState(
+            columns={k: col for k, col in self.columns.items() if k in names},
+            vocabs={k: v for k, v in self.vocabs.items() if k in names},
             payloads=self.payloads,
         )
 

@@ -153,6 +153,56 @@ def key_columns(
     }
 
 
+def _sorted_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One 1-D sort of ``codes``: ``(order, starts, group_of_sorted)``.
+
+    ``order`` sorts the codes, ``starts`` are the sorted positions where
+    a new code begins and ``group_of_sorted[i]`` is the dense id (in code
+    order) of the code at sorted position ``i``.
+    """
+    order = np.argsort(codes)
+    ordered = codes[order]
+    new_group = np.empty(len(codes), dtype=bool)
+    new_group[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(starts, append=len(codes))
+    return order, starts, np.repeat(np.arange(len(starts)), sizes)
+
+
+def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Replace codes by dense group ids; return ``(ids, bit width)``."""
+    order, starts, group_of_sorted = _sorted_groups(codes)
+    dense = np.empty(len(codes), dtype=np.uint64)
+    dense[order] = group_of_sorted
+    return dense, (len(starts) - 1).bit_length()
+
+
+def _pack_codes(matrix: np.ndarray) -> np.ndarray:
+    """Fold the key columns of ``matrix`` into one ``uint64`` code per row.
+
+    Rows get equal codes exactly when their keys are equal. Each column is
+    shifted to start at zero (in ``uint64``, so any int64 span stays exact)
+    and packed in the bits its range needs. When the next column would push
+    the code past 64 bits the running code is first densified to group
+    ids, and if it still does not fit the column is densified too; dense
+    ids need at most ``bit_length(n)`` bits.
+    """
+    code = np.zeros(len(matrix), dtype=np.uint64)
+    width = 0
+    for j in range(matrix.shape[1]):
+        column = matrix[:, j].view(np.uint64)
+        column = column - column.min()
+        bits = int(column.max()).bit_length()
+        if width + bits > 64:
+            code, width = _densify(code)
+            if width + bits > 64:
+                column, bits = _densify(column)
+        code = column if width == 0 else (code << np.uint64(bits)) | column
+        width += bits
+    return code
+
+
 def group_first_occurrence(
     state: ColumnarState, keys: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,18 +215,29 @@ def group_first_occurrence(
     of key ``j``'s first occurrence, and ``inverse[i]`` is row ``i``'s key
     id in that same order. This ordering is what makes the batched
     register simulation insert keys exactly like the per-packet oracle.
+
+    The key columns are packed into one ``uint64`` code per row (see
+    :func:`_pack_codes`) and grouped with a single 1-D sort; the order
+    of the codes is irrelevant because groups are ranked by first
+    occurrence afterwards.
     """
-    if state.n_rows == 0:
+    n = state.n_rows
+    if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return np.empty((0, len(keys)), dtype=np.int64), empty, empty
-    unique, first_idx, inverse = np.unique(
-        _key_matrix(state, keys), axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.ravel()
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order), dtype=np.int64)
-    return unique[order], first_idx[order], rank[inverse]
+    matrix = _key_matrix(state, keys)
+    order, starts, group_of_sorted = _sorted_groups(_pack_codes(matrix))
+    first = np.minimum.reduceat(order, starts)
+    # Rank groups by first occurrence: the marked first rows, read in row
+    # order, are the groups in the order a row-wise engine meets them.
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    first_rows = np.flatnonzero(is_first)
+    rank = np.empty(n, dtype=np.int64)
+    rank[first_rows] = np.arange(len(first_rows))
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = rank[first][group_of_sorted]
+    return np.take(matrix, first_rows, axis=0), first_rows, inverse
 
 
 def state_bits(schema: Schema, keys: Sequence[str], n_keys: int, value_bits: int) -> int:

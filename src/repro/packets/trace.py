@@ -225,19 +225,31 @@ class Trace:
 
         Windows are aligned to ``origin`` (default: trace start). Empty
         trailing windows are not emitted; empty interior windows are, so
-        the runtime sees every window boundary.
+        the runtime sees every window boundary. Each window holds the
+        packets of :meth:`time_range` and is a view found by binary
+        search, so the trace must be ordered by time
+        (:class:`~repro.core.errors.TraceFormatError` otherwise).
         """
         if width <= 0:
             raise ValueError("window width must be positive")
         if len(self.array) == 0:
             return
-        ts = self.array["ts"]
+        # One contiguous copy: searching the strided field view would copy
+        # it on every call.
+        ts = np.ascontiguousarray(self.array["ts"])
+        decreasing = np.flatnonzero(ts[1:] < ts[:-1])
+        if len(decreasing):
+            raise TraceFormatError(
+                f"trace is not ordered by time: packet {decreasing[0] + 1} "
+                "is earlier than the one before it (see Trace.sorted_by_time)"
+            )
         base = float(ts[0]) if origin is None else origin
         last = float(ts[-1])
         start = base
         while start <= last:
             end = start + width
-            yield start, self.time_range(start, end)
+            lo, hi = np.searchsorted(ts, (start, end), side="left")
+            yield start, Trace(self.array[lo:hi], self.qnames, self.payloads)
             start = end
 
     @staticmethod

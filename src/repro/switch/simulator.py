@@ -106,8 +106,12 @@ class InstalledInstance:
     packets_seen: int = 0
     packets_surviving: int = 0
     tuples_mirrored: int = 0
+    #: Fields the switch operators and the mirror read; each window's
+    #: state is projected to these before the first operator.
+    read_fields: frozenset[str] = field(init=False, default=frozenset())
 
     def __post_init__(self) -> None:
+        self.read_fields = self._read_fields()
         for table in self.tables:
             if table.stateful:
                 if table.register is None:
@@ -117,6 +121,15 @@ class InstalledInstance:
                 self.chains[table.operator_index] = RegisterChain(table.register)
                 if table.folded_filter is not None:
                     self.folded_by_op[table.operator_index] = table.folded_filter
+
+    def _read_fields(self) -> frozenset[str]:
+        schemas = self.compiled.schemas
+        fields = set(schemas[self.n_operators].fields)
+        for i, op in enumerate(self.compiled.subquery.operators[: self.n_operators]):
+            fields.update(op.input_fields())
+            if isinstance(op, Distinct):
+                fields.update(op.effective_keys(schemas[i]))
+        return frozenset(fields)
 
     @property
     def last_op_stateful(self) -> bool:
@@ -609,6 +622,7 @@ class PISASwitch:
         inst.packets_seen += len(rows)
         ops = inst.compiled.subquery.operators[: inst.n_operators]
         schemas = inst.compiled.schemas
+        state = state.project(inst.read_fields)
         sel = rows
         i = 0
         while i < len(ops):

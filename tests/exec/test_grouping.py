@@ -1,0 +1,154 @@
+"""``group_first_occurrence`` against a pure-Python first-occurrence dict.
+
+The kernel packs every key column into one ``uint64`` code and groups
+with a 1-D sort, densifying when the packed key would pass 64 bits. These
+tests pin its outputs (values, dtypes, order) to the row-wise definition:
+keys numbered in the order the rows first show them, float columns
+compared by their bit patterns.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.exec import ColumnarState, group_first_occurrence
+from repro.exec import kernels
+
+I64 = np.iinfo(np.int64)
+
+
+def _cell(column: np.ndarray, i: int) -> int:
+    value = column[i]
+    if column.dtype.kind == "f":
+        return int(np.array([value], dtype=np.float64).view(np.int64)[0])
+    return int(value)
+
+
+def reference(columns: dict[str, np.ndarray]):
+    """First-occurrence grouping with a dict, one row at a time."""
+    n = len(next(iter(columns.values())))
+    ids: dict[tuple, int] = {}
+    first_rows: list[int] = []
+    inverse: list[int] = []
+    for i in range(n):
+        key = tuple(_cell(col, i) for col in columns.values())
+        if key not in ids:
+            ids[key] = len(ids)
+            first_rows.append(i)
+        inverse.append(ids[key])
+    unique = np.array(list(ids), dtype=np.int64).reshape(len(ids), len(columns))
+    return (
+        unique,
+        np.array(first_rows, dtype=np.int64),
+        np.array(inverse, dtype=np.int64),
+    )
+
+
+def assert_matches_reference(columns: dict[str, np.ndarray]) -> None:
+    state = ColumnarState(columns=columns)
+    got = group_first_occurrence(state, list(columns))
+    want = reference(columns)
+    for name, g, w in zip(("unique", "first_rows", "inverse"), got, want):
+        assert g.dtype == w.dtype, name
+        assert g.shape == w.shape, name
+        assert np.array_equal(g, w), name
+    assert (np.diff(got[1]) > 0).all()
+
+
+_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1.5, -2.25]
+
+_COLUMN_KINDS = {
+    "small": (np.int64, st.integers(0, 7)),
+    "negative": (np.int32, st.integers(-3, 3)),
+    "port": (np.uint16, st.integers(0, 2**16 - 1)),
+    "ip": (np.uint32, st.integers(0, 2**32 - 1)),
+    "wide": (np.int64, st.sampled_from([I64.min, I64.max, -1, 0, 1, 2**40])),
+    "full": (np.int64, st.integers(I64.min, I64.max)),
+    "float": (np.float64, st.sampled_from(_FLOATS)),
+}
+
+
+@st.composite
+def grouping_columns(draw) -> dict[str, np.ndarray]:
+    n = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=4))
+    columns = {}
+    for j, kind in enumerate(kinds):
+        dtype, values = _COLUMN_KINDS[kind]
+        # Few distinct values per column, so groups repeat.
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        cells = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        columns[f"k{j}"] = np.array(cells, dtype=dtype)
+    return columns
+
+
+class TestGroupFirstOccurrence:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grouping_columns())
+    def test_matches_reference(self, columns):
+        assert_matches_reference(columns)
+
+    def test_empty_state(self):
+        state = ColumnarState(columns={"a": np.empty(0, dtype=np.uint32)})
+        unique, first_rows, inverse = group_first_occurrence(state, ["a"])
+        assert unique.shape == (0, 1) and unique.dtype == np.int64
+        assert first_rows.dtype == np.int64 and len(first_rows) == 0
+        assert inverse.dtype == np.int64 and len(inverse) == 0
+
+    def test_one_row(self):
+        assert_matches_reference({"a": np.array([5], dtype=np.uint32)})
+
+    def test_int64_extremes_in_one_column(self):
+        assert_matches_reference(
+            {"a": np.array([I64.max, I64.min, 0, I64.max, -1, I64.min])}
+        )
+
+    def test_negative_ids(self):
+        assert_matches_reference(
+            {
+                "name": np.array([-1, 3, -1, 0, 3, -1], dtype=np.int32),
+                "port": np.array([80, 80, 80, 53, 80, 53], dtype=np.uint16),
+            }
+        )
+
+    def test_float_bits(self):
+        # 0.0 and -0.0 differ by their sign bit, so they group apart;
+        # every nan with the same bits groups together.
+        columns = {"ts": np.array([0.0, -0.0, np.nan, np.inf, 0.0, np.nan, -0.0])}
+        assert_matches_reference(columns)
+        state = ColumnarState(columns=columns)
+        _unique, first_rows, _inverse = group_first_occurrence(state, ["ts"])
+        assert first_rows.tolist() == [0, 1, 2, 3]
+
+    def test_widths_summing_to_64_pack_without_densify(self):
+        rng = np.random.default_rng(7)
+        columns = {
+            "hi": rng.choice(np.array([0, 2**32 - 1], dtype=np.uint32), 50),
+            "lo": rng.choice(np.array([0, 1, 2**32 - 1], dtype=np.uint32), 50),
+        }
+        with mock.patch.object(kernels, "_densify", wraps=kernels._densify) as spy:
+            assert_matches_reference(columns)
+        assert spy.call_count == 0
+
+    def test_wide_keys_densify_code_and_column(self):
+        # Three full-span columns: the second forces the running code to
+        # dense ids, and the column itself is still too wide to fit.
+        rng = np.random.default_rng(11)
+        pool = np.array([I64.min, I64.max, 0, -5, 2**62], dtype=np.int64)
+        columns = {f"k{j}": rng.choice(pool, 60) for j in range(3)}
+        with mock.patch.object(kernels, "_densify", wraps=kernels._densify) as spy:
+            assert_matches_reference(columns)
+        assert spy.call_count == 4
+
+    def test_three_32_bit_columns(self):
+        rng = np.random.default_rng(3)
+        columns = {
+            name: rng.choice(rng.integers(0, 2**32, 4), 80).astype(np.uint32)
+            for name in ("dIP", "sIP", "seq")
+        }
+        with mock.patch.object(kernels, "_densify", wraps=kernels._densify) as spy:
+            assert_matches_reference(columns)
+        assert spy.call_count >= 1

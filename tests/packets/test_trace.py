@@ -110,6 +110,45 @@ class TestWindows:
         with pytest.raises(ValueError):
             list(Trace.empty().windows(0))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        ts=st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 6.0, 7.5, 9.0, 12.0]),
+            min_size=1,
+            max_size=30,
+        ),
+        width=st.sampled_from([0.5, 1.0, 3.0]),
+        origin=st.sampled_from([None, -2.0, 0.0, 1.0]),
+    )
+    def test_windows_equal_time_range(self, ts, width, origin):
+        # Sorted traces with repeated timestamps, packets exactly on window
+        # edges, empty interior windows and origins before the first packet.
+        trace = Trace.from_packets([Packet(ts=t, sip=i) for i, t in enumerate(sorted(ts))])
+        windows = list(trace.windows(width, origin=origin))
+        base = min(ts) if origin is None else origin
+        assert sum(len(w) for _, w in windows) == sum(t >= base for t in ts)
+        for start, window in windows:
+            expected = trace.time_range(start, start + width)
+            assert np.array_equal(window.array, expected.array)
+            assert window.qnames is trace.qnames
+            assert window.payloads is trace.payloads
+
+    def test_packet_on_window_edge_opens_next_window(self):
+        packets = [Packet(ts=t) for t in (0.0, 2.9, 3.0, 3.0, 6.0)]
+        windows = list(Trace.from_packets(packets).windows(3.0))
+        assert [len(w) for _, w in windows] == [2, 2, 1]
+
+    def test_origin_before_first_packet(self):
+        packets = [Packet(ts=t) for t in (5.0, 5.5, 9.0)]
+        windows = list(Trace.from_packets(packets).windows(2.0, origin=0.0))
+        assert [s for s, _ in windows] == [0.0, 2.0, 4.0, 6.0, 8.0]
+        assert [len(w) for _, w in windows] == [0, 0, 2, 0, 1]
+
+    def test_unsorted_trace_rejected(self):
+        packets = [Packet(ts=t) for t in (0.0, 4.0, 1.0)]
+        with pytest.raises(TraceFormatError, match="packet 2"):
+            list(Trace.from_packets(packets).windows(3.0))
+
     def test_time_range(self):
         trace = Trace.from_packets(make_packets(10))
         sub = trace.time_range(2.0, 5.0)

@@ -53,6 +53,15 @@ class TestInstall:
         stages = [inst.stage_of[t.name] for t in inst.tables]
         assert stages == sorted(stages) and len(set(stages)) == len(stages)
 
+    def test_read_fields_cover_operators_and_mirror(self):
+        switch = PISASwitch()
+        compiled = compiled_newly_opened()
+        reduced = switch.install("reduced", compiled, 4, size_tables(compiled, 4))
+        assert reduced.read_fields == {"tcp.flags", "ipv4.dIP", "count"}
+        # A filter-only cut mirrors whole packets, so it reads every field.
+        filtered = switch.install("filtered", compiled, 1, size_tables(compiled, 1))
+        assert filtered.read_fields == set(compiled.schemas[0].fields)
+
     def test_duplicate_key_rejected(self):
         switch = PISASwitch()
         compiled = compiled_newly_opened()
