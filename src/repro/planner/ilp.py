@@ -6,7 +6,8 @@ Decision variables (names follow the paper):
 - ``F[q,r1,r2]``    — level r2 executes after r1 for query q;
 - ``P[q,sub,r1,r2,cut]`` — the sub-query instance at transition r1→r2 is
   cut after ``cut`` operators (cut 0 = nothing on the switch);
-- ``X[q,sub,r1,r2,t,s]`` — table t of that instance sits in stage s;
+- ``X[q,sub,r1,r2,t,s]`` — *stateful* table t of that instance sits in
+  stage s;
 - ``Z[q,r1,r2]``    — some sub-query of q mirrors the raw stream at this
   transition (sub-queries of one query share a raw mirror stream, so the
   window's packet count is charged once per query, not per sub-query).
@@ -14,9 +15,15 @@ Decision variables (names follow the paper):
 Constraints: C1 register bits/stage, C2 stateful actions/stage, C3 stage
 count, C4 intra-query table ordering, C5 PHV metadata budget, plus the
 refinement-path flow conservation and per-query detection-delay bound of
-§4.2. Join sub-queries share the same ``I``/``F`` variables by
-construction, which is the paper's "both sub-queries use the same
-refinement plan" constraint.
+§4.2. Stateless tables use no stage, bit or stateful budget, so they get
+no ``X``: C3/C4 become chain offsets on the stateful stages (a table at
+chain index j starts at stage j or later, the tables after it fit below
+S, consecutive stateful tables i < j sit at least j-i stages apart), and
+the decoder places the stateless tables in the gaps. Cuts that no
+placement can install (a chain longer than S, a register over the
+single-register cap) are pinned to 0. Join sub-queries share the same
+``I``/``F`` variables by construction, which is the paper's "both
+sub-queries use the same refinement plan" constraint.
 
 Table 4's baseline systems are emulated by fixing variables — e.g.
 Fix-REF pins every ``I[q,r]`` to 1, All-SP pins every cut to 0 — exactly
@@ -25,6 +32,7 @@ the methodology of §6.1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.errors import PlanningError
@@ -34,6 +42,7 @@ from repro.planner.milp_model import MilpModel, MilpSolution
 from repro.planner.plans import InstancePlan, Plan, QueryPlan
 from repro.planner.refinement import ROOT_LEVEL, filter_table_name
 from repro.switch.config import SwitchConfig
+from repro.switch.tables import LogicalTable
 
 #: Tie-break weights: when tuple costs are equal, prefer fewer refinement
 #: levels (less detection delay) and *deeper* cuts (running as much of the
@@ -114,14 +123,27 @@ class PlanILP:
             return [c for c in cuts if c <= limit]
         return cuts
 
+    def _unplaceable(self, tables: list[LogicalTable]) -> bool:
+        """Can no stage placement install this cut's tables at all?
+
+        A chain longer than the switch has stages breaks C3/C4, and a
+        register over ``max_single_register_bits`` breaks the switch's
+        single-register cap; the MILP pins such cuts to 0.
+        """
+        return len(tables) > self.config.stages or any(
+            t.stateful and t.register_bits > self.config.max_single_register_bits
+            for t in tables
+        )
+
     def build(self) -> None:
         model = self.model
-        stages = range(self.config.stages)
+        n_stages = self.config.stages
+        stages = range(n_stages)
 
         # Per-stage resource accumulators, filled while walking instances.
         bits_per_stage: list[dict[str, float]] = [dict() for _ in stages]
         stateful_per_stage: list[dict[str, float]] = [dict() for _ in stages]
-        tables_per_stage: list[dict[str, float]] = [dict() for _ in stages]
+        tables_installed: dict[str, float] = {}
         metadata_terms: dict[str, float] = {}
         objective: dict[str, float] = {}
 
@@ -187,15 +209,24 @@ class PlanILP:
                 for subid, tc in per_sub.items():
                     cuts = self._allowed_cuts(tc)
                     pnames = {}
+                    # Tables installed by each cut: a prefix of the chain.
+                    length = {}
                     max_cut = max(cuts)
                     for cut in cuts:
-                        pname = model.add_binary(self._pv(qid, subid, r1, r2, cut))
+                        tables = tc.tables_for_cut(cut)
+                        pname = model.add_var(
+                            self._pv(qid, subid, r1, r2, cut),
+                            integer=True,
+                            upper=0.0 if self._unplaceable(tables) else 1.0,
+                        )
                         pnames[cut] = pname
+                        length[cut] = len(tables)
                         cost = tc.cost_of(cut)
                         objective[pname] = _EPS_SHALLOW_CUT * (max_cut - cut)
                         if cut > 0:
                             objective[pname] += cost.n_tuples
                         metadata_terms[pname] = float(cost.metadata_bits)
+                        tables_installed[pname] = float(length[cut])
                     # Exactly F instances of this sub-query run.
                     coeffs = {p: 1.0 for p in pnames.values()}
                     coeffs[self._fv(qid, r1, r2)] = -1.0
@@ -206,76 +237,88 @@ class PlanILP:
                             {zname: 1.0, pnames[0]: -1.0}, lower=0.0
                         )
 
-                    # Stage assignment for each potentially installed table.
-                    prev_stage_expr: dict[str, float] | None = None
-                    for t_index, table in enumerate(tc.compiled.tables):
-                        end = table.operator_index + 1
-                        if table.folded_filter is not None:
-                            end += 1
-                        installers = [
-                            pnames[cut] for cut in cuts if cut >= end and cut > 0
-                        ]
+                    # Stage binaries for the stateful tables only. The
+                    # stateless tables around them need no variables: C4
+                    # only asks for room, so chain offsets bound each
+                    # stateful stage and the decoder places the rest.
+                    prev: tuple[int, dict[str, float]] | None = None
+                    for j, table in enumerate(tc.sized_tables):
+                        if not table.stateful:
+                            continue
                         xnames = [
-                            model.add_binary(self._xv(qid, subid, r1, r2, t_index, s))
+                            model.add_binary(self._xv(qid, subid, r1, r2, j, s))
                             for s in stages
                         ]
+                        stage_of = {x: float(s) for s, x in zip(stages, xnames)}
+                        installers = [pnames[c] for c in cuts if length[c] > j]
                         # sum_s X = installed (= sum of cuts that include t).
                         coeffs = {x: 1.0 for x in xnames}
                         for p in installers:
-                            coeffs[p] = coeffs.get(p, 0.0) - 1.0
+                            coeffs[p] = -1.0
                         model.add_equality(coeffs, 0.0)
 
-                        # Resource usage per stage.
-                        sized = next(
-                            st for st in tc.sized_tables if st.name == table.name
-                        )
-                        for s, x in zip(stages, xnames):
-                            tables_per_stage[s][x] = 1.0
-                            if table.stateful:
-                                stateful_per_stage[s][x] = 1.0
-                                bits_per_stage[s][x] = float(sized.register_bits)
+                        # The j tables before t need stages 0..stage(t)-1:
+                        # stage(t) >= j * installed(t).
+                        coeffs = dict(stage_of)
+                        for p in installers:
+                            coeffs[p] = -float(j)
+                        model.add_constraint(coeffs, lower=0.0)
+                        # The L_c-1-j tables after t need the stages above:
+                        # stage(t) + sum_c P_c (L_c-1-j) <= S-1.
+                        coeffs = dict(stage_of)
+                        for c in cuts:
+                            if length[c] > j + 1:
+                                coeffs[pnames[c]] = float(length[c] - 1 - j)
+                        model.add_constraint(coeffs, upper=float(n_stages - 1))
 
-                        # C4: strictly increasing stages along the chain.
-                        # If t is installed: stage(t) >= stage(t-1) + 1.
-                        # Encoded as stage(t) - stage(t-1) - big*installed_t
-                        # >= 1 - big  (vacuous when t is not installed,
-                        # binding otherwise), with big = |S|.
-                        stage_expr = {
-                            x: float(s) for s, x in zip(stages, xnames)
-                        }
-                        if prev_stage_expr is not None:
-                            big = float(self.config.stages)
+                        # The i..j gap to the previous stateful table holds
+                        # its j-i-1 stateless tables: when t is installed,
+                        # stage(t) - stage(t_i) >= j-i. The big-M must be
+                        # S + (j-i): with S alone it would cap stage(t_i)
+                        # at S-(j-i) when t is absent.
+                        if prev is not None:
+                            i, prev_stage_of = prev
+                            big = float(n_stages + j - i)
                             coeffs = {
                                 x: float(s) - big for s, x in zip(stages, xnames)
                             }
-                            for name, value in prev_stage_expr.items():
-                                coeffs[name] = coeffs.get(name, 0.0) - value
-                            model.add_constraint(coeffs, lower=1.0 - big)
-                        prev_stage_expr = stage_expr
+                            for name, value in prev_stage_of.items():
+                                coeffs[name] = -value
+                            model.add_constraint(coeffs, lower=float(j - i) - big)
+                        prev = (j, stage_of)
 
-        # C1/C2 and the per-stage action budget.
-        for s in range(self.config.stages):
+                        # C1/C2 usage per stage.
+                        for s, x in zip(stages, xnames):
+                            stateful_per_stage[s][x] = 1.0
+                            bits_per_stage[s][x] = float(table.register_bits)
+
+        # C1/C2. A stateful table also takes a slot of the per-stage table
+        # budget, so a stage holds at most min(A, that budget) of them.
+        stateful_cap = min(
+            self.config.stateful_actions_per_stage,
+            self.config.stateless_actions_per_stage,
+        )
+        for s in stages:
             if bits_per_stage[s]:
-                self.model.add_constraint(
+                model.add_constraint(
                     bits_per_stage[s], upper=float(self.config.register_bits_per_stage)
                 )
             if stateful_per_stage[s]:
-                self.model.add_constraint(
-                    stateful_per_stage[s],
-                    upper=float(self.config.stateful_actions_per_stage),
-                )
-            if tables_per_stage[s]:
-                self.model.add_constraint(
-                    tables_per_stage[s],
-                    upper=float(self.config.stateless_actions_per_stage),
-                )
+                model.add_constraint(stateful_per_stage[s], upper=float(stateful_cap))
+        # The per-stage table budget, summed over the switch; the decoder
+        # checks it stage by stage.
+        if tables_installed:
+            model.add_constraint(
+                tables_installed,
+                upper=float(self.config.stateless_actions_per_stage * n_stages),
+            )
         # C5: PHV metadata across all installed instances.
         if metadata_terms:
-            self.model.add_constraint(
+            model.add_constraint(
                 metadata_terms, upper=float(self.config.metadata_bits)
             )
 
-        self.model.set_objective(objective)
+        model.set_objective(objective)
 
     # -- solve + decode ----------------------------------------------------
     def solve(self) -> Plan:
@@ -346,13 +389,11 @@ class PlanILP:
                         )
                     tables = tc.tables_for_cut(cut)
                     assignment: dict[str, int] = {}
-                    for t_index, table in enumerate(tc.compiled.tables):
-                        if table.name not in {t.name for t in tables}:
+                    for j, table in enumerate(tables):
+                        if not table.stateful:
                             continue
                         for s in range(self.config.stages):
-                            if solution.binary(
-                                self._xv(qid, subid, r1, r2, t_index, s)
-                            ):
+                            if solution.binary(self._xv(qid, subid, r1, r2, j, s)):
                                 assignment[table.name] = s
                                 break
                     cost = tc.cost_of(cut)
@@ -366,7 +407,7 @@ class PlanILP:
                             augmented=tc.augmented,
                             compiled=tc.compiled,
                             tables=tables,
-                            stage_assignment=assignment or None,
+                            stage_assignment=assignment if tables else None,
                             residual_ops=tc.compiled.residual_operators(cut),
                             est_tuples=cost.n_tuples,
                             read_filter_table=(
@@ -385,6 +426,9 @@ class PlanILP:
             )
             query_plans[qid] = plan
             total += plan.est_tuples_per_window
+        self._place_stateless(
+            [inst for qp in query_plans.values() for inst in qp.instances]
+        )
         return Plan(
             mode=self.mode,
             switch_config=self.config,
@@ -395,5 +439,55 @@ class PlanILP:
                 "status": solution.status,
                 "message": solution.message,
                 "variables": self.model.n_vars,
+                "constraints": self.model.n_constraints,
             },
         )
+
+    def _place_stateless(self, instances: list[InstancePlan]) -> None:
+        """Give each stateless table the earliest stage it fits in.
+
+        The MILP placed the stateful tables. A stateless table goes to the
+        earliest stage after its predecessor whose table budget
+        (``stateless_actions_per_stage``, stateful tables included) has
+        room, and before its stateful successor. The chain-offset
+        constraints leave enough stages for this whenever that budget
+        does not bind; when it does, planning fails here.
+        """
+        budget = self.config.stateless_actions_per_stage
+        used = Counter(
+            stage
+            for inst in instances
+            if inst.stage_assignment
+            for stage in inst.stage_assignment.values()
+        )
+        for inst in instances:
+            if not inst.tables:
+                continue
+            placed: dict[str, int] = {}
+            previous = -1
+            for k, table in enumerate(inst.tables):
+                if table.stateful:
+                    stage = inst.stage_assignment[table.name]
+                else:
+                    limit = next(
+                        (
+                            inst.stage_assignment[t.name]
+                            for t in inst.tables[k + 1:]
+                            if t.stateful
+                        ),
+                        self.config.stages,
+                    )
+                    stage = next(
+                        (s for s in range(previous + 1, limit) if used[s] < budget),
+                        None,
+                    )
+                    if stage is None:
+                        raise PlanningError(
+                            f"{inst.key}: table {table.name} needs a stage in "
+                            f"[{previous + 1}, {limit}) with room under the per-stage "
+                            f"table budget (stateless_actions_per_stage={budget})"
+                        )
+                    used[stage] += 1
+                placed[table.name] = stage
+                previous = stage
+            inst.stage_assignment = placed

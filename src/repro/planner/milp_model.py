@@ -64,6 +64,10 @@ class MilpModel:
     def n_vars(self) -> int:
         return len(self._names)
 
+    @property
+    def n_constraints(self) -> int:
+        return len(self._constraints)
+
     # -- constraints / objective ---------------------------------------------
     def add_constraint(
         self,

@@ -112,6 +112,11 @@ class QueryPlanner:
             else:
                 raise PlanningError(f"unknown solver {solver!r}")
             span.set_attribute("est_tuples_per_window", plan.est_total_tuples)
+            if "variables" in plan.solver_info:
+                span.set_attribute("milp_vars", plan.solver_info["variables"])
+                span.set_attribute(
+                    "milp_constraints", plan.solver_info["constraints"]
+                )
             if "fallback" in plan.solver_info:
                 logger.info("planner fallback: %s", plan.solver_info["fallback"])
                 self.obs.event(

@@ -3,8 +3,8 @@
 Each dataflow operator compiles to one table (filter, map) or two
 (reduce/distinct: an index-computation table plus a stateful update table,
 §3.1.2). The planner's stage-assignment variables X_{q,t,s} range over
-these tables; per-stage budgets count ``stateful`` tables against A and
-their ``register`` bits against B.
+the ``stateful`` tables, which count against A and whose ``register``
+bits count against B; the stateless ones are placed around them.
 """
 
 from __future__ import annotations

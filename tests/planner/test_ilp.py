@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.core.errors import PlanningError
 from repro.packets import Trace, attacks
 from repro.planner.costs import CostEstimator
 from repro.planner.ilp import PlanILP
 from repro.planner.refinement import RefinementSpec
 from repro.queries.library import build_query
 from repro.switch.config import KB, SwitchConfig
+from repro.switch.simulator import PISASwitch
 
 VICTIM = 0x0A000001
 
@@ -87,3 +89,63 @@ class TestSection33Scenario:
         plan = PlanILP(costs, SwitchConfig.paper_default(), mode="sonata").solve()
         assert plan.solver_info["status"] == 0
         assert plan.solver_info["variables"] > 0
+        assert plan.solver_info["constraints"] > 0
+
+
+def _install(plan, config):
+    switch = PISASwitch(config)
+    for inst in plan.all_instances():
+        if inst.on_switch:
+            switch.install(
+                inst.key,
+                inst.compiled,
+                inst.cut,
+                sized_tables=inst.tables,
+                stage_assignment=inst.stage_assignment,
+            )
+    return switch
+
+
+class TestStageEncoding:
+    def test_stage_binaries_only_for_stateful_tables(self, costs):
+        ilp = PlanILP(costs, SwitchConfig.paper_default(), mode="sonata")
+        ilp.build()
+        for qid, qc in costs.items():
+            for (r1, r2), per_sub in qc.transitions.items():
+                for subid, tc in per_sub.items():
+                    for j, table in enumerate(tc.sized_tables):
+                        assert ilp.model.has_var(
+                            ilp._xv(qid, subid, r1, r2, j, 0)
+                        ) == table.stateful
+
+    def test_every_installed_table_gets_a_stage(self, costs):
+        plan = PlanILP(costs, SwitchConfig.paper_default(), mode="sonata").solve()
+        for inst in plan.all_instances():
+            if inst.on_switch:
+                assert set(inst.stage_assignment) == {t.name for t in inst.tables}
+
+    def test_register_over_the_single_cap_is_not_planned(self, costs):
+        """A cut whose register exceeds the single-register cap is pinned
+        to 0, so the plan installs instead of failing on the switch."""
+        biggest = max(
+            t.register_bits
+            for qc in costs.values()
+            for per_sub in qc.transitions.values()
+            for tc in per_sub.values()
+            for t in tc.sized_tables
+        )
+        config = SwitchConfig(max_single_register_bits=biggest - 1)
+        plan = PlanILP(costs, config, mode="max_dp").solve()
+        for inst in plan.all_instances():
+            assert all(t.register_bits < biggest for t in inst.tables)
+        _install(plan, config)
+
+    @pytest.mark.parametrize("stages", [2, 4, 16])
+    def test_one_table_per_stage_installs_or_names_the_budget(self, costs, stages):
+        config = SwitchConfig(stages=stages, stateless_actions_per_stage=1)
+        try:
+            plan = PlanILP(costs, config, mode="sonata").solve()
+        except PlanningError as exc:
+            assert "stateless_actions_per_stage" in str(exc)
+            return
+        _install(plan, config)

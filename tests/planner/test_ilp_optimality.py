@@ -4,17 +4,28 @@ Hypothesis rewrites a single query's per-cut tuple costs, then compares the
 ILP's chosen plan cost against exhaustive enumeration of (refinement path,
 cut per transition) under a resource-rich switch. Any gap means a bug in
 the flow-conservation or objective encoding.
+
+A second reference covers tight switches (2–7 stages, 1–2 stateful
+actions, small register budgets): it enumerates every (path, cut per
+transition) of two queries and checks each candidate's feasibility with an
+exhaustive backtracking stage placement, so the stage encoding (chain
+offsets, the gap between stateful tables, the pinned cuts) must lose no
+plan the switch could install.
 """
 
+import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.evaluation.workloads import build_workload
 from repro.packets import attacks
 from repro.planner.costs import CostEstimator, CutCost
-from repro.planner.ilp import PlanILP
+from repro.planner.ilp import _EPS_LEVEL, _EPS_SHALLOW_CUT, PlanILP
 from repro.planner.refinement import ROOT_LEVEL, RefinementSpec
 from repro.queries.library import build_query
-from repro.switch.config import SwitchConfig
+from repro.switch.config import KB, SwitchConfig
+from repro.switch.simulator import PISASwitch
 
 VICTIM = 0x0A000001
 LEVELS = (8, 16, 32)
@@ -93,3 +104,171 @@ class TestOptimality:
         assert plan.est_total_tuples <= expected + 1e-6
         # The ILP can't beat exhaustive search either.
         assert plan.est_total_tuples >= expected - 1e-6
+
+
+# -- tight switches: the stage-placement encoding against exhaustive search --
+
+TIGHT_LEVELS = (16, 32)
+
+
+def _tight_costs():
+    """ddos and superspreader: two stateful tables three tables apart."""
+    workload = build_workload(["ddos", "superspreader"], duration=3, pps=1000, seed=7)
+    queries = [build_query("ddos", qid=1), build_query("superspreader", qid=2)]
+    estimator = CostEstimator(
+        queries,
+        workload.trace,
+        window=3.0,
+        refinement_specs={
+            1: RefinementSpec("ipv4.dIP", TIGHT_LEVELS),
+            2: RefinementSpec("ipv4.sIP", TIGHT_LEVELS),
+        },
+    )
+    return estimator.estimate()
+
+
+_TIGHT = _tight_costs()
+
+
+def _query_options(qc):
+    """Every (path, cut per transition) of one query, with its objective
+    terms as the ILP counts them, its tuple cost and installed instances."""
+    for path in ((32,), (16, 32)):
+        per_transition = []
+        prev = ROOT_LEVEL
+        for level in path:
+            (tc,) = qc.transitions[(prev, level)].values()
+            per_transition.append(tc)
+            prev = level
+        for cuts in itertools.product(*(tc.cut_options() for tc in per_transition)):
+            tuples = 0.0
+            objective = _EPS_LEVEL * len(path)
+            installed = []
+            for tc, cut in zip(per_transition, cuts):
+                cost = qc.window_packets if cut == 0 else tc.cost_of(cut).n_tuples
+                tuples += cost
+                objective += cost + _EPS_SHALLOW_CUT * (max(tc.cut_options()) - cut)
+                if cut > 0:
+                    installed.append(
+                        (tc.tables_for_cut(cut), tc.cost_of(cut).metadata_bits)
+                    )
+            yield objective, tuples, installed
+
+
+def _placeable(chains: list[list], config: SwitchConfig) -> bool:
+    """Exhaustive backtracking: does some stage assignment fit every chain?"""
+    count = [0] * config.stages
+    stateful = [0] * config.stages
+    bits = [0] * config.stages
+
+    def fits(index: int) -> bool:
+        if index == len(chains):
+            return True
+        tables = chains[index]
+        for stages in itertools.combinations(range(config.stages), len(tables)):
+            placed = []
+            for table, s in zip(tables, stages):
+                count[s] += 1
+                if table.stateful:
+                    stateful[s] += 1
+                    bits[s] += table.register_bits
+                placed.append((table, s))
+            ok = all(
+                count[s] <= config.stateless_actions_per_stage
+                and stateful[s] <= config.stateful_actions_per_stage
+                and bits[s] <= config.register_bits_per_stage
+                for s in stages
+            )
+            if ok and fits(index + 1):
+                return True
+            for table, s in placed:
+                count[s] -= 1
+                if table.stateful:
+                    stateful[s] -= 1
+                    bits[s] -= table.register_bits
+        return False
+
+    return fits(0)
+
+
+def _feasible(installed, config: SwitchConfig) -> bool:
+    if sum(meta for _, meta in installed) > config.metadata_bits:
+        return False
+    tables = [t for chain, _ in installed for t in chain]
+    if any(
+        t.stateful and t.register_bits > config.max_single_register_bits
+        for t in tables
+    ):
+        return False
+    return _placeable([chain for chain, _ in installed], config)
+
+
+def _tight_brute_force(costs, config: SwitchConfig) -> tuple[float, float]:
+    """(objective, tuples) of the best feasible plan, by full enumeration."""
+    candidates = sorted(
+        (
+            (oa + ob, ta + tb, ia + ib)
+            for oa, ta, ia in _query_options(costs[1])
+            for ob, tb, ib in _query_options(costs[2])
+        ),
+        key=lambda c: c[0],
+    )
+    for objective, tuples, installed in candidates:
+        if _feasible(installed, config):
+            return objective, tuples
+    raise AssertionError("all-SP is always feasible")
+
+
+TIGHT_CONFIGS = [
+    SwitchConfig(
+        stages=stages,
+        stateful_actions_per_stage=actions,
+        register_bits_per_stage=bits,
+        max_single_register_bits=cap,
+    )
+    for stages in (2, 3, 4, 7)
+    for actions in (1, 2)
+    # The second pair's cap admits the (0,16) distinct register but not
+    # the (0,32) one.
+    for bits, cap in ((700 * KB, 700 * KB), (1_300 * KB, 640 * KB))
+]
+
+
+class TestTightSwitchOptimality:
+    @pytest.mark.parametrize(
+        "config",
+        TIGHT_CONFIGS,
+        ids=lambda c: (
+            f"S{c.stages}A{c.stateful_actions_per_stage}"
+            f"B{c.register_bits_per_stage}cap{c.max_single_register_bits}"
+        ),
+    )
+    def test_ilp_matches_exhaustive_placement(self, config):
+        plan = PlanILP(_TIGHT, config, mode="sonata", mip_gap=1e-9).solve()
+        objective, tuples = _tight_brute_force(_TIGHT, config)
+        assert "fallback" not in plan.solver_info
+        assert plan.solver_info["objective"] == pytest.approx(objective, abs=1e-6)
+        assert plan.est_total_tuples == pytest.approx(tuples, abs=1e-6)
+        switch = PISASwitch(config)
+        for inst in plan.all_instances():
+            if inst.on_switch:
+                switch.install(
+                    inst.key,
+                    inst.compiled,
+                    inst.cut,
+                    sized_tables=inst.tables,
+                    stage_assignment=inst.stage_assignment,
+                )
+
+    def test_tight_grid_needs_the_gap_constraint(self):
+        """Some optimum installs both stateful tables of one instance."""
+        config = SwitchConfig(
+            stages=7,
+            stateful_actions_per_stage=1,
+            register_bits_per_stage=1_300 * KB,
+            max_single_register_bits=640 * KB,
+        )
+        plan = PlanILP(_TIGHT, config, mode="sonata", mip_gap=1e-9).solve()
+        assert any(
+            sum(t.stateful for t in inst.tables) == 2 for inst in plan.all_instances()
+        )

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.errors import PlanningError
+from repro.evaluation.workloads import build_workload
+from repro.obs import Observability
 from repro.packets import Trace, attacks
 from repro.planner import QueryPlanner, PlanningMode
 from repro.planner.refinement import RefinementSpec
@@ -152,3 +154,40 @@ class TestEightLevelPlanning:
         elapsed = time.perf_counter() - start
         assert plan.query_plans[1].path[-1] == 32
         assert elapsed < 60
+
+
+class TestRateSweep:
+    """The three smoke queries plan and install at every training rate.
+
+    At 10k-30k pps the sized ``ddos`` register exceeds the switch's
+    single-register cap; the planner must steer around it rather than hand
+    the switch a plan it refuses.
+    """
+
+    THREE = ["ddos", "newly_opened_tcp_conns", "superspreader"]
+
+    @pytest.mark.parametrize("pps", [3_000, 10_000, 20_000, 30_000, 60_000])
+    def test_plan_installs(self, pps):
+        trace = build_workload(self.THREE, duration=9, pps=pps, seed=7).trace
+        training = trace.time_range(trace.start_ts, trace.start_ts + 3.0)
+        planner = QueryPlanner(build_queries(self.THREE, window=3.0), training, window=3.0)
+        plan = planner.plan("sonata")  # verify_install: raises if it does not fit
+        assert "fallback" not in plan.solver_info
+        cap = planner.config.max_single_register_bits
+        assert all(
+            t.register_bits <= cap for inst in plan.all_instances() for t in inst.tables
+        )
+
+
+class TestPlannerObservability:
+    def test_solve_span_carries_the_milp_size(self, synflood_trace):
+        obs = Observability()
+        query = build_query("newly_opened_tcp_conns", qid=1, Th=10)
+        planner = QueryPlanner([query], synflood_trace, window=3.0, obs=obs)
+        plan = planner.plan("sonata")
+        greedy = planner.plan("sonata", solver="greedy")
+        ilp_span, greedy_span = obs.tracer.spans_named("planner.solve")
+        assert ilp_span.attrs["milp_vars"] == plan.solver_info["variables"]
+        assert ilp_span.attrs["milp_constraints"] == plan.solver_info["constraints"]
+        assert "milp_vars" not in greedy_span.attrs
+        assert "variables" not in greedy.solver_info
