@@ -9,7 +9,6 @@ semantics the row-wise interpreters use live in :mod:`repro.exec.alu`.
 """
 
 from repro.exec.alu import (
-    MERGE_FUNCS,
     UPDATE_FUNCS,
     aggregate_groups,
     init_value,
@@ -17,6 +16,7 @@ from repro.exec.alu import (
 )
 from repro.exec.columns import (
     ColumnarState,
+    canonical_state,
     is_str_field,
     materialize_rows,
     value_mask,
@@ -37,11 +37,11 @@ from repro.exec.kernels import (
 
 __all__ = [
     "UPDATE_FUNCS",
-    "MERGE_FUNCS",
     "init_value",
     "aggregate_groups",
     "running_groups",
     "ColumnarState",
+    "canonical_state",
     "is_str_field",
     "materialize_rows",
     "value_mask",

@@ -26,16 +26,6 @@ UPDATE_FUNCS: dict[str, Callable[[int, int], int]] = {
     "or": lambda old, arg: old | arg,
 }
 
-#: Merge two window-partial aggregates of the same key (used by the
-#: batched register bulk-load when a key is already resident).
-MERGE_FUNCS: dict[str, Callable[[int, int], int]] = {
-    "sum": lambda a, b: a + b,
-    "count": lambda a, b: a + b,
-    "max": max,
-    "min": min,
-    "or": lambda a, b: a | b,
-}
-
 
 def init_value(func: str, arg: int) -> int:
     """Stored value after the *first* update of a key.

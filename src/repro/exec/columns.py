@@ -11,7 +11,7 @@ Python values the row-wise engines produce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Collection
+from typing import TYPE_CHECKING, Any, Collection, Sequence
 
 import numpy as np
 
@@ -103,6 +103,57 @@ def materialize_rows(
         else:
             resolved[name] = col.tolist()  # tolist() yields Python ints
     return [{name: resolved[name][i] for name in names} for i in range(n)]
+
+
+def canonical_column(
+    state: ColumnarState, name: str
+) -> "tuple[np.ndarray, list | None]":
+    """Column with value-canonical ids, plus its canonical vocabulary.
+
+    Plain columns pass through. Vocab columns are remapped so that equal
+    values share one id and absent cells (-1, which the row engines read
+    as ``""``/``b""``) merge with the explicit empty value — canonical id
+    0 is always the empty value, so no -1 remains in the output.
+    """
+    vocab = state.vocabs.get(name)
+    if vocab is None:
+        return state.columns[name], None
+    missing: "str | bytes" = b"" if name == "payload" else ""
+    ids = state.columns[name].astype(np.int64, copy=False)
+    # Out-of-range ids materialize as the empty value in the row engines.
+    valid = (ids >= 0) & (ids < len(vocab))
+    present = np.unique(ids[valid])  # only the ids that occur are interned
+    canon_vocab: list = [missing]
+    intern: dict = {missing: 0}
+    remap = []
+    for value in (vocab[i] for i in present.tolist()):
+        canon = intern.get(value)
+        if canon is None:
+            canon = intern[value] = len(canon_vocab)
+            canon_vocab.append(value)
+        remap.append(canon)
+    out = np.zeros(len(ids), dtype=np.int64)
+    out[valid] = np.array(remap, dtype=np.int64)[np.searchsorted(present, ids[valid])]
+    return out, canon_vocab
+
+
+def canonical_state(state: ColumnarState, keys: Sequence[str]) -> ColumnarState:
+    """State whose key columns are safe to group (and hash) by raw id.
+
+    A state's vocabulary may hold duplicate entries (trace payload tables
+    are not deduplicated) and absent cells (-1) compare equal to
+    ``""``/``b""`` in the row engines, so every vocab-typed key column is
+    remapped to :func:`canonical_column` ids.
+    """
+    columns = dict(state.columns)
+    vocabs = dict(state.vocabs)
+    for k in keys:
+        if k in state.vocabs:
+            columns[k], vocabs[k] = canonical_column(state, k)
+    payloads = state.payloads
+    if "payload" in keys and "payload" in vocabs:
+        payloads = vocabs["payload"]  # ``contains`` resolves ids through it
+    return ColumnarState(columns=columns, vocabs=vocabs, payloads=payloads)
 
 
 def value_mask(state: ColumnarState, name: str, value: Any) -> np.ndarray:

@@ -240,10 +240,8 @@ class NetworkRuntime:
         shared memory, and ships back a :class:`RunReport` the parent
         merges in switch-id order — so parallel runs are tuple-for-tuple
         identical to serial ones, and ``workers=1`` *is* the serial path.
-        A repeated run repeats the first (refinement tables and fault
-        streams restart), with one caveat: workers rebuild per run, so
-        instances that fell back to raw-mirror stay fallen back only on
-        the serial path.
+        A repeated run repeats the first: the installed plan, refinement
+        tables and fault streams restart.
         """
         from repro.parallel import resolve_workers
 

@@ -18,7 +18,7 @@ returns:
   stream positions the serial path does.
 
 Workers rebuild pipelines *per run*. That loses nothing a serial run
-keeps except fallen-back instances: every ``run()`` restarts the
+keeps: every ``run()`` reinstalls fallen-back instances and restarts the
 refinement tables, and fault decisions are keyed by ``(scope, channel,
 window, stream, position)``, not by runtime identity, so a rebuilt
 pipeline draws what a reused serial one does.

@@ -62,6 +62,17 @@ def _leading_filter_count(costs: TransitionCosts) -> int:
     return count
 
 
+def allowed_cuts(costs: TransitionCosts, mode: str) -> list[int]:
+    """The cuts planning ``mode`` may choose for one instance (Table 4)."""
+    cuts = costs.cut_options()
+    if mode == "all_sp":
+        return [0]
+    if mode == "filter_dp":
+        limit = _leading_filter_count(costs)
+        return [c for c in cuts if c <= limit]
+    return cuts
+
+
 @dataclass
 class PlanILP:
     """Builds and decodes the query-planning MILP."""
@@ -113,15 +124,6 @@ class PlanILP:
         if qc.spec is None or not self._refinement_allowed:
             return (qc.native_level,)
         return qc.spec.levels
-
-    def _allowed_cuts(self, costs: TransitionCosts) -> list[int]:
-        cuts = costs.cut_options()
-        if self.mode == "all_sp":
-            return [0]
-        if self.mode == "filter_dp":
-            limit = _leading_filter_count(costs)
-            return [c for c in cuts if c <= limit]
-        return cuts
 
     def _unplaceable(self, tables: list[LogicalTable]) -> bool:
         """Can no stage placement install this cut's tables at all?
@@ -207,7 +209,7 @@ class PlanILP:
 
                 per_sub = qc.transitions[(r1, r2)]
                 for subid, tc in per_sub.items():
-                    cuts = self._allowed_cuts(tc)
+                    cuts = allowed_cuts(tc, self.mode)
                     pnames = {}
                     # Tables installed by each cut: a prefix of the chain.
                     length = {}
@@ -378,7 +380,7 @@ class PlanILP:
             for r1, r2 in transitions:
                 for subid, tc in qc.transitions[(r1, r2)].items():
                     cut = None
-                    for candidate in self._allowed_cuts(tc):
+                    for candidate in allowed_cuts(tc, self.mode):
                         if solution.binary(self._pv(qid, subid, r1, r2, candidate)):
                             cut = candidate
                             break

@@ -19,7 +19,7 @@ from repro.core.query import Query
 from repro.obs import get_observability
 from repro.packets.trace import Trace
 from repro.planner.costs import CostEstimator, QueryCosts, TransitionCosts
-from repro.planner.ilp import PlanILP, _leading_filter_count
+from repro.planner.ilp import PlanILP, allowed_cuts
 from repro.planner.plans import InstancePlan, Plan, QueryPlan
 from repro.planner.refinement import ROOT_LEVEL, filter_table_name
 from repro.switch.config import SwitchConfig
@@ -210,15 +210,6 @@ class GreedyPlanner:
                 paths.append(chosen)
         return paths
 
-    def _allowed_cuts(self, tc: TransitionCosts) -> list[int]:
-        cuts = tc.cut_options()
-        if self.mode == "all_sp":
-            return [0]
-        if self.mode == "filter_dp":
-            limit = _leading_filter_count(tc)
-            return [c for c in cuts if c <= limit]
-        return cuts
-
     def _path_cost(self, qc: QueryCosts, path: tuple[int, ...]) -> float:
         total = 0.0
         prev = ROOT_LEVEL
@@ -226,7 +217,7 @@ class GreedyPlanner:
             per_sub = qc.transitions[(prev, level)]
             raw_mirror = False
             for tc in per_sub.values():
-                cuts = self._allowed_cuts(tc)
+                cuts = allowed_cuts(tc, self.mode)
                 best = min(
                     (tc.cost_of(c).n_tuples if c > 0 else float("inf"))
                     for c in cuts
@@ -277,7 +268,7 @@ class GreedyPlanner:
         ok = True
         for level in path:
             for subid, tc in qc.transitions[(prev, level)].items():
-                cuts = sorted(self._allowed_cuts(tc), reverse=True)
+                cuts = sorted(allowed_cuts(tc, self.mode), reverse=True)
                 chosen = None
                 for cut in cuts:
                     if cut == 0:

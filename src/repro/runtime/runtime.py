@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.analytics import execute_subquery
 from repro.core.errors import PlanningError
+from repro.core.fields import FIELDS
 from repro.obs import MetricsSnapshot, get_observability
 from repro.packets.trace import Trace
 from repro.planner.plans import InstancePlan, Plan, QueryPlan
@@ -31,6 +32,7 @@ from repro.planner.refinement import filter_table_name
 from repro.runtime.emitter import Emitter
 from repro.streaming.engine import StreamProcessor
 from repro.streaming.rowops import Row
+from repro.switch.mirror import MirroredBatch, MirroredTuple
 from repro.switch.simulator import PISASwitch
 
 logger = logging.getLogger(__name__)
@@ -225,9 +227,6 @@ class SonataRuntime:
         #: Filter-table updates deferred by the fault injector; applied at
         #: the start of the next window (stale-plan semantics).
         self._pending_filter_updates: list[tuple[str, set]] = []
-        #: Instances degraded to raw-mirror execution (exact, but at full
-        #: per-packet tuple cost) after sustained register overflow.
-        self.fallen_back: set[str] = set()
         #: When set, every mirrored tuple is round-tripped through the
         #: emitter's binary wire format (§5), proving the configured
         #: per-instance schemas reconstruct the stream processor's input
@@ -238,17 +237,29 @@ class SonataRuntime:
             from repro.runtime.wire import WireCodec
 
             self._wire_codec = WireCodec()
-        self.switch = PISASwitch(plan.switch_config)
-        self.switch.obs = self.obs
-        self.switch.fault_injector = self.faults
         if self.faults is not None:
             self.faults.obs = self.obs
         self.stream_processor = StreamProcessor(obs=self.obs)
         self._instances: dict[str, InstancePlan] = {}
-        self._raw_mirror: list[InstancePlan] = []  # cut == 0 instances
-
         for inst in plan.all_instances():
             self._instances[inst.key] = inst
+            self.stream_processor.register(
+                inst.key,
+                inst.residual_ops if inst.on_switch else inst.augmented.operators,
+            )
+        self._install_plan()
+        self.emitter = Emitter(self._instances, obs=self.obs)
+
+    def _install_plan(self) -> None:
+        """Install the plan on a fresh switch, in the plan's instance order."""
+        self.switch = PISASwitch(self.plan.switch_config)
+        self.switch.obs = self.obs
+        self.switch.fault_injector = self.faults
+        self._raw_mirror: list[InstancePlan] = []  # cut == 0 instances
+        #: Instances degraded to raw-mirror execution (exact, but at full
+        #: per-packet tuple cost) after sustained register overflow.
+        self.fallen_back: set[str] = set()
+        for inst in self.plan.all_instances():
             if inst.on_switch:
                 self.switch.install(
                     inst.key,
@@ -257,19 +268,13 @@ class SonataRuntime:
                     sized_tables=inst.tables,
                     stage_assignment=inst.stage_assignment,
                 )
-                self.stream_processor.register(inst.key, inst.residual_ops)
             else:
                 self._raw_mirror.append(inst)
-                self.stream_processor.register(
-                    inst.key, inst.augmented.operators
-                )
         # Make sure every refinement filter table exists even when the
         # instance reading it runs entirely at the stream processor.
-        for inst in plan.all_instances():
+        for inst in self.plan.all_instances():
             if inst.read_filter_table is not None:
                 self.switch.filter_tables.setdefault(inst.read_filter_table, set())
-
-        self.emitter = Emitter(self._instances, obs=self.obs)
 
     # -- window execution ---------------------------------------------------
     def run(
@@ -296,9 +301,11 @@ class SonataRuntime:
             # rather than as a clean run that detected nothing.
             logger.warning("run called with an empty trace; nothing executed")
             return RunReport(plan_mode=self.plan.mode, empty_trace=True)
-        # Every run starts from empty refinement tables and restarts the
-        # fault streams (they are keyed by window index), so a repeated
-        # run() repeats the first; only fallen-back instances carry over.
+        # Every run starts from the installed plan and empty refinement
+        # tables and restarts the fault streams (they are keyed by window
+        # index), so a repeated run() repeats the first.
+        if self.fallen_back:
+            self._install_plan()
         self._pending_filter_updates = []
         for name in self.switch.filter_tables:
             self.switch.filter_tables[name] = set()
@@ -581,33 +588,41 @@ class SonataRuntime:
             tuples = [self._wire_roundtrip(m) for m in tuples]
         return tuples
 
-    def _wire_roundtrip(self, mirrored):
-        """Encode + decode a tuple via the wire format; must be lossless."""
-        from repro.core.fields import FIELDS
-        from repro.switch.simulator import MirroredTuple
+    def _wire_schema(self, item, fields) -> str:
+        """Configure (once) and return the wire schema key of ``item``.
 
-        codec = self._wire_codec
+        ``fields`` yields ``(name, is_float, is_blob)``. Floats keep a float
+        encoding: FIELDS registers ``ts`` as a 64-bit int, which would
+        truncate it.
+        """
         # One schema per (instance, kind, op depth): the layout of a
         # per-packet stream tuple differs from a register key report.
-        schema_key = f"{mirrored.instance}#{mirrored.kind}#{mirrored.op_index}"
+        schema_key = f"{item.instance}#{item.kind}#{item.op_index}"
         try:
-            codec.schema(schema_key)
+            self._wire_codec.schema(schema_key)
         except Exception:
             widths = {}
-            for name, value in mirrored.fields.items():
-                if isinstance(value, float):
-                    # ts and friends: FIELDS registers them as 64-bit
-                    # ints, but the live tuple carries a float and an int
-                    # encoding would truncate it.
+            for name, is_float, is_blob in fields:
+                if is_float:
                     widths[name] = "float"
                 elif name in FIELDS:
                     spec = FIELDS.get(name)
                     widths[name] = spec.width if spec.kind == "int" else 0
-                elif isinstance(value, (bytes, str)):
-                    widths[name] = 0
                 else:
-                    widths[name] = 64
-            codec.configure(schema_key, widths)
+                    widths[name] = 0 if is_blob else 64
+            self._wire_codec.configure(schema_key, widths)
+        return schema_key
+
+    def _wire_roundtrip(self, mirrored):
+        """Encode + decode a tuple via the wire format; must be lossless."""
+        codec = self._wire_codec
+        schema_key = self._wire_schema(
+            mirrored,
+            (
+                (name, isinstance(value, float), isinstance(value, (bytes, str)))
+                for name, value in mirrored.fields.items()
+            ),
+        )
         tagged = MirroredTuple(
             instance=schema_key,
             kind=mirrored.kind,
@@ -628,31 +643,17 @@ class SonataRuntime:
 
     def _wire_roundtrip_batch(self, batch):
         """Encode + decode a columnar batch; must be bit-for-bit lossless."""
-        from repro.core.fields import FIELDS
-        from repro.switch.mirror import MirroredBatch
-
         if batch.n_rows == 0:
             return batch
         codec = self._wire_codec
-        schema_key = f"{batch.instance}#{batch.kind}#{batch.op_index}"
-        try:
-            codec.schema(schema_key)
-        except Exception:
-            widths = {}
-            for name in batch.state.columns:
-                if (
-                    name not in batch.state.vocabs
-                    and batch.state.columns[name].dtype.kind == "f"
-                ):
-                    widths[name] = "float"
-                elif name in FIELDS:
-                    spec = FIELDS.get(name)
-                    widths[name] = spec.width if spec.kind == "int" else 0
-                elif name in batch.state.vocabs:
-                    widths[name] = 0
-                else:
-                    widths[name] = 64
-            codec.configure(schema_key, widths)
+        vocabs = batch.state.vocabs
+        schema_key = self._wire_schema(
+            batch,
+            (
+                (name, col.dtype.kind == "f", name in vocabs)
+                for name, col in batch.state.columns.items()
+            ),
+        )
         decoded = codec.decode_batch(
             codec.encode_batch(batch, schema_key), schema_key
         )

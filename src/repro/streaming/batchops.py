@@ -12,10 +12,8 @@ in first-occurrence order. The row-wise interpreter
 function here must produce exactly the rows
 :func:`rowops.apply_operators` would, in the same order.
 
-Grouping note: a state's vocabulary may hold duplicate entries (trace
-payload tables are not deduplicated) and absent cells (-1) compare equal
-to ``""``/``b""`` in the row engines, so grouped operators first remap
-string columns to *canonical* ids where equal values share one id.
+Grouped operators first remap string key columns to canonical ids
+(:func:`~repro.exec.canonical_state`), where equal values share one id.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from repro.exec import (
     ColumnarState,
     aggregate_groups,
     apply_map,
+    canonical_state,
     filter_mask,
     group_first_occurrence,
     key_columns,
@@ -38,48 +37,7 @@ from repro.exec import (
 __all__ = [
     "apply_operator_state",
     "apply_operators_state",
-    "canonical_column",
 ]
-
-
-def canonical_column(
-    state: ColumnarState, name: str
-) -> "tuple[np.ndarray, list | None]":
-    """Column with value-canonical ids, plus its canonical vocabulary.
-
-    Plain columns pass through. Vocab columns are remapped so that equal
-    values share one id and absent cells (-1, which the row engines read
-    as ``""``/``b""``) merge with the explicit empty value — canonical id
-    0 is always the empty value, so no -1 remains in the output.
-    """
-    vocab = state.vocabs.get(name)
-    if vocab is None:
-        return state.columns[name], None
-    missing: "str | bytes" = b"" if name == "payload" else ""
-    canon_vocab: list = [missing]
-    intern: dict = {missing: 0}
-    remap = np.zeros(len(vocab) + 1, dtype=np.int64)  # slot 0 serves id -1
-    for i, value in enumerate(vocab):
-        canon = intern.get(value)
-        if canon is None:
-            canon = intern[value] = len(canon_vocab)
-            canon_vocab.append(value)
-        remap[i + 1] = canon
-    ids = state.columns[name].astype(np.int64, copy=False)
-    shifted = ids + 1
-    # Out-of-range ids materialize as the empty value in the row engines.
-    shifted = np.where((shifted < 0) | (shifted > len(vocab)), 0, shifted)
-    return remap[shifted], canon_vocab
-
-
-def _canonical_state(state: ColumnarState, keys: Sequence[str]) -> ColumnarState:
-    """State whose key columns are safe to group by raw id."""
-    columns = dict(state.columns)
-    vocabs = dict(state.vocabs)
-    for k in keys:
-        if k in state.vocabs:
-            columns[k], vocabs[k] = canonical_column(state, k)
-    return ColumnarState(columns=columns, vocabs=vocabs, payloads=state.payloads)
 
 
 def _apply_reduce(state: ColumnarState, op: Reduce) -> ColumnarState:
@@ -98,7 +56,7 @@ def _apply_reduce(state: ColumnarState, op: Reduce) -> ColumnarState:
             np.zeros(n, dtype=np.int64), agg_values, 1, op.func
         )
         return ColumnarState(columns={op.out: agg})
-    grouped = _canonical_state(state, op.keys)
+    grouped = canonical_state(state, op.keys)
     unique, _first, inv = group_first_occurrence(grouped, op.keys)
     agg = aggregate_groups(inv, agg_values, len(unique), op.func)
     columns = key_columns(grouped, op.keys, unique)
@@ -112,7 +70,7 @@ def _apply_distinct(state: ColumnarState, op: Distinct) -> ColumnarState:
     if not keys:
         # No columns at all — nothing to project (n_rows is 0 too).
         return ColumnarState(columns={})
-    grouped = _canonical_state(state, keys)
+    grouped = canonical_state(state, keys)
     unique, _first, _inv = group_first_occurrence(grouped, keys)
     columns = key_columns(grouped, keys, unique)
     vocabs = {k: grouped.vocabs[k] for k in keys if k in grouped.vocabs}

@@ -63,7 +63,9 @@ def _is_threshold_filter(op: Operator, aggregate_field: str) -> bool:
     if not isinstance(op, Filter):
         return False
     return all(
-        pred.field == aggregate_field and pred.op in ("gt", "ge", "lt", "le")
+        pred.field == aggregate_field
+        and pred.level is None
+        and pred.op in ("gt", "ge", "lt", "le")
         for pred in op.predicates
     )
 

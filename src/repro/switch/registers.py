@@ -11,17 +11,13 @@ adjusts the aggregates at the end of the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
 from repro.core.errors import ResourceExhaustedError
-from repro.exec.alu import MERGE_FUNCS, UPDATE_FUNCS
+from repro.exec.alu import UPDATE_FUNCS
 from repro.utils.hashing import HashFamily
-
-#: ALU update functions a PISA stage supports for register values
-#: (shared with every other engine via :mod:`repro.exec.alu`).
-_UPDATE_FUNCS = UPDATE_FUNCS
 
 
 @dataclass(frozen=True)
@@ -88,45 +84,47 @@ class RegisterChain:
         #: dict representation. ``None`` when fully materialized.
         self._pending: "tuple | None" = None
 
-    def vec_ready(self) -> bool:
-        """True when :meth:`bulk_load_vec` may run (chain is empty)."""
-        return self._pending is None and all(not a for a in self._arrays)
-
     def bulk_load_vec(
         self,
         key_columns: "list[np.ndarray]",
         values: np.ndarray,
         func: str,
         keys_factory,
+        vocabs: "list[list | None] | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`bulk_load` for an *empty* chain, int keys only.
+        """Load one window's aggregates into an *empty* chain, vectorized.
 
-        Same contract as :meth:`bulk_load` (unique keys in first-occurrence
-        order, final window aggregates as values) but the d-way placement
-        is simulated entirely in numpy: walking the arrays in order, the
-        first key hashing to a free slot wins it, losers proceed to the
-        next array, keys losing all ``d`` arrays overflow. Because within a
-        window arrays only fill up and keys are unique, this reproduces the
-        per-key sequential walk exactly.
+        Key ``j`` is row ``j`` of ``key_columns`` (one column per tuple
+        element; a column with a vocabulary in ``vocabs`` holds ids into
+        it, see :meth:`HashFamily.indices_vec`). Keys must be the window's
+        *unique* keys in first-occurrence order, with ``values[j]`` the
+        final window aggregate of key ``j``. The d-way placement is
+        simulated in numpy: walking the arrays in order, the first key
+        hashing to a free slot wins it, losers proceed to the next array,
+        keys losing all ``d`` arrays overflow. Because within a window
+        arrays only fill up and keys are unique, this reproduces the
+        per-packet sequential walk exactly. ``updates``/``overflows`` are
+        NOT touched; the caller accounts them per packet.
 
         Returns ``(inserted, array_idx)`` where ``array_idx[j]`` is the
         array that stored key ``j`` (-1 for overflow). The dict view of
-        the arrays is built lazily — ``keys_factory()`` must return the
+        the arrays is built lazily: ``keys_factory()`` must return the
         materialized Python key tuples and is only invoked if something
-        (``update``/``lookup``/``dump``/``bulk_load``) needs the dicts
-        before the window resets.
+        (``update``/``lookup``/``dump``) needs the dicts before the window
+        resets. A second load into the same window raises
+        :class:`ResourceExhaustedError`.
         """
         if func not in UPDATE_FUNCS:
             raise ResourceExhaustedError(
                 f"register ALU does not support function {func!r}"
             )
-        if not self.vec_ready():
+        if self._pending is not None or any(self._arrays):
             raise ResourceExhaustedError(
                 "bulk_load_vec requires an empty register chain"
             )
         n = len(values)
         index_matrix = (
-            self._hashes.indices_vec(key_columns)
+            self._hashes.indices_vec(key_columns, vocabs)
             if n
             else np.empty((0, self.spec.d), dtype=np.int64)
         )
@@ -167,7 +165,7 @@ class RegisterChain:
         """Apply ``func`` for ``key``; walk the chain on collisions."""
         self._materialize_pending()
         try:
-            update_func = _UPDATE_FUNCS[func]
+            update_func = UPDATE_FUNCS[func]
         except KeyError:
             raise ResourceExhaustedError(
                 f"register ALU does not support function {func!r}"
@@ -189,59 +187,6 @@ class RegisterChain:
                 return UpdateResult(value=value, inserted=False, overflowed=False)
         self.overflows += 1
         return UpdateResult(value=0, inserted=False, overflowed=True)
-
-    def bulk_load(
-        self,
-        keys: Sequence[tuple],
-        values: "Sequence[int] | np.ndarray",
-        func: str,
-        key_columns: "list[np.ndarray] | None" = None,
-    ) -> np.ndarray:
-        """Insert whole-window aggregates for ``keys``, in order.
-
-        ``keys`` must be the window's *unique* keys in first-occurrence
-        order with ``values[j]`` the final window aggregate of ``keys[j]``;
-        walking them through the d-way chain then reproduces exactly the
-        array contents (and insertion order) of per-packet updates, because
-        arrays only fill up within a window: a key's inserted/overflowed
-        fate is decided at its first occurrence. Returns a boolean mask of
-        which keys found a slot. ``updates``/``overflows`` counters are NOT
-        touched — the caller accounts them per packet, not per key.
-
-        ``key_columns`` (one integer array per tuple element, non-negative
-        values only) enables vectorized slot-index precomputation; without
-        it indices are computed per key via :func:`stable_hash`.
-
-        If a key is already resident (a per-packet prefix ran earlier in
-        the same window), its stored value is merged with ``func``'s
-        combine semantics rather than overwritten.
-        """
-        if func not in UPDATE_FUNCS:
-            raise ResourceExhaustedError(
-                f"register ALU does not support function {func!r}"
-            )
-        self._materialize_pending()
-        merge = MERGE_FUNCS[func]
-        index_rows: "list[list[int]] | None" = None
-        if key_columns is not None and len(keys):
-            index_rows = self._hashes.indices_vec(key_columns).tolist()
-        inserted = np.zeros(len(keys), dtype=bool)
-        arrays = self._arrays
-        for j, key in enumerate(keys):
-            indices = (
-                index_rows[j] if index_rows is not None else self._hashes.indices(key)
-            )
-            for which, index in enumerate(indices):
-                slot = arrays[which].get(index)
-                if slot is None:
-                    arrays[which][index] = (key, int(values[j]))
-                    inserted[j] = True
-                    break
-                if slot[0] == key:
-                    arrays[which][index] = (key, merge(slot[1], int(values[j])))
-                    inserted[j] = True
-                    break
-        return inserted
 
     def lookup(self, key: Hashable) -> int | None:
         self._materialize_pending()

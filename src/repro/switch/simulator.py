@@ -32,6 +32,7 @@ from repro.exec import (
     ColumnarState,
     aggregate_groups,
     apply_map,
+    canonical_state,
     filter_mask,
     group_first_occurrence,
     materialize_keys,
@@ -60,19 +61,31 @@ class _ChainCache:
     reporting without materializing Python key tuples.
 
     ``unique`` is the first-occurrence-ordered int64 key matrix of
-    :func:`~repro.exec.group_first_occurrence`; ``inserted``/``array_idx``
+    :func:`~repro.exec.group_first_occurrence`, vocab-typed columns
+    holding canonical ids into ``vocabs`` (see
+    :func:`~repro.exec.canonical_state`); ``inserted``/``array_idx``
     come from :meth:`~repro.switch.registers.RegisterChain.bulk_load_vec`
     (``array_idx`` reproduces the physical dump order); ``reported`` marks
     keys the per-packet oracle would have added to ``reported_keys``.
     """
 
     keys: tuple
+    vocabs: dict
     unique: np.ndarray
     inserted: np.ndarray
     array_idx: np.ndarray
     reported: np.ndarray
     finals: "np.ndarray | None" = None  # reduce window aggregates
     out_field: "str | None" = None
+
+
+def _value_ranks(ids: np.ndarray, vocab: list) -> np.ndarray:
+    """Each id's rank among the ids present, in sorted value order."""
+    present, inverse = np.unique(ids, return_inverse=True)
+    values = [vocab[i] for i in present.tolist()]
+    ranks = np.empty(len(present), dtype=np.int64)
+    ranks[sorted(range(len(values)), key=values.__getitem__)] = np.arange(len(values))
+    return ranks[inverse]
 
 
 class _PacketTuple(dict):
@@ -100,8 +113,8 @@ class InstalledInstance:
     chains: dict[int, RegisterChain] = field(default_factory=dict)  # op idx -> chain
     folded_by_op: dict[int, Filter] = field(default_factory=dict)
     reported_keys: set = field(default_factory=set)
-    #: op index -> :class:`_ChainCache` for chains loaded via the
-    #: vectorized path this window (cleared by :meth:`PISASwitch.end_window`).
+    #: op index -> :class:`_ChainCache` for chains the batched path
+    #: loaded this window (cleared by :meth:`PISASwitch.end_window`).
     window_caches: dict = field(default_factory=dict)
     packets_seen: int = 0
     packets_surviving: int = 0
@@ -678,32 +691,6 @@ class PISASwitch:
             )
         )
 
-    @staticmethod
-    def _vector_key_columns(
-        state: ColumnarState, keys, unique: np.ndarray
-    ) -> "list[np.ndarray] | None":
-        """Key columns for vectorized hashing, or None if unsupported.
-
-        The vectorized splitmix64 path folds one 64-bit chunk per element,
-        which matches :func:`stable_hash` only for non-negative integer
-        keys; vocab-typed (string/bytes) keys hash their resolved values
-        scalar-wise instead.
-        """
-        if any(k in state.vocabs for k in keys):
-            return None
-        if unique.size and int(unique.min()) < 0:
-            return None
-        return [unique[:, j] for j in range(unique.shape[1])]
-
-    @staticmethod
-    def _keys_factory(state: ColumnarState, keys, unique: np.ndarray):
-        """Deferred Python-tuple materialization for a lazily-loaded chain."""
-
-        def factory() -> list[tuple]:
-            return materialize_keys(state, keys, unique)
-
-        return factory
-
     def _load_chain(
         self,
         chain: RegisterChain,
@@ -712,23 +699,22 @@ class PISASwitch:
         unique: np.ndarray,
         values: np.ndarray,
         func: str,
-    ) -> "tuple[np.ndarray, np.ndarray | None, list[tuple] | None]":
-        """Bulk-load one window into ``chain``, vectorized when possible.
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Bulk-load one window's unique keys into ``chain``.
 
-        Returns ``(inserted, array_idx, key_tuples)``: the vectorized path
-        never materializes Python key tuples (``key_tuples`` is ``None``)
-        and reports physical placement via ``array_idx``; the scalar path
-        returns the tuples it had to build and ``array_idx=None``.
+        ``state`` must be canonical for ``keys``
+        (:func:`~repro.exec.canonical_state`), so equal values share one
+        id. Returns ``(inserted, array_idx)`` of
+        :meth:`~repro.switch.registers.RegisterChain.bulk_load_vec`; the
+        Python key tuples are only built if the chain's dicts are read.
         """
-        key_cols = self._vector_key_columns(state, keys, unique)
-        if key_cols is not None and chain.vec_ready():
-            inserted, array_idx = chain.bulk_load_vec(
-                key_cols, values, func, self._keys_factory(state, keys, unique)
-            )
-            return inserted, array_idx, None
-        key_tuples = materialize_keys(state, keys, unique)
-        inserted = chain.bulk_load(key_tuples, values, func, key_cols)
-        return inserted, None, key_tuples
+        return chain.bulk_load_vec(
+            [unique[:, j] for j in range(unique.shape[1])],
+            values,
+            func,
+            lambda: materialize_keys(state, keys, unique),
+            [state.vocabs.get(k) for k in keys],
+        )
 
     def _forced_rows(
         self, inst: InstalledInstance, i: int, n: int
@@ -778,9 +764,10 @@ class PISASwitch:
         live, live_sel = state, sel
         if forced is not None:
             live, live_sel = state.select(~forced), sel[~forced]
+        live = canonical_state(live, keys)
         unique, first_rows, inv = group_first_occurrence(live, keys)
         chain = inst.chains[i]
-        inserted, array_idx, key_tuples = self._load_chain(
+        inserted, array_idx = self._load_chain(
             chain, live, keys, unique, np.ones(len(unique), dtype=np.int64), "or"
         )
         chain.updates += len(sel)
@@ -807,18 +794,14 @@ class PISASwitch:
             )
         if i == len(ops) - 1:
             # Last operator: report each distinct key once at window end.
-            if array_idx is not None:
-                inst.window_caches[i] = _ChainCache(
-                    keys=tuple(keys),
-                    unique=unique,
-                    inserted=inserted,
-                    array_idx=array_idx,
-                    reported=inserted,
-                )
-            else:
-                for j, key in enumerate(key_tuples):
-                    if inserted[j]:
-                        inst.reported_keys.add((i, key))
+            inst.window_caches[i] = _ChainCache(
+                keys=tuple(keys),
+                vocabs={k: v for k, v in live.vocabs.items() if k in keys},
+                unique=unique,
+                inserted=inserted,
+                array_idx=array_idx,
+                reported=inserted,
+            )
             return None
         # Mid-chain: only the first packet of each inserted key continues,
         # carrying just the key fields (first_rows is ascending, so the
@@ -847,11 +830,12 @@ class PISASwitch:
         live, live_args = state, args
         if forced is not None:
             live, live_args = state.select(~forced), args[~forced]
+        live = canonical_state(live, op.keys)
         unique, _first_rows, inv = group_first_occurrence(live, op.keys)
         values = None if func == "count" else live_args
         finals = aggregate_groups(inv, values, len(unique), func)
         chain = inst.chains[i]
-        inserted, array_idx, key_tuples = self._load_chain(
+        inserted, array_idx = self._load_chain(
             chain, live, op.keys, unique, finals, func
         )
         chain.updates += len(sel)
@@ -880,61 +864,27 @@ class PISASwitch:
                     pos=pos,
                 )
             )
+        reported = inserted
         folded = inst.folded_by_op.get(i)
-        if folded is None:
-            if array_idx is not None:
-                inst.window_caches[i] = _ChainCache(
-                    keys=tuple(op.keys),
-                    unique=unique,
-                    inserted=inserted,
-                    array_idx=array_idx,
-                    reported=inserted,
-                    finals=finals,
-                    out_field=op.out,
-                )
-            else:
-                for j, key in enumerate(key_tuples):
-                    if inserted[j]:
-                        inst.reported_keys.add((i, key))
-            return
-        # Folded threshold: a key is reported iff any of its running
-        # (per-update) aggregates passes — first-crossing semantics.
-        run = running_groups(inv, values, func)
-        simple = all(
-            p.field == op.out and p.level is None and p.op in ("gt", "ge", "lt", "le")
-            for p in folded.predicates
-        )
-        if simple:
-            passing = threshold_mask(folded.predicates, run)
+        if folded is not None:
+            # Folded threshold: a key is reported iff any of its running
+            # (per-update) aggregates passes — first-crossing semantics.
+            passing = threshold_mask(
+                folded.predicates, running_groups(inv, values, func)
+            )
             passing &= inserted[inv]
-            if array_idx is not None:
-                reported = np.zeros(len(unique), dtype=bool)
-                reported[inv[passing]] = True
-                inst.window_caches[i] = _ChainCache(
-                    keys=tuple(op.keys),
-                    unique=unique,
-                    inserted=inserted,
-                    array_idx=array_idx,
-                    reported=reported,
-                    finals=finals,
-                    out_field=op.out,
-                )
-            else:
-                for j in np.unique(inv[passing]).tolist():
-                    inst.reported_keys.add((i, key_tuples[j]))
-        else:  # pragma: no cover - compiler folds only simple thresholds
-            if key_tuples is None:
-                key_tuples = materialize_keys(live, op.keys, unique)
-            run_list = run.tolist()
-            inv_list = inv.tolist()
-            for r in range(len(inv_list)):
-                j = inv_list[r]
-                if not inserted[j]:
-                    continue
-                probe = dict(zip(op.keys, key_tuples[j]))
-                probe[op.out] = run_list[r]
-                if all(p.evaluate(probe) for p in folded.predicates):
-                    inst.reported_keys.add((i, key_tuples[j]))
+            reported = np.zeros(len(unique), dtype=bool)
+            reported[inv[passing]] = True
+        inst.window_caches[i] = _ChainCache(
+            keys=tuple(op.keys),
+            vocabs={k: v for k, v in live.vocabs.items() if k in op.keys},
+            unique=unique,
+            inserted=inserted,
+            array_idx=array_idx,
+            reported=reported,
+            finals=finals,
+            out_field=op.out,
+        )
 
     # ------------------------------------------------------------------
     # Window lifecycle
@@ -960,7 +910,8 @@ class PISASwitch:
 
         Reproduces the dict path's ordering exactly: a full dump walks the
         register arrays in physical order (array 0's insertions first),
-        reported keys are sorted ascending like ``sorted(reported_keys)``.
+        reported keys are sorted ascending like ``sorted(reported_keys)``;
+        vocab columns sort by the rank of their value, not by raw id.
         """
         if full:
             sel_idx = np.flatnonzero(cache.inserted)
@@ -969,10 +920,13 @@ class PISASwitch:
         else:
             sel_idx = np.flatnonzero(cache.reported & cache.inserted)
             if len(sel_idx):
-                cols = tuple(
-                    cache.unique[sel_idx, j]
-                    for j in reversed(range(cache.unique.shape[1]))
-                )
+                cols = []
+                for j in reversed(range(len(cache.keys))):
+                    col = cache.unique[sel_idx, j]
+                    vocab = cache.vocabs.get(cache.keys[j])
+                    if vocab is not None:
+                        col = _value_ranks(col, vocab)
+                    cols.append(col)
                 order = sel_idx[np.lexsort(cols)]
             else:
                 order = sel_idx
@@ -986,7 +940,11 @@ class PISASwitch:
             instance=inst.key,
             kind="key_report",
             op_index=op_end,
-            state=ColumnarState(columns=columns),
+            state=ColumnarState(
+                columns=columns,
+                vocabs=dict(cache.vocabs),
+                payloads=cache.vocabs.get("payload", []),
+            ),
         )
 
     def end_window_items(
@@ -996,9 +954,9 @@ class PISASwitch:
 
         Returns, per installed instance, the ``key_report`` batch the
         emitter reads from the registers (final aggregates for reported
-        keys; empty for stateless-last instances). Chains loaded by the
-        vectorized path report straight from their window cache; the rest
-        are read key by key from the register dump.
+        keys; empty for stateless-last instances). Chains the batched path
+        loaded report straight from their window cache; the per-packet
+        oracle's chains are read key by key from the register dump.
 
         ``full_dump`` names instances whose registers must be polled in
         full, *without* folded-threshold gating, with ``op_index`` set to

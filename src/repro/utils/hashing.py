@@ -81,13 +81,16 @@ def stable_hash(key: int | bytes | str | tuple, seed: int = 0) -> int:
     return state
 
 
+_NEG_TAG = 0x5A5A5A5A5A5A5A5A  # precedes -v for a negative int
+
+
 def _iter_chunks(key: int | bytes | str | tuple) -> Iterable[int]:
     if isinstance(key, bool):  # bool is an int subclass; normalize explicitly
         yield int(key)
     elif isinstance(key, int):
         # Fold arbitrarily large ints 64 bits at a time.
         if key < 0:
-            yield 0x5A5A5A5A5A5A5A5A
+            yield _NEG_TAG
             key = -key
         while True:
             yield key & _MASK64
@@ -138,17 +141,25 @@ class HashFamily:
         """Return the slot index of ``key`` under every function in order."""
         return [self.index(i, key) for i in range(self.d)]
 
-    def indices_vec(self, key_columns: "list[np.ndarray]") -> np.ndarray:
+    def indices_vec(
+        self,
+        key_columns: "list[np.ndarray]",
+        vocabs: "list[list | None] | None" = None,
+    ) -> np.ndarray:
         """Slot indices for a batch of tuple keys, one column per element.
 
         Row ``i`` of the result holds ``self.indices(key_i)`` for the key
-        ``(key_columns[0][i], ..., key_columns[k-1][i])`` — bit-identical
-        to hashing the tuple of Python ints through :func:`stable_hash`,
-        provided every element is a non-negative integer below 2**63
-        (one splitmix chunk per element; the caller checks this).
+        ``(v_0[i], ..., v_{k-1}[i])``, bit-identical to :func:`stable_hash`.
+        Element ``j`` is the integer ``key_columns[j][i]``, or, when
+        ``vocabs[j]`` is a list, the value ``vocabs[j][key_columns[j][i]]``
+        (ids must index the vocabulary).
         """
         n = len(key_columns[0]) if key_columns else 0
-        cols = [np.asarray(col).astype(np.uint64) for col in key_columns]
+        vocabs = vocabs or [None] * len(key_columns)
+        elements = [
+            _element_chunks(np.asarray(col), vocab)
+            for col, vocab in zip(key_columns, vocabs)
+        ]
         out = np.empty((n, self.d), dtype=np.int64)
         tag = 0x7461706C65  # tuple tag, mirrors _iter_chunks
         length = len(key_columns)
@@ -158,7 +169,41 @@ class HashFamily:
             state = _splitmix64(state ^ tag)
             state = _splitmix64(state ^ length)
             vec = np.full(n, state, dtype=np.uint64)
-            for col in cols:
-                vec = _splitmix64_vec(vec ^ col)
+            for chunks, counts in elements:
+                for c in range(chunks.shape[1]):
+                    mixed = _splitmix64_vec(vec ^ chunks[:, c])
+                    vec = mixed if counts is None else np.where(c < counts, mixed, vec)
             out[:, which] = (vec % n_slots).astype(np.int64)
         return out
+
+
+def _element_chunks(
+    column: np.ndarray, vocab: "list | None"
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """One key element's :func:`_iter_chunks` sequences, row by row.
+
+    Returns an ``(n, m)`` uint64 chunk matrix padded on the right and the
+    per-row chunk count, or ``None`` when every row has all ``m`` chunks.
+    Vocab values are chunked once per id that occurs.
+    """
+    n = len(column)
+    if vocab is None:
+        if not n or column.min() >= 0:
+            return column.astype(np.uint64)[:, None], None
+        col = column.astype(np.int64)
+        neg = col < 0
+        chunks = np.zeros((n, 2), dtype=np.uint64)
+        # int64 negation wraps only for -2**63, whose uint64 view is 2**63.
+        chunks[:, 0] = np.where(neg, np.uint64(_NEG_TAG), col.astype(np.uint64))
+        chunks[neg, 1] = (-col[neg]).astype(np.uint64)
+        return chunks, np.where(neg, 2, 1)
+    ids, inverse = np.unique(column.astype(np.int64), return_inverse=True)
+    if n and ids[0] < 0:
+        raise ValueError("vocab ids must be non-negative")
+    per_id = [list(_iter_chunks(vocab[i])) for i in ids.tolist()]
+    width = max((len(c) for c in per_id), default=0)
+    table = np.zeros((len(ids), width), dtype=np.uint64)
+    for r, seq in enumerate(per_id):
+        table[r, : len(seq)] = seq
+    counts = np.array([len(c) for c in per_id], dtype=np.int64)
+    return table[inverse], counts[inverse]

@@ -24,12 +24,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analytics import execute_operators
-from repro.core.expressions import Const, FieldRef, Prefixed, Quantized
+from repro.core.errors import ResourceExhaustedError
+from repro.core.expressions import Const, Difference, FieldRef, Prefixed, Quantized
 from repro.core.operators import Distinct, Filter, Map, Predicate, Reduce
 from repro.core.query import PacketStream, Query
 from repro.evaluation.workloads import build_workload
 from repro.faults import FaultInjector, FaultSpec
-from repro.packets.packet import Packet
+from repro.packets.packet import DNSInfo, Packet
 from repro.packets.trace import Trace
 from repro.planner import QueryPlanner
 from repro.queries.library import QUERY_LIBRARY, build_queries
@@ -96,21 +97,42 @@ def _shape_stream(p):
     )
 
 
+def _shape_dns_names(p):
+    # Vocab-typed register keys: "" and an absent name are one key, and
+    # reports sort by name, not by vocabulary id.
+    distinct = (
+        Map(keys=(FieldRef("ipv4.dIP"), FieldRef("dns.rr.name"))),
+        Distinct(),
+    )
+    return (distinct if p["dns_distinct"] else ()) + (
+        Map(keys=(FieldRef("dns.rr.name"),), values=(Const(1),)),
+        Reduce(keys=("dns.rr.name",), func="sum"),
+        Filter((Predicate("count", "gt", p["threshold"]),)),
+    )
+
+
+def _shape_negative_key(p):
+    # sIP - dPort is negative for most packets.
+    return (
+        Map(
+            keys=(Difference("ipv4.sIP", "tcp.dPort", "delta"),),
+            values=(Const(1),),
+        ),
+        Reduce(keys=("delta",), func="sum"),
+    )
+
+
 SHAPES = [
     _shape_threshold,
     _shape_distinct_mid,
     _shape_distinct_last,
     _shape_reduce_max,
     _shape_stream,
+    _shape_dns_names,
+    _shape_negative_key,
 ]
 
-ROW_FIELDS = {
-    "tcp.dPort": "dport",
-    "ipv4.dIP": "dip",
-    "ipv4.sIP": "sip",
-    "ipv4.proto": "proto",
-    "pktlen": "pktlen",
-}
+ROW_FIELDS = ("tcp.dPort", "ipv4.dIP", "ipv4.sIP", "ipv4.proto", "pktlen", "dns.rr.name")
 
 packets_strategy = st.lists(
     st.builds(
@@ -123,6 +145,12 @@ packets_strategy = st.lists(
         sport=st.integers(min_value=1, max_value=100),
         dport=st.sampled_from([22, 53, 80, 443]),
         tcpflags=st.sampled_from([0x02, 0x10, 0x12, 0x18]),
+        dns=st.one_of(
+            st.none(),
+            st.builds(
+                DNSInfo, qname=st.sampled_from(["", "z.com", "a.com", "m.a.org"])
+            ),
+        ),
     ),
     min_size=0,
     max_size=80,
@@ -136,6 +164,7 @@ params_strategy = st.builds(
     step=st.sampled_from([16, 64, 256]),
     threshold=st.integers(min_value=0, max_value=5),
     value_threshold=st.integers(min_value=40, max_value=1400),
+    dns_distinct=st.booleans(),
 )
 
 register_strategy = st.builds(
@@ -233,6 +262,33 @@ class TestFuzzBatchedOracle:
         for a, b in zip(row_reports, bat_reports):
             assert (a.kind, a.op_index, a.fields) == (b.kind, b.op_index, b.fields)
 
+    def test_vocab_key_reports_sort_by_name(self):
+        """Reports of a name-keyed chain follow ``sorted(reported_keys)``:
+        by name, not by the order names entered the vocabulary; an absent
+        name counts as ``""``."""
+        names = ["z.com", "", "m.a.org", "a.com", None] * 4
+        packets = [
+            Packet(
+                ts=i / 100,
+                dip=i << 8,
+                proto=17,
+                dns=None if name is None else DNSInfo(qname=name),
+            )
+            for i, name in enumerate(names)
+        ]
+        ops = _shape_dns_names({"threshold": 0, "dns_distinct": True})
+        trace = Trace.from_packets(packets)
+        _, row_reports, _ = _run_switch(ops, trace, 64, 2, batched=False)
+        _, bat_reports, _ = _run_switch(ops, trace, 64, 2, batched=True)
+        expected = [
+            {"dns.rr.name": "", "count": 8},
+            {"dns.rr.name": "a.com", "count": 4},
+            {"dns.rr.name": "m.a.org", "count": 4},
+            {"dns.rr.name": "z.com", "count": 4},
+        ]
+        assert [m.fields for m in row_reports] == expected
+        assert [m.fields for m in bat_reports] == expected
+
     @settings(max_examples=30, deadline=None)
     @given(packets=packets_strategy, params=params_strategy)
     def test_four_engines_agree_without_overflow(self, packets, params):
@@ -243,7 +299,7 @@ class TestFuzzBatchedOracle:
 
         columnar = execute_operators(ops, trace).rows()
         row_inputs = [
-            {name: getattr(p, attr) for name, attr in ROW_FIELDS.items()}
+            {name: p.get(name) for name in ROW_FIELDS}
             for p in packets
         ]
         rowwise = apply_operators(row_inputs, list(ops))
@@ -396,8 +452,9 @@ class TestVectorizedRegisters:
     @given(
         keys=st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=2**32 - 1),
-                st.integers(min_value=0, max_value=255),
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                st.text(max_size=20),
+                st.binary(max_size=20),
             ),
             min_size=0,
             max_size=200,
@@ -408,11 +465,13 @@ class TestVectorizedRegisters:
         from repro.utils.hashing import HashFamily
 
         family = HashFamily(d, 64, seed=3)
-        columns = [
-            np.array([k[0] for k in keys], dtype=np.int64),
-            np.array([k[1] for k in keys], dtype=np.int64),
-        ]
-        vec = family.indices_vec(columns)
+        columns, vocabs = [np.array([k[0] for k in keys], dtype=np.int64)], [None]
+        for j in (1, 2):
+            vocab = sorted({k[j] for k in keys})
+            ids = {value: i for i, value in enumerate(vocab)}
+            columns.append(np.array([ids[k[j]] for k in keys], dtype=np.int64))
+            vocabs.append(vocab)
+        vec = family.indices_vec(columns, vocabs)
         assert vec.shape == (len(keys), d)
         for j, key in enumerate(keys):
             assert list(vec[j]) == list(family.indices(key))
@@ -421,7 +480,7 @@ class TestVectorizedRegisters:
     @given(
         updates=st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=15),
+                st.integers(min_value=-8, max_value=15),
                 st.integers(min_value=1, max_value=9),
             ),
             min_size=0,
@@ -431,8 +490,8 @@ class TestVectorizedRegisters:
         func=st.sampled_from(["sum", "count", "max", "min", "or"]),
     )
     def test_bulk_load_matches_per_packet_updates(self, updates, n_slots, func):
-        """bulk_load of first-occurrence-ordered window aggregates leaves
-        the chain in exactly the per-packet end state."""
+        """bulk_load_vec of first-occurrence-ordered window aggregates
+        leaves the chain in exactly the per-packet end state."""
         from repro.exec.alu import UPDATE_FUNCS, init_value
         from repro.switch.registers import RegisterChain, RegisterSpec
 
@@ -456,6 +515,22 @@ class TestVectorizedRegisters:
                 finals[k] = UPDATE_FUNCS[func](finals[k], arg)
 
         loaded = RegisterChain(spec)
-        inserted = loaded.bulk_load(order, [finals[k] for k in order], func)
+        inserted, _ = loaded.bulk_load_vec(
+            [np.array([k[0] for k in order], dtype=np.int64)],
+            np.array([finals[k] for k in order], dtype=np.int64),
+            func,
+            lambda: order,
+        )
         assert inserted.all()
         assert loaded.dump() == oracle.dump()
+
+    def test_second_load_into_a_nonempty_chain_raises(self):
+        from repro.switch.registers import RegisterChain, RegisterSpec
+
+        chain = RegisterChain(RegisterSpec(name="t", n_slots=8, d=2, key_bits=32))
+        keys, values = [np.array([1, 2], dtype=np.int64)], np.ones(2, dtype=np.int64)
+        chain.bulk_load_vec(keys, values, "sum", lambda: [(1,), (2,)])
+        with pytest.raises(ResourceExhaustedError, match="empty register chain"):
+            chain.bulk_load_vec(keys, values, "sum", lambda: [(1,), (2,)])
+        chain.reset()
+        chain.bulk_load_vec(keys, values, "sum", lambda: [(1,), (2,)])

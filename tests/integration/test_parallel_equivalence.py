@@ -50,9 +50,7 @@ def queries():
 
 
 def run_network(workload, queries, workers, faults=None):
-    """A fresh NetworkRuntime per run: fallen-back instances survive a
-    serial run() but not a worker's rebuilt pipeline, so differential
-    runs start from pristine state."""
+    """A fresh NetworkRuntime per run."""
     net = NetworkRuntime(
         queries,
         Topology.ecmp(4, seed=3),
@@ -162,6 +160,30 @@ class TestRepeatedRuns:
             again = net.run(workload.trace, workers=workers)
             assert window_fields(again) == window_fields(first), f"workers={workers}"
             assert again.fault_draws == first.fault_draws, f"workers={workers}"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_second_run_repeats_the_first_after_fallback(self, queries, workers):
+        """Instances that fell back to raw-mirror in one run are back on
+        the switch at the start of the next, so serial runs, parallel
+        runs and their repeats all agree."""
+        from repro.faults import DegradationPolicy
+
+        workload = build_workload(QUERY_NAMES, duration=12.0, pps=3_000, seed=1)
+        net = NetworkRuntime(
+            queries,
+            Topology.ecmp(2, seed=3),
+            workload.trace,
+            window=3.0,
+            time_limit=10,
+            faults=FaultSpec(seed=2, overflow_pressure=0.5),
+            degradation=DegradationPolicy(fallback_overflow_threshold=0.2),
+        )
+        first = net.run(workload.trace, workers=1)
+        assert any(rt.fallen_back for rt in net.runtimes), "nothing fell back"
+        for run_workers in (workers, 1):
+            again = net.run(workload.trace, workers=run_workers)
+            assert window_fields(again) == window_fields(first), run_workers
+            assert again.fault_draws == first.fault_draws, run_workers
 
 
 class TestEmptyTrace:
