@@ -62,10 +62,6 @@ class Packet:
     def is_udp(self) -> bool:
         return self.proto == PROTO_UDP
 
-    def flow_key(self) -> tuple[int, int, int, int, int]:
-        """The classic 5-tuple."""
-        return (self.sip, self.dip, self.proto, self.sport, self.dport)
-
 
 def _dns_attr(attr: str, default: Any) -> Any:
     def getter(pkt: Packet) -> Any:

@@ -31,6 +31,7 @@ from repro.core.fields import FIELDS, coarsen_value
 from repro.core.query import Query, SubQuery
 from repro.packets.trace import Trace
 from repro.planner.collisions import chain_overflow_rate, size_register
+from repro.planner.plans import InstancePlan
 from repro.planner.refinement import (
     ROOT_LEVEL,
     RefinementSpec,
@@ -90,6 +91,30 @@ class TransitionCosts:
     def tables_for_cut(self, cut: int) -> list[LogicalTable]:
         names = {t.name for t in self.compiled.tables_for_partition(cut)}
         return [t for t in self.sized_tables if t.name in names]
+
+    def instance_plan(
+        self, cut: int, stage_assignment: dict[str, int] | None
+    ) -> InstancePlan:
+        """This instance cut after ``cut`` operators, its tables at
+        ``stage_assignment``."""
+        return InstancePlan(
+            qid=self.qid,
+            subid=self.subid,
+            r_prev=self.r_prev,
+            r_level=self.r_level,
+            cut=cut,
+            augmented=self.augmented,
+            compiled=self.compiled,
+            tables=self.tables_for_cut(cut),
+            stage_assignment=stage_assignment,
+            residual_ops=self.compiled.residual_operators(cut),
+            est_tuples=self.cost_of(cut).n_tuples,
+            read_filter_table=(
+                filter_table_name(self.qid, self.r_prev)
+                if self.r_prev != ROOT_LEVEL
+                else None
+            ),
+        )
 
 
 @dataclass

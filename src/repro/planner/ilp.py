@@ -10,19 +10,24 @@ Decision variables (names follow the paper):
   stage s;
 - ``Z[q,r1,r2]``    — some sub-query of q mirrors the raw stream at this
   transition (sub-queries of one query share a raw mirror stream, so the
-  window's packet count is charged once per query, not per sub-query).
+  window's packet count is charged once per query, not per sub-query);
+- ``H[f]``          — some chosen cut reads header field f (only when the
+  fields read could overrun the parser's PHV header budget).
 
 Constraints: C1 register bits/stage, C2 stateful actions/stage, C3 stage
-count, C4 intra-query table ordering, C5 PHV metadata budget, plus the
-refinement-path flow conservation and per-query detection-delay bound of
-§4.2. Stateless tables use no stage, bit or stateful budget, so they get
-no ``X``: C3/C4 become chain offsets on the stateful stages (a table at
-chain index j starts at stage j or later, the tables after it fit below
-S, consecutive stateful tables i < j sit at least j-i stages apart), and
-the decoder places the stateless tables in the gaps. Cuts that no
-placement can install (a chain longer than S, a register over the
-single-register cap) are pinned to 0. Join sub-queries share the same
-``I``/``F`` variables by construction, which is the paper's "both
+count, C4 intra-query table ordering, C5 PHV metadata budget, the PHV
+header budget, plus the refinement-path flow conservation and per-query
+detection-delay bound of §4.2. The resource rows read the switch's own
+install rules in :mod:`repro.switch.resources`: per-stage rows sum each
+stateful table's :func:`~repro.switch.resources.stage_demand`, cuts with a
+:func:`~repro.switch.resources.chain_violation` are pinned to 0, and the
+decoder places tables with a :class:`~repro.switch.resources.StageLedger`.
+Stateless tables use no stage, bit or stateful budget, so they get no
+``X``: C3/C4 become chain offsets on the stateful stages (a table at chain
+index j starts at stage j or later, the tables after it fit below S,
+consecutive stateful tables i < j sit at least j-i stages apart), and the
+decoder places the stateless tables in the gaps. Join sub-queries share
+the same ``I``/``F`` variables by construction, which is the paper's "both
 sub-queries use the same refinement plan" constraint.
 
 Table 4's baseline systems are emulated by fixing variables — e.g.
@@ -32,17 +37,24 @@ the methodology of §6.1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from repro.core.errors import PlanningError
+from repro.core.errors import PlanningError, ResourceExhaustedError
 from repro.core.operators import Filter
 from repro.planner.costs import QueryCosts, TransitionCosts
 from repro.planner.milp_model import MilpModel, MilpSolution
-from repro.planner.plans import InstancePlan, Plan, QueryPlan
-from repro.planner.refinement import ROOT_LEVEL, filter_table_name
+from repro.planner.plans import InstancePlan, Plan, QueryPlan, instance_key
+from repro.planner.refinement import ROOT_LEVEL
+from repro.switch.compiler import CompiledSubQuery
 from repro.switch.config import SwitchConfig
-from repro.switch.tables import LogicalTable
+from repro.switch.resources import (
+    STAGE_BUDGETS,
+    StageLedger,
+    chain_violation,
+    header_fields,
+    over_budget,
+    stage_demand,
+)
 
 #: Tie-break weights: when tuple costs are equal, prefer fewer refinement
 #: levels (less detection delay) and *deeper* cuts (running as much of the
@@ -125,27 +137,18 @@ class PlanILP:
             return (qc.native_level,)
         return qc.spec.levels
 
-    def _unplaceable(self, tables: list[LogicalTable]) -> bool:
-        """Can no stage placement install this cut's tables at all?
-
-        A chain longer than the switch has stages breaks C3/C4, and a
-        register over ``max_single_register_bits`` breaks the switch's
-        single-register cap; the MILP pins such cuts to 0.
-        """
-        return len(tables) > self.config.stages or any(
-            t.stateful and t.register_bits > self.config.max_single_register_bits
-            for t in tables
-        )
-
     def build(self) -> None:
         model = self.model
         n_stages = self.config.stages
         stages = range(n_stages)
 
-        # Per-stage resource accumulators, filled while walking instances.
-        bits_per_stage: list[dict[str, float]] = [dict() for _ in stages]
-        stateful_per_stage: list[dict[str, float]] = [dict() for _ in stages]
+        # Per-stage rows by SwitchConfig budget, filled while walking
+        # instances: budget -> stage -> {X: demand}.
+        stage_rows: dict[str, list[dict[str, float]]] = {
+            b: [{} for _ in stages] for b in STAGE_BUDGETS
+        }
         tables_installed: dict[str, float] = {}
+        header_cuts: list[tuple[CompiledSubQuery, dict[int, str]]] = []
         metadata_terms: dict[str, float] = {}
         objective: dict[str, float] = {}
 
@@ -219,7 +222,7 @@ class PlanILP:
                         pname = model.add_var(
                             self._pv(qid, subid, r1, r2, cut),
                             integer=True,
-                            upper=0.0 if self._unplaceable(tables) else 1.0,
+                            upper=0.0 if chain_violation(tables, self.config) else 1.0,
                         )
                         pnames[cut] = pname
                         length[cut] = len(tables)
@@ -229,6 +232,7 @@ class PlanILP:
                             objective[pname] += cost.n_tuples
                         metadata_terms[pname] = float(cost.metadata_bits)
                         tables_installed[pname] = float(length[cut])
+                    header_cuts.append((tc.compiled, pnames))
                     # Exactly F instances of this sub-query run.
                     coeffs = {p: 1.0 for p in pnames.values()}
                     coeffs[self._fv(qid, r1, r2)] = -1.0
@@ -289,24 +293,24 @@ class PlanILP:
                             model.add_constraint(coeffs, lower=float(j - i) - big)
                         prev = (j, stage_of)
 
-                        # C1/C2 usage per stage.
-                        for s, x in zip(stages, xnames):
-                            stateful_per_stage[s][x] = 1.0
-                            bits_per_stage[s][x] = float(table.register_bits)
+                        for budget, amount in stage_demand(table).items():
+                            rows = stage_rows[budget]
+                            for s, x in zip(stages, xnames):
+                                rows[s][x] = float(amount)
 
-        # C1/C2. A stateful table also takes a slot of the per-stage table
-        # budget, so a stage holds at most min(A, that budget) of them.
-        stateful_cap = min(
-            self.config.stateful_actions_per_stage,
-            self.config.stateless_actions_per_stage,
-        )
+        # C1/C2 and the table slots of the stateful tables, per stage. Rows
+        # with equal coefficients (a stateful action takes one table slot)
+        # fold into one with the tighter budget.
         for s in stages:
-            if bits_per_stage[s]:
-                model.add_constraint(
-                    bits_per_stage[s], upper=float(self.config.register_bits_per_stage)
-                )
-            if stateful_per_stage[s]:
-                model.add_constraint(stateful_per_stage[s], upper=float(stateful_cap))
+            folded: dict[tuple, float] = {}
+            for budget, rows in stage_rows.items():
+                coeffs = rows[s]
+                if coeffs:
+                    row = tuple(coeffs.items())
+                    cap = float(getattr(self.config, budget))
+                    folded[row] = min(cap, folded.get(row, cap))
+            for row, cap in folded.items():
+                model.add_constraint(dict(row), upper=cap)
         # The per-stage table budget, summed over the switch; the decoder
         # checks it stage by stage.
         if tables_installed:
@@ -319,8 +323,34 @@ class PlanILP:
             model.add_constraint(
                 metadata_terms, upper=float(self.config.metadata_bits)
             )
+        self._header_budget(header_cuts)
 
         model.set_objective(objective)
+
+    def _header_budget(
+        self, header_cuts: list[tuple[CompiledSubQuery, dict[int, str]]]
+    ) -> None:
+        """The parser's PHV header budget over the union of fields read:
+        ``H_f = 1`` when any chosen cut reads f. The rows are added only
+        when all the fields read together could exceed the budget."""
+        widths: dict[str, int] = {}
+        for compiled, pnames in header_cuts:  # a deeper cut reads a superset
+            widths.update(header_fields(compiled, max(pnames)))
+        if not over_budget("phv_header_bits", sum(widths.values()), self.config):
+            return
+        readers: dict[str, list[str]] = {}
+        for compiled, pnames in header_cuts:
+            for cut, pname in pnames.items():
+                for name in header_fields(compiled, cut):
+                    readers.setdefault(name, []).append(pname)
+        terms: dict[str, float] = {}
+        for name, pvars in sorted(readers.items()):
+            hname = self.model.add_binary(f"H_{name}")
+            coeffs = {p: 1.0 for p in pvars}
+            coeffs[hname] = -float(len(pvars))
+            self.model.add_constraint(coeffs, upper=0.0)
+            terms[hname] = float(widths[name])
+        self.model.add_constraint(terms, upper=float(self.config.phv_header_bits))
 
     # -- solve + decode ----------------------------------------------------
     def solve(self) -> Plan:
@@ -365,6 +395,7 @@ class PlanILP:
     def _decode(self, solution: MilpSolution) -> Plan:
         query_plans: dict[int, QueryPlan] = {}
         total = 0.0
+        ledger = StageLedger(self.config)
         for qid, qc in self.costs.items():
             levels = self._levels_for(qc)
             chosen_levels = tuple(
@@ -390,35 +421,21 @@ class PlanILP:
                             "but no cut"
                         )
                     tables = tc.tables_for_cut(cut)
-                    assignment: dict[str, int] = {}
-                    for j, table in enumerate(tables):
-                        if not table.stateful:
-                            continue
-                        for s in range(self.config.stages):
-                            if solution.binary(self._xv(qid, subid, r1, r2, j, s)):
-                                assignment[table.name] = s
-                                break
-                    cost = tc.cost_of(cut)
-                    instances.append(
-                        InstancePlan(
-                            qid=qid,
-                            subid=subid,
-                            r_prev=r1,
-                            r_level=r2,
-                            cut=cut,
-                            augmented=tc.augmented,
-                            compiled=tc.compiled,
-                            tables=tables,
-                            stage_assignment=assignment if tables else None,
-                            residual_ops=tc.compiled.residual_operators(cut),
-                            est_tuples=cost.n_tuples,
-                            read_filter_table=(
-                                filter_table_name(qid, r1)
-                                if r1 != ROOT_LEVEL
-                                else None
-                            ),
-                        )
-                    )
+                    fixed = {
+                        table.name: s
+                        for j, table in enumerate(tables)
+                        if table.stateful
+                        for s in range(self.config.stages)
+                        if solution.binary(self._xv(qid, subid, r1, r2, j, s))
+                    }
+                    # The MILP's stages for the stateful tables, the earliest
+                    # with room for the rest (C4 and the table budget).
+                    try:
+                        stage_of = ledger.place(tables, fixed) if tables else None
+                    except ResourceExhaustedError as exc:
+                        key = instance_key(qid, subid, r1, r2)
+                        raise PlanningError(f"{key}: {exc}") from None
+                    instances.append(tc.instance_plan(cut, stage_of))
             plan = QueryPlan(
                 query=qc.query,
                 spec=qc.spec,
@@ -428,9 +445,6 @@ class PlanILP:
             )
             query_plans[qid] = plan
             total += plan.est_tuples_per_window
-        self._place_stateless(
-            [inst for qp in query_plans.values() for inst in qp.instances]
-        )
         return Plan(
             mode=self.mode,
             switch_config=self.config,
@@ -444,52 +458,3 @@ class PlanILP:
                 "constraints": self.model.n_constraints,
             },
         )
-
-    def _place_stateless(self, instances: list[InstancePlan]) -> None:
-        """Give each stateless table the earliest stage it fits in.
-
-        The MILP placed the stateful tables. A stateless table goes to the
-        earliest stage after its predecessor whose table budget
-        (``stateless_actions_per_stage``, stateful tables included) has
-        room, and before its stateful successor. The chain-offset
-        constraints leave enough stages for this whenever that budget
-        does not bind; when it does, planning fails here.
-        """
-        budget = self.config.stateless_actions_per_stage
-        used = Counter(
-            stage
-            for inst in instances
-            if inst.stage_assignment
-            for stage in inst.stage_assignment.values()
-        )
-        for inst in instances:
-            if not inst.tables:
-                continue
-            placed: dict[str, int] = {}
-            previous = -1
-            for k, table in enumerate(inst.tables):
-                if table.stateful:
-                    stage = inst.stage_assignment[table.name]
-                else:
-                    limit = next(
-                        (
-                            inst.stage_assignment[t.name]
-                            for t in inst.tables[k + 1:]
-                            if t.stateful
-                        ),
-                        self.config.stages,
-                    )
-                    stage = next(
-                        (s for s in range(previous + 1, limit) if used[s] < budget),
-                        None,
-                    )
-                    if stage is None:
-                        raise PlanningError(
-                            f"{inst.key}: table {table.name} needs a stage in "
-                            f"[{previous + 1}, {limit}) with room under the per-stage "
-                            f"table budget (stateless_actions_per_stage={budget})"
-                        )
-                    used[stage] += 1
-                placed[table.name] = stage
-                previous = stage
-            inst.stage_assignment = placed

@@ -10,18 +10,17 @@ when the MILP exceeds its time budget.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable
 
-from repro.core.errors import PlanningError
+from repro.core.errors import PlanningError, ResourceExhaustedError
 from repro.core.query import Query
 from repro.obs import get_observability
 from repro.packets.trace import Trace
-from repro.planner.costs import CostEstimator, QueryCosts, TransitionCosts
+from repro.planner.costs import CostEstimator, QueryCosts
 from repro.planner.ilp import PlanILP, allowed_cuts
 from repro.planner.plans import InstancePlan, Plan, QueryPlan
-from repro.planner.refinement import ROOT_LEVEL, filter_table_name
+from repro.planner.refinement import ROOT_LEVEL
 from repro.switch.config import SwitchConfig
 from repro.switch.simulator import PISASwitch
 
@@ -161,14 +160,6 @@ class QueryPlanner:
         return switch
 
 
-@dataclass
-class _Candidate:
-    """Greedy bookkeeping for one sub-query instance choice."""
-
-    tc: TransitionCosts
-    cut: int
-
-
 class GreedyPlanner:
     """A resource-aware greedy heuristic for the same planning problem.
 
@@ -269,48 +260,24 @@ class GreedyPlanner:
         for level in path:
             for subid, tc in qc.transitions[(prev, level)].items():
                 cuts = sorted(allowed_cuts(tc, self.mode), reverse=True)
+                key = f"greedy-{tc.qid}.{subid}@{prev}-{level}"
                 chosen = None
                 for cut in cuts:
                     if cut == 0:
-                        chosen = 0
+                        chosen = tc.instance_plan(0, None)
                         break
                     tables = tc.tables_for_cut(cut)
-                    key = f"greedy-{tc.qid}.{subid}@{prev}-{level}"
                     try:
-                        switch.install(key, tc.compiled, cut, sized_tables=tables)
-                    except Exception:
+                        installed = switch.install(key, tc.compiled, cut, tables)
+                    except ResourceExhaustedError:
                         continue
                     installed_keys.append(key)
-                    chosen = cut
+                    chosen = tc.instance_plan(cut, dict(installed.stage_of))
                     break
                 if chosen is None:
                     ok = False
                     break
-                inst_switch = switch.instances.get(
-                    f"greedy-{tc.qid}.{subid}@{prev}-{level}"
-                )
-                instances.append(
-                    InstancePlan(
-                        qid=tc.qid,
-                        subid=subid,
-                        r_prev=prev,
-                        r_level=level,
-                        cut=chosen,
-                        augmented=tc.augmented,
-                        compiled=tc.compiled,
-                        tables=tc.tables_for_cut(chosen),
-                        stage_assignment=(
-                            dict(inst_switch.stage_of) if inst_switch else None
-                        ),
-                        residual_ops=tc.compiled.residual_operators(chosen),
-                        est_tuples=tc.cost_of(chosen).n_tuples,
-                        read_filter_table=(
-                            filter_table_name(tc.qid, prev)
-                            if prev != ROOT_LEVEL
-                            else None
-                        ),
-                    )
-                )
+                instances.append(chosen)
             if not ok:
                 break
             prev = level
@@ -329,23 +296,10 @@ class GreedyPlanner:
     def _all_sp_plan(self, qc: QueryCosts) -> QueryPlan:
         finest = qc.native_level
         instances = []
-        for subid, tc in qc.transitions[(ROOT_LEVEL, finest)].items():
-            instances.append(
-                InstancePlan(
-                    qid=tc.qid,
-                    subid=subid,
-                    r_prev=ROOT_LEVEL,
-                    r_level=finest,
-                    cut=0,
-                    augmented=tc.augmented,
-                    compiled=tc.compiled,
-                    tables=[],
-                    stage_assignment=None,
-                    residual_ops=tc.compiled.residual_operators(0),
-                    est_tuples=qc.window_packets,
-                    read_filter_table=None,
-                )
-            )
+        for tc in qc.transitions[(ROOT_LEVEL, finest)].values():
+            inst = tc.instance_plan(0, None)
+            inst.est_tuples = qc.window_packets
+            instances.append(inst)
         return QueryPlan(
             query=qc.query,
             spec=qc.spec,

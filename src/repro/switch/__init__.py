@@ -5,8 +5,8 @@ programmable parser builds a packet header vector (PHV), a fixed number of
 physical stages applies match-action tables with per-stage limits on
 stateful actions (A) and register bits (B), and a deparser/mirror path
 sends report-marked packets to the stream processor. Resource constraints
-(S, A, B, M) are enforced at install time, exactly the quantities the
-query planner's ILP reasons about.
+(S, A, B, M) are enforced at install time by the rules of
+``repro.switch.resources``, which the query planner's ILP also reads.
 """
 
 from repro.switch.config import SwitchConfig

@@ -205,12 +205,6 @@ class RegisterChain:
                 out[key] = value
         return out
 
-    def occupancy(self) -> int:
-        occupied = sum(len(array) for array in self._arrays)
-        if self._pending is not None:
-            occupied += int((self._pending[2] >= 0).sum())
-        return occupied
-
     def reset(self) -> None:
         """End-of-window register clear."""
         self._pending = None

@@ -3,9 +3,11 @@
 Executes installed (partitioned, refined) sub-query instances packet by
 packet: filters drop, maps rewrite query metadata, stateful tables update
 hash-indexed register chains, and the report flag mirrors packets/tuples
-to the monitoring port (§3.1.3). Resource constraints (S, A, B, M) are
-verified when instances are installed, using the same accounting the
-query planner's ILP uses — an infeasible plan fails loudly here.
+to the monitoring port (§3.1.3). Resource constraints (S, A, B, M, the
+single-register cap and the PHV header budget) are verified when instances
+are installed, by the rules of :mod:`repro.switch.resources` that the
+query planner's MILP is built from; an infeasible plan fails loudly here,
+naming the :class:`SwitchConfig` budget it overruns.
 
 Reporting semantics (faithful to §3.1.3):
 
@@ -48,6 +50,12 @@ from repro.switch.config import SwitchConfig
 from repro.switch.mirror import MirroredBatch, MirroredTuple, merge_tagged
 from repro.switch.parser import ParserConfig
 from repro.switch.registers import RegisterChain
+from repro.switch.resources import (
+    StageLedger,
+    chain_violation,
+    header_fields,
+    over_budget,
+)
 from repro.switch.tables import LogicalTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -125,12 +133,8 @@ class InstalledInstance:
 
     def __post_init__(self) -> None:
         self.read_fields = self._read_fields()
-        for table in self.tables:
+        for table in self.tables:  # install checked the sizing (chain_violation)
             if table.stateful:
-                if table.register is None:
-                    raise ResourceExhaustedError(
-                        f"{self.key}: stateful table {table.name} has no register sizing"
-                    )
                 self.chains[table.operator_index] = RegisterChain(table.register)
                 if table.folded_filter is not None:
                     self.folded_by_op[table.operator_index] = table.folded_filter
@@ -197,9 +201,10 @@ class PISASwitch:
 
         ``sized_tables`` must carry register sizing for stateful tables
         (the planner provides it); ``stage_assignment`` maps table name →
-        stage. Without an assignment, tables are placed first-fit in
-        strictly increasing stages (C4). All constraints of §3.2 are
-        verified; violations raise :class:`ResourceExhaustedError`.
+        stage, and tables it leaves out are placed first-fit in strictly
+        increasing stages (C4). All constraints of §3.2 are verified
+        through :mod:`repro.switch.resources`; violations raise
+        :class:`ResourceExhaustedError` naming the budget.
         """
         if key in self.instances:
             raise ResourceExhaustedError(f"instance {key!r} already installed")
@@ -215,30 +220,23 @@ class PISASwitch:
                 f"{key}: sized tables do not match the partition cut"
             )
 
-        if stage_assignment is None:
-            stage_assignment = self._first_fit(tables)
-        self._verify(key, compiled, n_operators, tables, stage_assignment)
+        stage_of = self._verify(key, compiled, n_operators, tables, stage_assignment)
 
         # Extend the parser with the header fields this instance reads and
         # check the PHV header budget (§3.2 "Parser").
-        header_fields = self._header_fields(compiled, n_operators)
-        self.parser.require(header_fields)
-        if self.parser.extracted_bits > self.config.phv_header_bits:
-            self.parser.release(
-                header_fields - self._header_fields_in_use(exclude=key)
-            )
-            raise ResourceExhaustedError(
-                f"{key}: parser would extract {self.parser.extracted_bits} "
-                f"header bits, over the PHV budget of "
-                f"{self.config.phv_header_bits}"
-            )
+        fields = header_fields(compiled, n_operators)
+        self.parser.require(fields)
+        over = over_budget("phv_header_bits", self.parser.extracted_bits, self.config)
+        if over:
+            self.parser.release(fields.keys() - self._header_fields_in_use(exclude=key))
+            raise ResourceExhaustedError(f"{key}: parser header bits {over}")
 
         instance = InstalledInstance(
             key=key,
             compiled=compiled,
             n_operators=n_operators,
             tables=tables,
-            stage_of=dict(stage_assignment),
+            stage_of=stage_of,
         )
         self.instances[key] = instance
         logger.debug("installed %s (cut=%d, %d tables)", key, n_operators, len(tables))
@@ -248,21 +246,11 @@ class PISASwitch:
                 self.filter_tables.setdefault(table.dynamic_table, set())
         return instance
 
-    @staticmethod
-    def _header_fields(compiled: CompiledSubQuery, n_operators: int) -> set[str]:
-        fields: set[str] = set()
-        for op in compiled.subquery.operators[:n_operators]:
-            for name in op.input_fields():
-                if name in compiled.registry:
-                    fields.add(name)
-        return fields
-
     def _header_fields_in_use(self, exclude: str | None = None) -> set[str]:
         fields: set[str] = set()
         for key, inst in self.instances.items():
-            if key == exclude:
-                continue
-            fields |= self._header_fields(inst.compiled, inst.n_operators)
+            if key != exclude:
+                fields.update(header_fields(inst.compiled, inst.n_operators))
         return fields
 
     def uninstall(self, key: str) -> None:
@@ -273,47 +261,13 @@ class PISASwitch:
         self.parser = ParserConfig()
         self.parser.require(self._header_fields_in_use())
 
-    def _stage_usage(self) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-        """(stateful count, register bits, table count) per stage, current."""
-        stateful: dict[int, int] = {}
-        bits: dict[int, int] = {}
-        count: dict[int, int] = {}
+    def _ledger(self) -> StageLedger:
+        """Per-stage usage of the installed instances."""
+        ledger = StageLedger(self.config)
         for inst in self.instances.values():
             for table in inst.tables:
-                stage = inst.stage_of[table.name]
-                count[stage] = count.get(stage, 0) + 1
-                if table.stateful:
-                    stateful[stage] = stateful.get(stage, 0) + 1
-                    bits[stage] = bits.get(stage, 0) + table.register_bits
-        return stateful, bits, count
-
-    def _first_fit(self, tables: list[LogicalTable]) -> dict[str, int]:
-        stateful, bits, count = self._stage_usage()
-        assignment: dict[str, int] = {}
-        stage = -1
-        for table in tables:
-            stage += 1
-            while True:
-                if stage >= self.config.stages:
-                    raise ResourceExhaustedError(
-                        f"no stage available for table {table.name}"
-                    )
-                ok = count.get(stage, 0) < self.config.stateless_actions_per_stage
-                if table.stateful:
-                    ok = ok and stateful.get(stage, 0) < self.config.stateful_actions_per_stage
-                    ok = ok and (
-                        bits.get(stage, 0) + table.register_bits
-                        <= self.config.register_bits_per_stage
-                    )
-                if ok:
-                    break
-                stage += 1
-            assignment[table.name] = stage
-            count[stage] = count.get(stage, 0) + 1
-            if table.stateful:
-                stateful[stage] = stateful.get(stage, 0) + 1
-                bits[stage] = bits.get(stage, 0) + table.register_bits
-        return assignment
+                ledger.take(table, inst.stage_of[table.name])
+        return ledger
 
     def _verify(
         self,
@@ -321,63 +275,25 @@ class PISASwitch:
         compiled: CompiledSubQuery,
         n_operators: int,
         tables: list[LogicalTable],
-        assignment: Mapping[str, int],
-    ) -> None:
-        previous = -1
-        for table in tables:
-            stage = assignment.get(table.name)
-            if stage is None:
-                raise ResourceExhaustedError(f"{key}: table {table.name} unassigned")
-            if not 0 <= stage < self.config.stages:
-                raise ResourceExhaustedError(
-                    f"{key}: stage {stage} outside 0..{self.config.stages - 1} (C3)"
-                )
-            if stage <= previous:
-                raise ResourceExhaustedError(
-                    f"{key}: table {table.name} breaks intra-query ordering (C4)"
-                )
-            previous = stage
-            if table.stateful:
-                if table.register is None or table.register.placeholder:
-                    raise ResourceExhaustedError(
-                        f"{key}: stateful table {table.name} lacks register sizing"
-                    )
-                if table.register_bits > self.config.max_single_register_bits:
-                    raise ResourceExhaustedError(
-                        f"{key}: register {table.register.name} exceeds the "
-                        "single-register cap"
-                    )
-
-        stateful, bits, count = self._stage_usage()
-        for table in tables:
-            stage = assignment[table.name]
-            count[stage] = count.get(stage, 0) + 1
-            if count[stage] > self.config.stateless_actions_per_stage:
-                raise ResourceExhaustedError(
-                    f"{key}: stage {stage} exceeds the per-stage action budget"
-                )
-            if table.stateful:
-                stateful[stage] = stateful.get(stage, 0) + 1
-                bits[stage] = bits.get(stage, 0) + table.register_bits
-                if stateful[stage] > self.config.stateful_actions_per_stage:
-                    raise ResourceExhaustedError(
-                        f"{key}: stage {stage} exceeds A="
-                        f"{self.config.stateful_actions_per_stage} (C2)"
-                    )
-                if bits[stage] > self.config.register_bits_per_stage:
-                    raise ResourceExhaustedError(
-                        f"{key}: stage {stage} exceeds B="
-                        f"{self.config.register_bits_per_stage} bits (C1)"
-                    )
+        assignment: Mapping[str, int] | None,
+    ) -> dict[str, int]:
+        """Check C1–C5 and the register cap on top of the installed
+        instances; returns each table's stage."""
+        try:
+            violation = chain_violation(tables, self.config)
+            if violation:
+                raise ResourceExhaustedError(violation)
+            stage_of = self._ledger().place(tables, assignment or {})
+        except ResourceExhaustedError as exc:
+            raise ResourceExhaustedError(f"{key}: {exc}") from None
 
         metadata = compiled.metadata_bits(n_operators) + sum(
             inst.metadata_bits() for inst in self.instances.values()
         )
-        if metadata > self.config.metadata_bits:
-            raise ResourceExhaustedError(
-                f"{key}: PHV metadata budget exceeded "
-                f"({metadata} > {self.config.metadata_bits} bits) (C5)"
-            )
+        over = over_budget("metadata_bits", metadata, self.config)
+        if over:
+            raise ResourceExhaustedError(f"{key}: PHV metadata bits {over} (C5)")
+        return stage_of
 
     # ------------------------------------------------------------------
     # Control plane
@@ -1049,12 +965,12 @@ class PISASwitch:
     # Introspection
     # ------------------------------------------------------------------
     def resource_usage(self) -> dict[str, Any]:
-        stateful, bits, count = self._stage_usage()
+        used = self._ledger().used
         return {
-            "stages_used": sorted(count),
-            "stateful_per_stage": stateful,
-            "register_bits_per_stage": bits,
-            "tables_per_stage": count,
+            "stages_used": sorted(used["stateless_actions_per_stage"]),
+            "stateful_per_stage": used["stateful_actions_per_stage"],
+            "register_bits_per_stage": used["register_bits_per_stage"],
+            "tables_per_stage": used["stateless_actions_per_stage"],
             "metadata_bits": sum(
                 inst.metadata_bits() for inst in self.instances.values()
             ),

@@ -54,3 +54,17 @@ class TestFallback:
         plan = ilp.solve()
         assert "fallback" not in plan.solver_info
         assert plan.solver_info["status"] == 0
+
+
+class TestGreedyInstall:
+    def test_only_a_refused_install_downgrades_a_cut(self, costs, monkeypatch):
+        """A bug inside ``install`` must surface, not pass as a full switch."""
+        from repro.planner.planner import GreedyPlanner
+        from repro.switch.simulator import PISASwitch
+
+        def broken(self, *args, **kwargs):
+            raise TypeError("bug inside install")
+
+        monkeypatch.setattr(PISASwitch, "install", broken)
+        with pytest.raises(TypeError, match="bug inside install"):
+            GreedyPlanner(costs, SwitchConfig.paper_default()).solve()

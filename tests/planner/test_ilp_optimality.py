@@ -8,9 +8,10 @@ the flow-conservation or objective encoding.
 A second reference covers tight switches (2–7 stages, 1–2 stateful
 actions, small register budgets): it enumerates every (path, cut per
 transition) of two queries and checks each candidate's feasibility with an
-exhaustive backtracking stage placement, so the stage encoding (chain
-offsets, the gap between stateful tables, the pinned cuts) must lose no
-plan the switch could install.
+exhaustive backtracking stage placement and the parser's header budget,
+so the stage encoding (chain offsets, the gap between stateful tables, the
+pinned cuts) and the header rows must lose no plan the switch could
+install.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from repro.planner.ilp import _EPS_LEVEL, _EPS_SHALLOW_CUT, PlanILP
 from repro.planner.refinement import ROOT_LEVEL, RefinementSpec
 from repro.queries.library import build_query
 from repro.switch.config import KB, SwitchConfig
+from repro.switch.parser import ParserConfig
 from repro.switch.simulator import PISASwitch
 
 VICTIM = 0x0A000001
@@ -149,8 +151,13 @@ def _query_options(qc):
                 tuples += cost
                 objective += cost + _EPS_SHALLOW_CUT * (max(tc.cut_options()) - cut)
                 if cut > 0:
+                    fields = {
+                        name
+                        for op in tc.compiled.subquery.operators[:cut]
+                        for name in op.input_fields()
+                    }
                     installed.append(
-                        (tc.tables_for_cut(cut), tc.cost_of(cut).metadata_bits)
+                        (tc.tables_for_cut(cut), tc.cost_of(cut).metadata_bits, fields)
                     )
             yield objective, tuples, installed
 
@@ -192,15 +199,19 @@ def _placeable(chains: list[list], config: SwitchConfig) -> bool:
 
 
 def _feasible(installed, config: SwitchConfig) -> bool:
-    if sum(meta for _, meta in installed) > config.metadata_bits:
+    if sum(meta for _, meta, _ in installed) > config.metadata_bits:
         return False
-    tables = [t for chain, _ in installed for t in chain]
+    parser = ParserConfig()
+    parser.require(set().union(*(fields for _, _, fields in installed)))
+    if parser.extracted_bits > config.phv_header_bits:
+        return False
+    tables = [t for chain, _, _ in installed for t in chain]
     if any(
         t.stateful and t.register_bits > config.max_single_register_bits
         for t in tables
     ):
         return False
-    return _placeable([chain for chain, _ in installed], config)
+    return _placeable([chain for chain, _, _ in installed], config)
 
 
 def _tight_brute_force(costs, config: SwitchConfig) -> tuple[float, float]:
@@ -247,6 +258,31 @@ class TestTightSwitchOptimality:
         plan = PlanILP(_TIGHT, config, mode="sonata", mip_gap=1e-9).solve()
         objective, tuples = _tight_brute_force(_TIGHT, config)
         assert "fallback" not in plan.solver_info
+        assert plan.solver_info["objective"] == pytest.approx(objective, abs=1e-6)
+        assert plan.est_total_tuples == pytest.approx(tuples, abs=1e-6)
+        switch = PISASwitch(config)
+        for inst in plan.all_instances():
+            if inst.on_switch:
+                switch.install(
+                    inst.key,
+                    inst.compiled,
+                    inst.cut,
+                    sized_tables=inst.tables,
+                    stage_assignment=inst.stage_assignment,
+                )
+
+    @pytest.mark.parametrize("phv_header_bits", [8, 32, 64])
+    def test_header_budget_matches_exhaustive_search(self, phv_header_bits):
+        """The header rows lose no plan whose parser fits the budget."""
+        config = SwitchConfig(
+            stages=7,
+            stateful_actions_per_stage=2,
+            register_bits_per_stage=1_300 * KB,
+            max_single_register_bits=640 * KB,
+            phv_header_bits=phv_header_bits,
+        )
+        plan = PlanILP(_TIGHT, config, mode="sonata", mip_gap=1e-9).solve()
+        objective, tuples = _tight_brute_force(_TIGHT, config)
         assert plan.solver_info["objective"] == pytest.approx(objective, abs=1e-6)
         assert plan.est_total_tuples == pytest.approx(tuples, abs=1e-6)
         switch = PISASwitch(config)

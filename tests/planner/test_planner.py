@@ -9,6 +9,7 @@ from repro.packets import Trace, attacks
 from repro.planner import QueryPlanner, PlanningMode
 from repro.planner.refinement import RefinementSpec
 from repro.queries.library import build_queries, build_query
+from repro.switch.config import SwitchConfig
 
 VICTIM = 0x0A000001
 
@@ -177,6 +178,38 @@ class TestRateSweep:
         assert all(
             t.register_bits <= cap for inst in plan.all_instances() for t in inst.tables
         )
+
+    CONFIGS = {
+        "paper_default": SwitchConfig.paper_default(),
+        "strawman": SwitchConfig.strawman(),
+        "phv64": SwitchConfig(phv_header_bits=64),
+        "phv32": SwitchConfig(phv_header_bits=32),
+        "phv8": SwitchConfig(phv_header_bits=8),
+        "one_table_per_stage": SwitchConfig(stateless_actions_per_stage=1),
+    }
+
+    @pytest.fixture(scope="class", params=[3_000, 20_000])
+    def training(self, request):
+        trace = build_workload(self.THREE, duration=6, pps=request.param, seed=7).trace
+        return trace.time_range(trace.start_ts, trace.start_ts + 3.0)
+
+    @pytest.mark.parametrize("solver", ["ilp", "greedy"])
+    @pytest.mark.parametrize("switch", list(CONFIGS))
+    def test_plan_installs_or_names_the_budget(self, training, switch, solver):
+        """Every switch envelope either plans a set of instances that
+        installs, or fails with a typed error naming the budget to raise."""
+        config = self.CONFIGS[switch]
+        queries = build_queries(self.THREE, window=3.0)
+        planner = QueryPlanner(queries, training, config=config, window=3.0)
+        try:
+            plan = planner.plan("sonata", solver=solver)
+        except PlanningError as exc:
+            assert any(name in str(exc) for name in SwitchConfig.__dataclass_fields__)
+            return
+        planner.verify(plan)
+        if switch.startswith("phv") and solver == "ilp":
+            greedy = planner.plan("sonata", solver="greedy")
+            assert plan.est_total_tuples <= greedy.est_total_tuples + 1e-6
 
 
 class TestPlannerObservability:

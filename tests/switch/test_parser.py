@@ -1,5 +1,7 @@
 """Tests for the programmable-parser model."""
 
+import re
+
 import pytest
 
 from repro.core.errors import CompilationError, ResourceExhaustedError
@@ -78,3 +80,16 @@ class TestSwitchIntegration:
         switch = PISASwitch(SwitchConfig(phv_header_bits=8))
         with pytest.raises(ResourceExhaustedError):
             self._install(switch)
+
+    @pytest.mark.parametrize("budget", [8, 32])
+    def test_phv_header_error_reports_the_bits_it_would_extract(self, budget):
+        from repro.switch import PISASwitch, SwitchConfig
+
+        switch = PISASwitch(SwitchConfig(phv_header_bits=budget))
+        with pytest.raises(ResourceExhaustedError) as info:
+            self._install(switch)
+        match = re.search(r"(\d+) over phv_header_bits=(\d+)", str(info.value))
+        assert match and int(match.group(2)) == budget
+        assert int(match.group(1)) > budget
+        # The rolled-back parser keeps nothing from the refused instance.
+        assert switch.parser.fields == set()
