@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import logging
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.core.errors import PlanningError
@@ -41,6 +41,7 @@ from repro.planner import QueryPlanner
 from repro.planner.refinement import (
     scale_thresholds,
     trailing_threshold_fields,
+    trailing_thresholds,
     without_thresholds,
 )
 from repro.runtime import SonataRuntime
@@ -197,7 +198,7 @@ class NetworkRuntime:
         )
         self._original_thresholds = {
             query.qid: {
-                sq.subid: trailing_threshold_fields(sq)
+                sq.subid: trailing_thresholds(sq)
                 for sq in query.subqueries
             }
             for query in self.queries
@@ -315,7 +316,6 @@ class NetworkRuntime:
                         window=self.window,
                         origin=origin,
                         engine=self.engine,
-                        channel=self.channel,
                         fault_scope=f"switch{switch_id}",
                         faults=self.faults,
                         degradation=self.degradation,
@@ -494,7 +494,7 @@ class NetworkRuntime:
         the k observed partials of a threshold-crossing key sum to at
         least ``Th * k/n`` under a proportional traffic split).
         """
-        thresholds = self._original_thresholds[query.qid][sq.subid]
-        for fld, value in thresholds.items():
-            rows = [row for row in rows if fld in row and row[fld] > value * scale]
+        for pred in self._original_thresholds[query.qid][sq.subid]:
+            scaled = replace(pred, value=pred.value * scale)
+            rows = [row for row in rows if pred.field in row and scaled.evaluate(row)]
         return rows

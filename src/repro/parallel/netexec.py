@@ -40,7 +40,6 @@ class SwitchTask:
     window: float
     origin: float
     engine: str = "batched"
-    channel: str = "auto"
     fault_scope: str = ""
     faults: object = None  # FaultSpec | None
     degradation: object = None  # DegradationPolicy | None
@@ -76,7 +75,6 @@ def run_switch_task(task: SwitchTask) -> SwitchResult:
             fault_scope=task.fault_scope,
             obs=obs,
             engine=task.engine,
-            channel=task.channel,
         )
         report = runtime.run(trace, window=task.window, origin=task.origin)
         rng_draws = (

@@ -13,6 +13,17 @@ records:
 - the level-``r`` output keys per window, which feed the refinement filter
   of the next-finer level in the following window (pipelined execution).
 
+Every operator chain runs once per training window, in this order:
+
+1. the root transitions ``* -> finest``, with the original thresholds. A
+   root transition reads no filter table, so the join of its leaves is the
+   query's output; at the finest level it is the ground truth;
+2. per (sub-query, coarse level), the chain stripped of its trailing
+   thresholds; every threshold field's minimum comes from the same rows;
+3. the coarse root transitions ``* -> r``, with relaxed thresholds; their
+   join gives the level-``r`` output keys;
+4. the filtered transitions ``r_prev -> r``.
+
 A key invariant makes per-transition estimation sound: with relaxed
 thresholds, a query's output at level ``r`` is the same whether or not its
 input was pre-filtered by a coarser level's output — coarse levels only
@@ -22,10 +33,9 @@ discard traffic whose finer keys could not satisfy the query anyway.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, replace
 
-from repro.analytics import execute_query, execute_subquery
+from repro.analytics import ColumnarResult, execute_subquery
 from repro.core.errors import PlanningError
 from repro.core.fields import FIELDS, coarsen_value
 from repro.core.query import Query, SubQuery
@@ -141,11 +151,6 @@ class QueryCosts:
         return self.spec.finest
 
 
-def _coarse_output_key(row: dict[str, Any], key_field: str, level: int) -> Any:
-    spec = FIELDS.get(key_field)
-    return coarsen_value(spec, row[key_field], level)
-
-
 class CostEstimator:
     """Estimates planning inputs for a set of queries over a training trace."""
 
@@ -196,46 +201,49 @@ class CostEstimator:
 
         native = spec.finest if spec is not None else 32
         levels = spec.levels if spec is not None else (native,)
-
-        # 1. Ground truth at the native level, per window.
-        native_outputs = [execute_query(query, w) for w in windows]
-
-        # 2. Relaxed thresholds per (subid, level). Disabling relaxation
-        #    (an ablation) keeps the original thresholds at every level —
-        #    always correct, but coarse levels prune less (§4.1).
-        if self.relax_thresholds:
-            relaxed = self._relax_thresholds(query, spec, windows, native_outputs)
-        else:
-            relaxed = {}
-
-        # 3. Per-level full-query outputs (relaxed thresholds, unfiltered
-        #    input) — these keys feed the next-finer level's filter table.
-        feed_keys: dict[int, list[set]] = {}
-        out_sizes: dict[int, float] = {}
-        for level in levels:
-            per_window = [
-                self._level_output_keys(query, spec, level, relaxed, w)
-                for w in windows
-            ]
-            feed_keys[level] = per_window
-            out_sizes[level] = _median([float(len(k)) for k in per_window])
-
-        # 4. Transition costs.
-        transitions: dict[tuple[int, int], dict[int, TransitionCosts]] = {}
         pairs = (
             spec.transitions() if spec is not None else [(ROOT_LEVEL, native)]
         )
+        transitions: dict[tuple[int, int], dict[int, TransitionCosts]] = {
+            pair: {} for pair in pairs
+        }
+
+        # 1. The root transition to the finest level. It runs with the
+        #    original thresholds, so its output is the ground truth.
+        #    Disabling relaxation (an ablation) keeps the original
+        #    thresholds at every level — always correct, but coarse levels
+        #    prune less (§4.1).
+        original = {
+            (sq.subid, level): thresholds
+            for sq in query.subqueries
+            if spec is not None and (thresholds := trailing_threshold_fields(sq))
+            for level in levels
+        }
+        relaxed = original if self.relax_thresholds else {}
+        feed_keys = {
+            native: self._root_keys(query, spec, native, relaxed, transitions)
+        }
+
+        # 2. Relaxed thresholds per (subid, level), from the ground truth.
+        if self.relax_thresholds and original:
+            relaxed = self._relax_thresholds(query, spec, original, feed_keys[native])
+
+        # 3. The coarse root transitions, with relaxed thresholds. Their
+        #    output keys feed the next-finer level's filter table.
+        for level in levels[:-1]:
+            feed_keys[level] = self._root_keys(
+                query, spec, level, relaxed, transitions
+            )
+
+        # 4. The filtered transitions r_prev -> r.
         for r_prev, r_level in pairs:
-            per_sub: dict[int, TransitionCosts] = {}
+            if r_prev == ROOT_LEVEL:
+                continue
             for sq in query.subqueries:
-                if spec is not None and not can_coarsen(sq, spec, r_level):
-                    # Inactive at this (coarse) level: the stateful side
-                    # of the join drives refinement alone (Figure 9).
-                    continue
-                per_sub[sq.subid] = self._transition_costs(
-                    query, sq, spec, r_prev, r_level, relaxed, feed_keys
-                )
-            transitions[(r_prev, r_level)] = per_sub
+                if can_coarsen(sq, spec, r_level):
+                    transitions[(r_prev, r_level)][sq.subid], _ = self._transition_costs(
+                        sq, spec, r_prev, r_level, relaxed, feed_keys
+                    )
 
         return QueryCosts(
             query=query,
@@ -243,118 +251,105 @@ class CostEstimator:
             relaxed_thresholds=relaxed,
             transitions=transitions,
             window_packets=window_packets,
-            output_keys_per_level=out_sizes,
+            output_keys_per_level={
+                level: _median([float(len(k)) for k in feed_keys[level]])
+                for level in levels
+            },
         )
 
     # -- pieces ---------------------------------------------------------------
-    def _relax_thresholds(
-        self,
-        query: Query,
-        spec: RefinementSpec | None,
-        windows: list[Trace],
-        native_outputs: list[list[dict]],
-    ) -> dict[tuple[int, int], dict[str, int]]:
-        """Relaxed thresholds per (subid, level); §4.1."""
-        relaxed: dict[tuple[int, int], dict[str, int]] = {}
-        if spec is None:
-            return relaxed
-        key_field = spec.key_field
-        for sq in query.subqueries:
-            thresholds = trailing_threshold_fields(sq)
-            if not thresholds:
-                continue
-            for level in spec.levels:
-                if level == spec.finest:
-                    relaxed[(sq.subid, level)] = dict(thresholds)
-                    continue
-                per_field: dict[str, int] = {}
-                for fld, original in thresholds.items():
-                    minima: list[int] = []
-                    for w, truth in zip(windows, native_outputs):
-                        satisfied = {
-                            _coarse_output_key(row, key_field, level)
-                            for row in truth
-                            if key_field in row
-                        }
-                        if not satisfied:
-                            continue
-                        # Aggregate the sub-query at ``level`` without its
-                        # trailing thresholds, then find the minimum over
-                        # ancestors of satisfying keys.
-                        stripped = without_thresholds(
-                            sq.operators, set(thresholds)
-                        )
-                        coarse = augmented_subquery(
-                            SubQuery(
-                                qid=sq.qid,
-                                subid=sq.subid,
-                                name=f"{sq.name}.relax",
-                                operators=stripped,
-                                window=sq.window,
-                            ),
-                            spec,
-                            ROOT_LEVEL,
-                            level,
-                        )
-                        rows = execute_subquery(coarse, w).rows()
-                        counts = {
-                            row[key_field]: row.get(fld)
-                            for row in rows
-                            if fld in row
-                        }
-                        values = [
-                            counts[k]
-                            for k in satisfied
-                            if counts.get(k) is not None
-                        ]
-                        if values:
-                            minima.append(min(values))
-                    if minima:
-                        per_field[fld] = max(original, min(minima) - 1)
-                    else:
-                        per_field[fld] = original
-                relaxed[(sq.subid, level)] = per_field
-        return relaxed
-
-    def _level_output_keys(
+    def _root_keys(
         self,
         query: Query,
         spec: RefinementSpec | None,
         level: int,
         relaxed: dict[tuple[int, int], dict[str, int]],
-        window: Trace,
-    ) -> set:
-        """Output keys of the full query executed at ``level`` (unfiltered).
-
-        Sub-queries that cannot be coarsened to ``level`` are inactive and
-        the join tree degrades to the active side (Figure 9 semantics).
-        """
-        if spec is None:
-            rows = execute_query(query, window)
-            return {tuple(sorted(r.items())) for r in rows}
-        leaf_outputs: dict[int, list | None] = {}
+        transitions: dict[tuple[int, int], dict[int, TransitionCosts]],
+    ) -> list[set]:
+        """Cost the root transitions ``* -> level`` into ``transitions``;
+        return the keys of their joined output (whole rows when the query
+        has no refinement key), per window."""
+        leaves: list[dict[int, list]] = [{} for _ in self.windows()]
         for sq in query.subqueries:
-            if not can_coarsen(sq, spec, level):
-                leaf_outputs[sq.subid] = None
+            if spec is not None and not can_coarsen(sq, spec, level):
+                # Inactive at this (coarse) level: the stateful side
+                # of the join drives refinement alone (Figure 9).
                 continue
-            coarse = augmented_subquery(
-                sq, spec, ROOT_LEVEL, level, relaxed.get((sq.subid, level))
+            costs, results = self._transition_costs(
+                sq, spec, ROOT_LEVEL, level, relaxed, {}
             )
-            leaf_outputs[sq.subid] = execute_subquery(coarse, window).rows()
-        rows = assemble_join_tree(query.join_tree, leaf_outputs) or []
-        return {row[spec.key_field] for row in rows if spec.key_field in row}
+            transitions[(ROOT_LEVEL, level)][sq.subid] = costs
+            for leaf, result in zip(leaves, results):
+                leaf[sq.subid] = result.rows()
+        outputs = [assemble_join_tree(query.join_tree, leaf) or [] for leaf in leaves]
+        if spec is None:
+            return [{tuple(sorted(r.items())) for r in rows} for rows in outputs]
+        key = spec.key_field
+        return [{row[key] for row in rows if key in row} for rows in outputs]
+
+    def _relax_thresholds(
+        self,
+        query: Query,
+        spec: RefinementSpec,
+        original: dict[tuple[int, int], dict[str, int]],
+        truth: list[set],
+    ) -> dict[tuple[int, int], dict[str, int]]:
+        """Relaxed thresholds per (subid, level); §4.1.
+
+        At each coarse level, the sub-query runs once per window without its
+        trailing thresholds; each threshold relaxes to its minimum over the
+        coarsened ground-truth keys ``truth``.
+        """
+        key_field = spec.key_field
+        field = FIELDS.get(key_field)
+        subqueries = {sq.subid: sq for sq in query.subqueries}
+        relaxed: dict[tuple[int, int], dict[str, int]] = {}
+        for (subid, level), thresholds in original.items():
+            relaxed[(subid, level)] = dict(thresholds)
+            if level == spec.finest:
+                continue
+            satisfied = [
+                {coarsen_value(field, key, level) for key in keys} for keys in truth
+            ]
+            if not any(satisfied):
+                continue
+            sq = subqueries[subid]
+            stripped = without_thresholds(sq.operators, set(thresholds))
+            coarse = augmented_subquery(
+                replace(sq, name=f"{sq.name}.relax", operators=stripped),
+                spec,
+                ROOT_LEVEL,
+                level,
+            )
+            minima: dict[str, list[int]] = {fld: [] for fld in thresholds}
+            for window, keys in zip(self.windows(), satisfied):
+                if not keys:
+                    continue
+                rows = execute_subquery(coarse, window).rows()
+                for fld, values in minima.items():
+                    counts = {
+                        row[key_field]: row.get(fld) for row in rows if fld in row
+                    }
+                    found = [counts[k] for k in keys if counts.get(k) is not None]
+                    if found:
+                        values.append(min(found))
+            relaxed[(subid, level)] = {
+                fld: max(value, min(minima[fld]) - 1) if minima[fld] else value
+                for fld, value in thresholds.items()
+            }
+        return relaxed
 
     def _transition_costs(
         self,
-        query: Query,
         sq: SubQuery,
         spec: RefinementSpec | None,
         r_prev: int,
         r_level: int,
         relaxed: dict[tuple[int, int], dict[str, int]],
         feed_keys: dict[int, list[set]],
-    ) -> TransitionCosts:
-        windows = self.windows()
+    ) -> tuple[TransitionCosts, list[ColumnarResult]]:
+        """Cost one instance from one run of its chain per window; the
+        runs' results are returned alongside."""
         if spec is None:
             augmented = sq
         else:
@@ -362,17 +357,18 @@ class CostEstimator:
                 sq, spec, r_prev, r_level, relaxed.get((sq.subid, r_level))
             )
         compiled = compile_subquery(augmented)
-        table_name = filter_table_name(query.qid, r_prev)
+        table_name = filter_table_name(sq.qid, r_prev)
 
         rows_after_op: dict[int, list[float]] = {}
         keys_per_op: dict[int, list[float]] = {}
         packets_in: list[float] = []
-        for w_index, window in enumerate(windows):
+        results: list[ColumnarResult] = []
+        for w_index, window in enumerate(self.windows()):
             tables: dict[str, set] = {}
             if r_prev != ROOT_LEVEL:
-                source = max(w_index - 1, 0)
-                tables[table_name] = feed_keys[r_prev][source]
+                tables[table_name] = feed_keys[r_prev][max(w_index - 1, 0)]
             result = execute_subquery(augmented, window, tables)
+            results.append(result)
             packets_in.append(float(result.input_rows))
             for op_index, stat in enumerate(result.stats):
                 rows_after_op.setdefault(op_index, []).append(float(stat.rows_out))
@@ -384,41 +380,32 @@ class CostEstimator:
             for op_index, values in keys_per_op.items()
         }
 
-        # Size registers once per stateful table from the key estimates.
+        # Size registers once per stateful table from the key estimates,
+        # and add the expected extra tuples due to register overflow (§3.3:
+        # the ILP "considers both the number of additional packets processed
+        # by the stream processor and the additional switch memory"). Every
+        # packet of an overflowed key is mirrored, so the expected overflow
+        # load of a stateful operator is its overflow *rate* times the
+        # packets entering it.
         sized: list[LogicalTable] = []
-        for table in compiled.tables:
-            if table.stateful and table.register is not None:
-                estimate = key_estimates.get(table.operator_index, 1)
-                register = size_register(
-                    name=table.register.name,
-                    estimated_keys=estimate,
-                    key_bits=table.register.key_bits,
-                    value_bits=table.register.value_bits,
-                    config=self.config,
-                    d=self.chain_depth,
-                )
-                sized.append(table.sized(register))
-            else:
-                sized.append(table)
-
-        # Expected extra tuples due to register overflow (§3.3: the ILP
-        # "considers both the number of additional packets processed by the
-        # stream processor and the additional switch memory"). Every packet
-        # of an overflowed key is mirrored, so the expected overflow load
-        # of a stateful operator is its overflow *rate* times the packets
-        # entering it.
         overflow_by_op: dict[int, float] = {}
-        for table in sized:
+        for table in compiled.tables:
             if not table.stateful or table.register is None:
+                sized.append(table)
                 continue
             op_index = table.operator_index
             keys = key_estimates.get(op_index, 1)
-            rate = chain_overflow_rate(table.register.n_slots, keys, table.register.d)
-            rows_in = _median(
-                rows_after_op.get(op_index - 1, packets_in)
-                if op_index > 0
-                else packets_in
+            register = size_register(
+                name=table.register.name,
+                estimated_keys=keys,
+                key_bits=table.register.key_bits,
+                value_bits=table.register.value_bits,
+                config=self.config,
+                d=self.chain_depth,
             )
+            sized.append(table.sized(register))
+            rate = chain_overflow_rate(register.n_slots, keys, register.d)
+            rows_in = _median(rows_after_op.get(op_index - 1, packets_in))
             overflow_by_op[op_index] = rate * rows_in
 
         cuts: list[CutCost] = []
@@ -439,7 +426,7 @@ class CostEstimator:
             )
 
         return TransitionCosts(
-            qid=query.qid,
+            qid=sq.qid,
             subid=sq.subid,
             r_prev=r_prev,
             r_level=r_level,
@@ -448,4 +435,4 @@ class CostEstimator:
             cuts=cuts,
             sized_tables=sized,
             key_estimates=key_estimates,
-        )
+        ), results

@@ -189,22 +189,27 @@ def augment_operators(
     return tuple(ops)
 
 
-def trailing_threshold_fields(subquery: SubQuery) -> dict[str, int]:
-    """Aggregate fields thresholded with gt/ge in the sub-query's filters.
+def trailing_thresholds(subquery: SubQuery) -> list[Predicate]:
+    """The gt/ge predicates on aggregate fields in the sub-query's filters.
 
     These are the thresholds dynamic refinement relaxes (§4.1) and the ones
     network-wide execution moves to the central collector.
     """
-    fields: dict[str, int] = {}
     reduce_outs = {
         op.out for op in subquery.operators if isinstance(op, Reduce)
     }
-    for op in subquery.operators:
-        if isinstance(op, Filter):
-            for pred in op.predicates:
-                if pred.op in ("gt", "ge") and pred.field in reduce_outs:
-                    fields[pred.field] = int(pred.value)
-    return fields
+    return [
+        pred
+        for op in subquery.operators
+        if isinstance(op, Filter)
+        for pred in op.predicates
+        if pred.op in ("gt", "ge") and pred.field in reduce_outs
+    ]
+
+
+def trailing_threshold_fields(subquery: SubQuery) -> dict[str, int]:
+    """The value of each trailing threshold, by field."""
+    return {pred.field: int(pred.value) for pred in trailing_thresholds(subquery)}
 
 
 def without_thresholds(

@@ -113,6 +113,40 @@ class TestNetworkRuntime:
             }
             assert got == truth
 
+    def test_ge_threshold_detections_match_truth(self, workload):
+        """The collector applies each original threshold with its own op:
+        keys whose merged count sits exactly at a ``ge`` threshold are
+        detected, as a single switch observing all traffic would."""
+        from repro.analytics import execute_query
+        from repro.core.expressions import Const
+        from repro.core.fields import TCP_SYN
+        from repro.core.query import PacketStream, Query
+
+        query = Query(
+            PacketStream(name="syn_ge", qid=1, window=3.0)
+            .filter(("tcp.flags", "eq", TCP_SYN))
+            .map(keys=("ipv4.dIP",), values=(Const(1),))
+            .reduce(keys=("ipv4.dIP",), func="sum")
+            .filter(("count", "ge", 6))
+        )
+        report = NetworkRuntime(
+            [query], Topology.ecmp(2, seed=5), workload.trace,
+            window=3.0, time_limit=10, local_threshold_scale=False,
+        ).run(workload.trace)
+        at_threshold = 0
+        for index, (_, window_trace) in enumerate(workload.trace.windows(3.0)):
+            truth = {
+                row["ipv4.dIP"]: row["count"]
+                for row in execute_query(query, window_trace)
+            }
+            got = {
+                row["ipv4.dIP"]: row["count"]
+                for row in report.windows[index].detections.get(1, [])
+            }
+            assert got == truth
+            at_threshold += sum(count == 6 for count in truth.values())
+        assert at_threshold > 0
+
     def test_no_queries_rejected(self, workload):
         from repro.core.errors import PlanningError
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.query import Query
+from repro.core.expressions import Const
+from repro.core.query import PacketStream, Query
 from repro.packets import Trace, attacks
 from repro.planner.costs import CostEstimator
 from repro.planner.refinement import ROOT_LEVEL
@@ -92,9 +93,6 @@ class TestRelaxedThresholds:
 
 class TestNoRefinementQuery:
     def test_port_keyed_query_single_transition(self, backbone_medium):
-        from repro.core.expressions import Const
-        from repro.core.query import PacketStream
-
         query = Query(
             PacketStream(name="ports", qid=5)
             .map(keys=("tcp.dPort",), values=(Const(1),))
@@ -104,3 +102,51 @@ class TestNoRefinementQuery:
         costs = CostEstimator([query], backbone_medium, window=3.0).estimate()[5]
         assert costs.spec is None
         assert list(costs.transitions) == [(ROOT_LEVEL, 32)]
+
+
+class TestOneRunPerChain:
+    """Within one ``estimate()``, no operator chain runs twice on the same
+    window with the same filter-table contents."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, synflood_trace):
+        zorro = attacks.zorro(VICTIM, start=0.0, probe_duration=5.0, shell_delay=1.0)
+        return Trace.merge([synflood_trace, zorro])
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # Refined, with relaxed thresholds at the coarse levels.
+            build_query("newly_opened_tcp_conns", qid=1, Th=100),
+            # No refinement key: a single root transition.
+            Query(
+                PacketStream(name="ports", qid=5)
+                .map(keys=("tcp.dPort",), values=(Const(1),))
+                .reduce(keys=("tcp.dPort",), func="sum")
+                .filter(("count", "gt", 50))
+            ),
+            # A join whose both sides refine.
+            build_query("syn_flood", qid=6, Th=20),
+            # A join whose payload side is inactive at coarse levels.
+            build_query("zorro", qid=10, Th1=20, Th2=1),
+        ],
+        ids=["refined", "no_refinement", "syn_flood", "zorro"],
+    )
+    def test_no_chain_runs_twice(self, monkeypatch, trace, query):
+        from repro.planner import costs as costs_module
+
+        runs = []
+        execute = costs_module.execute_subquery
+
+        def recording(subquery, window, tables=None):
+            contents = tuple(
+                sorted((name, frozenset(keys)) for name, keys in (tables or {}).items())
+            )
+            runs.append((subquery.operators, id(window), contents))
+            return execute(subquery, window, tables)
+
+        monkeypatch.setattr(costs_module, "execute_subquery", recording)
+        estimator = CostEstimator([query], trace, window=3.0, max_levels=4)
+        estimator.estimate()
+        assert runs
+        assert len(runs) == len(set(runs))
