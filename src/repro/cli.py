@@ -158,11 +158,41 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _detection_labels(names, detections) -> str:
+    """One window's detections as ``query:victim`` labels, or ``-``."""
+    from repro.queries.library import QUERY_LIBRARY
+
+    labels = []
+    for qid, name in enumerate(names, start=1):
+        spec = QUERY_LIBRARY.get(name)
+        fld = spec.victim_field if spec else "ipv4.dIP"
+        for row in detections.get(qid, []):
+            value = row.get(fld)
+            labels.append(
+                f"{name}:{format_ip(value) if isinstance(value, int) else value}"
+            )
+    return ", ".join(labels) or "-"
+
+
+def _export_obs(args, obs, metrics) -> None:
+    """Write the requested metrics/trace files and print the obs summary."""
+    if not obs.enabled:
+        return
+    from repro.obs.exporters import print_summary, write_metrics, write_trace_jsonl
+
+    if args.metrics_out:
+        write_metrics(metrics, args.metrics_out)
+        logger.info("wrote Prometheus snapshot to %s", args.metrics_out)
+    if args.trace_out:
+        written = write_trace_jsonl(obs, args.trace_out)
+        logger.info("wrote %d trace records to %s", written, args.trace_out)
+    print_summary(obs)
+
+
 def _run_network(args, trace, queries, names, faults, degradation, obs) -> int:
     """``repro run --switches N``: network-wide execution path."""
     from repro.network import NetworkRuntime, Topology
     from repro.parallel import default_workers
-    from repro.queries.library import QUERY_LIBRARY
 
     if args.ingress == "prefix":
         topology = Topology.by_source_prefix(args.switches)
@@ -189,20 +219,11 @@ def _run_network(args, trace, queries, names, faults, degradation, obs) -> int:
     )
     print("window  sw-tuples  collector  detections")
     for window in report.windows:
-        labels = []
-        for qid, name in enumerate(names, start=1):
-            spec = QUERY_LIBRARY.get(name)
-            fld = spec.victim_field if spec else "ipv4.dIP"
-            for row in window.detections.get(qid, []):
-                value = row.get(fld)
-                labels.append(
-                    f"{name}:{format_ip(value) if isinstance(value, int) else value}"
-                )
         degraded = "  [degraded]" if window.degraded else ""
         print(
             f"{window.index:>6}  {window.total_switch_tuples:>9}  "
             f"{window.collector_tuples:>9}  "
-            + (", ".join(labels) or "-")
+            + _detection_labels(names, window.detections)
             + degraded
         )
     print(
@@ -211,23 +232,13 @@ def _run_network(args, trace, queries, names, faults, degradation, obs) -> int:
     )
     if report.degraded_windows:
         print(f"degraded windows: {report.degraded_windows}")
-    if obs.enabled:
-        from repro.obs.exporters import print_summary, write_metrics, write_trace_jsonl
-
-        if args.metrics_out:
-            write_metrics(report.metrics, args.metrics_out)
-            logger.info("wrote Prometheus snapshot to %s", args.metrics_out)
-        if args.trace_out:
-            written = write_trace_jsonl(obs, args.trace_out)
-            logger.info("wrote %d trace records to %s", written, args.trace_out)
-        print_summary(obs)
+    _export_obs(args, obs, report.metrics)
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.obs import NULL_OBS, Observability, set_observability
     from repro.planner import QueryPlanner
-    from repro.queries.library import QUERY_LIBRARY
     from repro.runtime import SonataRuntime
 
     # Observability is opt-in: any of the three flags turns it on for the
@@ -274,19 +285,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         set_observability(None)
     print("window  packets  tuples->SP  detections")
     for window in report.windows:
-        labels = []
-        for qid, name in enumerate(names, start=1):
-            spec = QUERY_LIBRARY.get(name)
-            fld = spec.victim_field if spec else "ipv4.dIP"
-            for row in window.detections.get(qid, []):
-                value = row.get(fld)
-                labels.append(
-                    f"{name}:{format_ip(value) if isinstance(value, int) else value}"
-                )
         degraded = "  [degraded]" if window.degraded else ""
         print(
             f"{window.index:>6}  {window.packets:>7}  {window.total_tuples:>10}  "
-            + (", ".join(labels) or "-")
+            + _detection_labels(names, window.detections)
             + degraded
         )
     print(
@@ -304,16 +306,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         events = [e for w in report.windows for e in w.degradation_events]
         if events:
             print(f"degradation events: {', '.join(events)}")
-    if obs_enabled:
-        from repro.obs.exporters import print_summary, write_metrics, write_trace_jsonl
-
-        if args.metrics_out:
-            write_metrics(report.metrics, args.metrics_out)
-            logger.info("wrote Prometheus snapshot to %s", args.metrics_out)
-        if args.trace_out:
-            written = write_trace_jsonl(obs, args.trace_out)
-            logger.info("wrote %d trace records to %s", written, args.trace_out)
-        print_summary(obs)
+    _export_obs(args, obs, report.metrics)
     return 0
 
 

@@ -5,7 +5,6 @@ a switch the transformations must instead be *declarative*, which is also
 how the released Sonata prototype works. Each expression knows:
 
 - how to evaluate itself on a single tuple (``evaluate``),
-- how to evaluate itself on numpy columns (``evaluate_columnar``),
 - whether a PISA switch can perform it (``switch_supported``) — e.g.
   division is not supported in the data plane, which is exactly why the
   Slowloris query (Query 2) must finish at the stream processor,
@@ -16,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Mapping
-
-import numpy as np
 
 from repro.core.errors import QueryValidationError
 from repro.core.fields import FieldRegistry, FIELDS, coarsen_value
@@ -33,9 +30,6 @@ class Expression:
         raise NotImplementedError
 
     def evaluate(self, tup: Mapping[str, Any]) -> Any:
-        raise NotImplementedError
-
-    def evaluate_columnar(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -64,9 +58,6 @@ class FieldRef(Expression):
     def evaluate(self, tup: Mapping[str, Any]) -> Any:
         return tup[self.field]
 
-    def evaluate_columnar(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        return columns[self.field]
-
     @property
     def switch_supported(self) -> bool:
         return True
@@ -93,10 +84,6 @@ class Const(Expression):
 
     def evaluate(self, tup: Mapping[str, Any]) -> Any:
         return self.value
-
-    def evaluate_columnar(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        length = len(next(iter(columns.values()))) if columns else 0
-        return np.full(length, self.value, dtype=np.int64)
 
     @property
     def switch_supported(self) -> bool:
@@ -129,17 +116,6 @@ class Prefixed(Expression):
     def evaluate(self, tup: Mapping[str, Any]) -> Any:
         spec = FIELDS.get(self.field)
         return coarsen_value(spec, tup[self.field], self.level)
-
-    def evaluate_columnar(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        spec = FIELDS.get(self.field)
-        if spec.kind != "int":
-            raise QueryValidationError(
-                f"columnar coarsening only supports int fields, not {spec.kind}"
-            )
-        if self.level == 0:
-            return np.zeros_like(columns[self.field])
-        mask = ((1 << self.level) - 1) << (spec.width - self.level)
-        return columns[self.field] & np.array(mask, dtype=columns[self.field].dtype)
 
     @property
     def switch_supported(self) -> bool:
@@ -175,10 +151,6 @@ class Quantized(Expression):
 
     def evaluate(self, tup: Mapping[str, Any]) -> Any:
         return (int(tup[self.field]) // self.step) * self.step
-
-    def evaluate_columnar(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        col = columns[self.field].astype(np.int64)
-        return (col // self.step) * self.step
 
     @property
     def switch_supported(self) -> bool:
@@ -217,14 +189,6 @@ class Ratio(Expression):
             return 0
         return (tup[self.numerator] * self.scale) // denom
 
-    def evaluate_columnar(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        num = columns[self.numerator].astype(np.int64) * self.scale
-        den = columns[self.denominator].astype(np.int64)
-        out = np.zeros_like(num)
-        nonzero = den != 0
-        out[nonzero] = num[nonzero] // den[nonzero]
-        return out
-
     @property
     def switch_supported(self) -> bool:
         return False
@@ -250,11 +214,6 @@ class Difference(Expression):
 
     def evaluate(self, tup: Mapping[str, Any]) -> Any:
         return tup[self.left] - tup[self.right]
-
-    def evaluate_columnar(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        return columns[self.left].astype(np.int64) - columns[self.right].astype(
-            np.int64
-        )
 
     @property
     def switch_supported(self) -> bool:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Collection, Mapping
 
-import numpy as np
-
 from repro.core.errors import QueryValidationError
 from repro.core.expressions import Expression, as_expression
 from repro.core.fields import FieldRegistry, FIELDS, coarsen_value
@@ -88,7 +86,6 @@ class Predicate:
         if self.op == "in" and not isinstance(self.value, str):
             raise QueryValidationError("'in' predicates take a filter-table name")
 
-    # -- single-tuple evaluation --------------------------------------
     def evaluate(self, tup: Mapping[str, Any], tables: Mapping[str, set] | None = None) -> bool:
         value = tup[self.field]
         if self.level is not None and self.field in FIELDS:
@@ -122,61 +119,6 @@ class Predicate:
             if table is None:
                 return False
             return value in table
-        raise AssertionError(self.op)
-
-    # -- columnar evaluation -------------------------------------------
-    def evaluate_columnar(
-        self,
-        columns: Mapping[str, np.ndarray],
-        tables: Mapping[str, set] | None = None,
-        side_tables: Mapping[str, list] | None = None,
-    ) -> np.ndarray:
-        col = columns[self.field]
-        if self.level is not None and self.field in FIELDS:
-            spec = FIELDS.get(self.field)
-            if spec.kind == "int":
-                if self.level == 0:
-                    col = np.zeros_like(col)
-                else:
-                    mask = ((1 << self.level) - 1) << (spec.width - self.level)
-                    col = col & np.array(mask, dtype=col.dtype)
-            else:
-                raise QueryValidationError(
-                    "columnar coarsened predicates require int fields"
-                )
-        if self.op == "eq":
-            return col == self.value
-        if self.op == "ne":
-            return col != self.value
-        if self.op == "gt":
-            return col > self.value
-        if self.op == "ge":
-            return col >= self.value
-        if self.op == "lt":
-            return col < self.value
-        if self.op == "le":
-            return col <= self.value
-        if self.op == "mask":
-            return (col & self.value) == self.value
-        if self.op == "in":
-            table = (tables or {}).get(self.value)
-            if not table:
-                return np.zeros(len(col), dtype=bool)
-            return np.isin(col, np.fromiter(table, dtype=np.int64, count=len(table)))
-        if self.op == "contains":
-            payloads = (side_tables or {}).get("payloads")
-            if payloads is None:
-                return np.zeros(len(col), dtype=bool)
-            needle = (
-                self.value
-                if isinstance(self.value, (bytes, bytearray))
-                else str(self.value).encode("utf-8")
-            )
-            out = np.zeros(len(col), dtype=bool)
-            for i, payload_id in enumerate(col):
-                if payload_id >= 0 and needle in payloads[payload_id]:
-                    out[i] = True
-            return out
         raise AssertionError(self.op)
 
     def switch_supported(self, registry: FieldRegistry = FIELDS) -> bool:

@@ -17,13 +17,10 @@ from repro.exec.alu import (
 from repro.exec.columns import (
     ColumnarState,
     canonical_state,
-    is_str_field,
     materialize_rows,
-    value_mask,
 )
 from repro.exec.kernels import (
     apply_map,
-    coarsen_vocab,
     eval_expression,
     filter_mask,
     group_first_occurrence,
@@ -32,7 +29,6 @@ from repro.exec.kernels import (
     predicate_mask,
     reduce_args,
     state_bits,
-    threshold_mask,
 )
 
 __all__ = [
@@ -42,10 +38,7 @@ __all__ = [
     "running_groups",
     "ColumnarState",
     "canonical_state",
-    "is_str_field",
     "materialize_rows",
-    "value_mask",
-    "coarsen_vocab",
     "predicate_mask",
     "filter_mask",
     "eval_expression",
@@ -53,7 +46,6 @@ __all__ = [
     "group_first_occurrence",
     "key_columns",
     "state_bits",
-    "threshold_mask",
     "reduce_args",
     "materialize_keys",
 ]

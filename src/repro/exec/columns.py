@@ -28,12 +28,10 @@ class ColumnarState:
     ``columns`` maps field name → numpy array (one entry per tuple).
     ``vocabs`` maps *string-typed* field names → list of strings; the
     column then holds vocabulary ids (or -1 for "absent").
-    ``payloads`` is the payload side table for ``contains`` predicates.
     """
 
     columns: dict[str, np.ndarray]
     vocabs: dict[str, list[str]] = field(default_factory=dict)
-    payloads: list[bytes] = field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
@@ -45,7 +43,6 @@ class ColumnarState:
         return ColumnarState(
             columns={name: col[mask] for name, col in self.columns.items()},
             vocabs=self.vocabs,
-            payloads=self.payloads,
         )
 
     def project(self, names: Collection[str]) -> "ColumnarState":
@@ -53,7 +50,6 @@ class ColumnarState:
         return ColumnarState(
             columns={k: col for k, col in self.columns.items() if k in names},
             vocabs={k: v for k, v in self.vocabs.items() if k in names},
-            payloads=self.payloads,
         )
 
     @staticmethod
@@ -64,18 +60,13 @@ class ColumnarState:
         }
         return ColumnarState(
             columns=columns,
-            # payload ids resolve through the payload side table exactly
+            # payload ids resolve through the trace's payload table exactly
             # like DNS-name ids resolve through the qname vocabulary.
             vocabs={
                 "dns.rr.name": list(trace.qnames),
                 "payload": list(trace.payloads),
             },
-            payloads=list(trace.payloads),
         )
-
-
-def is_str_field(name: str, state: ColumnarState) -> bool:
-    return name in state.vocabs
 
 
 def materialize_rows(
@@ -150,30 +141,5 @@ def canonical_state(state: ColumnarState, keys: Sequence[str]) -> ColumnarState:
     for k in keys:
         if k in state.vocabs:
             columns[k], vocabs[k] = canonical_column(state, k)
-    payloads = state.payloads
-    if "payload" in keys and "payload" in vocabs:
-        payloads = vocabs["payload"]  # ``contains`` resolves ids through it
-    return ColumnarState(columns=columns, vocabs=vocabs, payloads=payloads)
+    return ColumnarState(columns=columns, vocabs=vocabs)
 
-
-def value_mask(state: ColumnarState, name: str, value: Any) -> np.ndarray:
-    """Rows where ``packet.get(name) == value`` (drop-rule semantics)."""
-    col = state.columns[name]
-    vocab = state.vocabs.get(name)
-    if vocab is None:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return col == value
-        return np.zeros(len(col), dtype=bool)
-    # String/bytes field: missing ids (-1) compare equal to ""/b"".
-    missing: str | bytes = b"" if name == "payload" else ""
-    ids = col.astype(np.int64, copy=False)
-    if value == missing:
-        base = ids < 0
-    else:
-        base = np.zeros(len(col), dtype=bool)
-    keep = np.fromiter((v == value for v in vocab), dtype=bool, count=len(vocab))
-    valid = ids >= 0
-    out = base.copy()
-    if len(vocab):
-        out[valid] = keep[ids[valid]]
-    return out

@@ -1,41 +1,70 @@
 """Vectorized operator kernels over :class:`ColumnarState` columns.
 
-One shared kernel layer for both batch engines: the switch's batched
+The one columnar evaluator. Both batch engines — the switch's batched
 window path and the columnar operator interpreter
 (:mod:`repro.streaming.batchops`, which also serves the planner's cost
-estimation, the All-SP ground truth and raw mirroring) execute filters,
-maps, grouping and aggregation through these functions, so their
-semantics cannot drift apart. :func:`group_first_occurrence` is the one
-grouping kernel. The row-wise interpreters share the scalar half of the
-same definitions via :mod:`repro.exec.alu`.
+estimation, the All-SP ground truth and raw mirroring) — execute
+filters, maps, grouping and aggregation through these functions, so
+their semantics cannot drift apart. :mod:`repro.core` only describes
+operators and evaluates them on one tuple; where a column cannot be
+compared vectorized (vocab-typed names and payloads, ``contains``), a
+kernel applies that scalar definition once per distinct value.
+:func:`group_first_occurrence` is the one grouping kernel. The row-wise
+interpreters share the scalar half of the ALU via :mod:`repro.exec.alu`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import numbers
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.errors import QueryValidationError
-from repro.core.expressions import Expression, Prefixed
+from repro.core.expressions import (
+    Const,
+    Difference,
+    Expression,
+    FieldRef,
+    Prefixed,
+    Quantized,
+    Ratio,
+)
 from repro.core.fields import FIELDS, coarsen_value
 from repro.core.operators import Filter, Map, Predicate, Reduce, Schema
-from repro.exec.columns import ColumnarState, is_str_field
+from repro.exec.columns import ColumnarState, canonical_column
+
+_COMPARE = {
+    "eq": np.equal,
+    "ne": np.not_equal,
+    "gt": np.greater,
+    "ge": np.greater_equal,
+    "lt": np.less,
+    "le": np.less_equal,
+}
 
 
-def coarsen_vocab(vocab: list[str], level: int) -> tuple[list[str], np.ndarray]:
-    """Coarsen every vocab entry; return (new_vocab, id_remap)."""
-    spec = FIELDS.get("dns.rr.name")
-    new_vocab: list[str] = []
-    intern: dict[str, int] = {}
-    remap = np.empty(len(vocab), dtype=np.int64)
-    for i, name in enumerate(vocab):
-        coarse = str(coarsen_value(spec, name, level))
-        if coarse not in intern:
-            intern[coarse] = len(new_vocab)
-            new_vocab.append(coarse)
-        remap[i] = intern[coarse]
-    return new_vocab, remap
+def _coarsen_ints(name: str, col: np.ndarray, level: int) -> np.ndarray:
+    """``coarsen_value`` of every cell of an int column, as one AND."""
+    spec = FIELDS.get(name)
+    mask = coarsen_value(spec, (1 << spec.width) - 1, level)
+    return col & np.array(mask, dtype=col.dtype)
+
+
+def _intern(values: Iterable) -> tuple[list, np.ndarray]:
+    """``(vocab, ids)`` of ``values``: equal values share one id."""
+    intern: dict = {}
+    ids = [intern.setdefault(v, len(intern)) for v in values]
+    return list(intern), np.array(ids, dtype=np.int64)
+
+
+def _vectorized(pred: Predicate) -> bool:
+    """Whether an int column can evaluate ``pred`` without the scalar path."""
+    if pred.op == "in":
+        return True
+    if pred.op == "mask":
+        return isinstance(pred.value, numbers.Integral)
+    return pred.op in _COMPARE and isinstance(pred.value, numbers.Real)
 
 
 def predicate_mask(
@@ -43,38 +72,36 @@ def predicate_mask(
     state: ColumnarState,
     tables: Mapping[str, set] | None,
 ) -> np.ndarray:
-    """Evaluate one predicate over the current columns."""
-    if pred.op == "contains":
-        # Byte-substring probes resolve through the payload side table.
-        side = {"payloads": state.payloads}
-        return pred.evaluate_columnar(state.columns, tables=tables, side_tables=side)
-    if is_str_field(pred.field, state):
-        vocab = state.vocabs[pred.field]
-        ids = state.columns[pred.field]
-        if pred.level is not None:
-            spec = FIELDS.get(pred.field)
-            values = [
-                str(coarsen_value(spec, name, pred.level)) for name in vocab
-            ]
-        else:
-            values = list(vocab)
-        if pred.op == "in":
-            table = (tables or {}).get(pred.value) or set()
-            keep = np.array([v in table for v in values], dtype=bool)
-        elif pred.op == "eq":
-            keep = np.array([v == pred.value for v in values], dtype=bool)
-        elif pred.op == "ne":
-            keep = np.array([v != pred.value for v in values], dtype=bool)
-        else:
-            raise QueryValidationError(
-                f"predicate op {pred.op!r} unsupported on string field {pred.field}"
-            )
-        mask = np.zeros(len(ids), dtype=bool)
-        valid = ids >= 0
-        mask[valid] = keep[ids[valid].astype(np.int64)]
-        return mask
-    side = {"payloads": state.payloads}
-    return pred.evaluate_columnar(state.columns, tables=tables, side_tables=side)
+    """Evaluate one predicate over the current columns.
+
+    Int columns compare vectorized, refinement levels applied by one
+    AND. Vocab columns, ``contains`` and constants an int column cannot
+    equal apply the scalar :meth:`Predicate.evaluate` once per distinct
+    value, so the row engines' semantics hold by construction.
+    """
+    if pred.field in state.vocabs or not _vectorized(pred):
+        # Canonical vocab ids read an absent cell as the empty value.
+        ids, values = canonical_column(state, pred.field)
+        if values is None:
+            distinct, ids = np.unique(ids, return_inverse=True)
+            values = distinct.tolist()
+        keep = np.fromiter(
+            (pred.evaluate({pred.field: v}, tables) for v in values),
+            dtype=bool,
+            count=len(values),
+        )
+        return keep[ids]
+    col = state.columns[pred.field]
+    if pred.level is not None and pred.field in FIELDS:
+        col = _coarsen_ints(pred.field, col, pred.level)
+    if pred.op == "in":
+        table = (tables or {}).get(pred.value)
+        if not table:
+            return np.zeros(len(col), dtype=bool)
+        return np.isin(col, np.fromiter(table, dtype=np.int64, count=len(table)))
+    if pred.op == "mask":
+        return (col & pred.value) == pred.value
+    return _COMPARE[pred.op](col, pred.value)
 
 
 def filter_mask(
@@ -88,44 +115,44 @@ def filter_mask(
 
 def eval_expression(
     expr: Expression, state: ColumnarState
-) -> tuple[np.ndarray, list[str] | None]:
+) -> tuple[np.ndarray, list | None]:
     """Evaluate a map expression; returns (column, vocab-or-None)."""
-    if isinstance(expr, Prefixed) and is_str_field(expr.field, state):
-        vocab = state.vocabs[expr.field]
-        new_vocab, remap = coarsen_vocab(vocab, expr.level)
-        ids = state.columns[expr.field].astype(np.int64)
-        if (ids < 0).any():
-            # Rows without the field coarsen like the row engines coarsen
-            # "" (e.g. "." for DNS names), not to a distinct absent id.
-            spec = FIELDS.get(expr.field)
-            missing = str(coarsen_value(spec, "", expr.level))
-            if missing in new_vocab:
-                missing_id = new_vocab.index(missing)
-            else:
-                missing_id = len(new_vocab)
-                new_vocab = new_vocab + [missing]
-            out = np.where(ids >= 0, remap[np.clip(ids, 0, None)], missing_id)
-        else:
-            out = np.where(ids >= 0, remap[np.clip(ids, 0, None)], -1)
-        return out, new_vocab
-    inputs = expr.inputs()
-    column = expr.evaluate_columnar(state.columns)
-    vocab = None
-    if len(inputs) == 1 and is_str_field(inputs[0], state):
-        # Pass-through of a string field keeps its vocabulary.
-        vocab = state.vocabs[inputs[0]]
-    return column, vocab
+    columns = state.columns
+    if isinstance(expr, FieldRef):
+        return columns[expr.field], state.vocabs.get(expr.field)
+    if isinstance(expr, Const):
+        return np.full(state.n_rows, expr.value, dtype=np.int64), None
+    if isinstance(expr, Prefixed):
+        if expr.field in state.vocabs:
+            ids, names = canonical_column(state, expr.field)
+            vocab, remap = _intern(expr.evaluate({expr.field: n}) for n in names)
+            return remap[ids], vocab
+        return _coarsen_ints(expr.field, columns[expr.field], expr.level), None
+    if isinstance(expr, Quantized):
+        col = columns[expr.field].astype(np.int64)
+        return (col // expr.step) * expr.step, None
+    if isinstance(expr, Ratio):
+        num = columns[expr.numerator].astype(np.int64) * expr.scale
+        den = columns[expr.denominator].astype(np.int64)
+        out = np.zeros_like(num)
+        nonzero = den != 0
+        out[nonzero] = num[nonzero] // den[nonzero]
+        return out, None
+    if isinstance(expr, Difference):
+        left = columns[expr.left].astype(np.int64)
+        return left - columns[expr.right].astype(np.int64), None
+    raise QueryValidationError(f"no columnar kernel for expression {expr!r}")
 
 
 def apply_map(op: Map, state: ColumnarState) -> ColumnarState:
     columns: dict[str, np.ndarray] = {}
-    vocabs: dict[str, list[str]] = {}
+    vocabs: dict[str, list] = {}
     for expr in op.keys + op.values:
         column, vocab = eval_expression(expr, state)
         columns[expr.name] = column
         if vocab is not None:
             vocabs[expr.name] = vocab
-    return ColumnarState(columns=columns, vocabs=vocabs, payloads=state.payloads)
+    return ColumnarState(columns=columns, vocabs=vocabs)
 
 
 def _key_matrix(state: ColumnarState, keys: Sequence[str]) -> np.ndarray:
@@ -243,30 +270,6 @@ def group_first_occurrence(
 def state_bits(schema: Schema, keys: Sequence[str], n_keys: int, value_bits: int) -> int:
     key_bits = sum(schema.width_of(k) for k in keys)
     return n_keys * (key_bits + value_bits)
-
-
-def threshold_mask(predicates: Sequence[Predicate], values: np.ndarray) -> np.ndarray:
-    """Rows whose running aggregate passes every folded threshold predicate.
-
-    The compiler's fold guarantee (``_is_threshold_filter``) means every
-    predicate compares the reduce output with gt/ge/lt/le, so the probe
-    only needs the aggregate value.
-    """
-    mask = np.ones(len(values), dtype=bool)
-    for pred in predicates:
-        if pred.op == "gt":
-            mask &= values > pred.value
-        elif pred.op == "ge":
-            mask &= values >= pred.value
-        elif pred.op == "lt":
-            mask &= values < pred.value
-        elif pred.op == "le":
-            mask &= values <= pred.value
-        else:  # pragma: no cover - excluded by the compiler's fold check
-            raise QueryValidationError(
-                f"folded threshold predicate has non-threshold op {pred.op!r}"
-            )
-    return mask
 
 
 def reduce_args(

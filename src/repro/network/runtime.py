@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.core.errors import PlanningError
-from repro.core.operators import Distinct, Reduce
 from repro.core.query import Query, SubQuery
 from repro.faults import DegradationPolicy, FaultInjector, FaultSpec
 from repro.faults.injector import SWITCH_FAILED, SWITCH_OK
@@ -45,6 +44,7 @@ from repro.planner.refinement import (
     without_thresholds,
 )
 from repro.runtime import SonataRuntime
+from repro.runtime.emitter import partial_remerge
 from repro.streaming.rowops import Row, apply_operator, assemble_join_tree
 from repro.switch.config import SwitchConfig
 
@@ -389,18 +389,11 @@ class NetworkRuntime:
                 # ran (tuples counted) but its partials are not merged.
                 missing.append(switch_id)
                 continue
+            query_plans = self.runtimes[switch_id].plan.query_plans
             for query in self._local_queries:
-                finest = 32
+                finest = query_plans[query.qid].path[-1]
                 for sq in query.subqueries:
-                    rows = window.sub_outputs.get((query.qid, finest, sq.subid))
-                    if rows is None:
-                        # fall back to the finest level actually planned
-                        candidates = [
-                            value
-                            for (qid, _, subid), value in window.sub_outputs.items()
-                            if qid == query.qid and subid == sq.subid
-                        ]
-                        rows = candidates[-1] if candidates else []
+                    rows = window.sub_outputs.get((query.qid, finest, sq.subid), [])
                     merged_leaves[query.qid][sq.subid].extend(rows)
                     collector_tuples += len(rows)
 
@@ -471,19 +464,7 @@ class NetworkRuntime:
         stateful = [op for op in local_sq.operators if op.stateful]
         if not stateful or not rows:
             return rows
-        last = stateful[-1]
-        if isinstance(last, Reduce):
-            remerge = Reduce(
-                keys=last.keys,
-                func=last.func if last.func != "count" else "sum",
-                value_field=last.out,
-                out=last.out,
-            )
-            return apply_operator(rows, remerge)
-        if isinstance(last, Distinct):
-            keys = tuple(rows[0].keys())
-            return apply_operator(rows, Distinct(keys=keys))
-        return rows
+        return apply_operator(rows, partial_remerge(stateful[-1]))
 
     def _apply_original_thresholds(
         self, query: Query, sq: SubQuery, rows: list[Row], scale: float = 1.0

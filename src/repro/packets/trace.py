@@ -84,9 +84,6 @@ class Trace:
         """All registered fields as a name -> column mapping (views)."""
         return {name: self.array[registry.get(name).column] for name in registry.names()}
 
-    def side_tables(self) -> dict[str, list]:
-        return {"payloads": self.payloads, "qnames": self.qnames}
-
     # -- construction ------------------------------------------------------
     @staticmethod
     def empty() -> "Trace":

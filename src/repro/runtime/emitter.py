@@ -258,15 +258,21 @@ def overflow_merge_policy(plan: InstancePlan) -> "tuple[int, Operator | None]":
     stateful = [i for i, op in enumerate(ops[: plan.cut]) if op.stateful]
     if not stateful:
         return plan.cut, None
-    last = ops[stateful[-1]]
-    if isinstance(last, Reduce):
-        remerge: Operator = Reduce(
-            keys=last.keys,
-            func=last.func if last.func != "count" else "sum",
-            value_field=last.out,
-            out=last.out,
+    return stateful[-1] + 1, partial_remerge(ops[stateful[-1]])
+
+
+def partial_remerge(op: Operator) -> Operator:
+    """The operator that re-aggregates partial outputs of stateful ``op``.
+
+    Partial counts sum; other reduce functions re-apply themselves to
+    the partial aggregates. A distinct re-applies itself keyless, which
+    both interpreters expand to every column.
+    """
+    if isinstance(op, Reduce):
+        return Reduce(
+            keys=op.keys,
+            func=op.func if op.func != "count" else "sum",
+            value_field=op.out,
+            out=op.out,
         )
-    else:
-        # Keyless: both interpreters expand it to every column.
-        remerge = Distinct()
-    return stateful[-1] + 1, remerge
+    return Distinct()

@@ -413,9 +413,6 @@ class SonataRuntime:
                 result = execute_subquery(inst.augmented, window_trace, inst_tables)
                 leaf_rows[inst.key] = result.rows()
                 raw_qids.add(inst.qid)
-                runtime = self.stream_processor.instance(inst.key)
-                runtime.tuples_in += len(window_trace)
-                runtime.tuples_out += len(leaf_rows[inst.key])
                 self.stream_processor.record_raw_mirror(
                     inst.key, len(window_trace), len(leaf_rows[inst.key])
                 )

@@ -411,11 +411,7 @@ class WireCodec:
                 name: np.asarray(values, dtype=dtypes[name])
                 for name, values in raw_columns.items()
             }
-            state = ColumnarState(
-                columns=columns,
-                vocabs=vocabs,
-                payloads=list(vocabs.get("payload", [])),
-            )
+            state = ColumnarState(columns=columns, vocabs=vocabs)
         return MirroredBatch(
             instance=instance,
             kind=_KINDS[kind_index],

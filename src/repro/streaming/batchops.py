@@ -62,7 +62,7 @@ def _apply_reduce(state: ColumnarState, op: Reduce) -> ColumnarState:
     columns = key_columns(grouped, op.keys, unique)
     columns[op.out] = agg
     vocabs = {k: grouped.vocabs[k] for k in op.keys if k in grouped.vocabs}
-    return ColumnarState(columns=columns, vocabs=vocabs, payloads=state.payloads)
+    return ColumnarState(columns=columns, vocabs=vocabs)
 
 
 def _apply_distinct(state: ColumnarState, op: Distinct) -> ColumnarState:
@@ -74,7 +74,7 @@ def _apply_distinct(state: ColumnarState, op: Distinct) -> ColumnarState:
     unique, _first, _inv = group_first_occurrence(grouped, keys)
     columns = key_columns(grouped, keys, unique)
     vocabs = {k: grouped.vocabs[k] for k in keys if k in grouped.vocabs}
-    return ColumnarState(columns=columns, vocabs=vocabs, payloads=state.payloads)
+    return ColumnarState(columns=columns, vocabs=vocabs)
 
 
 def apply_operator_state(

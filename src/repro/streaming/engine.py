@@ -116,9 +116,12 @@ class StreamProcessor:
         return out
 
     def record_raw_mirror(self, key: str, tuples_in: int, tuples_out: int) -> None:
-        """Mirror raw-fallback accounting (done by the runtime directly on
-        the :class:`SubQueryRuntime`) into the obs counters, keeping them
-        equal to :meth:`load_report` totals."""
+        """Account a raw-mirrored window the runtime executed itself: the
+        instance's :meth:`load_report` totals and the obs counters move
+        together."""
+        runtime = self.instance(key)
+        runtime.tuples_in += tuples_in
+        runtime.tuples_out += tuples_out
         self._m_in.inc(tuples_in, instance=key)
         self._m_out.inc(tuples_out, instance=key)
 

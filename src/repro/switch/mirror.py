@@ -88,8 +88,7 @@ def state_from_rows(
         columns[name] = column
         if vocab is not None:
             vocabs[name] = vocab
-    payloads = vocabs.get("payload", [])
-    return ColumnarState(columns=columns, vocabs=vocabs, payloads=list(payloads))
+    return ColumnarState(columns=columns, vocabs=vocabs)
 
 
 @dataclass
@@ -225,10 +224,7 @@ def concat_states(states: "Sequence[ColumnarState]") -> ColumnarState:
             columns[name] = np.concatenate(
                 [np.asarray(s.columns[name]) for s in states]
             )
-    payloads = vocabs.get("payload")
-    if payloads is None:
-        payloads = next((s.payloads for s in states if s.payloads), [])
-    return ColumnarState(columns=columns, vocabs=vocabs, payloads=list(payloads))
+    return ColumnarState(columns=columns, vocabs=vocabs)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 import numpy as np
 
 from repro.core.errors import ResourceExhaustedError
-from repro.core.operators import Distinct, Filter, Map, Reduce
+from repro.core.operators import Distinct, Filter, Map, Predicate, Reduce
 from repro.exec import (
     ColumnarState,
     aggregate_groups,
@@ -38,10 +38,9 @@ from repro.exec import (
     filter_mask,
     group_first_occurrence,
     materialize_keys,
+    predicate_mask,
     reduce_args,
     running_groups,
-    threshold_mask,
-    value_mask,
 )
 from repro.obs import get_observability
 from repro.packets.packet import Packet
@@ -522,7 +521,8 @@ class PISASwitch:
         if self.drop_rules:
             keep = np.ones(state.n_rows, dtype=bool)
             for field_name, value in self.drop_rules:
-                keep &= ~value_mask(state, field_name, value)
+                drop = Predicate(field_name, "eq", value)
+                keep &= ~predicate_mask(drop, state, None)
             dropped = int(state.n_rows - int(keep.sum()))
             if dropped:
                 self.packets_dropped += dropped
@@ -600,7 +600,6 @@ class PISASwitch:
                     vocabs={
                         k: v for k, v in state.vocabs.items() if k in schema.fields
                     },
-                    payloads=state.payloads,
                 ),
                 rows=sel,
                 pos=pos,
@@ -702,7 +701,6 @@ class PISASwitch:
                         vocabs={
                             k: v for k, v in state.vocabs.items() if k in keys
                         },
-                        payloads=state.payloads,
                     ),
                     rows=sel[over],
                     pos=pos,
@@ -726,7 +724,6 @@ class PISASwitch:
         new_state = ColumnarState(
             columns={k: live.columns[k][cont] for k in keys},
             vocabs={k: v for k, v in live.vocabs.items() if k in keys},
-            payloads=live.payloads,
         )
         return new_state, live_sel[cont]
 
@@ -774,7 +771,6 @@ class PISASwitch:
                         vocabs={
                             k: v for k, v in state.vocabs.items() if k in op.keys
                         },
-                        payloads=state.payloads,
                     ),
                     rows=sel[over],
                     pos=pos,
@@ -785,9 +781,8 @@ class PISASwitch:
         if folded is not None:
             # Folded threshold: a key is reported iff any of its running
             # (per-update) aggregates passes — first-crossing semantics.
-            passing = threshold_mask(
-                folded.predicates, running_groups(inv, values, func)
-            )
+            running = ColumnarState({op.out: running_groups(inv, values, func)})
+            passing = filter_mask(folded, running, None)
             passing &= inserted[inv]
             reported = np.zeros(len(unique), dtype=bool)
             reported[inv[passing]] = True
@@ -856,11 +851,7 @@ class PISASwitch:
             instance=inst.key,
             kind="key_report",
             op_index=op_end,
-            state=ColumnarState(
-                columns=columns,
-                vocabs=dict(cache.vocabs),
-                payloads=cache.vocabs.get("payload", []),
-            ),
+            state=ColumnarState(columns=columns, vocabs=dict(cache.vocabs)),
         )
 
     def end_window_items(

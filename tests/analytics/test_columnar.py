@@ -279,3 +279,112 @@ class TestVocabFields:
             (Filter((Predicate("ipv4.proto", "eq", 6),)),), simple_trace()
         )
         assert result.rows_after(-1) == 20
+
+
+class TestAbsentCellDifferential:
+    """Vocab-typed filters and drop rules read an absent name or payload
+    as ``""``/``b""`` in every engine, as the row oracle does."""
+
+    FIELDS_READ = ("ipv4.dIP", "dns.rr.name", "payload")
+
+    def _trace(self):
+        return trace_from(
+            [
+                Packet(ts=0.0, dip=1, proto=17,
+                       dns=DNSInfo("a.example.com", 1, 1, 1)),
+                Packet(ts=0.1, dip=2, payload=b"hi zz there"),
+                Packet(ts=0.2, dip=3, payload=b""),
+                Packet(ts=0.3, dip=4),
+                Packet(ts=0.4, dip=5, proto=17, dns=DNSInfo("", 1, 1, 1)),
+            ]
+        )
+
+    def _row_inputs(self, trace):
+        return [
+            {name: pkt.get(name) for name in self.FIELDS_READ}
+            for pkt in trace.packets()
+        ]
+
+    @pytest.mark.parametrize(
+        "pred",
+        [
+            Predicate("dns.rr.name", "eq", "a.example.com"),
+            Predicate("dns.rr.name", "eq", ""),
+            Predicate("dns.rr.name", "ne", "a.example.com"),
+            Predicate("dns.rr.name", "in", "names"),
+            Predicate("dns.rr.name", "contains", "example"),
+            Predicate("dns.rr.name", "eq", "example.com", level=2),
+            Predicate("dns.rr.name", "eq", ".", level=2),
+            Predicate("dns.rr.name", "ne", "a.example.com", level=1),
+            Predicate("dns.rr.name", "in", "zones", level=2),
+            Predicate("dns.rr.name", "contains", "com", level=1),
+            Predicate("payload", "eq", b""),
+            Predicate("payload", "ne", b"zz"),
+            Predicate("payload", "in", "payloads"),
+            Predicate("payload", "contains", b"zz"),
+            Predicate("payload", "contains", b""),
+            Predicate("ipv4.dIP", "eq", "10.0.0.1"),
+        ],
+        ids=lambda pred: pred.describe(),
+    )
+    def test_filter_matches_row_oracle(self, pred):
+        tables = {
+            "names": {"a.example.com", ""},
+            "zones": {"example.com", "."},
+            "payloads": {b"", b"zz"},
+        }
+        trace = self._trace()
+        ops = (Filter((pred,)), Map(keys=self.FIELDS_READ))
+        columnar = execute_operators(ops, trace, tables=tables).rows()
+        rowwise = apply_operators(self._row_inputs(trace), list(ops), tables)
+        assert columnar == rowwise
+
+    def test_level_on_payload_fails_in_both_engines(self):
+        ops = (Filter((Predicate("payload", "eq", b"", level=1),)),)
+        trace = self._trace()
+        with pytest.raises(QueryValidationError):
+            execute_operators(ops, trace)
+        with pytest.raises(QueryValidationError):
+            apply_operators(self._row_inputs(trace), list(ops))
+
+    @pytest.mark.parametrize(
+        "preds, drop_rules, dropped",
+        [
+            ((Predicate("dns.rr.name", "ne", "a.example.com"),), (), 0),
+            ((Predicate("dns.rr.name", "eq", ".", level=1),), (), 0),
+            ((Predicate("ipv4.dIP", "ge", 0),), (("dns.rr.name", ""),), 4),
+            ((Predicate("ipv4.dIP", "ge", 0),), (("payload", b""),), 4),
+            # A drop-rule value the column cannot hold matches nothing.
+            (
+                (Predicate("ipv4.dIP", "ge", 0),),
+                (("ipv4.dIP", "0.0.0.1"), ("dns.rr.name", 1), ("payload", "")),
+                0,
+            ),
+        ],
+    )
+    def test_batched_switch_matches_per_packet(self, preds, drop_rules, dropped):
+        from repro.switch import PISASwitch, SwitchConfig, compile_subquery
+
+        stream = PacketStream(name="absent", qid=998)
+        stream.operators = (
+            Filter(preds),
+            Map(keys=("ipv4.dIP", "dns.rr.name")),
+        )
+        compiled = compile_subquery(Query(stream).subquery(0))
+        outputs = []
+        for batched in (True, False):
+            switch = PISASwitch(SwitchConfig.paper_default())
+            switch.install("absent", compiled, compiled.compilable_operators)
+            for rule in drop_rules:
+                switch.add_drop_rule(*rule)
+            trace = self._trace()
+            if batched:
+                mirrored = switch.process_window(trace)
+            else:
+                mirrored = [
+                    m for pkt in trace.packets() for m in switch.process_packet(pkt)
+                ]
+            outputs.append(([m.fields for m in mirrored], switch.packets_dropped))
+        assert compiled.compilable_operators == 2
+        assert outputs[0] == outputs[1]
+        assert outputs[1][1] == dropped

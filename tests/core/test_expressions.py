@@ -14,10 +14,11 @@ from repro.core.expressions import (
     Ratio,
     as_expression,
 )
+from repro.exec import ColumnarState, eval_expression
 
 
 def _columns(**values):
-    return {name: np.asarray(column) for name, column in values.items()}
+    return ColumnarState({name: np.asarray(column) for name, column in values.items()})
 
 
 class TestFieldRef:
@@ -33,7 +34,7 @@ class TestFieldRef:
     def test_columnar_matches_scalar(self):
         expr = FieldRef("x")
         cols = _columns(x=[1, 2, 3])
-        assert list(expr.evaluate_columnar(cols)) == [1, 2, 3]
+        assert list(eval_expression(expr, cols)[0]) == [1, 2, 3]
 
     def test_switch_supported(self):
         assert FieldRef("ipv4.dIP").switch_supported
@@ -49,7 +50,7 @@ class TestConst:
         assert Const(1).name == "count"
 
     def test_columnar_length(self):
-        out = Const(5, "x").evaluate_columnar(_columns(a=[1, 2, 3]))
+        out, _ = eval_expression(Const(5, "x"), _columns(a=[1, 2, 3]))
         assert list(out) == [5, 5, 5]
 
 
@@ -68,9 +69,9 @@ class TestPrefixed:
     def test_columnar_matches_scalar(self, addr, level):
         expr = Prefixed("ipv4.dIP", level)
         scalar = expr.evaluate({"ipv4.dIP": addr})
-        columnar = expr.evaluate_columnar(
-            _columns(**{"ipv4.dIP": np.array([addr], dtype=np.uint32)})
-        )[0]
+        columnar = eval_expression(
+            expr, _columns(**{"ipv4.dIP": np.array([addr], dtype=np.uint32)})
+        )[0][0]
         assert scalar == int(columnar)
 
 
@@ -92,7 +93,7 @@ class TestQuantized:
     def test_columnar_matches_scalar(self, value, step):
         expr = Quantized("pktlen", step)
         assert expr.evaluate({"pktlen": value}) == int(
-            expr.evaluate_columnar(_columns(pktlen=[value]))[0]
+            eval_expression(expr, _columns(pktlen=[value]))[0][0]
         )
 
 
@@ -115,7 +116,7 @@ class TestRatio:
     def test_columnar_matches_scalar(self, a, b):
         expr = Ratio("a", "b")
         assert expr.evaluate({"a": a, "b": b}) == int(
-            expr.evaluate_columnar(_columns(a=[a], b=[b]))[0]
+            eval_expression(expr, _columns(a=[a], b=[b]))[0][0]
         )
 
 
@@ -127,7 +128,7 @@ class TestDifference:
     def test_columnar_matches_scalar(self, a, b):
         expr = Difference("a", "b")
         assert expr.evaluate({"a": a, "b": b}) == int(
-            expr.evaluate_columnar(_columns(a=[a], b=[b]))[0]
+            eval_expression(expr, _columns(a=[a], b=[b]))[0][0]
         )
 
 

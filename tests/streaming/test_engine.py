@@ -105,11 +105,8 @@ class TestObsCounterAgreement:
         sp = StreamProcessor(obs=obs)
         sp.register("i1", [Filter((Predicate("count", "gt", 5),))])
         sp.process("i1", [{"count": 10}, {"count": 1}])
-        # The raw-fallback path: the runtime bumps the instance directly
-        # and mirrors the same numbers into the obs counters.
-        inst = sp.instance("i1")
-        inst.tuples_in += 3
-        inst.tuples_out += 3
+        # The raw-fallback path: one call moves the instance totals and
+        # the obs counters together.
         sp.record_raw_mirror("i1", 3, 3)
         report = sp.load_report()
         snap = obs.snapshot()
