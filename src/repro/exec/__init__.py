@@ -25,6 +25,7 @@ from repro.exec.kernels import (
     filter_mask,
     group_first_occurrence,
     key_columns,
+    keys_in,
     materialize_keys,
     predicate_mask,
     reduce_args,
@@ -45,6 +46,7 @@ __all__ = [
     "apply_map",
     "group_first_occurrence",
     "key_columns",
+    "keys_in",
     "state_bits",
     "reduce_args",
     "materialize_keys",

@@ -267,6 +267,37 @@ def group_first_occurrence(
     return np.take(matrix, first_rows, axis=0), first_rows, inverse
 
 
+def keys_in(
+    unique: np.ndarray,
+    keys: Sequence[str],
+    vocabs: Mapping[str, list],
+    probe: ColumnarState,
+) -> np.ndarray:
+    """Mask of the rows of key matrix ``unique`` whose key occurs in ``probe``.
+
+    ``unique`` is a :func:`group_first_occurrence` matrix over a state
+    canonical for ``keys``, so its vocab-typed columns hold ids into the
+    canonical ``vocabs``. ``probe``'s vocab-typed key columns are recoded
+    into those vocabularies once per distinct value (a value they lack
+    becomes -1, which no canonical id equals); the match itself is one
+    membership test on the packed key codes of both matrices.
+    """
+    if not len(unique) or not probe.n_rows:
+        return np.zeros(len(unique), dtype=bool)
+    columns = dict(probe.columns)
+    for k in keys:
+        vocab = vocabs.get(k)
+        if vocab is not None:
+            ids, values = canonical_column(probe, k)
+            index = {value: i for i, value in enumerate(vocab)}
+            recoded = np.array([index.get(v, -1) for v in values], dtype=np.int64)
+            columns[k] = recoded[ids]
+    codes = _pack_codes(
+        np.concatenate([unique, _key_matrix(ColumnarState(columns), keys)])
+    )
+    return np.isin(codes[: len(unique)], codes[len(unique) :])
+
+
 def state_bits(schema: Schema, keys: Sequence[str], n_keys: int, value_bits: int) -> int:
     key_bits = sum(schema.width_of(k) for k in keys)
     return n_keys * (key_bits + value_bits)

@@ -11,13 +11,17 @@ mirror output, so the emitter's remaining jobs are:
   engine (:meth:`Emitter.ingest_items`), or per-packet tuples from the
   ``engine="rowwise"`` oracle (:meth:`Emitter.ingest`);
 - the §3.1.3 collision adjustment: tuples whose key overflowed all ``d``
-  registers were mirrored raw, so at window end the emitter replays them
-  through the on-switch portion of the query and merges the result with
-  the register dump. For instances that saw overflow the runtime asks the
-  switch for a *full*, un-thresholded register dump; the emitter re-
-  aggregates the union (a key's contributions can be split between the
-  registers and the overflow stream when the overflow happened at a
-  mid-chain distinct) and then re-applies the folded threshold. For
+  registers were mirrored raw. Before the switch closes the window the
+  emitter replays them through the on-switch operators up to the last
+  stateful one (:meth:`Emitter.overflow_instances`), and the switch
+  polls, besides the threshold-passing keys, exactly the keys these
+  partials reach, without the threshold gate. Registers never evict
+  within a window, so every other key's register value is its whole
+  window aggregate, one of its running values: if it passes the
+  threshold, the gated report already holds the key. The emitter
+  re-aggregates the union (a key's contributions can be split between
+  the registers and the overflow stream) and re-applies the folded
+  threshold, which yields what a poll of the whole register would. For
   batches this merge runs on the shared :mod:`repro.exec` kernels
   (:mod:`repro.streaming.batchops`) without materializing dict rows;
 - counting tuples: the number of tuples crossing the emitter is the
@@ -36,7 +40,12 @@ from repro.obs import get_observability
 from repro.planner.plans import InstancePlan
 from repro.streaming.batchops import apply_operator_state, apply_operators_state
 from repro.streaming.rowops import Row, apply_operator, apply_operators
-from repro.switch.mirror import MirroredBatch, MirroredTuple, concat_states
+from repro.switch.mirror import (
+    MirroredBatch,
+    MirroredTuple,
+    concat_states,
+    state_from_rows,
+)
 
 
 @dataclass
@@ -64,6 +73,9 @@ class Emitter:
         )
         #: Batched-engine buffers: per instance, its window's batches.
         self._batches: dict[str, list[MirroredBatch]] = defaultdict(list)
+        #: Per instance, its window's overflow replayed to the merge level
+        #: (see :meth:`_replayed`).
+        self._partials: dict[str, "ColumnarState | list[Row]"] = {}
         self.total_tuples = 0
         self.obs = obs if obs is not None else get_observability()
         self._m_tuples = self.obs.counter(
@@ -73,6 +85,10 @@ class Emitter:
         self._m_overflow_merges = self.obs.counter(
             "sonata_emitter_overflow_merges_total",
             "windows in which an instance needed the collision adjustment",
+        )
+        self._m_polled_keys = self.obs.counter(
+            "sonata_emitter_polled_keys_total",
+            "register keys the collision adjustment polled without the gate",
         )
 
     def ingest(self, mirrored: list[MirroredTuple]) -> None:
@@ -95,13 +111,76 @@ class Emitter:
                 self.total_tuples += item.n_rows
                 self._batches[item.instance].append(item)
 
-    def overflow_instances(self) -> set[str]:
-        """Instances needing a full register dump this window."""
-        out = {key for key, buckets in self._overflow.items() if buckets}
-        for key, batches in self._batches.items():
-            if any(batch.kind == "overflow" for batch in batches):
-                out.add(key)
-        return out
+    def overflow_instances(
+        self, tables: Mapping[str, set] | None = None
+    ) -> dict[str, ColumnarState]:
+        """Keys the switch must poll without the threshold gate this window.
+
+        Returns, for every instance that saw overflow, the distinct key
+        columns its overflow tuples reach at the last stateful on-switch
+        operator (:func:`poll_keys`): the keys whose register aggregate
+        the collision adjustment needs. The replayed partials are kept for
+        :meth:`end_window`, which must get the same ``tables``.
+        """
+        poll: dict[str, ColumnarState] = {}
+        for key in self._overflowing():
+            partials = self._replayed(key, tables)
+            keys = poll_keys(self._instances[key])
+            if isinstance(partials, list):
+                poll[key] = state_from_rows(
+                    apply_operator(partials, Distinct(keys=keys)), order=keys
+                )
+            else:
+                poll[key] = apply_operator_state(partials, Distinct(keys=keys))
+            self._m_polled_keys.inc(poll[key].n_rows, instance=key)
+        return poll
+
+    def _overflowing(self) -> list[str]:
+        """Planned instances with overflow tuples this window."""
+        keys = [key for key, buckets in self._overflow.items() if buckets]
+        keys += [
+            key
+            for key, batches in self._batches.items()
+            if any(b.kind == "overflow" for b in batches)
+        ]
+        return [key for key in dict.fromkeys(keys) if key in self._instances]
+
+    def _replayed(
+        self, key: str, tables: Mapping[str, set] | None
+    ) -> "ColumnarState | list[Row]":
+        """The instance's overflow replayed, in operator order, through the
+        on-switch operators before the merge level; computed once a window.
+
+        Batches replay on the shared kernels, per-packet buckets on
+        :mod:`repro.streaming.rowops` (the reference semantics).
+        """
+        if key in self._partials:
+            return self._partials[key]
+        plan = self._instances[key]
+        ops = plan.augmented.operators
+        level, _remerge = overflow_merge_policy(plan)
+        partials: "ColumnarState | list[Row]"
+        if key in self._batches:
+            overflow = sorted(
+                (b for b in self._batches[key] if b.kind == "overflow"),
+                key=lambda b: b.op_index,
+            )
+            partials = concat_states(
+                [
+                    apply_operators_state(
+                        b.state, list(ops[b.op_index : level]), tables
+                    )
+                    for b in overflow
+                ]
+            )
+        else:
+            partials = []
+            for op_index, pending in sorted(self._overflow[key].items()):
+                partials.extend(
+                    apply_operators(pending, list(ops[op_index:level]), tables)
+                )
+        self._partials[key] = partials
+        return partials
 
     def end_window(
         self,
@@ -135,6 +214,7 @@ class Emitter:
         self._stream.clear()
         self._overflow.clear()
         self._batches.clear()
+        self._partials.clear()
         return batches
 
     # -- columnar assembly (batched engine) -------------------------------
@@ -152,11 +232,10 @@ class Emitter:
         n_reports = report_batch.n_rows if report_batch is not None else 0
         self.total_tuples += n_reports
         stream_states = [b.state for b in parts if b.kind == "stream"]
-        overflow_batches = [b for b in parts if b.kind == "overflow"]
         merged: ColumnarState | None = None
-        if overflow_batches and plan is not None:
+        if any(b.kind == "overflow" for b in parts) and plan is not None:
             merged = self._merge_overflow_columnar(
-                plan, report_batch, overflow_batches, tables
+                plan, report_batch, self._replayed(key, tables), tables
             )
             self._m_overflow_merges.inc(instance=key)
         elif report_batch is not None:
@@ -171,24 +250,14 @@ class Emitter:
         self,
         plan: InstancePlan,
         report_batch: "MirroredBatch | None",
-        overflow_batches: list[MirroredBatch],
+        partials: ColumnarState,
         tables: Mapping[str, set] | None,
     ) -> ColumnarState:
-        """Columnar twin of :meth:`_merge_overflow` on the shared kernels.
-
-        Overflow batches are replayed in operator order, like the row
-        path's buckets.
-        """
+        """Columnar twin of :meth:`_merge_overflow` on the shared kernels."""
         ops = plan.augmented.operators
         level, remerge = overflow_merge_policy(plan)
         base = [] if report_batch is None else [report_batch.state]
-        merged = concat_states(
-            base
-            + [
-                apply_operators_state(b.state, list(ops[b.op_index : level]), tables)
-                for b in sorted(overflow_batches, key=lambda b: b.op_index)
-            ]
-        )
+        merged = concat_states(base + [partials])
         if remerge is None:
             return merged
         merged = apply_operator_state(merged, remerge, tables)
@@ -211,7 +280,9 @@ class Emitter:
             + sum(len(rows) for rows in buckets.values())
         )
         if buckets and plan is not None:
-            rows = self._merge_overflow(plan, reports, buckets, tables)
+            rows = self._merge_overflow(
+                plan, reports, self._replayed(key, tables), tables
+            )
             self._m_overflow_merges.inc(instance=key)
         else:
             rows = [m.fields for m in reports]
@@ -221,21 +292,16 @@ class Emitter:
         self,
         plan: InstancePlan,
         reports: list[MirroredTuple],
-        buckets: Mapping[int, list[Row]],
+        partials: list[Row],
         tables: Mapping[str, set] | None,
     ) -> list[Row]:
-        """Union register dump and overflow stream, re-aggregate, re-filter.
+        """Union key reports and replayed overflow, re-aggregate, re-filter.
 
-        See :func:`overflow_merge_policy`; overflow buckets are replayed in
-        operator order.
+        See :func:`overflow_merge_policy`.
         """
         ops = plan.augmented.operators
         level, remerge = overflow_merge_policy(plan)
-        merged: list[Row] = [m.fields for m in reports]
-        for op_index, pending in sorted(buckets.items()):
-            merged.extend(
-                apply_operators(pending, list(ops[op_index:level]), tables)
-            )
+        merged: list[Row] = [m.fields for m in reports] + partials
         if remerge is None:
             return merged
         merged = apply_operator(merged, remerge, tables)
@@ -247,18 +313,29 @@ def overflow_merge_policy(plan: InstancePlan) -> "tuple[int, Operator | None]":
 
     Returns ``(level, remerge)``. The register reports arrive with
     ``op_index`` just after the last stateful on-switch operator
-    (pre-threshold, full dump); overflow is replayed through the operators
-    before ``level`` and unioned with them, ``remerge`` re-aggregates the
-    union (contributions for one key can be split across the two paths),
-    and the remaining on-switch operators (the folded threshold) run last.
-    Without a stateful prefix ``level`` is the cut and ``remerge`` is
-    ``None``: the replayed overflow is simply appended.
+    (``level - 1``), before the folded threshold; overflow is replayed
+    through the operators before ``level`` and unioned with them,
+    ``remerge`` re-aggregates the union (contributions for one key can be
+    split across the two paths), and the remaining on-switch operators
+    (the folded threshold) run last. Without a stateful prefix ``level``
+    is the cut and ``remerge`` is ``None``: the replayed overflow is
+    simply appended.
     """
     ops = plan.augmented.operators
     stateful = [i for i, op in enumerate(ops[: plan.cut]) if op.stateful]
     if not stateful:
         return plan.cut, None
     return stateful[-1] + 1, partial_remerge(ops[stateful[-1]])
+
+
+def poll_keys(plan: InstancePlan) -> tuple[str, ...]:
+    """Key columns of the last stateful on-switch operator, which the
+    collision adjustment polls and merges on."""
+    level, _remerge = overflow_merge_policy(plan)
+    op = plan.augmented.operators[level - 1]
+    if isinstance(op, Reduce):
+        return op.keys
+    return op.effective_keys(plan.compiled.schemas[level - 1])
 
 
 def partial_remerge(op: Operator) -> Operator:

@@ -365,7 +365,9 @@ class SonataRuntime:
                 key_reports = {
                     key: self._deliver_batch(batch, allow_reorder=False)
                     for key, batch in self.switch.end_window_items(
-                        full_dump=self.emitter.overflow_instances()
+                        poll=self.emitter.overflow_instances(
+                            self.switch.filter_tables
+                        )
                     ).items()
                 }
             else:
@@ -377,7 +379,9 @@ class SonataRuntime:
                 key_reports = {
                     key: self._deliver_rows(reports, allow_reorder=False)
                     for key, reports in self.switch.end_window(
-                        full_dump=self.emitter.overflow_instances()
+                        poll=self.emitter.overflow_instances(
+                            self.switch.filter_tables
+                        )
                     ).items()
                 }
         self._h_stage.observe(stage_span.duration, stage="switch")

@@ -37,7 +37,9 @@ from repro.exec import (
     canonical_state,
     filter_mask,
     group_first_occurrence,
+    keys_in,
     materialize_keys,
+    materialize_rows,
     predicate_mask,
     reduce_args,
     running_groups,
@@ -70,17 +72,16 @@ class _ChainCache:
     ``unique`` is the first-occurrence-ordered int64 key matrix of
     :func:`~repro.exec.group_first_occurrence`, vocab-typed columns
     holding canonical ids into ``vocabs`` (see
-    :func:`~repro.exec.canonical_state`); ``inserted``/``array_idx``
-    come from :meth:`~repro.switch.registers.RegisterChain.bulk_load_vec`
-    (``array_idx`` reproduces the physical dump order); ``reported`` marks
-    keys the per-packet oracle would have added to ``reported_keys``.
+    :func:`~repro.exec.canonical_state`); ``inserted`` comes from
+    :meth:`~repro.switch.registers.RegisterChain.bulk_load_vec`;
+    ``reported`` marks keys the per-packet oracle would have added to
+    ``reported_keys``.
     """
 
     keys: tuple
     vocabs: dict
     unique: np.ndarray
     inserted: np.ndarray
-    array_idx: np.ndarray
     reported: np.ndarray
     finals: "np.ndarray | None" = None  # reduce window aggregates
     out_field: "str | None" = None
@@ -614,22 +615,23 @@ class PISASwitch:
         unique: np.ndarray,
         values: np.ndarray,
         func: str,
-    ) -> "tuple[np.ndarray, np.ndarray]":
+    ) -> np.ndarray:
         """Bulk-load one window's unique keys into ``chain``.
 
         ``state`` must be canonical for ``keys``
         (:func:`~repro.exec.canonical_state`), so equal values share one
-        id. Returns ``(inserted, array_idx)`` of
+        id. Returns the ``inserted`` mask of
         :meth:`~repro.switch.registers.RegisterChain.bulk_load_vec`; the
         Python key tuples are only built if the chain's dicts are read.
         """
-        return chain.bulk_load_vec(
+        inserted, _array_idx = chain.bulk_load_vec(
             [unique[:, j] for j in range(unique.shape[1])],
             values,
             func,
             lambda: materialize_keys(state, keys, unique),
             [state.vocabs.get(k) for k in keys],
         )
+        return inserted
 
     def _forced_rows(
         self, inst: InstalledInstance, i: int, n: int
@@ -682,7 +684,7 @@ class PISASwitch:
         live = canonical_state(live, keys)
         unique, first_rows, inv = group_first_occurrence(live, keys)
         chain = inst.chains[i]
-        inserted, array_idx = self._load_chain(
+        inserted = self._load_chain(
             chain, live, keys, unique, np.ones(len(unique), dtype=np.int64), "or"
         )
         chain.updates += len(sel)
@@ -713,7 +715,6 @@ class PISASwitch:
                 vocabs={k: v for k, v in live.vocabs.items() if k in keys},
                 unique=unique,
                 inserted=inserted,
-                array_idx=array_idx,
                 reported=inserted,
             )
             return None
@@ -748,9 +749,7 @@ class PISASwitch:
         values = None if func == "count" else live_args
         finals = aggregate_groups(inv, values, len(unique), func)
         chain = inst.chains[i]
-        inserted, array_idx = self._load_chain(
-            chain, live, op.keys, unique, finals, func
-        )
+        inserted = self._load_chain(chain, live, op.keys, unique, finals, func)
         chain.updates += len(sel)
         over = self._overflow_rows(inserted, inv, forced)
         n_over = int(over.sum())
@@ -791,7 +790,6 @@ class PISASwitch:
             vocabs={k: v for k, v in live.vocabs.items() if k in op.keys},
             unique=unique,
             inserted=inserted,
-            array_idx=array_idx,
             reported=reported,
             finals=finals,
             out_field=op.out,
@@ -801,7 +799,7 @@ class PISASwitch:
     # Window lifecycle
     # ------------------------------------------------------------------
     def end_window(
-        self, full_dump: "set[str] | None" = None
+        self, poll: "Mapping[str, ColumnarState] | None" = None
     ) -> dict[str, list[MirroredTuple]]:
         """Close the window: emit per-key reports and reset registers.
 
@@ -811,37 +809,39 @@ class PISASwitch:
         """
         return {
             key: item.materialize()
-            for key, item in self.end_window_items(full_dump).items()
+            for key, item in self.end_window_items(poll).items()
         }
 
     def _report_batch_from_cache(
-        self, inst: InstalledInstance, cache: _ChainCache, last_idx: int, full: bool
+        self,
+        inst: InstalledInstance,
+        cache: _ChainCache,
+        last_idx: int,
+        poll: "ColumnarState | None",
     ) -> MirroredBatch:
         """Key reports straight from the window cache, still columnar.
 
-        Reproduces the dict path's ordering exactly: a full dump walks the
-        register arrays in physical order (array 0's insertions first),
-        reported keys are sorted ascending like ``sorted(reported_keys)``;
-        vocab columns sort by the rank of their value, not by raw id.
+        Reproduces the per-packet path's order exactly: keys are sorted
+        ascending like ``sorted(wanted)``; vocab columns sort by the rank
+        of their value, not by raw id. Polled keys are matched against the
+        cache's unique keys on canonical ids, vectorized.
         """
-        if full:
-            sel_idx = np.flatnonzero(cache.inserted)
-            order = sel_idx[np.argsort(cache.array_idx[sel_idx], kind="stable")]
+        wanted = cache.reported
+        op_end = self._reported_op_end(inst, last_idx)
+        if poll is not None:
+            wanted = wanted | keys_in(cache.unique, cache.keys, cache.vocabs, poll)
             op_end = last_idx + 1  # before any folded filter
-        else:
-            sel_idx = np.flatnonzero(cache.reported & cache.inserted)
-            if len(sel_idx):
-                cols = []
-                for j in reversed(range(len(cache.keys))):
-                    col = cache.unique[sel_idx, j]
-                    vocab = cache.vocabs.get(cache.keys[j])
-                    if vocab is not None:
-                        col = _value_ranks(col, vocab)
-                    cols.append(col)
-                order = sel_idx[np.lexsort(cols)]
-            else:
-                order = sel_idx
-            op_end = self._reported_op_end(inst, last_idx)
+        sel_idx = np.flatnonzero(wanted & cache.inserted)
+        order = sel_idx
+        if len(sel_idx):
+            cols = []
+            for j in reversed(range(len(cache.keys))):
+                col = cache.unique[sel_idx, j]
+                vocab = cache.vocabs.get(cache.keys[j])
+                if vocab is not None:
+                    col = _value_ranks(col, vocab)
+                cols.append(col)
+            order = sel_idx[np.lexsort(cols)]
         columns: dict[str, np.ndarray] = {
             k: cache.unique[order, j] for j, k in enumerate(cache.keys)
         }
@@ -854,8 +854,46 @@ class PISASwitch:
             state=ColumnarState(columns=columns, vocabs=dict(cache.vocabs)),
         )
 
+    def _report_batch_from_chain(
+        self,
+        inst: InstalledInstance,
+        last_idx: int,
+        poll: "ColumnarState | None",
+    ) -> MirroredBatch:
+        """Key reports of a chain the per-packet oracle loaded, each wanted
+        key looked up in the chain, in ascending key order."""
+        op = inst.compiled.subquery.operators[last_idx]
+        keys = (
+            op.keys
+            if isinstance(op, Reduce)
+            else op.effective_keys(inst.compiled.schemas[last_idx])
+        )
+        wanted = {key for op_i, key in inst.reported_keys if op_i == last_idx}
+        op_end = self._reported_op_end(inst, last_idx)
+        if poll is not None:
+            wanted.update(
+                tuple(row[k] for k in keys)
+                for row in materialize_rows(poll, keys)
+            )
+            op_end = last_idx + 1  # before any folded filter
+        chain = inst.chains[last_idx]
+        out = []
+        for key in sorted(wanted):
+            value = chain.lookup(key)
+            if value is None:
+                continue
+            fields = dict(zip(keys, key))
+            if isinstance(op, Reduce):
+                fields[op.out] = value
+            out.append(
+                MirroredTuple(
+                    instance=inst.key, kind="key_report", fields=fields, op_index=op_end
+                )
+            )
+        return MirroredBatch.from_tuples(inst.key, "key_report", op_end, out)
+
     def end_window_items(
-        self, full_dump: "set[str] | None" = None
+        self, poll: "Mapping[str, ColumnarState] | None" = None
     ) -> dict[str, MirroredBatch]:
         """Close the window: emit per-key reports and reset registers.
 
@@ -863,67 +901,38 @@ class PISASwitch:
         emitter reads from the registers (final aggregates for reported
         keys; empty for stateless-last instances). Chains the batched path
         loaded report straight from their window cache; the per-packet
-        oracle's chains are read key by key from the register dump.
+        oracle's chains are looked up key by key.
 
-        ``full_dump`` names instances whose registers must be polled in
-        full, *without* folded-threshold gating, with ``op_index`` set to
-        just after the stateful operator. The emitter requests this for
-        instances that saw register overflow, so switch-side partial
-        aggregates can be merged with the overflow tuples before the
-        threshold is re-applied (the §3.1.3 collision adjustment).
+        ``poll`` maps instances that saw register overflow to the keys the
+        §3.1.3 collision adjustment needs: the keys this window's overflow
+        tuples reach at the last stateful operator. For those instances
+        the report is the threshold-passing keys plus every polled key the
+        register holds, polled *without* the folded-threshold gate, with
+        ``op_index`` set to just after the stateful operator. The emitter
+        merges these partial aggregates with the overflow tuples and then
+        re-applies the threshold. A polled key the register lacks reports
+        nothing.
         """
-        full_dump = full_dump or set()
+        poll = poll or {}
         reports: dict[str, MirroredBatch] = {}
         # Rebuilt from scratch so stats of uninstalled instances (e.g. a
         # raw-mirror fallback) don't linger and re-trigger signals.
         self.window_overflow_stats = {}
         for inst in self.instances.values():
-            out: list[MirroredTuple] = []
-            batch: "MirroredBatch | None" = None
-            op_end = inst.n_operators
             if inst.n_operators > 0 and inst.last_op_stateful:
-                last_idx = max(inst.chains) if inst.chains else None
-                cache = (
-                    inst.window_caches.get(last_idx)
-                    if last_idx is not None
-                    else None
-                )
+                last_idx = max(inst.chains)
+                cache = inst.window_caches.get(last_idx)
                 if cache is not None:
                     batch = self._report_batch_from_cache(
-                        inst, cache, last_idx, inst.key in full_dump
+                        inst, cache, last_idx, poll.get(inst.key)
                     )
-                elif last_idx is not None:
-                    op = inst.compiled.subquery.operators[last_idx]
-                    dump = inst.chains[last_idx].dump()
-                    if inst.key in full_dump:
-                        wanted = [(last_idx, key) for key in dump]
-                        op_end = last_idx + 1  # before any folded filter
-                    else:
-                        wanted = sorted(inst.reported_keys)
-                        op_end = self._reported_op_end(inst, last_idx)
-                    for op_i, key in wanted:
-                        if op_i != last_idx:
-                            continue
-                        value = dump.get(key)
-                        if value is None:
-                            continue
-                        if isinstance(op, Reduce):
-                            fields = dict(zip(op.keys, key))
-                            fields[op.out] = value
-                        else:
-                            keys = op.effective_keys(inst.compiled.schemas[op_i])
-                            fields = dict(zip(keys, key))
-                        out.append(
-                            MirroredTuple(
-                                instance=inst.key,
-                                kind="key_report",
-                                fields=fields,
-                                op_index=op_end,
-                            )
-                        )
-            if batch is None:
+                else:
+                    batch = self._report_batch_from_chain(
+                        inst, last_idx, poll.get(inst.key)
+                    )
+            else:
                 batch = MirroredBatch.from_tuples(
-                    inst.key, "key_report", op_end, out
+                    inst.key, "key_report", inst.n_operators, []
                 )
             n_out = batch.n_rows
             inst.tuples_mirrored += n_out

@@ -1,4 +1,5 @@
-"""``group_first_occurrence`` against a pure-Python first-occurrence dict.
+"""``group_first_occurrence`` against a pure-Python first-occurrence dict,
+and ``keys_in`` (built on the same packed codes) against set membership.
 
 The kernel packs every key column into one ``uint64`` code and groups
 with a 1-D sort, densifying when the packed key would pass 64 bits. These
@@ -14,7 +15,12 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.exec import ColumnarState, group_first_occurrence
+from repro.exec import (
+    ColumnarState,
+    canonical_state,
+    group_first_occurrence,
+    keys_in,
+)
 from repro.exec import kernels
 
 I64 = np.iinfo(np.int64)
@@ -152,3 +158,55 @@ class TestGroupFirstOccurrence:
         with mock.patch.object(kernels, "_densify", wraps=kernels._densify) as spy:
             assert_matches_reference(columns)
         assert spy.call_count >= 1
+
+
+class TestKeysIn:
+    """``keys_in`` against set membership of the materialized keys."""
+
+    def _cache(self, columns, vocabs, keys):
+        state = canonical_state(ColumnarState(columns, vocabs), keys)
+        unique, _first, _inv = group_first_occurrence(state, keys)
+        return unique, {k: state.vocabs[k] for k in keys if k in state.vocabs}
+
+    @settings(max_examples=60, deadline=None)
+    @given(grouping_columns(), st.data())
+    def test_int_keys_match_reference(self, columns, data):
+        keys = list(columns)
+        unique, vocabs = self._cache(columns, {}, keys)
+        n = len(next(iter(columns.values())))
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+        probe = ColumnarState({k: col[rows] for k, col in columns.items()})
+        hit = keys_in(unique, keys, vocabs, probe)
+        wanted = {tuple(_cell(col, i) for col in columns.values()) for i in rows}
+        assert hit.tolist() == [tuple(row) in wanted for row in unique.tolist()]
+
+    def test_vocab_keys_match_on_values(self):
+        """Probe ids are recoded by value: duplicate entries, absent cells
+        and values the cache lacks all resolve like the row engines."""
+        keys = ["dns.rr.name", "ipv4.dIP"]
+        unique, vocabs = self._cache(
+            {
+                "dns.rr.name": np.array([0, 1, 2, -1, 3]),
+                "ipv4.dIP": np.array([7, 7, 7, 7, 8]),
+            },
+            {"dns.rr.name": ["a.com", "b.com", "a.com", ""]},
+            keys,
+        )
+        probe = ColumnarState(
+            {
+                "dns.rr.name": np.array([2, 0, 1, 0]),
+                "ipv4.dIP": np.array([7, 7, 7, 8]),
+            },
+            {"dns.rr.name": ["", "zzz", "a.com"]},
+        )
+        hit = keys_in(unique, keys, vocabs, probe)
+        names = [vocabs["dns.rr.name"][i] for i in unique[:, 0].tolist()]
+        found = {(name, dip) for name, dip, h in zip(names, unique[:, 1], hit) if h}
+        assert found == {("a.com", 7), ("", 7), ("", 8)}
+
+    def test_empty_probe_or_cache(self):
+        unique = np.array([[1], [2]])
+        empty = ColumnarState({"k": np.empty(0, dtype=np.int64)})
+        assert keys_in(unique, ["k"], {}, empty).tolist() == [False, False]
+        probe = ColumnarState({"k": np.array([1])})
+        assert keys_in(unique[:0], ["k"], {}, probe).tolist() == []

@@ -180,7 +180,7 @@ class TestFaultEvents:
     def faulty_run(self, plan, workload):
         obs = Observability()
         report = SonataRuntime(
-            plan, faults=FaultSpec(seed=11, mirror_drop=0.05), obs=obs
+            plan, faults=FaultSpec(seed=11, mirror_drop=0.2), obs=obs
         ).run(workload.trace)
         return obs, report
 

@@ -100,8 +100,10 @@ class TestOverflowAdjustment:
             emitter.ingest(
                 [mirrored("overflow", {"ipv4.dIP": 7, "count": 1}, 2, plan.key)]
             )
-        assert emitter.overflow_instances() == {plan.key}
-        # registers held key 9 with count 5 (full dump, pre-threshold)
+        poll = emitter.overflow_instances()
+        assert list(poll) == [plan.key]
+        assert poll[plan.key].columns["ipv4.dIP"].tolist() == [7]
+        # registers held key 9 with count 5 (polled, pre-threshold)
         reports = {
             plan.key: [mirrored("key_report", {"ipv4.dIP": 9, "count": 5}, 3, plan.key)]
         }

@@ -180,19 +180,42 @@ class TestSemantics:
                 overflow += 1
         assert overflow > 0
 
-    def test_full_dump_bypasses_threshold(self, synflood_trace):
+    def test_poll_bypasses_threshold(self, synflood_trace):
+        """Polled keys are reported ungated; the engines agree row for row."""
+        import numpy as np
+
+        from repro.exec import ColumnarState
+
+        syn = synflood_trace.array["tcpflags"] == TCP_SYN
+        dips, counts = np.unique(synflood_trace.array["dip"][syn], return_counts=True)
+        below = [int(d) for d in dips[counts <= 100]]
+        assert len(below) >= 2 and VICTIM in dips[counts > 100]
+        polled, unpolled = below[0], below[1]
+        absent = int(dips.max()) + 1
+        poll = {"i": ColumnarState({"ipv4.dIP": np.array([absent, polled])})}
+
         compiled = compiled_newly_opened(threshold=100)
-        switch = PISASwitch()
-        switch.install("i", compiled, 4, size_tables(compiled, 4))
-        for pkt in synflood_trace.packets():
-            switch.process_packet(pkt)
-        reports = switch.end_window(full_dump={"i"})["i"]
-        truth = execute_subquery(
-            compiled.subquery, synflood_trace
-        )
-        # full dump reports every key, not only those above threshold
-        n_keys = truth.stats[2].keys
-        assert len(reports) == n_keys
+        reports = {}
+        for engine in ("rowwise", "batched"):
+            switch = PISASwitch()
+            switch.install("i", compiled, 4, size_tables(compiled, 4))
+            if engine == "batched":
+                switch.process_window_items(synflood_trace)
+            else:
+                for pkt in synflood_trace.packets():
+                    switch.process_packet(pkt)
+            reports[engine] = switch.end_window(poll=poll)["i"]
+        assert reports["rowwise"] == reports["batched"]
+        got = [(m.fields["ipv4.dIP"], m.fields["count"]) for m in reports["batched"]]
+        assert got == sorted(got)
+        keys = {dip for dip, _count in got}
+        assert polled in keys  # below the threshold, but polled
+        assert unpolled not in keys  # below the threshold and not polled
+        assert absent not in keys  # polled, but the register lacks it
+        assert VICTIM in keys  # the threshold-passing key is still reported
+        # Reports stop before the folded threshold, so the emitter can
+        # re-apply it after the merge.
+        assert {m.op_index for m in reports["batched"]} == {3}
 
     def test_distinct_gates_downstream(self):
         from repro.packets.packet import Packet
