@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.errors import QueryValidationError
 from repro.core.fields import FIELDS, FieldRegistry
-from repro.core.operators import Join, Operator, Schema
+from repro.core.operators import Join, Operator, Schema, chain_read_fields
 from repro.core.query import Query, SubQuery
 from repro.exec import ColumnarState, materialize_rows, state_bits
 from repro.packets.trace import Trace
@@ -76,19 +76,25 @@ def execute_operators(
     tables: Mapping[str, set] | None = None,
     registry: FieldRegistry = FIELDS,
 ) -> ColumnarResult:
-    """Execute a linear operator chain over one window of ``trace``."""
-    state = ColumnarState.from_trace(trace, registry)
-    schema = Schema.packet_schema(registry)
-    stats: list[OperatorStats] = []
-    input_rows = state.n_rows
+    """Execute a linear operator chain over one window of ``trace``.
+
+    The window is projected to the fields the chain reads, as on the
+    switch, so that no operator carries a column nothing reads.
+    """
+    schemas = [Schema.packet_schema(registry)]
     for op in operators:
-        op.validate(schema)
+        op.validate(schemas[-1])
         if isinstance(op, Join):
             raise QueryValidationError(
                 "execute_operators only handles linear chains; use execute_query"
             )
+        schemas.append(op.output_schema(schemas[-1]))
+    state = ColumnarState.from_trace(trace, registry)
+    input_rows = state.n_rows
+    state = state.project(chain_read_fields(operators, schemas))
+    stats: list[OperatorStats] = []
+    for op, schema_out in zip(operators, schemas[1:]):
         state = apply_operator_state(state, op, tables)
-        schema_out = op.output_schema(schema)
         keys = state.n_rows if op.stateful else 0
         stats.append(
             OperatorStats(
@@ -99,8 +105,9 @@ def execute_operators(
                 state_bits=_register_bits(schema_out, keys),
             )
         )
-        schema = schema_out
-    return ColumnarResult(stats=stats, final=state, schema=schema, input_rows=input_rows)
+    return ColumnarResult(
+        stats=stats, final=state, schema=schemas[-1], input_rows=input_rows
+    )
 
 
 def _register_bits(schema_out: Schema, n_keys: int) -> int:

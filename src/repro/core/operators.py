@@ -10,7 +10,7 @@ it — the two facts the query planner needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Collection, Mapping
+from typing import Any, Collection, Mapping, Sequence
 
 from repro.core.errors import QueryValidationError
 from repro.core.expressions import Expression, as_expression
@@ -419,3 +419,18 @@ class Join(Operator):
 def ensure_expressions(specs: tuple) -> tuple[Expression, ...]:
     """Coerce a mixed tuple of names/expressions into expressions."""
     return tuple(as_expression(spec) for spec in specs)
+
+
+def chain_read_fields(
+    operators: Sequence[Operator], schemas: Sequence[Schema]
+) -> frozenset[str]:
+    """Fields a linear chain reads: its operators' inputs, a distinct's
+    implicit keys, and the fields its output carries. ``schemas[i]`` is
+    operator i's input schema and ``schemas[len(operators)]`` the output's.
+    """
+    fields = set(schemas[len(operators)].fields)
+    for op, schema in zip(operators, schemas):
+        fields.update(op.input_fields())
+        if isinstance(op, Distinct):
+            fields.update(op.effective_keys(schema))
+    return frozenset(fields)

@@ -30,6 +30,17 @@ decoder places the stateless tables in the gaps. Join sub-queries share
 the same ``I``/``F`` variables by construction, which is the paper's "both
 sub-queries use the same refinement plan" constraint.
 
+The MILP is built only when a switch budget binds. :meth:`PlanILP.solve`
+first takes each query's own optimum with the rows that couple queries
+dropped (the per-stage rows, the table total, C5 and the header budget):
+it enumerates the refinement paths the mode and delay cap allow and, per
+transition, takes the cheaper of every sub-query on the switch or one
+shared raw mirror. Dropping rows relaxes the MILP, so when the union of
+those optima places on one switch and fits C5 and the header budget, it
+is the joint optimum. Ties keep the first path in a fixed order and the
+deeper cut. Otherwise the MILP is built and solved, and a placement it
+cannot decode falls back to the greedy planner.
+
 Table 4's baseline systems are emulated by fixing variables — e.g.
 Fix-REF pins every ``I[q,r]`` to 1, All-SP pins every cut to 0 — exactly
 the methodology of §6.1.
@@ -37,6 +48,7 @@ the methodology of §6.1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.errors import PlanningError, ResourceExhaustedError
@@ -63,6 +75,10 @@ from repro.switch.resources import (
 _EPS_LEVEL = 1e-2
 _EPS_SHALLOW_CUT = 1e-3
 
+#: One query's decision: its refinement path and, per transition on it,
+#: sub-query id -> cut.
+Choice = tuple[tuple[int, ...], dict[tuple[int, int], dict[int, int]]]
+
 
 def _leading_filter_count(costs: TransitionCosts) -> int:
     count = 0
@@ -87,7 +103,8 @@ def allowed_cuts(costs: TransitionCosts, mode: str) -> list[int]:
 
 @dataclass
 class PlanILP:
-    """Builds and decodes the query-planning MILP."""
+    """Plans queries: the per-query optima when no switch budget binds,
+    else the query-planning MILP, built and decoded here."""
 
     costs: dict[int, QueryCosts]
     config: SwitchConfig
@@ -352,9 +369,123 @@ class PlanILP:
             terms[hname] = float(widths[name])
         self.model.add_constraint(terms, upper=float(self.config.phv_header_bits))
 
-    # -- solve + decode ----------------------------------------------------
+    # -- solve -------------------------------------------------------------
     def solve(self) -> Plan:
-        """Solve the MILP; fall back to the greedy planner on a timeout.
+        """The optimal plan: the separable one when no switch budget binds
+        (:meth:`_separable_plan`), else the joint MILP's."""
+        plan, declined = self._separable_plan()
+        if plan is None:
+            plan = self._milp_plan()
+            plan.solver_info["separable_declined"] = declined
+        return plan
+
+    # -- the separable optimum -------------------------------------------------
+    def _separable_plan(self) -> tuple[Plan | None, str]:
+        """Each query at its own optimum, or None and the budget that binds.
+
+        Queries meet only in the switch budgets: the per-stage rows, the
+        table total, C5 and the header budget. Without those rows the MILP
+        splits into one problem per query, and its minimum bounds the joint
+        optimum from below. So when the union of the per-query optima
+        places on one switch and fits C5 and the header budget, it is the
+        joint optimum, and no MILP is built.
+        """
+        choices: dict[int, Choice] = {}
+        objective = 0.0
+        for qid, qc in self.costs.items():
+            best = self._query_optimum(qid, qc)
+            if best is None:
+                return None, f"q{qid}: no refinement path within max_delay"
+            objective += best[0]
+            choices[qid] = best[1]
+        overrun = self._shared_overrun(choices)
+        if overrun:
+            return None, overrun
+        try:
+            plan = self._assemble(choices, {})
+        except ResourceExhaustedError as exc:
+            return None, str(exc)
+        plan.solver_info = {
+            "solver": "separable",
+            "objective": objective,
+            "status": 0,
+            "variables": 0,
+            "constraints": 0,
+        }
+        return plan, ""
+
+    def _query_optimum(self, qid: int, qc: QueryCosts) -> tuple[float, Choice] | None:
+        """The least objective of one query alone and its choice. Paths come
+        in a fixed order (by bitmask over the coarse levels), and the first
+        of equal objectives is kept."""
+        levels = self._levels_for(qc)
+        inner = levels[:-1]
+        cap = (self.max_delay or {}).get(qid)
+        priced: dict[tuple[int, int], tuple[float, dict[int, int]]] = {}
+        best: tuple[float, Choice] | None = None
+        for mask in range(1 << len(inner)):
+            path = tuple(r for i, r in enumerate(inner) if mask >> i & 1) + levels[-1:]
+            if self.mode == "fix_ref" and path != levels:
+                continue
+            if cap is not None and len(path) > cap:
+                continue
+            steps = list(zip((ROOT_LEVEL,) + path, path))
+            for step in steps:
+                if step not in priced:
+                    priced[step] = self._transition_optimum(qc, step)
+            score = _EPS_LEVEL * len(path) + sum(priced[step][0] for step in steps)
+            if best is None or score < best[0]:
+                best = (score, (path, {step: priced[step][1] for step in steps}))
+        return best
+
+    def _transition_optimum(
+        self, qc: QueryCosts, step: tuple[int, int]
+    ) -> tuple[float, dict[int, int]]:
+        """The least objective of one transition and its cut per sub-query:
+        either every sub-query runs on the switch, or one raw mirror stream
+        (``Z``, charged once) is open and each sub-query may read it. Of
+        equal-scored cuts the deeper is kept."""
+        on_switch, with_mirror = 0.0, qc.window_packets
+        switch_cuts: dict[int, int] = {}
+        mirror_cuts: dict[int, int] = {}
+        for subid, tc in qc.transitions[step].items():
+            cuts = allowed_cuts(tc, self.mode)
+            deepest = max(cuts)
+            best_cut, best = 0, math.inf
+            for cut in sorted(cuts, reverse=True):
+                if cut == 0 or chain_violation(tc.tables_for_cut(cut), self.config):
+                    continue
+                score = tc.cost_of(cut).n_tuples + _EPS_SHALLOW_CUT * (deepest - cut)
+                if score < best:
+                    best_cut, best = cut, score
+            raw = _EPS_SHALLOW_CUT * deepest
+            on_switch += best
+            with_mirror += min(best, raw)
+            switch_cuts[subid] = best_cut
+            mirror_cuts[subid] = best_cut if best <= raw else 0
+        if with_mirror < on_switch:
+            return with_mirror, mirror_cuts
+        return on_switch, switch_cuts
+
+    def _shared_overrun(self, choices: dict[int, Choice]) -> str | None:
+        """C5 or the parser's header budget, when the chosen cuts together
+        overrun it."""
+        metadata = 0
+        widths: dict[str, int] = {}
+        for qid, (_, cuts) in choices.items():
+            for step, per_sub in cuts.items():
+                for subid, cut in per_sub.items():
+                    tc = self.costs[qid].transitions[step][subid]
+                    metadata += tc.cost_of(cut).metadata_bits
+                    widths.update(header_fields(tc.compiled, cut))
+        return over_budget("metadata_bits", metadata, self.config) or over_budget(
+            "phv_header_bits", sum(widths.values()), self.config
+        )
+
+    # -- the joint MILP --------------------------------------------------------
+    def _milp_plan(self) -> Plan:
+        """Solve the joint MILP; fall back to the greedy planner when it
+        finds no incumbent, or its stages do not place.
 
         HiGHS may hit the time limit before finding *any* incumbent on the
         tightest instances (many queries, very few stages). The paper
@@ -371,7 +502,22 @@ class PlanILP:
             plan = self._greedy_plan()
             plan.solver_info["fallback"] = "greedy (MILP found no incumbent)"
             return plan
-        plan = self._decode(solution)
+        try:
+            plan = self._assemble(*self._decode(solution))
+        except ResourceExhaustedError as exc:
+            # The MILP counts table slots over the whole switch only, so its
+            # stages can leave a stage without a free slot.
+            plan = self._greedy_plan()
+            plan.solver_info["fallback"] = f"greedy (MILP stages do not place: {exc})"
+            return plan
+        plan.solver_info = {
+            "solver": "milp",
+            "objective": solution.objective,
+            "status": solution.status,
+            "message": solution.message,
+            "variables": self.model.n_vars,
+            "constraints": self.model.n_constraints,
+        }
         if solution.status != 0:
             # The time limit stopped branch-and-bound early; the incumbent
             # can be arbitrarily poor. The greedy heuristic is cheap — take
@@ -392,69 +538,81 @@ class PlanILP:
             self.costs, self.config, self.mode, self.max_delay
         ).solve()
 
-    def _decode(self, solution: MilpSolution) -> Plan:
-        query_plans: dict[int, QueryPlan] = {}
-        total = 0.0
-        ledger = StageLedger(self.config)
+    def _decode(
+        self, solution: MilpSolution
+    ) -> tuple[dict[int, Choice], dict[str, dict[str, int]]]:
+        """The solution's choice per query, and the stage it gives each
+        installed stateful table, by instance key."""
+        choices: dict[int, Choice] = {}
+        fixed: dict[str, dict[str, int]] = {}
         for qid, qc in self.costs.items():
-            levels = self._levels_for(qc)
-            chosen_levels = tuple(
-                r for r in levels if solution.binary(self._iv(qid, r))
+            path = tuple(
+                r for r in self._levels_for(qc) if solution.binary(self._iv(qid, r))
             )
-            transitions = [
-                (r1, r2)
-                for r1, r2 in self._transitions_for(qc)
-                if solution.binary(self._fv(qid, r1, r2))
-            ]
-            transitions.sort(key=lambda pair: pair[1])
-            instances: list[InstancePlan] = []
-            for r1, r2 in transitions:
+            cuts: dict[tuple[int, int], dict[int, int]] = {}
+            for r1, r2 in zip((ROOT_LEVEL,) + path, path):
+                per_sub = cuts[(r1, r2)] = {}
                 for subid, tc in qc.transitions[(r1, r2)].items():
-                    cut = None
-                    for candidate in allowed_cuts(tc, self.mode):
-                        if solution.binary(self._pv(qid, subid, r1, r2, candidate)):
-                            cut = candidate
-                            break
+                    cut = next(
+                        (
+                            c
+                            for c in allowed_cuts(tc, self.mode)
+                            if solution.binary(self._pv(qid, subid, r1, r2, c))
+                        ),
+                        None,
+                    )
                     if cut is None:
                         raise PlanningError(
                             f"ILP chose transition {r1}->{r2} for q{qid}.s{subid} "
                             "but no cut"
                         )
-                    tables = tc.tables_for_cut(cut)
-                    fixed = {
+                    per_sub[subid] = cut
+                    fixed[instance_key(qid, subid, r1, r2)] = {
                         table.name: s
-                        for j, table in enumerate(tables)
+                        for j, table in enumerate(tc.tables_for_cut(cut))
                         if table.stateful
                         for s in range(self.config.stages)
                         if solution.binary(self._xv(qid, subid, r1, r2, j, s))
                     }
-                    # The MILP's stages for the stateful tables, the earliest
-                    # with room for the rest (C4 and the table budget).
+            choices[qid] = (path, cuts)
+        return choices, fixed
+
+    # -- both paths ----------------------------------------------------------
+    def _assemble(
+        self, choices: dict[int, Choice], fixed: dict[str, dict[str, int]]
+    ) -> Plan:
+        """Place the chosen cuts on one switch and build the plan. A stateful
+        table in ``fixed`` (the MILP's stages, by instance key) keeps its
+        stage; every other table goes to the earliest stage with room (C4
+        and the per-stage budgets). Raises ResourceExhaustedError naming
+        the instance, the table and the budget when a table finds none."""
+        ledger = StageLedger(self.config)
+        query_plans: dict[int, QueryPlan] = {}
+        for qid, (path, cuts) in choices.items():
+            qc = self.costs[qid]
+            instances: list[InstancePlan] = []
+            for step in zip((ROOT_LEVEL,) + path, path):
+                for subid, tc in qc.transitions[step].items():
+                    cut = cuts[step][subid]
+                    tables = tc.tables_for_cut(cut)
+                    key = instance_key(qid, subid, *step)
                     try:
-                        stage_of = ledger.place(tables, fixed) if tables else None
+                        stage_of = (
+                            ledger.place(tables, fixed.get(key, {})) if tables else None
+                        )
                     except ResourceExhaustedError as exc:
-                        key = instance_key(qid, subid, r1, r2)
-                        raise PlanningError(f"{key}: {exc}") from None
+                        raise ResourceExhaustedError(f"{key}: {exc}") from None
                     instances.append(tc.instance_plan(cut, stage_of))
-            plan = QueryPlan(
+            query_plans[qid] = QueryPlan(
                 query=qc.query,
                 spec=qc.spec,
-                path=chosen_levels,
+                path=path,
                 instances=instances,
                 relaxed_thresholds=qc.relaxed_thresholds,
             )
-            query_plans[qid] = plan
-            total += plan.est_tuples_per_window
         return Plan(
             mode=self.mode,
             switch_config=self.config,
             query_plans=query_plans,
-            est_total_tuples=total,
-            solver_info={
-                "objective": solution.objective,
-                "status": solution.status,
-                "message": solution.message,
-                "variables": self.model.n_vars,
-                "constraints": self.model.n_constraints,
-            },
+            est_total_tuples=sum(p.est_tuples_per_window for p in query_plans.values()),
         )

@@ -2,9 +2,10 @@
 
 ``QueryPlanner`` wires the pieces together: refinement-spec selection,
 trace-driven cost estimation (shared across modes — emulating a baseline
-never changes the measurements, only the ILP constraints), the MILP solve,
-and a greedy fallback solver used both for cross-validation in tests and
-when the MILP exceeds its time budget.
+never changes the measurements, only the ILP constraints), the solve (the
+per-query optima when no switch budget binds, else the joint MILP), and a
+greedy fallback solver used both for cross-validation in tests and when
+the MILP exceeds its time budget.
 """
 
 from __future__ import annotations
@@ -111,6 +112,16 @@ class QueryPlanner:
             else:
                 raise PlanningError(f"unknown solver {solver!r}")
             span.set_attribute("est_tuples_per_window", plan.est_total_tuples)
+            span.set_attribute("solved_by", plan.solver_info["solver"])
+            if "separable_declined" in plan.solver_info:
+                logger.info(
+                    "planner: the MILP runs, as %s",
+                    plan.solver_info["separable_declined"],
+                )
+                self.obs.event(
+                    "planner.separable_declined",
+                    budget=plan.solver_info["separable_declined"],
+                )
             if "variables" in plan.solver_info:
                 span.set_attribute("milp_vars", plan.solver_info["variables"])
                 span.set_attribute(

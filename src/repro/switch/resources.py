@@ -3,7 +3,7 @@
 Each rule is defined once here and read by both sides of the planner/switch
 contract: :class:`~repro.switch.simulator.PISASwitch` checks them when an
 instance is installed, and :class:`~repro.planner.ilp.PlanILP` turns them
-into MILP rows and places the tables of a solved plan with them. Budgets
+into MILP rows and places the tables of a plan with them. Budgets
 are named by their :class:`SwitchConfig` field, so an error says which
 field to raise.
 
@@ -137,9 +137,23 @@ class StageLedger:
                     None,
                 )
                 if stage is None:
+                    full = [
+                        b
+                        for b, n in stage_demand(table).items()
+                        if any(
+                            self.used[b].get(s, 0) + n > getattr(self.config, b)
+                            for s in range(previous + 1, limit)
+                        )
+                    ]
+                    if not full:  # the range itself is empty
+                        full = [
+                            "stages (C3)"
+                            if limit == self.config.stages
+                            else "intra-query ordering (C4)"
+                        ]
                     raise ResourceExhaustedError(
                         f"table {table.name}: no stage in [{previous + 1}, {limit}) "
-                        f"has room under {', '.join(stage_demand(table))}"
+                        f"has room under {', '.join(full)}"
                     )
             self.take(table, stage)
             placed[table.name] = stage

@@ -29,7 +29,14 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 import numpy as np
 
 from repro.core.errors import ResourceExhaustedError
-from repro.core.operators import Distinct, Filter, Map, Predicate, Reduce
+from repro.core.operators import (
+    Distinct,
+    Filter,
+    Map,
+    Predicate,
+    Reduce,
+    chain_read_fields,
+)
 from repro.exec import (
     ColumnarState,
     aggregate_groups,
@@ -132,21 +139,15 @@ class InstalledInstance:
     read_fields: frozenset[str] = field(init=False, default=frozenset())
 
     def __post_init__(self) -> None:
-        self.read_fields = self._read_fields()
+        self.read_fields = chain_read_fields(
+            self.compiled.subquery.operators[: self.n_operators],
+            self.compiled.schemas,
+        )
         for table in self.tables:  # install checked the sizing (chain_violation)
             if table.stateful:
                 self.chains[table.operator_index] = RegisterChain(table.register)
                 if table.folded_filter is not None:
                     self.folded_by_op[table.operator_index] = table.folded_filter
-
-    def _read_fields(self) -> frozenset[str]:
-        schemas = self.compiled.schemas
-        fields = set(schemas[self.n_operators].fields)
-        for i, op in enumerate(self.compiled.subquery.operators[: self.n_operators]):
-            fields.update(op.input_fields())
-            if isinstance(op, Distinct):
-                fields.update(op.effective_keys(schemas[i]))
-        return frozenset(fields)
 
     @property
     def last_op_stateful(self) -> bool:

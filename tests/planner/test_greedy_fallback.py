@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.evaluation.workloads import build_workload
 from repro.packets import Trace, attacks
 from repro.planner import QueryPlanner
 from repro.planner.ilp import PlanILP
+from repro.planner.planner import GreedyPlanner
 from repro.queries.library import build_queries
 from repro.switch.config import SwitchConfig
+from repro.switch.simulator import PISASwitch
 
 VICTIM = 0x0A000001
 
@@ -25,43 +28,92 @@ def costs(request):
 
 class TestFallback:
     def test_zero_time_limit_falls_back_to_greedy(self, costs):
-        """An impossible MILP budget must still yield a feasible plan."""
+        """An impossible MILP budget must still yield a feasible plan. One
+        stateful action per stage over three stages binds, so the MILP
+        runs (the per-query optima do not place)."""
+        config = SwitchConfig(stages=3, stateful_actions_per_stage=1)
         ilp = PlanILP(
             costs,
-            SwitchConfig(stages=2),
+            config,
             mode="sonata",
             time_limit=1e-3,  # HiGHS cannot find an incumbent this fast
         )
         plan = ilp.solve()
+        assert "stateful_actions_per_stage" in plan.solver_info["separable_declined"]
         assert plan.solver_info.get("fallback", "").startswith("greedy")
         assert plan.query_plans  # feasible plan for every query
-        # And it installs cleanly.
-        from repro.switch.simulator import PISASwitch
-
-        switch = PISASwitch(SwitchConfig(stages=2))
-        for inst in plan.all_instances():
-            if inst.on_switch:
-                switch.install(
-                    inst.key, inst.compiled, inst.cut,
-                    sized_tables=inst.tables,
-                    stage_assignment=inst.stage_assignment,
-                )
+        _install(plan, config)  # and it installs cleanly
 
     def test_generous_limit_uses_milp(self, costs):
         ilp = PlanILP(
-            costs, SwitchConfig.paper_default(), mode="max_dp", time_limit=60
+            costs,
+            SwitchConfig(stages=3, stateful_actions_per_stage=1),
+            mode="max_dp",
+            time_limit=60,
         )
         plan = ilp.solve()
+        assert plan.solver_info["solver"] == "milp"
         assert "fallback" not in plan.solver_info
         assert plan.solver_info["status"] == 0
+
+    def test_unplaceable_milp_stages_fall_back_to_greedy(self, costs, monkeypatch):
+        """Stages the ledger cannot place reach the greedy fallback, which
+        names the table and the budget, instead of raising."""
+        config = SwitchConfig(stages=3, stateful_actions_per_stage=1)
+        decode = PlanILP._decode
+
+        def every_table_at_stage_0(self, solution):
+            choices, fixed = decode(self, solution)
+            return choices, {key: dict.fromkeys(f, 0) for key, f in fixed.items()}
+
+        monkeypatch.setattr(PlanILP, "_decode", every_table_at_stage_0)
+        plan = PlanILP(costs, config, mode="sonata").solve()
+        reason = plan.solver_info["fallback"]
+        assert reason.startswith("greedy (MILP stages do not place")
+        assert "table " in reason and "(C4)" in reason
+        _install(plan, config)
+
+
+THREE = ["ddos", "newly_opened_tcp_conns", "superspreader"]
+
+
+@pytest.fixture(scope="module", params=[3_000, 20_000])
+def three_costs(request):
+    trace = build_workload(THREE, duration=6, pps=request.param, seed=7).trace
+    training = trace.time_range(trace.start_ts, trace.start_ts + 3.0)
+    return QueryPlanner(build_queries(THREE, window=3.0), training, window=3.0).costs()
+
+
+class TestTableSlotSweep:
+    """The MILP counts table slots over the whole switch, so its stages can
+    leave one stage a slot short. Planning then falls back to greedy."""
+
+    @pytest.mark.parametrize("stages", [4, 8, 16])
+    @pytest.mark.parametrize("slots", range(1, 7))
+    def test_ilp_never_raises_where_greedy_installs(self, three_costs, stages, slots):
+        config = SwitchConfig(stages=stages, stateless_actions_per_stage=slots)
+        greedy = GreedyPlanner(three_costs, config).solve()
+        _install(greedy, config)
+        plan = PlanILP(three_costs, config, mode="sonata").solve()
+        _install(plan, config)
+        if "fallback" not in plan.solver_info:
+            assert plan.est_total_tuples <= greedy.est_total_tuples + 1e-6
+
+
+def _install(plan, config):
+    switch = PISASwitch(config)
+    for inst in plan.all_instances():
+        if inst.on_switch:
+            switch.install(
+                inst.key, inst.compiled, inst.cut,
+                sized_tables=inst.tables,
+                stage_assignment=inst.stage_assignment,
+            )
 
 
 class TestGreedyInstall:
     def test_only_a_refused_install_downgrades_a_cut(self, costs, monkeypatch):
         """A bug inside ``install`` must surface, not pass as a full switch."""
-        from repro.planner.planner import GreedyPlanner
-        from repro.switch.simulator import PISASwitch
-
         def broken(self, *args, **kwargs):
             raise TypeError("bug inside install")
 

@@ -86,7 +86,22 @@ class TestSection33Scenario:
         assert all(not inst.on_switch for inst in plan.all_instances())
 
     def test_objective_reported(self, costs):
-        plan = PlanILP(costs, SwitchConfig.paper_default(), mode="sonata").solve()
+        """No budget binds on the paper's switch: the per-query optima are
+        the plan, with the joint MILP's objective and no MILP built. A
+        binding header budget builds and solves the MILP."""
+        config = SwitchConfig.paper_default()
+        plan = PlanILP(costs, config, mode="sonata").solve()
+        joint = PlanILP(costs, config, mode="sonata")._milp_plan()
+        assert plan.solver_info["solver"] == "separable"
+        assert plan.solver_info["status"] == 0
+        assert plan.solver_info["objective"] == pytest.approx(
+            joint.solver_info["objective"], abs=1e-6
+        )
+        assert plan.solver_info["variables"] == plan.solver_info["constraints"] == 0
+
+        plan = PlanILP(costs, SwitchConfig(phv_header_bits=32), mode="sonata").solve()
+        assert plan.solver_info["solver"] == "milp"
+        assert "phv_header_bits" in plan.solver_info["separable_declined"]
         assert plan.solver_info["status"] == 0
         assert plan.solver_info["variables"] > 0
         assert plan.solver_info["constraints"] > 0

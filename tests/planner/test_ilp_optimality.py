@@ -12,6 +12,11 @@ exhaustive backtracking stage placement and the parser's header budget,
 so the stage encoding (chain offsets, the gap between stateful tables, the
 pinned cuts) and the header rows must lose no plan the switch could
 install.
+
+Each check runs twice: through ``solve()``, which returns the per-query
+optima when no switch budget binds, and through the joint MILP alone
+(``_milp_plan()``), so the MILP encoding stays covered where the per-query
+optima install.
 """
 
 import itertools
@@ -52,6 +57,27 @@ def _paths():
     inner = [r for r in LEVELS if r != 32]
     for mask in range(1 << len(inner)):
         yield tuple(r for i, r in enumerate(inner) if mask & (1 << i)) + (32,)
+
+
+def _both_entries(costs, config, **kwargs):
+    """The plans of ``solve()`` and of the joint MILP alone."""
+    return [
+        PlanILP(costs, config, **kwargs).solve(),
+        PlanILP(costs, config, **kwargs)._milp_plan(),
+    ]
+
+
+def _installs(plan, config: SwitchConfig) -> None:
+    switch = PISASwitch(config)
+    for inst in plan.all_instances():
+        if inst.on_switch:
+            switch.install(
+                inst.key,
+                inst.compiled,
+                inst.cut,
+                sized_tables=inst.tables,
+                stage_assignment=inst.stage_assignment,
+            )
 
 
 def _brute_force(costs) -> float:
@@ -99,13 +125,13 @@ class TestOptimality:
                     )
                     for c in tc.cuts
                 ]
-        plan = PlanILP(
-            _BASE, SwitchConfig.paper_default(), mode="sonata", time_limit=30
-        ).solve()
         expected = _brute_force(_BASE)
-        assert plan.est_total_tuples <= expected + 1e-6
-        # The ILP can't beat exhaustive search either.
-        assert plan.est_total_tuples >= expected - 1e-6
+        for plan in _both_entries(
+            _BASE, SwitchConfig.paper_default(), mode="sonata", time_limit=30
+        ):
+            assert plan.est_total_tuples <= expected + 1e-6
+            # The ILP can't beat exhaustive search either.
+            assert plan.est_total_tuples >= expected - 1e-6
 
 
 # -- tight switches: the stage-placement encoding against exhaustive search --
@@ -255,21 +281,12 @@ class TestTightSwitchOptimality:
         ),
     )
     def test_ilp_matches_exhaustive_placement(self, config):
-        plan = PlanILP(_TIGHT, config, mode="sonata", mip_gap=1e-9).solve()
         objective, tuples = _tight_brute_force(_TIGHT, config)
-        assert "fallback" not in plan.solver_info
-        assert plan.solver_info["objective"] == pytest.approx(objective, abs=1e-6)
-        assert plan.est_total_tuples == pytest.approx(tuples, abs=1e-6)
-        switch = PISASwitch(config)
-        for inst in plan.all_instances():
-            if inst.on_switch:
-                switch.install(
-                    inst.key,
-                    inst.compiled,
-                    inst.cut,
-                    sized_tables=inst.tables,
-                    stage_assignment=inst.stage_assignment,
-                )
+        for plan in _both_entries(_TIGHT, config, mode="sonata", mip_gap=1e-9):
+            assert "fallback" not in plan.solver_info
+            assert plan.solver_info["objective"] == pytest.approx(objective, abs=1e-6)
+            assert plan.est_total_tuples == pytest.approx(tuples, abs=1e-6)
+            _installs(plan, config)
 
     @pytest.mark.parametrize("phv_header_bits", [8, 32, 64])
     def test_header_budget_matches_exhaustive_search(self, phv_header_bits):
@@ -281,20 +298,20 @@ class TestTightSwitchOptimality:
             max_single_register_bits=640 * KB,
             phv_header_bits=phv_header_bits,
         )
-        plan = PlanILP(_TIGHT, config, mode="sonata", mip_gap=1e-9).solve()
         objective, tuples = _tight_brute_force(_TIGHT, config)
-        assert plan.solver_info["objective"] == pytest.approx(objective, abs=1e-6)
-        assert plan.est_total_tuples == pytest.approx(tuples, abs=1e-6)
-        switch = PISASwitch(config)
-        for inst in plan.all_instances():
-            if inst.on_switch:
-                switch.install(
-                    inst.key,
-                    inst.compiled,
-                    inst.cut,
-                    sized_tables=inst.tables,
-                    stage_assignment=inst.stage_assignment,
-                )
+        for plan in _both_entries(_TIGHT, config, mode="sonata", mip_gap=1e-9):
+            assert plan.solver_info["objective"] == pytest.approx(objective, abs=1e-6)
+            assert plan.est_total_tuples == pytest.approx(tuples, abs=1e-6)
+            _installs(plan, config)
+
+    def test_some_tight_config_takes_the_milp(self):
+        """The grid reaches the joint MILP through ``solve()`` too: some
+        budget binds, so the per-query optima do not place."""
+        solvers = {
+            PlanILP(_TIGHT, config, mode="sonata").solve().solver_info["solver"]
+            for config in TIGHT_CONFIGS
+        }
+        assert solvers == {"separable", "milp"}
 
     def test_tight_grid_needs_the_gap_constraint(self):
         """Some optimum installs both stateful tables of one instance."""
@@ -304,7 +321,8 @@ class TestTightSwitchOptimality:
             register_bits_per_stage=1_300 * KB,
             max_single_register_bits=640 * KB,
         )
-        plan = PlanILP(_TIGHT, config, mode="sonata", mip_gap=1e-9).solve()
-        assert any(
-            sum(t.stateful for t in inst.tables) == 2 for inst in plan.all_instances()
-        )
+        for plan in _both_entries(_TIGHT, config, mode="sonata", mip_gap=1e-9):
+            assert any(
+                sum(t.stateful for t in inst.tables) == 2
+                for inst in plan.all_instances()
+            )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import PlanningError
 from repro.evaluation.workloads import build_workload
-from repro.obs import Observability
+from repro.obs import NULL_OBS, Observability
 from repro.packets import Trace, attacks
 from repro.planner import QueryPlanner, PlanningMode
 from repro.planner.refinement import RefinementSpec
@@ -224,3 +224,26 @@ class TestPlannerObservability:
         assert ilp_span.attrs["milp_constraints"] == plan.solver_info["constraints"]
         assert "milp_vars" not in greedy_span.attrs
         assert "variables" not in greedy.solver_info
+
+    def test_solve_span_names_the_path_taken(self, synflood_trace):
+        """separable, milp or greedy; a binding budget is an event."""
+        obs = Observability()
+        query = build_query("newly_opened_tcp_conns", qid=1, Th=10)
+        for config in (SwitchConfig.paper_default(), SwitchConfig(phv_header_bits=32)):
+            QueryPlanner([query], synflood_trace, config=config, window=3.0, obs=obs).plan()
+        QueryPlanner([query], synflood_trace, window=3.0, obs=obs).plan(solver="greedy")
+        assert [s.attrs["solved_by"] for s in obs.tracer.spans_named("planner.solve")] == [
+            "separable",
+            "milp",
+            "greedy",
+        ]
+        (declined,) = obs.tracer.events_named("planner.separable_declined")
+        assert "phv_header_bits" in declined.attrs["budget"]
+
+    def test_disabled_observability_records_nothing(self, synflood_trace):
+        query = build_query("newly_opened_tcp_conns", qid=1, Th=10)
+        config = SwitchConfig(phv_header_bits=32)
+        plan = QueryPlanner([query], synflood_trace, config=config, window=3.0, obs=NULL_OBS).plan()
+        assert plan.solver_info["solver"] == "milp"
+        assert NULL_OBS.tracer.spans == [] and NULL_OBS.tracer.events == []
+        assert NULL_OBS.snapshot().samples == []
