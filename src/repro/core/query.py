@@ -198,9 +198,10 @@ class SubQuery:
         op, schema = last
         if isinstance(op, Reduce):
             keys: Iterable[str] = op.keys
-        else:
-            assert isinstance(op, Distinct)
+        elif isinstance(op, Distinct):
             keys = op.effective_keys(schema)
+        else:
+            raise QueryValidationError(f"unknown stateful operator {op!r}")
         candidates: list[str] = []
         for key in keys:
             if key in self.registry and self.registry.get(key).hierarchical:
@@ -269,7 +270,8 @@ class Query:
         index = first
         while index < len(ops):
             join = ops[index]
-            assert isinstance(join, Join)
+            if not isinstance(join, Join):
+                raise QueryValidationError(f"expected a join at operator {index}: {join!r}")
             right_node = self._decompose(join.right)
             next_join = next(
                 (i for i in range(index + 1, len(ops)) if isinstance(ops[i], Join)),

@@ -18,6 +18,7 @@ from repro.exec.columns import (
     ColumnarState,
     canonical_state,
     materialize_rows,
+    values_equal,
 )
 from repro.exec.kernels import (
     apply_map,
@@ -40,6 +41,7 @@ __all__ = [
     "ColumnarState",
     "canonical_state",
     "materialize_rows",
+    "values_equal",
     "predicate_mask",
     "filter_mask",
     "eval_expression",

@@ -25,6 +25,7 @@ Span taxonomy (names are stable API — dashboards key on them)::
     run                         one SonataRuntime.run / NetworkRuntime.run
       window                    one window (attrs: index, packets, scope)
         stage.switch            data-plane packet loop + register dumps
+          wire_check            one mirrored batch's wire round trip
         stage.emitter           batch assembly + collision adjustment
         stage.stream_processor  residual operators per instance
         stage.refine            join assembly + filter-table feedback

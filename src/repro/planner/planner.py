@@ -199,17 +199,22 @@ class GreedyPlanner:
         finest = qc.native_level
         if qc.spec is None or self.mode in ("all_sp", "filter_dp", "max_dp"):
             return [(finest,)]
-        if self.mode == "fix_ref":
-            return [tuple(levels)]
-        inner = [r for r in levels if r != finest]
         cap = self.max_delay.get(qc.query.qid, len(levels))
-        paths: list[tuple[int, ...]] = []
-        for mask in range(1 << len(inner)):
-            chosen = tuple(
-                inner[i] for i in range(len(inner)) if mask & (1 << i)
-            ) + (finest,)
-            if len(chosen) <= cap:
-                paths.append(chosen)
+        if self.mode == "fix_ref":
+            candidates = [tuple(levels)]
+        else:
+            inner = [r for r in levels if r != finest]
+            candidates = [
+                tuple(inner[i] for i in range(len(inner)) if mask & (1 << i))
+                + (finest,)
+                for mask in range(1 << len(inner))
+            ]
+        paths = [path for path in candidates if len(path) <= cap]
+        if not paths:
+            raise PlanningError(
+                f"q{qc.query.qid}: no {self.mode} refinement path within "
+                f"max_delay={cap} (the shortest has {min(map(len, candidates))} levels)"
+            )
         return paths
 
     def _path_cost(self, qc: QueryCosts, path: tuple[int, ...]) -> float:

@@ -130,6 +130,20 @@ class RunReport:
         return None
 
 
+def _first_difference(mine: list[dict], theirs: list[dict]) -> str:
+    """Where two lists of rows first differ: the row and field, or the
+    row count; empty when they are equal."""
+    for row, (a, b) in enumerate(zip(mine, theirs)):
+        if list(a) != list(b):
+            return f"row {row}: fields {list(a)} -> {list(b)}"
+        for name, value in a.items():
+            if b[name] != value:
+                return f"row {row}, field {name!r}: {value!r} -> {b[name]!r}"
+    if len(mine) != len(theirs):
+        return f"{len(mine)} rows -> {len(theirs)}"
+    return ""
+
+
 class SonataRuntime:
     """Installs a plan and executes traces window by window.
 
@@ -237,6 +251,12 @@ class SonataRuntime:
             from repro.runtime.wire import WireCodec
 
             self._wire_codec = WireCodec()
+            self._m_wire_tuples = self.obs.counter(
+                "sonata_wire_tuples_total", "tuples round-tripped by the wire check"
+            )
+            self._m_wire_bytes = self.obs.counter(
+                "sonata_wire_bytes_total", "wire-format bytes the wire check encoded"
+            )
         if self.faults is not None:
             self.faults.obs = self.obs
         self.stream_processor = StreamProcessor(obs=self.obs)
@@ -601,7 +621,7 @@ class SonataRuntime:
         schema_key = f"{item.instance}#{item.kind}#{item.op_index}"
         try:
             self._wire_codec.schema(schema_key)
-        except Exception:
+        except PlanningError:
             widths = {}
             for name, is_float, is_blob in fields:
                 if is_float:
@@ -630,11 +650,15 @@ class SonataRuntime:
             fields=mirrored.fields,
             op_index=mirrored.op_index,
         )
-        decoded = codec.decode(codec.encode(tagged))
-        assert decoded.fields == mirrored.fields, (
-            f"wire roundtrip changed a tuple: {mirrored.fields} -> "
-            f"{decoded.fields}"
-        )
+        record = codec.encode(tagged)
+        decoded = codec.decode(record)
+        if decoded.fields != mirrored.fields:
+            raise PlanningError(
+                f"wire roundtrip changed a tuple of {schema_key}: "
+                f"{_first_difference([mirrored.fields], [decoded.fields])}"
+            )
+        self._m_wire_tuples.inc(1, instance=mirrored.instance)
+        self._m_wire_bytes.inc(len(record), instance=mirrored.instance)
         return MirroredTuple(
             instance=mirrored.instance,
             kind=decoded.kind,
@@ -655,20 +679,31 @@ class SonataRuntime:
                 for name, col in batch.state.columns.items()
             ),
         )
-        decoded = codec.decode_batch(
-            codec.encode_batch(batch, schema_key), schema_key
-        )
-        result = MirroredBatch(
-            instance=batch.instance,
-            kind=decoded.kind,
-            op_index=decoded.op_index,
-            state=decoded.state,
-            rows=batch.rows,
-            pos=batch.pos,
-        )
-        assert batch.data_equal(result), (
-            f"wire roundtrip changed batch {schema_key}"
-        )
+        with self.obs.span("wire_check", instance=batch.instance, rows=batch.n_rows):
+            data = codec.encode_batch(batch, schema_key)
+            decoded = codec.decode_batch(data, schema_key)
+            result = MirroredBatch(
+                instance=batch.instance,
+                kind=decoded.kind,
+                op_index=decoded.op_index,
+                state=decoded.state,
+                rows=batch.rows,
+                pos=batch.pos,
+            )
+            if not batch.data_equal(result):
+                # Rows are built only to name the difference.
+                difference = _first_difference(
+                    [t.fields for t in batch.materialize()],
+                    [t.fields for t in result.materialize()],
+                ) or (
+                    f"header {(batch.kind, batch.op_index)} -> "
+                    f"{(result.kind, result.op_index)}"
+                )
+                raise PlanningError(
+                    f"wire roundtrip changed batch {schema_key}: {difference}"
+                )
+        self._m_wire_tuples.inc(batch.n_rows, instance=batch.instance)
+        self._m_wire_bytes.inc(len(data), instance=batch.instance)
         return result
 
     def _transition_output(

@@ -14,9 +14,19 @@ encodes/decodes tuples as compact binary records:
             | u16 length || bytes                 (str/bytes fields)
 
 The simulator hands structured tuples around directly, so the codec's role
-here is fidelity and testability: the runtime can optionally round-trip
-every mirrored tuple through it, proving the schema configuration is
-sufficient to reconstruct exactly what the stream processor needs.
+here is fidelity and testability: ``SonataRuntime(wire_check=True)``
+round-trips every mirrored item through it, proving the schema
+configuration is sufficient to reconstruct exactly what the stream
+processor needs.
+
+Two paths write the same bytes. :meth:`WireCodec.encode` and
+:meth:`WireCodec.decode` handle one tuple; the rowwise oracle uses them.
+:meth:`WireCodec.encode_batch` and :meth:`WireCodec.decode_batch` move a
+whole columnar :class:`MirroredBatch` without per-row Python: int-only
+records are one numpy byte matrix, and a blob-bearing record is runs of
+fixed-width fields between blobs — encoded by one gather of per-row
+pieces (each used vocabulary entry packed once), decoded by one scan of
+the ``u16`` lengths followed by matrix gathers of the runs.
 """
 
 from __future__ import annotations
@@ -36,6 +46,27 @@ _KINDS = ("stream", "key_report", "overflow")
 
 def _width_bytes(bits: int) -> int:
     return max((bits + 7) // 8, 1)
+
+
+def _pack_blob(value) -> bytes:
+    """``u16 length || bytes`` of one str/bytes value, as :meth:`WireCodec.encode`
+    writes it (longer blobs are cut to 65,535 bytes)."""
+    blob = (
+        value if isinstance(value, (bytes, bytearray)) else str(value).encode("utf-8")
+    )
+    return struct.pack(">H", min(len(blob), 0xFFFF)) + bytes(blob[:0xFFFF])
+
+
+def _run_piece(run: "list[np.ndarray]") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacent fixed-width field matrices as one record piece: its byte
+    pool, per-row starts and per-row lengths."""
+    matrix = np.concatenate(run, axis=1)
+    n, width = matrix.shape
+    return (
+        matrix.reshape(-1),
+        np.arange(n, dtype=np.int64) * width,
+        np.full(n, width, dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)
@@ -194,30 +225,34 @@ class WireCodec:
             return self._float_field_bytes(col)
         return self._int_field_bytes(col, codec.width_bytes)
 
-    def _blob_pieces(self, state: ColumnarState, name: str) -> list[bytes]:
-        """Per-row length-prefixed blobs for one str/bytes column."""
+    def _blob_pieces(
+        self, state: ColumnarState, name: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One str/bytes column as length-prefixed pieces of a byte pool.
 
-        def pack(value) -> bytes:
-            blob = (
-                value
-                if isinstance(value, (bytes, bytearray))
-                else str(value).encode("utf-8")
-            )
-            if len(blob) > 0xFFFF:
-                blob = blob[:0xFFFF]
-            return struct.pack(">H", len(blob)) + bytes(blob)
-
+        Returns ``(pool, starts, lengths)``: row i's ``u16 length || bytes``
+        is ``pool[starts[i] : starts[i] + lengths[i]]``. Only the vocabulary
+        ids that occur are packed, once each; absent ids (-1 or out of
+        range) pack the empty value, as :func:`materialize_rows` reads them.
+        """
         vocab = state.vocabs.get(name)
         col = state.columns[name]
         if vocab is None:
-            return [pack(v) for v in col.tolist()]
-        missing: "str | bytes" = b"" if name == "payload" else ""
-        encoded = [pack(v) for v in vocab]
-        absent = pack(missing)
-        ids = col.astype(np.int64, copy=False).tolist()
-        return [
-            encoded[i] if 0 <= i < len(encoded) else absent for i in ids
-        ]
+            values = col.tolist()
+            ids = np.arange(len(values))
+        else:
+            missing: "str | bytes" = b"" if name == "payload" else ""
+            raw = col.astype(np.int64, copy=False)
+            valid = (raw >= 0) & (raw < len(vocab))
+            used, inverse = np.unique(raw[valid], return_inverse=True)
+            values = [missing] + [vocab[i] for i in used.tolist()]
+            ids = np.zeros(len(raw), dtype=np.int64)
+            ids[valid] = inverse + 1
+        pieces = [_pack_blob(v) for v in values]
+        lengths = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+        starts = np.cumsum(lengths) - lengths
+        pool = np.frombuffer(b"".join(pieces), dtype=np.uint8)
+        return pool, starts[ids], lengths[ids]
 
     def encode_batch(
         self, batch: MirroredBatch, instance_key: str | None = None
@@ -226,9 +261,9 @@ class WireCodec:
 
         The output is bit-for-bit ``b"".join(encode(t) for t in
         batch.materialize())`` (with ``instance_key`` overriding the
-        schema lookup key, like a tagged tuple would) — but int-only
-        schemas pack through one numpy byte matrix instead of per-row
-        ``struct.pack`` calls.
+        schema lookup key, like a tagged tuple would), built from columns:
+        int-only schemas are one numpy byte matrix, and blob-bearing ones
+        gather each record's pieces into one buffer.
         """
         key = instance_key if instance_key is not None else batch.instance
         instance_id = self._by_key.get(key)
@@ -245,30 +280,145 @@ class WireCodec:
         header = struct.pack(
             ">HBB", instance_id, _KINDS.index(batch.kind), batch.op_index
         )
+        run = [np.broadcast_to(np.frombuffer(header, dtype=np.uint8), (n, 4))]
         if all(c.kind in ("int", "float") for c in codecs):
-            parts = [np.tile(np.frombuffer(header, dtype=np.uint8), (n, 1))]
-            parts += [
-                self._fixed_field_bytes(state.columns[c.name], c)
-                for c in codecs
-            ]
-            return np.concatenate(parts, axis=1).tobytes()
-        # Blob-bearing schema: per-row variable length; blobs are packed
-        # once per vocabulary entry and looked up per row.
-        columns: list[list[bytes]] = []
+            run += [self._fixed_field_bytes(state.columns[c.name], c) for c in codecs]
+            return np.concatenate(run, axis=1).tobytes()
+        # A blob-bearing record is a sequence of pieces: runs of fixed-width
+        # bytes between length-prefixed blobs. Each piece is (pool, per-row
+        # start, per-row length); one gather lays them out row by row.
+        pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for codec in codecs:
             if codec.kind in ("int", "float"):
-                matrix = self._fixed_field_bytes(
-                    state.columns[codec.name], codec
+                run.append(self._fixed_field_bytes(state.columns[codec.name], codec))
+                continue
+            if run:
+                pieces.append(_run_piece(run))
+                run = []
+            pieces.append(self._blob_pieces(state, codec.name))
+        if run:
+            pieces.append(_run_piece(run))
+        bases = np.cumsum([0] + [len(pool) for pool, _, _ in pieces[:-1]])
+        pool = np.concatenate([pool for pool, _, _ in pieces])
+        starts = np.column_stack(
+            [s + base for (_, s, _), base in zip(pieces, bases)]
+        ).reshape(-1)
+        lengths = np.column_stack([length for _, _, length in pieces]).reshape(-1)
+        # Byte j of the output comes from pool[j + (start - out_start)] of
+        # the piece it falls in.
+        shift = starts - (np.cumsum(lengths) - lengths)
+        return pool[np.arange(int(lengths.sum())) + np.repeat(shift, lengths)].tobytes()
+
+    @staticmethod
+    def _fixed_columns(
+        matrix: np.ndarray, codecs: "list[FieldCodec]"
+    ) -> dict[str, np.ndarray]:
+        """Int and float columns from a byte matrix holding their fields
+        side by side, one record per row."""
+        n = len(matrix)
+        columns = {}
+        offset = 0
+        for codec in codecs:
+            w = codec.width_bytes
+            chunk = matrix[:, offset : offset + w]
+            offset += w
+            if codec.kind == "float":
+                columns[codec.name] = (
+                    np.ascontiguousarray(chunk).reshape(-1).view(">f8").astype(np.float64)
                 )
-                columns.append([row.tobytes() for row in matrix])
+                continue
+            if w in (1, 2, 4):
+                values = np.ascontiguousarray(chunk).view(f">u{w}").reshape(-1)
+                columns[codec.name] = values.astype(np.int64)
+                continue
+            if w < 8:
+                padded = np.zeros((n, 8), dtype=np.uint8)
+                padded[:, 8 - w :] = chunk
+            elif w > 8:
+                if chunk[:, : w - 8].any():
+                    raise PlanningError(
+                        f"field {codec.name!r} exceeds 64 bits in a batch"
+                    )
+                padded = np.ascontiguousarray(chunk[:, w - 8 :])
             else:
-                columns.append(self._blob_pieces(state, codec.name))
-        out = bytearray()
-        for i in range(n):
-            out += header
-            for column in columns:
-                out += column[i]
-        return bytes(out)
+                padded = np.ascontiguousarray(chunk)
+            values = padded.reshape(-1).view(">u8").astype(np.uint64)
+            # Keep uint64 so 8-byte fields round-trip the full range;
+            # narrower fields fit comfortably in int64.
+            columns[codec.name] = values if w >= 8 else values.astype(np.int64)
+        return columns
+
+    def _decode_blob_records(
+        self, data: bytes, instance: str, codecs: "list[FieldCodec]"
+    ) -> ColumnarState:
+        """Decode a blob-bearing record stream.
+
+        A record is runs of fixed-width fields between length-prefixed
+        blobs. One scan reads only the ``u16`` lengths, noting where each
+        run starts and interning each blob's bytes; the runs are then
+        gathered into byte matrices and parsed like an int-only record,
+        and each distinct blob is decoded once.
+        """
+        runs: list[list[FieldCodec]] = [[]]
+        blobs: list[FieldCodec] = []
+        for codec in codecs:
+            if codec.kind in ("int", "float"):
+                runs[-1].append(codec)
+            else:
+                blobs.append(codec)
+                runs.append([])
+        widths = [sum(c.width_bytes for c in run) for run in runs]
+        widths[0] += 4  # the header opens the first run
+        run_starts: list[list[int]] = [[] for _ in runs]
+        interns: list[dict[bytes, int]] = [{} for _ in blobs]
+        ids: list[list[int]] = [[] for _ in blobs]
+        pos, end = 0, len(data)
+        while pos < end:
+            for j, intern in enumerate(interns):
+                run_starts[j].append(pos)
+                pos += widths[j] + 2
+                if pos > end:
+                    break
+                length = data[pos - 2] << 8 | data[pos - 1]
+                blob = data[pos : pos + length]
+                pos += length
+                idx = intern.get(blob)
+                if idx is None:
+                    idx = intern[blob] = len(intern)
+                ids[j].append(idx)
+            run_starts[-1].append(pos)
+            pos += widths[-1]
+        if pos != end:
+            raise PlanningError(
+                f"truncated record for {instance}: {pos - end} bytes short"
+            )
+        buf = np.frombuffer(data, dtype=np.uint8)
+        fixed: dict[str, np.ndarray] = {}
+        for j, (run, width, starts) in enumerate(zip(runs, widths, run_starts)):
+            if not width:
+                continue
+            matrix = buf[np.asarray(starts)[:, None] + np.arange(width)]
+            if j == 0:
+                if (matrix[:, :4] != matrix[0, :4]).any():
+                    raise PlanningError("mixed headers in one batch record stream")
+                matrix = matrix[:, 4:]
+            fixed.update(self._fixed_columns(matrix, run))
+        vocabs = {
+            codec.name: [
+                blob if codec.kind == "bytes" else blob.decode("utf-8")
+                for blob in intern
+            ]
+            for codec, intern in zip(blobs, interns)
+        }
+        blob_ids = {
+            codec.name: np.asarray(column, dtype=np.int64)
+            for codec, column in zip(blobs, ids)
+        }
+        columns = {
+            c.name: fixed[c.name] if c.name in fixed else blob_ids[c.name]
+            for c in codecs
+        }
+        return ColumnarState(columns=columns, vocabs=vocabs)
 
     def decode_batch(
         self, data: bytes, instance_key: str | None = None
@@ -319,99 +469,9 @@ class WireCodec:
             matrix = np.frombuffer(data, dtype=np.uint8).reshape(n, record_len)
             if (matrix[:, :4] != matrix[0, :4]).any():
                 raise PlanningError("mixed headers in one batch record stream")
-            columns = {}
-            offset = 4
-            for codec in codecs:
-                w = codec.width_bytes
-                chunk = matrix[:, offset : offset + w]
-                if codec.kind == "float":
-                    columns[codec.name] = (
-                        np.ascontiguousarray(chunk)
-                        .reshape(-1)
-                        .view(">f8")
-                        .astype(np.float64)
-                    )
-                    offset += w
-                    continue
-                if w < 8:
-                    padded = np.zeros((n, 8), dtype=np.uint8)
-                    padded[:, 8 - w :] = chunk
-                elif w > 8:
-                    if chunk[:, : w - 8].any():
-                        raise PlanningError(
-                            f"field {codec.name!r} exceeds 64 bits in a batch"
-                        )
-                    padded = np.ascontiguousarray(chunk[:, w - 8 :])
-                else:
-                    padded = np.ascontiguousarray(chunk)
-                values = padded.reshape(-1).view(">u8").astype(np.uint64)
-                # Keep uint64 so 8-byte fields round-trip the full range;
-                # narrower fields fit comfortably in int64.
-                columns[codec.name] = (
-                    values if w >= 8 else values.astype(np.int64)
-                )
-                offset += w
-            state = ColumnarState(columns=columns)
+            state = ColumnarState(columns=self._fixed_columns(matrix[:, 4:], codecs))
         else:
-            raw_columns: dict[str, list] = {c.name: [] for c in codecs}
-            vocabs = {c.name: [] for c in codecs if c.kind in ("str", "bytes")}
-            interns: dict[str, dict] = {
-                c.name: {} for c in codecs if c.kind in ("str", "bytes")
-            }
-            offset = 0
-            end = len(data)
-            while offset < end:
-                header = data[offset : offset + 4]
-                if header != data[:4]:
-                    raise PlanningError(
-                        "mixed headers in one batch record stream"
-                    )
-                offset += 4
-                for codec in codecs:
-                    if codec.kind == "int":
-                        raw_columns[codec.name].append(
-                            int.from_bytes(
-                                data[offset : offset + codec.width_bytes], "big"
-                            )
-                        )
-                        offset += codec.width_bytes
-                    elif codec.kind == "float":
-                        (value,) = struct.unpack(
-                            ">d", data[offset : offset + 8]
-                        )
-                        raw_columns[codec.name].append(value)
-                        offset += 8
-                    else:
-                        (length,) = struct.unpack(
-                            ">H", data[offset : offset + 2]
-                        )
-                        offset += 2
-                        blob = data[offset : offset + length]
-                        offset += length
-                        value = (
-                            bytes(blob)
-                            if codec.kind == "bytes"
-                            else blob.decode("utf-8")
-                        )
-                        intern = interns[codec.name]
-                        idx = intern.get(value)
-                        if idx is None:
-                            idx = intern[value] = len(vocabs[codec.name])
-                            vocabs[codec.name].append(value)
-                        raw_columns[codec.name].append(idx)
-            if offset != end:  # pragma: no cover - blob reads clamp above
-                raise PlanningError(
-                    f"trailing bytes in record for {instance}: {end - offset}"
-                )
-            dtypes = {
-                c.name: np.float64 if c.kind == "float" else np.int64
-                for c in codecs
-            }
-            columns = {
-                name: np.asarray(values, dtype=dtypes[name])
-                for name, values in raw_columns.items()
-            }
-            state = ColumnarState(columns=columns, vocabs=vocabs)
+            state = self._decode_blob_records(data, instance, codecs)
         return MirroredBatch(
             instance=instance,
             kind=_KINDS[kind_index],

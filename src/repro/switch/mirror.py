@@ -23,7 +23,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.exec import ColumnarState, materialize_rows
+from repro.exec import ColumnarState, materialize_rows, values_equal
 
 __all__ = [
     "MirroredTuple",
@@ -132,16 +132,17 @@ class MirroredBatch:
         ]
 
     def data_equal(self, other: "MirroredBatch") -> bool:
-        """Value-level equality (vocab ids may differ between encodings)."""
+        """Value-level equality: the same instance, kind, op_index, field
+        order and :meth:`materialize` rows, decided on the columns (vocab
+        ids may differ between encodings)."""
         if (self.instance, self.kind, self.op_index) != (
             other.instance, other.kind, other.op_index,
         ):
             return False
-        if self.field_names() != other.field_names():
+        names = self.field_names()
+        if names != other.field_names():
             return False
-        mine = materialize_rows(self.state, self.field_names())
-        theirs = materialize_rows(other.state, other.field_names())
-        return mine == theirs
+        return values_equal(self.state, other.state, names)
 
     @staticmethod
     def from_tuples(

@@ -13,6 +13,7 @@ register actions, a mirror (report) decision, and a deparser.
 
 from __future__ import annotations
 
+from repro.core.errors import CompilationError
 from repro.core.expressions import Const, Difference, FieldRef, Prefixed, Quantized
 from repro.core.operators import Distinct, Filter, Map, Reduce
 from repro.switch.compiler import CompiledSubQuery
@@ -205,7 +206,8 @@ class P4Generator:
 
     def _filter_table(self, safe: str, table: LogicalTable) -> list[str]:
         op = table.operator
-        assert isinstance(op, Filter)
+        if not isinstance(op, Filter):
+            raise CompilationError(f"table {table.name} is not a filter: {op!r}")
         lines = [f"    action {table.name}_drop() {{ meta.{safe}_active = 0; }}"]
         keys = []
         for pred in op.predicates:
@@ -226,7 +228,8 @@ class P4Generator:
 
     def _map_action(self, safe: str, table: LogicalTable, derived: set[str]) -> list[str]:
         op = table.operator
-        assert isinstance(op, Map)
+        if not isinstance(op, Map):
+            raise CompilationError(f"table {table.name} is not a map: {op!r}")
         body = []
         for expr in op.keys + op.values:
             target = _meta_field(safe, expr.name)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import PlanningError
 from repro.evaluation.workloads import build_workload
 from repro.packets import Trace, attacks
 from repro.planner import QueryPlanner
@@ -98,6 +99,32 @@ class TestTableSlotSweep:
         _install(plan, config)
         if "fallback" not in plan.solver_info:
             assert plan.est_total_tuples <= greedy.est_total_tuples + 1e-6
+
+
+
+class TestDelayCap:
+    """fix_ref refines through every level, so a ``max_delay`` below the
+    level count leaves no path: planning raises instead of returning a
+    greedy plan that breaks the cap."""
+
+    def test_fix_ref_cap_below_levels_raises(self, three_costs):
+        config = SwitchConfig.paper_default()
+        cap = {qid: 1 for qid in three_costs}
+        with pytest.raises(PlanningError, match=r"q\d+: .*max_delay=1"):
+            PlanILP(three_costs, config, mode="fix_ref", max_delay=cap).solve()
+        with pytest.raises(PlanningError, match="max_delay=1"):
+            GreedyPlanner(three_costs, config, "fix_ref", cap).solve()
+
+    def test_fix_ref_cap_at_levels_plans(self, three_costs):
+        config = SwitchConfig.paper_default()
+        cap = {qid: len(qc.levels) for qid, qc in three_costs.items()}
+        for plan in (
+            PlanILP(three_costs, config, mode="fix_ref", max_delay=cap).solve(),
+            GreedyPlanner(three_costs, config, "fix_ref", cap).solve(),
+        ):
+            for qid, qp in plan.query_plans.items():
+                assert len(qp.path) <= cap[qid]
+            _install(plan, config)
 
 
 def _install(plan, config):

@@ -9,6 +9,7 @@ its objective must equal the joint MILP's.
 
 import pytest
 
+from repro.core.errors import PlanningError
 from repro.evaluation.workloads import build_workload
 from repro.planner import PlanningMode, QueryPlanner
 from repro.planner.ilp import PlanILP
@@ -72,12 +73,13 @@ class TestStructure:
 
     def test_unreachable_delay_cap_defers_to_the_milp(self):
         """fix_ref needs every level; a cap below that leaves no path, so
-        the MILP decides (and, infeasible, falls back to greedy)."""
+        the MILP decides, finds no plan within the cap and raises rather
+        than fall back to a greedy plan that breaks it."""
         planner = _planner(THREE, 3_000)
         costs = planner.costs()
-        plan = PlanILP(
-            costs, SwitchConfig.paper_default(), mode="fix_ref",
-            max_delay={qid: 1 for qid, qc in costs.items() if len(qc.levels) > 1},
-        ).solve()
-        assert "max_delay" in plan.solver_info["separable_declined"]
-        assert plan.solver_info["fallback"].startswith("greedy")
+        capped = {qid: 1 for qid, qc in costs.items() if len(qc.levels) > 1}
+        assert capped
+        with pytest.raises(PlanningError, match="max_delay"):
+            PlanILP(
+                costs, SwitchConfig.paper_default(), mode="fix_ref", max_delay=capped,
+            ).solve()
