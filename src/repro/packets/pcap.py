@@ -174,7 +174,10 @@ def write_pcap(path: str, packets: "Iterator[Packet] | list[Packet]") -> int:
 
 
 def read_pcap(path: str) -> Trace:
-    """Read a classic pcap file into a :class:`Trace` (skipping non-IPv4)."""
+    """Read a classic pcap file into a :class:`Trace` (skipping non-IPv4).
+
+    Captures may hold records out of time order (merged or multi-queue
+    captures); the trace comes back stably sorted by timestamp."""
     packets: list[Packet] = []
     with open(path, "rb") as fh:
         header = fh.read(_GLOBAL_HEADER.size)
@@ -199,4 +202,4 @@ def read_pcap(path: str) -> Trace:
             pkt = parse_frame(frame, ts=seconds + micros / 1e6, orig_len=origlen)
             if pkt is not None:
                 packets.append(pkt)
-    return Trace.from_packets(packets)
+    return Trace.from_packets(packets).sorted_by_time()

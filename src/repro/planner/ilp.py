@@ -39,7 +39,9 @@ shared raw mirror. Dropping rows relaxes the MILP, so when the union of
 those optima places on one switch and fits C5 and the header budget, it
 is the joint optimum. Ties keep the first path in a fixed order and the
 deeper cut. Otherwise the MILP is built and solved, and a placement it
-cannot decode falls back to the greedy planner.
+cannot decode falls back to :meth:`PlanILP.greedy`. The greedy heuristic
+walks the same per-query choices, ranked by the same pricing, and
+installs them on a simulated switch one query at a time.
 
 Table 4's baseline systems are emulated by fixing variables — e.g.
 Fix-REF pins every ``I[q,r]`` to 1, All-SP pins every cut to 0 — exactly
@@ -67,6 +69,7 @@ from repro.switch.resources import (
     over_budget,
     stage_demand,
 )
+from repro.switch.simulator import PISASwitch
 
 #: Tie-break weights: when tuple costs are equal, prefer fewer refinement
 #: levels (less detection delay) and *deeper* cuts (running as much of the
@@ -393,11 +396,8 @@ class PlanILP:
         choices: dict[int, Choice] = {}
         objective = 0.0
         for qid, qc in self.costs.items():
-            best = self._query_optimum(qid, qc)
-            if best is None:
-                return None, f"q{qid}: no refinement path within max_delay"
-            objective += best[0]
-            choices[qid] = best[1]
+            score, choices[qid] = self._ranked_choices(qid, qc)[0]
+            objective += score
         overrun = self._shared_overrun(choices)
         if overrun:
             return None, overrun
@@ -414,29 +414,35 @@ class PlanILP:
         }
         return plan, ""
 
-    def _query_optimum(self, qid: int, qc: QueryCosts) -> tuple[float, Choice] | None:
-        """The least objective of one query alone and its choice. Paths come
-        in a fixed order (by bitmask over the coarse levels), and the first
-        of equal objectives is kept."""
+    def _ranked_choices(self, qid: int, qc: QueryCosts) -> list[tuple[float, Choice]]:
+        """Every choice of one query alone with its objective, least first:
+        each refinement path the mode and delay cap allow, at its cheapest
+        cuts. Paths come in a fixed order (by bitmask over the coarse
+        levels) and the sort is stable, so the first of equal objectives
+        leads. Raises PlanningError when no path is within the cap."""
         levels = self._levels_for(qc)
         inner = levels[:-1]
+        paths = [levels] if self.mode == "fix_ref" else [
+            tuple(r for i, r in enumerate(inner) if mask >> i & 1) + levels[-1:]
+            for mask in range(1 << len(inner))
+        ]
         cap = (self.max_delay or {}).get(qid)
+        within = [path for path in paths if cap is None or len(path) <= cap]
+        if not within:
+            raise PlanningError(
+                f"q{qid}: no {self.mode} refinement path within max_delay={cap} "
+                f"(the shortest has {min(map(len, paths))} levels)"
+            )
         priced: dict[tuple[int, int], tuple[float, dict[int, int]]] = {}
-        best: tuple[float, Choice] | None = None
-        for mask in range(1 << len(inner)):
-            path = tuple(r for i, r in enumerate(inner) if mask >> i & 1) + levels[-1:]
-            if self.mode == "fix_ref" and path != levels:
-                continue
-            if cap is not None and len(path) > cap:
-                continue
+        ranked: list[tuple[float, Choice]] = []
+        for path in within:
             steps = list(zip((ROOT_LEVEL,) + path, path))
             for step in steps:
                 if step not in priced:
                     priced[step] = self._transition_optimum(qc, step)
             score = _EPS_LEVEL * len(path) + sum(priced[step][0] for step in steps)
-            if best is None or score < best[0]:
-                best = (score, (path, {step: priced[step][1] for step in steps}))
-        return best
+            ranked.append((score, (path, {step: priced[step][1] for step in steps})))
+        return sorted(ranked, key=lambda entry: entry[0])
 
     def _transition_optimum(
         self, qc: QueryCosts, step: tuple[int, int]
@@ -484,13 +490,13 @@ class PlanILP:
 
     # -- the joint MILP --------------------------------------------------------
     def _milp_plan(self) -> Plan:
-        """Solve the joint MILP; fall back to the greedy planner when it
+        """Solve the joint MILP; fall back to :meth:`greedy` when it
         finds no incumbent, or its stages do not place.
 
         HiGHS may hit the time limit before finding *any* incumbent on the
         tightest instances (many queries, very few stages). The paper
         accepts "the best (possibly sub-optimal) solution" within its time
-        budget; our equivalent floor is the resource-aware greedy planner,
+        budget; our equivalent floor is the resource-aware greedy heuristic,
         which always produces a feasible plan.
         """
         self.build()
@@ -499,7 +505,7 @@ class PlanILP:
                 time_limit=self.time_limit, mip_rel_gap=self.mip_gap
             )
         except PlanningError:
-            plan = self._greedy_plan()
+            plan = self.greedy()
             plan.solver_info["fallback"] = "greedy (MILP found no incumbent)"
             return plan
         try:
@@ -507,7 +513,7 @@ class PlanILP:
         except ResourceExhaustedError as exc:
             # The MILP counts table slots over the whole switch only, so its
             # stages can leave a stage without a free slot.
-            plan = self._greedy_plan()
+            plan = self.greedy()
             plan.solver_info["fallback"] = f"greedy (MILP stages do not place: {exc})"
             return plan
         plan.solver_info = {
@@ -523,7 +529,7 @@ class PlanILP:
             # can be arbitrarily poor. The greedy heuristic is cheap — take
             # whichever plan is better ("the best solution found within the
             # period", as the paper does with its 20-minute cap).
-            greedy = self._greedy_plan()
+            greedy = self.greedy()
             if greedy.est_total_tuples < plan.est_total_tuples:
                 greedy.solver_info["fallback"] = (
                     "greedy (beat the MILP's time-limited incumbent)"
@@ -531,12 +537,77 @@ class PlanILP:
                 return greedy
         return plan
 
-    def _greedy_plan(self) -> Plan:
-        from repro.planner.planner import GreedyPlanner
+    # -- the greedy heuristic --------------------------------------------------
+    def greedy(self) -> Plan:
+        """A feasible plan without the MILP: §8's heuristic for expediting
+        planning, and the MILP's fallback.
 
-        return GreedyPlanner(
-            self.costs, self.config, self.mode, self.max_delay
-        ).solve()
+        Queries in qid order each take the first of their ranked choices
+        (:meth:`_ranked_choices`) that installs on one switch beside the
+        queries before them. An instance starts at its priced cut and steps
+        down to shallower cuts only while the switch refuses it; a choice
+        with an instance that installs at no cut is dropped. A query with
+        no choice left runs all at the stream processor.
+        """
+        switch = PISASwitch(self.config)
+        choices: dict[int, Choice] = {}
+        stages: dict[str, dict[str, int]] = {}
+        for qid, qc in sorted(self.costs.items()):
+            for _, (path, priced) in self._ranked_choices(qid, qc):
+                cuts = self._install_choice(switch, qid, qc, path, priced, stages)
+                if cuts is not None:
+                    break
+            else:
+                path = (qc.native_level,)
+                step = (ROOT_LEVEL, qc.native_level)
+                cuts = {step: dict.fromkeys(qc.transitions[step], 0)}
+            choices[qid] = (path, cuts)
+        plan = self._assemble(choices, stages)
+        plan.solver_info = {"solver": "greedy"}
+        return plan
+
+    def _install_choice(
+        self,
+        switch: PISASwitch,
+        qid: int,
+        qc: QueryCosts,
+        path: tuple[int, ...],
+        priced: dict[tuple[int, int], dict[int, int]],
+        stages: dict[str, dict[str, int]],
+    ) -> dict[tuple[int, int], dict[int, int]] | None:
+        """Install one query's path on ``switch``, each instance at the
+        deepest cut up to its priced one that the switch accepts. Returns
+        the cuts and records each installed instance's stages in
+        ``stages``; None, with nothing left installed, when an instance
+        priced on the switch installs at no cut."""
+        cuts: dict[tuple[int, int], dict[int, int]] = {}
+        installed: list[str] = []
+        for step in zip((ROOT_LEVEL,) + path, path):
+            cuts[step] = {}
+            for subid, tc in qc.transitions[step].items():
+                key = instance_key(qid, subid, *step)
+                want = priced[step][subid]
+                cut = 0
+                for option in sorted(allowed_cuts(tc, self.mode), reverse=True):
+                    if not 0 < option <= want:
+                        continue
+                    try:
+                        placed = switch.install(
+                            key, tc.compiled, option, tc.tables_for_cut(option)
+                        )
+                    except ResourceExhaustedError:
+                        continue
+                    cut = option
+                    installed.append(key)
+                    stages[key] = dict(placed.stage_of)
+                    break
+                if want and not cut:
+                    for done in installed:
+                        switch.uninstall(done)
+                        del stages[done]
+                    return None
+                cuts[step][subid] = cut
+        return cuts
 
     def _decode(
         self, solution: MilpSolution

@@ -3,9 +3,8 @@
 ``QueryPlanner`` wires the pieces together: refinement-spec selection,
 trace-driven cost estimation (shared across modes — emulating a baseline
 never changes the measurements, only the ILP constraints), the solve (the
-per-query optima when no switch budget binds, else the joint MILP), and a
-greedy fallback solver used both for cross-validation in tests and when
-the MILP exceeds its time budget.
+per-query optima when no switch budget binds, else the joint MILP), or
+the greedy heuristic (:meth:`PlanILP.greedy`) on request.
 """
 
 from __future__ import annotations
@@ -14,14 +13,13 @@ import logging
 from enum import Enum
 from typing import Any, Iterable
 
-from repro.core.errors import PlanningError, ResourceExhaustedError
+from repro.core.errors import PlanningError
 from repro.core.query import Query
 from repro.obs import get_observability
 from repro.packets.trace import Trace
 from repro.planner.costs import CostEstimator, QueryCosts
-from repro.planner.ilp import PlanILP, allowed_cuts
-from repro.planner.plans import InstancePlan, Plan, QueryPlan
-from repro.planner.refinement import ROOT_LEVEL
+from repro.planner.ilp import PlanILP
+from repro.planner.plans import Plan
 from repro.switch.config import SwitchConfig
 from repro.switch.simulator import PISASwitch
 
@@ -98,19 +96,16 @@ class QueryPlanner:
         with self.obs.span(
             "planner.solve", mode=mode_value, solver=solver
         ) as span:
-            if solver == "ilp":
-                ilp = PlanILP(
-                    costs=costs,
-                    config=self.config,
-                    mode=mode_value,
-                    max_delay=self.max_delay,
-                    time_limit=self.time_limit,
-                )
-                plan = ilp.solve()
-            elif solver == "greedy":
-                plan = GreedyPlanner(costs, self.config, mode_value, self.max_delay).solve()
-            else:
+            if solver not in ("ilp", "greedy"):
                 raise PlanningError(f"unknown solver {solver!r}")
+            ilp = PlanILP(
+                costs=costs,
+                config=self.config,
+                mode=mode_value,
+                max_delay=self.max_delay,
+                time_limit=self.time_limit,
+            )
+            plan = ilp.solve() if solver == "ilp" else ilp.greedy()
             span.set_attribute("est_tuples_per_window", plan.est_total_tuples)
             span.set_attribute("solved_by", plan.solver_info["solver"])
             if "separable_declined" in plan.solver_info:
@@ -157,172 +152,7 @@ class QueryPlanner:
         switch's install-time checks: a plan the ILP considers feasible
         must install cleanly.
         """
-        switch = PISASwitch(self.config)
-        for inst in plan.all_instances():
-            if not inst.on_switch:
-                continue
-            switch.install(
-                inst.key,
-                inst.compiled,
-                inst.cut,
-                sized_tables=inst.tables,
-                stage_assignment=inst.stage_assignment,
-            )
-        return switch
-
-
-class GreedyPlanner:
-    """A resource-aware greedy heuristic for the same planning problem.
-
-    Per query, enumerate refinement paths (bounded by the delay cap) and
-    score each path by the sum over transitions of its cheapest cut
-    assuming sufficient resources; then install queries in ascending-cost
-    order with first-fit stage packing, downgrading cuts when a resource
-    budget is hit. Produces feasible (generally sub-optimal) plans; tests
-    assert the ILP never does worse.
-    """
-
-    def __init__(
-        self,
-        costs: dict[int, QueryCosts],
-        config: SwitchConfig,
-        mode: str = "sonata",
-        max_delay: dict[int, int] | None = None,
-    ) -> None:
-        self.costs = costs
-        self.config = config
-        self.mode = mode
-        self.max_delay = max_delay or {}
-
-    def _paths(self, qc: QueryCosts) -> list[tuple[int, ...]]:
-        levels = qc.levels
-        finest = qc.native_level
-        if qc.spec is None or self.mode in ("all_sp", "filter_dp", "max_dp"):
-            return [(finest,)]
-        cap = self.max_delay.get(qc.query.qid, len(levels))
-        if self.mode == "fix_ref":
-            candidates = [tuple(levels)]
-        else:
-            inner = [r for r in levels if r != finest]
-            candidates = [
-                tuple(inner[i] for i in range(len(inner)) if mask & (1 << i))
-                + (finest,)
-                for mask in range(1 << len(inner))
-            ]
-        paths = [path for path in candidates if len(path) <= cap]
-        if not paths:
-            raise PlanningError(
-                f"q{qc.query.qid}: no {self.mode} refinement path within "
-                f"max_delay={cap} (the shortest has {min(map(len, candidates))} levels)"
-            )
-        return paths
-
-    def _path_cost(self, qc: QueryCosts, path: tuple[int, ...]) -> float:
-        total = 0.0
-        prev = ROOT_LEVEL
-        for level in path:
-            per_sub = qc.transitions[(prev, level)]
-            raw_mirror = False
-            for tc in per_sub.values():
-                cuts = allowed_cuts(tc, self.mode)
-                best = min(
-                    (tc.cost_of(c).n_tuples if c > 0 else float("inf"))
-                    for c in cuts
-                ) if any(c > 0 for c in cuts) else float("inf")
-                zero_cost = qc.window_packets
-                if best == float("inf") or zero_cost < best:
-                    raw_mirror = True
-                else:
-                    total += best
-            if raw_mirror:
-                total += qc.window_packets
-            prev = level
-        return total
-
-    def solve(self) -> Plan:
-        # Rank paths per query, then install greedily on a scratch switch.
-        switch = PISASwitch(self.config)
-        query_plans: dict[int, QueryPlan] = {}
-        total = 0.0
-        for qid, qc in sorted(self.costs.items()):
-            paths = sorted(
-                self._paths(qc), key=lambda p: (self._path_cost(qc, p), len(p))
-            )
-            plan = None
-            for path in paths:
-                plan = self._try_install(switch, qc, path)
-                if plan is not None:
-                    break
-            if plan is None:
-                # Last resort: everything at the stream processor.
-                plan = self._all_sp_plan(qc)
-            query_plans[qid] = plan
-            total += plan.est_tuples_per_window
-        return Plan(
-            mode=self.mode,
-            switch_config=self.config,
-            query_plans=query_plans,
-            est_total_tuples=total,
-            solver_info={"solver": "greedy"},
-        )
-
-    def _try_install(
-        self, switch: PISASwitch, qc: QueryCosts, path: tuple[int, ...]
-    ) -> QueryPlan | None:
-        instances: list[InstancePlan] = []
-        installed_keys: list[str] = []
-        prev = ROOT_LEVEL
-        ok = True
-        for level in path:
-            for subid, tc in qc.transitions[(prev, level)].items():
-                cuts = sorted(allowed_cuts(tc, self.mode), reverse=True)
-                key = f"greedy-{tc.qid}.{subid}@{prev}-{level}"
-                chosen = None
-                for cut in cuts:
-                    if cut == 0:
-                        chosen = tc.instance_plan(0, None)
-                        break
-                    tables = tc.tables_for_cut(cut)
-                    try:
-                        installed = switch.install(key, tc.compiled, cut, tables)
-                    except ResourceExhaustedError:
-                        continue
-                    installed_keys.append(key)
-                    chosen = tc.instance_plan(cut, dict(installed.stage_of))
-                    break
-                if chosen is None:
-                    ok = False
-                    break
-                instances.append(chosen)
-            if not ok:
-                break
-            prev = level
-        if not ok:
-            for key in installed_keys:
-                switch.uninstall(key)
-            return None
-        return QueryPlan(
-            query=qc.query,
-            spec=qc.spec,
-            path=path,
-            instances=instances,
-            relaxed_thresholds=qc.relaxed_thresholds,
-        )
-
-    def _all_sp_plan(self, qc: QueryCosts) -> QueryPlan:
-        finest = qc.native_level
-        instances = []
-        for tc in qc.transitions[(ROOT_LEVEL, finest)].values():
-            inst = tc.instance_plan(0, None)
-            inst.est_tuples = qc.window_packets
-            instances.append(inst)
-        return QueryPlan(
-            query=qc.query,
-            spec=qc.spec,
-            path=(finest,),
-            instances=instances,
-            relaxed_thresholds=qc.relaxed_thresholds,
-        )
+        return plan.install(PISASwitch(self.config))
 
 
 def replan(

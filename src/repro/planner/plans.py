@@ -10,7 +10,7 @@ the residual operators for the stream processor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.operators import Operator
 from repro.core.query import Query, SubQuery
@@ -18,6 +18,9 @@ from repro.planner.refinement import ROOT_LEVEL, RefinementSpec
 from repro.switch.compiler import CompiledSubQuery
 from repro.switch.config import SwitchConfig
 from repro.switch.tables import LogicalTable
+
+if TYPE_CHECKING:
+    from repro.switch.simulator import PISASwitch
 
 
 def instance_key(qid: int, subid: int, r_prev: int, r_level: int) -> str:
@@ -127,6 +130,20 @@ class Plan:
             for plan in self.query_plans.values()
             for inst in plan.instances
         ]
+
+    def install(self, switch: "PISASwitch") -> "PISASwitch":
+        """Install every on-switch instance on ``switch``, in plan order;
+        raises ResourceExhaustedError when the switch refuses one."""
+        for inst in self.all_instances():
+            if inst.on_switch:
+                switch.install(
+                    inst.key,
+                    inst.compiled,
+                    inst.cut,
+                    sized_tables=inst.tables,
+                    stage_assignment=inst.stage_assignment,
+                )
+        return switch
 
     def describe(self) -> str:
         lines = [

@@ -275,21 +275,13 @@ class SonataRuntime:
         self.switch = PISASwitch(self.plan.switch_config)
         self.switch.obs = self.obs
         self.switch.fault_injector = self.faults
-        self._raw_mirror: list[InstancePlan] = []  # cut == 0 instances
+        self.plan.install(self.switch)
+        self._raw_mirror: list[InstancePlan] = [  # cut == 0 instances
+            inst for inst in self.plan.all_instances() if not inst.on_switch
+        ]
         #: Instances degraded to raw-mirror execution (exact, but at full
         #: per-packet tuple cost) after sustained register overflow.
         self.fallen_back: set[str] = set()
-        for inst in self.plan.all_instances():
-            if inst.on_switch:
-                self.switch.install(
-                    inst.key,
-                    inst.compiled,
-                    inst.cut,
-                    sized_tables=inst.tables,
-                    stage_assignment=inst.stage_assignment,
-                )
-            else:
-                self._raw_mirror.append(inst)
         # Make sure every refinement filter table exists even when the
         # instance reading it runs entirely at the stream processor.
         for inst in self.plan.all_instances():

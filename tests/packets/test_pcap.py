@@ -2,6 +2,7 @@
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.core.errors import TraceFormatError
@@ -88,3 +89,16 @@ class TestFiles:
             assert (a.sip, a.dip, a.sport, a.dport, a.proto) == (
                 b.sip, b.dip, b.sport, b.dport, b.proto
             )
+
+    def test_out_of_order_records_come_back_sorted(self, tmp_path, backbone_small):
+        """A capture with two records swapped reads back in time order, so
+        the trace splits into windows."""
+        packets = list(backbone_small.slice(slice(0, 20)).packets())
+        packets[10], packets[11] = packets[11], packets[10]
+        assert packets[10].ts > packets[11].ts
+        path = str(tmp_path / "swapped.pcap")
+        write_pcap(path, packets)
+        trace = read_pcap(path)
+        assert (np.diff(trace.array["ts"]) >= 0).all()
+        assert [p.sip for p in trace.packets()][10:12] == [packets[11].sip, packets[10].sip]
+        assert sum(len(window) for _, window in trace.windows(1.0)) == 20

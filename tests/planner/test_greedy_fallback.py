@@ -1,13 +1,15 @@
-"""Tests for the MILP -> greedy fallback path."""
+"""Tests for the greedy heuristic and the MILP -> greedy fallback path."""
+
+import dataclasses
 
 import pytest
 
-from repro.core.errors import PlanningError
+from repro.core.errors import PlanningError, ResourceExhaustedError
 from repro.evaluation.workloads import build_workload
 from repro.packets import Trace, attacks
 from repro.planner import QueryPlanner
 from repro.planner.ilp import PlanILP
-from repro.planner.planner import GreedyPlanner
+from repro.planner.refinement import ROOT_LEVEL
 from repro.queries.library import build_queries
 from repro.switch.config import SwitchConfig
 from repro.switch.simulator import PISASwitch
@@ -93,7 +95,7 @@ class TestTableSlotSweep:
     @pytest.mark.parametrize("slots", range(1, 7))
     def test_ilp_never_raises_where_greedy_installs(self, three_costs, stages, slots):
         config = SwitchConfig(stages=stages, stateless_actions_per_stage=slots)
-        greedy = GreedyPlanner(three_costs, config).solve()
+        greedy = PlanILP(three_costs, config).greedy()
         _install(greedy, config)
         plan = PlanILP(three_costs, config, mode="sonata").solve()
         _install(plan, config)
@@ -113,14 +115,14 @@ class TestDelayCap:
         with pytest.raises(PlanningError, match=r"q\d+: .*max_delay=1"):
             PlanILP(three_costs, config, mode="fix_ref", max_delay=cap).solve()
         with pytest.raises(PlanningError, match="max_delay=1"):
-            GreedyPlanner(three_costs, config, "fix_ref", cap).solve()
+            PlanILP(three_costs, config, mode="fix_ref", max_delay=cap).greedy()
 
     def test_fix_ref_cap_at_levels_plans(self, three_costs):
         config = SwitchConfig.paper_default()
         cap = {qid: len(qc.levels) for qid, qc in three_costs.items()}
         for plan in (
             PlanILP(three_costs, config, mode="fix_ref", max_delay=cap).solve(),
-            GreedyPlanner(three_costs, config, "fix_ref", cap).solve(),
+            PlanILP(three_costs, config, mode="fix_ref", max_delay=cap).greedy(),
         ):
             for qid, qp in plan.query_plans.items():
                 assert len(qp.path) <= cap[qid]
@@ -128,14 +130,7 @@ class TestDelayCap:
 
 
 def _install(plan, config):
-    switch = PISASwitch(config)
-    for inst in plan.all_instances():
-        if inst.on_switch:
-            switch.install(
-                inst.key, inst.compiled, inst.cut,
-                sized_tables=inst.tables,
-                stage_assignment=inst.stage_assignment,
-            )
+    plan.install(PISASwitch(config))
 
 
 class TestGreedyInstall:
@@ -146,4 +141,68 @@ class TestGreedyInstall:
 
         monkeypatch.setattr(PISASwitch, "install", broken)
         with pytest.raises(TypeError, match="bug inside install"):
-            GreedyPlanner(costs, SwitchConfig.paper_default()).solve()
+            PlanILP(costs, SwitchConfig.paper_default()).greedy()
+
+
+JOINS = ["syn_flood", "incomplete_flows", "slowloris"]
+
+
+@pytest.fixture(scope="module")
+def join_costs():
+    trace = build_workload(JOINS, duration=6, pps=3_000, seed=7).trace
+    training = trace.time_range(trace.start_ts, trace.start_ts + 3.0)
+    return QueryPlanner(build_queries(JOINS, window=3.0), training, window=3.0).costs()
+
+
+class TestGreedyRanking:
+    """The greedy heuristic ranks each query's choices with the separable
+    solver's pricing, so where no switch budget binds it plans the same."""
+
+    @pytest.mark.parametrize("stages", [1, 2, 4, 16])
+    @pytest.mark.parametrize("qid", [1, 2, 3])
+    def test_one_join_query_matches_the_separable_optimum(self, join_costs, qid, stages):
+        costs = {qid: join_costs[qid]}
+        config = dataclasses.replace(SwitchConfig.paper_default(), stages=stages)
+        optimum = PlanILP(costs, config).solve()
+        assert optimum.solver_info["solver"] == "separable"
+        greedy = PlanILP(costs, config).greedy()
+        assert greedy.query_plans[qid].path == optimum.query_plans[qid].path
+        assert greedy.est_total_tuples == optimum.est_total_tuples
+        _install(greedy, config)
+
+    def test_a_query_no_choice_installs_runs_at_the_stream_processor(
+        self, join_costs, monkeypatch
+    ):
+        def full(self, key, *args, **kwargs):
+            raise ResourceExhaustedError(f"{key}: full")
+
+        monkeypatch.setattr(PISASwitch, "install", full)
+        plan = PlanILP(join_costs, SwitchConfig.paper_default()).greedy()
+        for qid, qplan in plan.query_plans.items():
+            assert qplan.path == (join_costs[qid].native_level,)
+            assert not any(inst.on_switch for inst in qplan.instances)
+
+    def test_a_refused_choice_leaves_nothing_installed(self, join_costs, monkeypatch):
+        """Refining paths fail after their first transition installed; the
+        greedy takes them back off the switch before the next choice."""
+        live = set()
+        install, uninstall = PISASwitch.install, PISASwitch.uninstall
+
+        def only_from_the_root(self, key, *args, **kwargs):
+            if f"@{ROOT_LEVEL}-" not in key:
+                raise ResourceExhaustedError(f"{key}: refused")
+            live.add(key)
+            return install(self, key, *args, **kwargs)
+
+        def tracked_uninstall(self, key):
+            live.discard(key)
+            uninstall(self, key)
+
+        config = SwitchConfig.paper_default()
+        optimum = PlanILP(join_costs, config).solve()
+        assert any(len(qplan.path) > 1 for qplan in optimum.query_plans.values())
+        monkeypatch.setattr(PISASwitch, "install", only_from_the_root)
+        monkeypatch.setattr(PISASwitch, "uninstall", tracked_uninstall)
+        plan = PlanILP(join_costs, config).greedy()
+        assert live == {inst.key for inst in plan.all_instances() if inst.on_switch}
+        assert all(len(qplan.path) == 1 for qplan in plan.query_plans.values())

@@ -108,17 +108,7 @@ class TestSection33Scenario:
 
 
 def _install(plan, config):
-    switch = PISASwitch(config)
-    for inst in plan.all_instances():
-        if inst.on_switch:
-            switch.install(
-                inst.key,
-                inst.compiled,
-                inst.cut,
-                sized_tables=inst.tables,
-                stage_assignment=inst.stage_assignment,
-            )
-    return switch
+    return plan.install(PISASwitch(config))
 
 
 class TestStageEncoding:

@@ -68,16 +68,7 @@ def _both_entries(costs, config, **kwargs):
 
 
 def _installs(plan, config: SwitchConfig) -> None:
-    switch = PISASwitch(config)
-    for inst in plan.all_instances():
-        if inst.on_switch:
-            switch.install(
-                inst.key,
-                inst.compiled,
-                inst.cut,
-                sized_tables=inst.tables,
-                stage_assignment=inst.stage_assignment,
-            )
+    plan.install(PISASwitch(config))
 
 
 def _brute_force(costs) -> float:

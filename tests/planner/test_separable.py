@@ -71,15 +71,17 @@ class TestStructure:
             joint.solver_info["objective"], abs=1e-6
         )
 
-    def test_unreachable_delay_cap_defers_to_the_milp(self):
+    def test_unreachable_delay_cap_raises(self):
         """fix_ref needs every level; a cap below that leaves no path, so
-        the MILP decides, finds no plan within the cap and raises rather
-        than fall back to a greedy plan that breaks it."""
+        planning raises before any solve rather than return a plan that
+        breaks the cap."""
         planner = _planner(THREE, 3_000)
         costs = planner.costs()
         capped = {qid: 1 for qid, qc in costs.items() if len(qc.levels) > 1}
         assert capped
+        ilp = PlanILP(
+            costs, SwitchConfig.paper_default(), mode="fix_ref", max_delay=capped,
+        )
         with pytest.raises(PlanningError, match="max_delay"):
-            PlanILP(
-                costs, SwitchConfig.paper_default(), mode="fix_ref", max_delay=capped,
-            ).solve()
+            ilp.solve()
+        assert ilp.model.n_vars == 0  # no MILP was built
