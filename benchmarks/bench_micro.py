@@ -162,18 +162,11 @@ def bench_wire_codec_batch(benchmark, small_trace, query):
     key = f"{batch.instance}#{batch.kind}#{batch.op_index}"
     widths = {}
     for name in batch.state.columns:
-        if (
-            name not in batch.state.vocabs
-            and batch.state.columns[name].dtype.kind == "f"
-        ):
-            widths[name] = "float"
-        elif name in FIELDS:
-            spec = FIELDS.get(name)
-            widths[name] = spec.width if spec.kind == "int" else 0
-        elif name in batch.state.vocabs:
-            widths[name] = 0
+        kind = batch.state.kind(name)
+        if kind != "int":
+            widths[name] = kind
         else:
-            widths[name] = 64
+            widths[name] = FIELDS.get(name).width if name in FIELDS else 64
     codec.configure(key, widths)
 
     def run():

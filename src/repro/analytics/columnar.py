@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.errors import QueryValidationError
 from repro.core.fields import FIELDS, FieldRegistry
-from repro.core.operators import Join, Operator, Schema, chain_read_fields
+from repro.core.operators import Join, Operator, Schema, chain_read_fields, resolve_value_fields
 from repro.core.query import Query, SubQuery
 from repro.exec import ColumnarState, materialize_rows, state_bits
 from repro.packets.trace import Trace
@@ -93,8 +93,9 @@ def execute_operators(
     input_rows = state.n_rows
     state = state.project(chain_read_fields(operators, schemas))
     stats: list[OperatorStats] = []
-    for op, schema_out in zip(operators, schemas[1:]):
-        state = apply_operator_state(state, op, tables)
+    resolved = resolve_value_fields(operators, schemas[0])
+    for op, run, schema_out in zip(operators, resolved, schemas[1:]):
+        state = apply_operator_state(state, run, tables)
         keys = state.n_rows if op.stateful else 0
         stats.append(
             OperatorStats(

@@ -9,8 +9,8 @@ it — the two facts the query planner needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Collection, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, Sequence
 
 from repro.core.errors import QueryValidationError
 from repro.core.expressions import Expression, as_expression
@@ -290,30 +290,6 @@ class Reduce(Operator):
             "pass value_field explicitly"
         )
 
-    def observed_value_field(self, fields: Collection[str]) -> str | None:
-        """The field being aggregated, resolved from the fields of the tuples.
-
-        The stream processor sees tuples, not schemas: the value is the
-        single non-key field, or — when the switch already produced
-        partial aggregates — the partial-count field ``out``. Callers
-        handle empty input themselves (it has no fields to look at).
-        """
-        if self.value_field:
-            return self.value_field
-        if self.func == "count":
-            return None
-        candidates = [name for name in fields if name not in self.keys]
-        if len(candidates) == 1:
-            return candidates[0]
-        if self.out in candidates:
-            return self.out
-        if not candidates:
-            return None
-        raise QueryValidationError(
-            f"reduce({self.func}) is ambiguous over fields {sorted(fields)}; "
-            "pass value_field explicitly"
-        )
-
     def output_schema(self, schema: Schema) -> Schema:
         widths = {name: schema.width_of(name) for name in self.keys}
         widths[self.out] = 32
@@ -328,6 +304,28 @@ class Reduce(Operator):
     def describe(self) -> str:
         value = self.value_field or ""
         return f"reduce(keys=({', '.join(self.keys)}), {self.func}{value and ' ' + value})"
+
+
+def resolve_value_fields(
+    operators: Sequence[Operator], schema: Schema
+) -> tuple[Operator, ...]:
+    """``operators``, read from ``schema`` on, with every reduce's value
+    field made explicit (:meth:`Reduce.resolved_value_field`).
+
+    The switch and the code generator resolve an implicit value field from
+    the schema the reduce reads; the row and columnar interpreters see only
+    tuples, so they run the resolved chain and take ``value_field`` as
+    given (``None``: every argument is 1).
+    """
+    resolved = []
+    for op in operators:
+        if isinstance(op, Reduce) and op.value_field is None:
+            value_field = op.resolved_value_field(schema)
+            if value_field is not None:
+                op = replace(op, value_field=value_field)
+        resolved.append(op)
+        schema = op.output_schema(schema)
+    return tuple(resolved)
 
 
 @dataclass(frozen=True, repr=False)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 from repro.core.errors import QueryValidationError
@@ -33,6 +34,7 @@ from repro.core.operators import (
     Reduce,
     Schema,
     ensure_expressions,
+    resolve_value_fields,
 )
 
 _qid_counter = itertools.count(1)
@@ -176,6 +178,14 @@ class SubQuery:
     def output_schema(self) -> Schema:
         return self.schemas()[-1]
 
+    @cached_property
+    def resolved_operators(self) -> tuple[Operator, ...]:
+        """The chain as the interpreters run it: every reduce's value field
+        resolved from the schema (see :func:`resolve_value_fields`)."""
+        return resolve_value_fields(
+            self.operators, Schema.packet_schema(self.registry)
+        )
+
     def stateful_operators(self) -> list[Operator]:
         return [op for op in self.operators if op.stateful]
 
@@ -227,7 +237,7 @@ class JoinNode:
     right: "int | JoinNode"
     keys: tuple[str, ...]
     how: str
-    post_ops: tuple[Operator, ...]
+    post_ops: tuple[Operator, ...]  # reduce value fields resolved
 
 
 class Query:
@@ -265,6 +275,7 @@ class Query:
         if not join_positions:
             return self._new_subquery(ops, "sq")
 
+        schemas = stream.schemas()
         first = join_positions[0]
         node: int | JoinNode = self._new_subquery(ops[:first], "sq")
         index = first
@@ -282,7 +293,9 @@ class Query:
                 right=right_node,
                 keys=join.keys,
                 how=join.how,
-                post_ops=ops[index + 1 : next_join],
+                post_ops=resolve_value_fields(
+                    ops[index + 1 : next_join], schemas[index + 1]
+                ),
             )
             index = next_join
         return node

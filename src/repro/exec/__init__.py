@@ -4,7 +4,8 @@ Both batch engines in the pipeline — the switch's batched window path and
 the columnar operator interpreter in :mod:`repro.streaming.batchops`
 (stream processor, emitter, planner cost estimation, All-SP ground truth,
 raw mirroring) — run on this one kernel layer, operating on column dicts
-over :class:`~repro.packets.trace.Trace` numpy views. The scalar ALU fold
+over :class:`~repro.packets.trace.Trace` numpy views, in the one
+columnar tuple format of :mod:`repro.exec.columns`. The scalar ALU fold
 semantics the row-wise interpreters use live in :mod:`repro.exec.alu`.
 """
 
@@ -16,8 +17,13 @@ from repro.exec.alu import (
 )
 from repro.exec.columns import (
     ColumnarState,
+    Vocab,
+    canonical_column,
     canonical_state,
+    concat_states,
     materialize_rows,
+    state_from_rows,
+    value_kind,
     values_equal,
 )
 from repro.exec.kernels import (
@@ -39,8 +45,13 @@ __all__ = [
     "aggregate_groups",
     "running_groups",
     "ColumnarState",
+    "Vocab",
+    "canonical_column",
     "canonical_state",
+    "concat_states",
     "materialize_rows",
+    "state_from_rows",
+    "value_kind",
     "values_equal",
     "predicate_mask",
     "filter_mask",

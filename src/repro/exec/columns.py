@@ -1,17 +1,24 @@
-"""Column-dict state shared by the vectorized execution engines.
+"""The one columnar tuple format, shared by every batch engine.
 
 A :class:`ColumnarState` holds one window of tuples as ``field name →
-numpy array`` over :class:`~repro.packets.trace.Trace` views. String- and
-bytes-valued fields (DNS names, payloads) are stored as integer ids into a
-vocabulary side table (-1 = absent) so grouping and membership tests stay
-vectorized; :func:`materialize_rows` resolves ids back to the exact
-Python values the row-wise engines produce.
+numpy array``. String- and bytes-valued columns (DNS names, payloads and
+anything a query renames them to) hold integer ids into a
+:class:`Vocab`; -1 (or any id out of range) is an absent cell, which
+reads as the vocabulary's empty value. A vocabulary's kind is decided
+where it is born — the field's :class:`~repro.core.fields.FieldSpec`
+for trace columns, the values for interned rows, the codec for decoded
+wire batches — and travels with it, so no reader looks at a column's
+name. :func:`canonical_column` is the one interning helper: grouping,
+membership tests, merges and the wire encoder all recode through it.
+:func:`materialize_rows` resolves ids back to the exact Python values
+the row-wise engines produce, and :func:`state_from_rows` is its
+inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Collection, Sequence
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -21,17 +28,46 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.packets.trace import Trace
 
 
+class Vocab(list):
+    """The value table a string column's ids index.
+
+    ``kind`` is ``"str"`` or ``"bytes"``; an absent id reads as
+    :attr:`empty` (``""`` or ``b""``), as the row-wise engines read a
+    missing DNS name or payload.
+    """
+
+    def __init__(self, values: Iterable = (), kind: str = "str") -> None:
+        if kind not in ("str", "bytes"):
+            raise ValueError(f"vocabulary kind must be 'str' or 'bytes', not {kind!r}")
+        super().__init__(values)
+        self.kind = kind
+
+    @property
+    def empty(self) -> "str | bytes":
+        return b"" if self.kind == "bytes" else ""
+
+
+def value_kind(value: Any) -> str:
+    """How a column of values like ``value`` is stored: ``"str"`` or
+    ``"bytes"`` (a vocab column), ``"float"`` or ``"int"``."""
+    if isinstance(value, (bytes, bytearray)):
+        return "bytes"
+    if isinstance(value, str):
+        return "str"
+    return "float" if isinstance(value, float) else "int"
+
+
 @dataclass
 class ColumnarState:
     """Tuple columns mid-pipeline.
 
     ``columns`` maps field name → numpy array (one entry per tuple).
-    ``vocabs`` maps *string-typed* field names → list of strings; the
+    ``vocabs`` maps *string-typed* field names → :class:`Vocab`; the
     column then holds vocabulary ids (or -1 for "absent").
     """
 
     columns: dict[str, np.ndarray]
-    vocabs: dict[str, list[str]] = field(default_factory=dict)
+    vocabs: dict[str, Vocab] = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
@@ -52,19 +88,22 @@ class ColumnarState:
             vocabs={k: v for k, v in self.vocabs.items() if k in names},
         )
 
+    def kind(self, name: str) -> str:
+        """Column ``name``'s kind, as :func:`value_kind` names it."""
+        vocab = self.vocabs.get(name)
+        if vocab is not None:
+            return vocab.kind
+        return "float" if self.columns[name].dtype.kind == "f" else "int"
+
     @staticmethod
     def from_trace(trace: "Trace", registry: FieldRegistry = FIELDS) -> "ColumnarState":
-        columns = {
-            name: np.asarray(trace.array[registry.get(name).column])
-            for name in registry.names()
-        }
+        specs = registry.specs()
         return ColumnarState(
-            columns=columns,
-            # payload ids resolve through the trace's payload table exactly
-            # like DNS-name ids resolve through the qname vocabulary.
+            columns={spec.name: np.asarray(trace.array[spec.column]) for spec in specs},
             vocabs={
-                "dns.rr.name": list(trace.qnames),
-                "payload": list(trace.payloads),
+                spec.name: Vocab(trace.strings(spec.column), spec.kind)
+                for spec in specs
+                if spec.kind != "int"
             },
         )
 
@@ -75,7 +114,7 @@ def column_values(state: ColumnarState, name: str) -> list[Any]:
     col = state.columns[name]
     vocab = state.vocabs.get(name)
     if vocab is not None:
-        missing: str | bytes = b"" if name == "payload" else ""
+        missing = vocab.empty
         ids = col.astype(np.int64, copy=False).tolist()
         return [vocab[i] if 0 <= i < len(vocab) else missing for i in ids]
     if col.dtype.kind == "f":
@@ -90,7 +129,7 @@ def materialize_rows(
 
     Types match the row-wise engines exactly: plain ``int`` (``float`` for
     the float-typed ``ts`` column), vocab ids resolved to ``str``/``bytes``
-    with ``""``/``b""`` for absent (-1) ids.
+    with the vocabulary's empty value for absent (-1) ids.
     """
     n = state.n_rows
     resolved = {name: column_values(state, name) for name in names}
@@ -99,25 +138,23 @@ def materialize_rows(
 
 def canonical_column(
     state: ColumnarState, name: str, intern: "dict | None" = None
-) -> "tuple[np.ndarray, list | None]":
+) -> "tuple[np.ndarray, Vocab | None]":
     """Column with value-canonical ids, plus its canonical vocabulary.
 
     Plain columns pass through. Vocab columns are remapped so that equal
-    values share one id and absent cells (-1, which the row engines read
-    as ``""``/``b""``) merge with the explicit empty value — canonical id
-    0 is always the empty value, so no -1 remains in the output. Calls
-    that share one (initially empty) ``intern`` table put their columns in
-    one id space, and each returns the union vocabulary so far.
+    values share one id and absent cells (-1 or out of range) merge with
+    the vocabulary's empty value, so no -1 remains in the output; on a
+    fresh table the empty value is id 0. Calls that share one (initially
+    empty) ``intern`` table put their columns in one id space, and each
+    returns the union vocabulary so far.
     """
     vocab = state.vocabs.get(name)
     if vocab is None:
         return state.columns[name], None
-    missing: "str | bytes" = b"" if name == "payload" else ""
     if intern is None:
         intern = {}
-    intern.setdefault(missing, len(intern))
+    empty = intern.setdefault(vocab.empty, len(intern))
     ids = state.columns[name].astype(np.int64, copy=False)
-    # Out-of-range ids materialize as the empty value in the row engines.
     valid = (ids >= 0) & (ids < len(vocab))
     # Only the ids that occur are interned.
     present, inverse = np.unique(ids[valid], return_inverse=True)
@@ -125,9 +162,9 @@ def canonical_column(
         [intern.setdefault(vocab[i], len(intern)) for i in present.tolist()],
         dtype=np.int64,
     )
-    out = np.zeros(len(ids), dtype=np.int64)
+    out = np.full(len(ids), empty, dtype=np.int64)
     out[valid] = remap[inverse]
-    return out, list(intern)
+    return out, Vocab(intern, vocab.kind)
 
 
 def values_equal(
@@ -190,9 +227,9 @@ def canonical_state(state: ColumnarState, keys: Sequence[str]) -> ColumnarState:
     """State whose key columns are safe to group (and hash) by raw id.
 
     A state's vocabulary may hold duplicate entries (trace payload tables
-    are not deduplicated) and absent cells (-1) compare equal to
-    ``""``/``b""`` in the row engines, so every vocab-typed key column is
-    remapped to :func:`canonical_column` ids.
+    are not deduplicated) and absent cells (-1) compare equal to the
+    vocabulary's empty value in the row engines, so every vocab-typed key
+    column is remapped to :func:`canonical_column` ids.
     """
     columns = dict(state.columns)
     vocabs = dict(state.vocabs)
@@ -201,3 +238,88 @@ def canonical_state(state: ColumnarState, keys: Sequence[str]) -> ColumnarState:
             columns[k], vocabs[k] = canonical_column(state, k)
     return ColumnarState(columns=columns, vocabs=vocabs)
 
+
+
+def column_from_values(values: Sequence[Any]) -> "tuple[np.ndarray, Vocab | None]":
+    """Build one column from Python values; returns (array, vocab-or-None).
+
+    The first value decides the column's kind (:func:`value_kind`): ints
+    become an int64 column, floats a float64 column, and ``str``/``bytes``
+    values are interned into a :class:`Vocab` of that kind with the column
+    holding ids.
+    """
+    kind = value_kind(values[0]) if len(values) else "int"
+    if kind in ("str", "bytes"):
+        intern: dict = {}
+        ids = np.fromiter(
+            (intern.setdefault(v, len(intern)) for v in values),
+            dtype=np.int64,
+            count=len(values),
+        )
+        return ids, Vocab(intern, kind)
+    return np.asarray(values, dtype=np.float64 if kind == "float" else np.int64), None
+
+
+def state_from_rows(
+    rows: "list[dict[str, Any]]", order: "Sequence[str] | None" = None
+) -> ColumnarState:
+    """Intern dict rows into a :class:`ColumnarState` (inverse of
+    :func:`materialize_rows`). All rows must share one shape."""
+    names = list(order) if order is not None else (list(rows[0]) if rows else [])
+    columns: dict[str, np.ndarray] = {}
+    vocabs: dict[str, Vocab] = {}
+    for name in names:
+        column, vocab = column_from_values([row[name] for row in rows])
+        columns[name] = column
+        if vocab is not None:
+            vocabs[name] = vocab
+    return ColumnarState(columns=columns, vocabs=vocabs)
+
+
+def concat_states(states: "Sequence[ColumnarState | None]") -> ColumnarState:
+    """Stack same-schema states vertically, unifying vocabularies.
+
+    States carved out of one window share vocabulary *objects*, so the
+    common case concatenates id columns directly; states from different
+    encodings (e.g. a decoded wire batch next to a switch-native one) are
+    recoded through one shared :func:`canonical_column` table, whose union
+    vocabulary the result keeps. Raises ``ValueError`` on schema mismatch
+    (different column-name sets, or a column that is vocab-typed in one
+    state and plain in another).
+    """
+    states = [s for s in states if s is not None]
+    if not states:
+        return ColumnarState(columns={})
+    if len(states) == 1:
+        return states[0]
+    names = list(states[0].columns)
+    name_set = set(names)
+    for s in states[1:]:
+        if set(s.columns) != name_set:
+            raise ValueError(
+                f"cannot concat states with columns {sorted(s.columns)} "
+                f"vs {sorted(name_set)}"
+            )
+    columns: dict[str, np.ndarray] = {}
+    vocabs: dict[str, Vocab] = {}
+    for name in names:
+        flags = [name in s.vocabs for s in states]
+        if not any(flags):
+            columns[name] = np.concatenate(
+                [np.asarray(s.columns[name]) for s in states]
+            )
+            continue
+        if not all(flags):
+            raise ValueError(f"column {name!r} is vocab-typed in some states only")
+        base = states[0].vocabs[name]
+        if all(s.vocabs[name] is base for s in states):
+            parts = [s.columns[name].astype(np.int64, copy=False) for s in states]
+            vocabs[name] = base
+        else:
+            intern: dict = {}
+            parts = []
+            for s in states:
+                ids, vocabs[name] = canonical_column(s, name, intern)
+                parts.append(ids)
+        columns[name] = np.concatenate(parts)
+    return ColumnarState(columns=columns, vocabs=vocabs)

@@ -16,7 +16,7 @@ interpreters share the scalar half of the ALU via :mod:`repro.exec.alu`.
 from __future__ import annotations
 
 import numbers
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.core.expressions import (
 )
 from repro.core.fields import FIELDS, coarsen_value
 from repro.core.operators import Filter, Map, Predicate, Reduce, Schema
-from repro.exec.columns import ColumnarState, canonical_column
+from repro.exec.columns import ColumnarState, Vocab, canonical_column
 
 _COMPARE = {
     "eq": np.equal,
@@ -49,13 +49,6 @@ def _coarsen_ints(name: str, col: np.ndarray, level: int) -> np.ndarray:
     spec = FIELDS.get(name)
     mask = coarsen_value(spec, (1 << spec.width) - 1, level)
     return col & np.array(mask, dtype=col.dtype)
-
-
-def _intern(values: Iterable) -> tuple[list, np.ndarray]:
-    """``(vocab, ids)`` of ``values``: equal values share one id."""
-    intern: dict = {}
-    ids = [intern.setdefault(v, len(intern)) for v in values]
-    return list(intern), np.array(ids, dtype=np.int64)
 
 
 def _vectorized(pred: Predicate) -> bool:
@@ -115,7 +108,7 @@ def filter_mask(
 
 def eval_expression(
     expr: Expression, state: ColumnarState
-) -> tuple[np.ndarray, list | None]:
+) -> tuple[np.ndarray, Vocab | None]:
     """Evaluate a map expression; returns (column, vocab-or-None)."""
     columns = state.columns
     if isinstance(expr, FieldRef):
@@ -125,8 +118,7 @@ def eval_expression(
     if isinstance(expr, Prefixed):
         if expr.field in state.vocabs:
             ids, names = canonical_column(state, expr.field)
-            vocab, remap = _intern(expr.evaluate({expr.field: n}) for n in names)
-            return remap[ids], vocab
+            return ids, Vocab((expr.evaluate({expr.field: n}) for n in names), names.kind)
         return _coarsen_ints(expr.field, columns[expr.field], expr.level), None
     if isinstance(expr, Quantized):
         col = columns[expr.field].astype(np.int64)
@@ -146,7 +138,7 @@ def eval_expression(
 
 def apply_map(op: Map, state: ColumnarState) -> ColumnarState:
     columns: dict[str, np.ndarray] = {}
-    vocabs: dict[str, list] = {}
+    vocabs: dict[str, Vocab] = {}
     for expr in op.keys + op.values:
         column, vocab = eval_expression(expr, state)
         columns[expr.name] = column
@@ -326,13 +318,14 @@ def materialize_keys(
     """Resolve an int64 unique-key matrix to Python key tuples.
 
     Values match the row-wise engines: ints stay ``int``; vocab-typed
-    columns resolve ids to ``str``/``bytes`` (``""``/``b""`` for -1).
+    columns resolve ids to ``str``/``bytes`` (the vocabulary's empty value
+    for -1).
     """
     columns = unique.T.tolist()  # Python ints
     for j, k in enumerate(keys):
         vocab = state.vocabs.get(k)
         if vocab is not None:
-            missing: str | bytes = b"" if k == "payload" else ""
+            missing = vocab.empty
             columns[j] = [
                 vocab[i] if 0 <= i < len(vocab) else missing for i in columns[j]
             ]

@@ -80,6 +80,10 @@ class Trace:
         spec = FIELDS.get(field_name)
         return self.array[spec.column]
 
+    def strings(self, column: str) -> list:
+        """The value table that the ids of string column ``column`` index."""
+        return {"dns_name_id": self.qnames, "payload_id": self.payloads}[column]
+
     def columns(self, registry: FieldRegistry = FIELDS) -> dict[str, np.ndarray]:
         """All registered fields as a name -> column mapping (views)."""
         return {name: self.array[registry.get(name).column] for name in registry.names()}

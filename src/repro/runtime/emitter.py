@@ -35,17 +35,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.operators import Distinct, Operator, Reduce
-from repro.exec import ColumnarState
+from repro.exec import ColumnarState, concat_states, state_from_rows
 from repro.obs import get_observability
 from repro.planner.plans import InstancePlan
 from repro.streaming.batchops import apply_operator_state, apply_operators_state
 from repro.streaming.rowops import Row, apply_operator, apply_operators
-from repro.switch.mirror import (
-    MirroredBatch,
-    MirroredTuple,
-    concat_states,
-    state_from_rows,
-)
+from repro.switch.mirror import MirroredBatch, MirroredTuple
 
 
 @dataclass
@@ -157,7 +152,7 @@ class Emitter:
         if key in self._partials:
             return self._partials[key]
         plan = self._instances[key]
-        ops = plan.augmented.operators
+        ops = plan.augmented.resolved_operators
         level, _remerge = overflow_merge_policy(plan)
         partials: "ColumnarState | list[Row]"
         if key in self._batches:
@@ -254,7 +249,7 @@ class Emitter:
         tables: Mapping[str, set] | None,
     ) -> ColumnarState:
         """Columnar twin of :meth:`_merge_overflow` on the shared kernels."""
-        ops = plan.augmented.operators
+        ops = plan.augmented.resolved_operators
         level, remerge = overflow_merge_policy(plan)
         base = [] if report_batch is None else [report_batch.state]
         merged = concat_states(base + [partials])
@@ -299,7 +294,7 @@ class Emitter:
 
         See :func:`overflow_merge_policy`.
         """
-        ops = plan.augmented.operators
+        ops = plan.augmented.resolved_operators
         level, remerge = overflow_merge_policy(plan)
         merged: list[Row] = [m.fields for m in reports] + partials
         if remerge is None:
@@ -321,7 +316,7 @@ def overflow_merge_policy(plan: InstancePlan) -> "tuple[int, Operator | None]":
     is the cut and ``remerge`` is ``None``: the replayed overflow is
     simply appended.
     """
-    ops = plan.augmented.operators
+    ops = plan.augmented.resolved_operators
     stateful = [i for i, op in enumerate(ops[: plan.cut]) if op.stateful]
     if not stateful:
         return plan.cut, None
@@ -332,7 +327,7 @@ def poll_keys(plan: InstancePlan) -> tuple[str, ...]:
     """Key columns of the last stateful on-switch operator, which the
     collision adjustment polls and merges on."""
     level, _remerge = overflow_merge_policy(plan)
-    op = plan.augmented.operators[level - 1]
+    op = plan.augmented.resolved_operators[level - 1]
     if isinstance(op, Reduce):
         return op.keys
     return op.effective_keys(plan.compiled.schemas[level - 1])

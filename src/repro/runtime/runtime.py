@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from repro.analytics import execute_subquery
 from repro.core.errors import PlanningError
 from repro.core.fields import FIELDS
+from repro.exec import value_kind
 from repro.obs import MetricsSnapshot, get_observability
 from repro.packets.trace import Trace
 from repro.planner.plans import InstancePlan, Plan, QueryPlan
@@ -263,10 +264,7 @@ class SonataRuntime:
         self._instances: dict[str, InstancePlan] = {}
         for inst in plan.all_instances():
             self._instances[inst.key] = inst
-            self.stream_processor.register(
-                inst.key,
-                inst.residual_ops if inst.on_switch else inst.augmented.operators,
-            )
+            self.stream_processor.register(inst.key, inst.residual_ops)
         self._install_plan()
         self.emitter = Emitter(self._instances, obs=self.obs)
 
@@ -601,12 +599,13 @@ class SonataRuntime:
             tuples = [self._wire_roundtrip(m) for m in tuples]
         return tuples
 
-    def _wire_schema(self, item, fields) -> str:
+    def _wire_schema(self, item, kinds) -> str:
         """Configure (once) and return the wire schema key of ``item``.
 
-        ``fields`` yields ``(name, is_float, is_blob)``. Floats keep a float
-        encoding: FIELDS registers ``ts`` as a 64-bit int, which would
-        truncate it.
+        ``kinds`` yields ``(name, kind)`` as :func:`~repro.exec.value_kind`
+        names it. Floats keep a float encoding (FIELDS registers ``ts`` as
+        a 64-bit int, which would truncate it) and strings keep their kind;
+        an int is as wide as FIELDS registers it, 64 bits if unregistered.
         """
         # One schema per (instance, kind, op depth): the layout of a
         # per-packet stream tuple differs from a register key report.
@@ -614,15 +613,12 @@ class SonataRuntime:
         try:
             self._wire_codec.schema(schema_key)
         except PlanningError:
-            widths = {}
-            for name, is_float, is_blob in fields:
-                if is_float:
-                    widths[name] = "float"
-                elif name in FIELDS:
-                    spec = FIELDS.get(name)
-                    widths[name] = spec.width if spec.kind == "int" else 0
+            widths: dict[str, "int | str"] = {}
+            for name, kind in kinds:
+                if kind != "int":
+                    widths[name] = kind
                 else:
-                    widths[name] = 0 if is_blob else 64
+                    widths[name] = FIELDS.get(name).width if name in FIELDS else 64
             self._wire_codec.configure(schema_key, widths)
         return schema_key
 
@@ -631,10 +627,7 @@ class SonataRuntime:
         codec = self._wire_codec
         schema_key = self._wire_schema(
             mirrored,
-            (
-                (name, isinstance(value, float), isinstance(value, (bytes, str)))
-                for name, value in mirrored.fields.items()
-            ),
+            ((name, value_kind(value)) for name, value in mirrored.fields.items()),
         )
         tagged = MirroredTuple(
             instance=schema_key,
@@ -663,13 +656,9 @@ class SonataRuntime:
         if batch.n_rows == 0:
             return batch
         codec = self._wire_codec
-        vocabs = batch.state.vocabs
+        state = batch.state
         schema_key = self._wire_schema(
-            batch,
-            (
-                (name, col.dtype.kind == "f", name in vocabs)
-                for name, col in batch.state.columns.items()
-            ),
+            batch, ((name, state.kind(name)) for name in state.columns)
         )
         with self.obs.span("wire_check", instance=batch.instance, rows=batch.n_rows):
             data = codec.encode_batch(batch, schema_key)

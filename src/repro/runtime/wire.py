@@ -25,7 +25,7 @@ Two paths write the same bytes. :meth:`WireCodec.encode` and
 whole columnar :class:`MirroredBatch` without per-row Python: int-only
 records are one numpy byte matrix, and a blob-bearing record is runs of
 fixed-width fields between blobs — encoded by one gather of per-row
-pieces (each used vocabulary entry packed once), decoded by one scan of
+pieces (each value that occurs packed once), decoded by one scan of
 the ``u16`` lengths followed by matrix gathers of the runs.
 """
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import PlanningError
-from repro.exec import ColumnarState
+from repro.exec import ColumnarState, Vocab, canonical_column
 from repro.switch.mirror import MirroredBatch
 from repro.switch.simulator import MirroredTuple
 
@@ -85,13 +85,13 @@ class WireCodec:
         self._schemas: dict[str, list[FieldCodec]] = {}
 
     # -- configuration ---------------------------------------------------
-    def configure(self, instance_key: str, schema_fields: dict[str, int]) -> int:
-        """Register an instance's (field -> bit width) schema; returns id.
+    def configure(self, instance_key: str, schema_fields: "dict[str, int | str]") -> int:
+        """Register an instance's field schema; returns its id.
 
-        Fields named ``payload`` or DNS names are length-prefixed byte
-        strings; a width of the string ``"float"`` is an 8-byte IEEE-754
-        double (timestamps); everything else is a fixed-width unsigned
-        integer.
+        Each field maps to its width in bits (a fixed-width unsigned
+        integer), ``"float"`` (an 8-byte IEEE-754 double, for timestamps)
+        or ``"str"``/``"bytes"`` (a length-prefixed blob that decodes to
+        that type).
         """
         if instance_key in self._by_key:
             raise PlanningError(f"wire schema for {instance_key!r} already set")
@@ -99,15 +99,11 @@ class WireCodec:
         if instance_id > 0xFFFF:
             raise PlanningError("too many instances for a 16-bit instance id")
         codecs = []
-        for name, bits in schema_fields.items():
-            if name == "payload":
-                codecs.append(FieldCodec(name, "bytes", 0))
-            elif bits == "float":
-                codecs.append(FieldCodec(name, "float", 8))
-            elif name == "dns.rr.name" or bits <= 0:
-                codecs.append(FieldCodec(name, "str", 0))
+        for name, spec in schema_fields.items():
+            if spec in ("float", "str", "bytes"):
+                codecs.append(FieldCodec(name, spec, 8 if spec == "float" else 0))
             else:
-                codecs.append(FieldCodec(name, "int", _width_bytes(bits)))
+                codecs.append(FieldCodec(name, "int", _width_bytes(spec)))
         self._by_key[instance_key] = instance_id
         self._by_id[instance_id] = instance_key
         self._schemas[instance_key] = codecs
@@ -231,23 +227,13 @@ class WireCodec:
         """One str/bytes column as length-prefixed pieces of a byte pool.
 
         Returns ``(pool, starts, lengths)``: row i's ``u16 length || bytes``
-        is ``pool[starts[i] : starts[i] + lengths[i]]``. Only the vocabulary
-        ids that occur are packed, once each; absent ids (-1 or out of
-        range) pack the empty value, as :func:`materialize_rows` reads them.
+        is ``pool[starts[i] : starts[i] + lengths[i]]``. A vocab column is
+        recoded by :func:`canonical_column`, so each value that occurs is
+        packed once and absent ids pack the vocabulary's empty value.
         """
-        vocab = state.vocabs.get(name)
-        col = state.columns[name]
-        if vocab is None:
-            values = col.tolist()
-            ids = np.arange(len(values))
-        else:
-            missing: "str | bytes" = b"" if name == "payload" else ""
-            raw = col.astype(np.int64, copy=False)
-            valid = (raw >= 0) & (raw < len(vocab))
-            used, inverse = np.unique(raw[valid], return_inverse=True)
-            values = [missing] + [vocab[i] for i in used.tolist()]
-            ids = np.zeros(len(raw), dtype=np.int64)
-            ids[valid] = inverse + 1
+        ids, values = canonical_column(state, name)
+        if values is None:
+            values, ids = ids.tolist(), np.arange(len(ids))
         pieces = [_pack_blob(v) for v in values]
         lengths = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
         starts = np.cumsum(lengths) - lengths
@@ -404,10 +390,10 @@ class WireCodec:
                 matrix = matrix[:, 4:]
             fixed.update(self._fixed_columns(matrix, run))
         vocabs = {
-            codec.name: [
-                blob if codec.kind == "bytes" else blob.decode("utf-8")
-                for blob in intern
-            ]
+            codec.name: Vocab(
+                (blob if codec.kind == "bytes" else blob.decode("utf-8") for blob in intern),
+                codec.kind,
+            )
             for codec, intern in zip(blobs, interns)
         }
         blob_ids = {
@@ -441,8 +427,8 @@ class WireCodec:
                 c.name: np.empty(0, dtype=empty_dtype.get(c.kind, np.int64))
                 for c in codecs
             }
-            vocabs: dict[str, list] = {
-                c.name: [] for c in codecs if c.kind in ("str", "bytes")
+            vocabs = {
+                c.name: Vocab((), c.kind) for c in codecs if c.kind in ("str", "bytes")
             }
             return MirroredBatch(
                 instance=instance_key,

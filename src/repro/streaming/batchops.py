@@ -42,7 +42,7 @@ __all__ = [
 
 def _apply_reduce(state: ColumnarState, op: Reduce) -> ColumnarState:
     n = state.n_rows
-    value_field = op.observed_value_field(state.columns) if n else None
+    value_field = op.value_field
     if value_field is None:
         values = np.ones(n, dtype=np.int64)
     else:

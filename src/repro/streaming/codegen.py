@@ -92,14 +92,9 @@ def _expr_code(expr) -> str:
     raise ValueError(expr)
 
 
-def _operator_lines(
-    var: str, op: Operator, index: int, schema_in=None
-) -> tuple[str, list[str]]:
-    """Returns (new_var, code_lines) for one operator.
-
-    ``schema_in`` (when available) resolves a reduce's implicit value
-    field, matching :meth:`Reduce.resolved_value_field`.
-    """
+def _operator_lines(var: str, op: Operator, index: int) -> tuple[str, list[str]]:
+    """Returns (new_var, code_lines) for one operator of a resolved chain
+    (see :func:`~repro.core.operators.resolve_value_fields`)."""
     new_var = f"{var}_{index}"
     if isinstance(op, Filter):
         cond = " and ".join(_predicate_code(p) for p in op.predicates)
@@ -127,10 +122,7 @@ def _operator_lines(
         return new_var, lines
     if isinstance(op, Reduce):
         key_tup = ", ".join(f"t[{k!r}]" for k in op.keys)
-        value_field = op.value_field
-        if value_field is None and schema_in is not None:
-            value_field = op.resolved_value_field(schema_in)
-        value = f"t[{value_field!r}]" if value_field else "1"
+        value = f"t[{op.value_field!r}]" if op.value_field else "1"
         reducer = {
             "sum": "lambda a, b: a + b",
             "count": "lambda a, b: a + b",
@@ -156,9 +148,8 @@ def generate_streaming_code(query: Query) -> str:
     for sq in query.subqueries:
         var = "parsed"
         lines.append(f"# sub-query {sq.subid}: {sq.name}")
-        schemas = sq.schemas()
-        for index, op in enumerate(sq.operators):
-            var, code = _operator_lines(var, op, index, schemas[index])
+        for index, op in enumerate(sq.resolved_operators):
+            var, code = _operator_lines(var, op, index)
             # prefix the variable names per sub-query to avoid collisions
             code = [c.replace(f"{'parsed'}_", f"sq{sq.subid}_") for c in code]
             var = var.replace("parsed_", f"sq{sq.subid}_")

@@ -20,7 +20,7 @@ Row = dict[str, Any]
 
 
 def _apply_reduce(rows: list[Row], op: Reduce) -> list[Row]:
-    value_field = op.observed_value_field(rows[0]) if rows else None
+    value_field = op.value_field
     update = UPDATE_FUNCS[op.func]  # shared register-ALU fold semantics
     grouped: dict[tuple, int] = {}
     for row in rows:

@@ -117,7 +117,7 @@ class CompiledSubQuery:
 
     def residual_operators(self, n_operators: int) -> tuple[Operator, ...]:
         """Operators left for the stream processor after the cut."""
-        return self.subquery.operators[n_operators:]
+        return self.subquery.resolved_operators[n_operators:]
 
     def last_operator_stateful(self, n_operators: int) -> bool:
         """True when the cut ends in register state (possibly via a fold)."""

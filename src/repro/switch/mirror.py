@@ -23,15 +23,12 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.exec import ColumnarState, materialize_rows, values_equal
+from repro.exec import ColumnarState, materialize_rows, state_from_rows, values_equal
 
 __all__ = [
     "MirroredTuple",
     "MirroredBatch",
     "MirroredRows",
-    "column_from_values",
-    "state_from_rows",
-    "concat_states",
     "merge_tagged",
 ]
 
@@ -44,51 +41,6 @@ class MirroredTuple:
     kind: str  # "stream" (stateless-last), "key_report", "overflow"
     fields: dict[str, Any]
     op_index: int  # operators already applied when the tuple left the switch
-
-
-def column_from_values(
-    name: str, values: Sequence[Any]
-) -> tuple[np.ndarray, "list | None"]:
-    """Build one column from Python values; returns (array, vocab-or-None).
-
-    Ints become an int64 column, floats a float64 column; ``str``/``bytes``
-    values are interned into a vocabulary with the column holding ids —
-    the same encoding :class:`~repro.exec.ColumnarState` uses for trace
-    fields, so :func:`~repro.exec.materialize_rows` resolves them back to
-    the exact row-engine values.
-    """
-    for v in values:
-        if isinstance(v, (str, bytes)):
-            vocab: list = []
-            intern: dict = {}
-            ids = np.empty(len(values), dtype=np.int64)
-            for i, value in enumerate(values):
-                idx = intern.get(value)
-                if idx is None:
-                    idx = intern[value] = len(vocab)
-                    vocab.append(value)
-                ids[i] = idx
-            return ids, vocab
-        if isinstance(v, float):
-            return np.asarray(values, dtype=np.float64), None
-        break
-    return np.asarray(values, dtype=np.int64), None
-
-
-def state_from_rows(
-    rows: "list[dict[str, Any]]", order: "Sequence[str] | None" = None
-) -> ColumnarState:
-    """Intern dict rows into a :class:`ColumnarState` (inverse of
-    :func:`~repro.exec.materialize_rows`). All rows must share one shape."""
-    names = list(order) if order is not None else (list(rows[0]) if rows else [])
-    columns: dict[str, np.ndarray] = {}
-    vocabs: dict[str, list] = {}
-    for name in names:
-        column, vocab = column_from_values(name, [row[name] for row in rows])
-        columns[name] = column
-        if vocab is not None:
-            vocabs[name] = vocab
-    return ColumnarState(columns=columns, vocabs=vocabs)
 
 
 @dataclass
@@ -159,73 +111,6 @@ class MirroredBatch:
             op_index=op_index,
             state=state_from_rows(rows, order),
         )
-
-
-def concat_states(states: "Sequence[ColumnarState]") -> ColumnarState:
-    """Stack same-schema states vertically, unifying vocabularies.
-
-    States carved out of one window share vocabulary *objects*, so the
-    common case concatenates id columns directly; states from different
-    encodings (e.g. a decoded wire batch next to a switch-native one) get
-    their vocabularies interned into a union table and their ids remapped.
-    Raises ``ValueError`` on schema mismatch (different column-name sets,
-    or a column that is vocab-typed in one state and plain in another).
-    """
-    states = [s for s in states if s is not None]
-    if not states:
-        return ColumnarState(columns={})
-    if len(states) == 1:
-        return states[0]
-    names = list(states[0].columns)
-    name_set = set(names)
-    for s in states[1:]:
-        if set(s.columns) != name_set:
-            raise ValueError(
-                f"cannot concat states with columns {sorted(s.columns)} "
-                f"vs {sorted(name_set)}"
-            )
-    columns: dict[str, np.ndarray] = {}
-    vocabs: dict[str, list] = {}
-    for name in names:
-        flags = [name in s.vocabs for s in states]
-        if any(flags):
-            if not all(flags):
-                raise ValueError(
-                    f"column {name!r} is vocab-typed in some states only"
-                )
-            base = states[0].vocabs[name]
-            if all(s.vocabs[name] is base for s in states):
-                columns[name] = np.concatenate(
-                    [s.columns[name].astype(np.int64, copy=False) for s in states]
-                )
-                vocabs[name] = base
-            else:
-                union: list = []
-                intern: dict = {}
-                parts = []
-                for s in states:
-                    vocab = s.vocabs[name]
-                    remap = np.empty(len(vocab), dtype=np.int64)
-                    for i, value in enumerate(vocab):
-                        idx = intern.get(value)
-                        if idx is None:
-                            idx = intern[value] = len(union)
-                            union.append(value)
-                        remap[i] = idx
-                    ids = s.columns[name].astype(np.int64, copy=False)
-                    if len(vocab):
-                        parts.append(
-                            np.where(ids >= 0, remap[np.clip(ids, 0, None)], -1)
-                        )
-                    else:
-                        parts.append(np.full(len(ids), -1, dtype=np.int64))
-                columns[name] = np.concatenate(parts)
-                vocabs[name] = union
-        else:
-            columns[name] = np.concatenate(
-                [np.asarray(s.columns[name]) for s in states]
-            )
-    return ColumnarState(columns=columns, vocabs=vocabs)
 
 
 @dataclass

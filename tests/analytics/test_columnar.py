@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analytics import execute_operators, execute_query, execute_subquery
 from repro.core.errors import QueryValidationError
-from repro.core.expressions import Const, Prefixed, Quantized
+from repro.core.expressions import Const, FieldRef, Prefixed, Quantized
 from repro.core.fields import TCP_SYN
 from repro.core.operators import Distinct, Filter, Join, Map, Predicate, Reduce
 from repro.core.query import PacketStream, Query
@@ -338,6 +338,32 @@ class TestAbsentCellDifferential:
         columnar = execute_operators(ops, trace, tables=tables).rows()
         rowwise = apply_operators(self._row_inputs(trace), list(ops), tables)
         assert columnar == rowwise
+
+    @pytest.mark.parametrize(
+        "field, empty, name",
+        [("payload", b"", "p"), ("dns.rr.name", "", "payload")],
+        ids=["payload-as-p", "dns.rr.name-as-payload"],
+    )
+    @pytest.mark.parametrize("tail", ["eq", "in", "contains", "distinct", "reduce"])
+    def test_renamed_column_matches_row_oracle(self, field, empty, name, tail):
+        """A map rename keeps a string column's kind: its absent cells
+        read as the field's empty value, not as the new name suggests."""
+        tails = {
+            "eq": (Filter((Predicate(name, "eq", empty),)),),
+            "in": (Filter((Predicate(name, "in", "empties"),)),),
+            "contains": (Filter((Predicate(name, "contains", empty),)),),
+            "distinct": (Map(keys=(FieldRef(name),)), Distinct()),
+            "reduce": (
+                Map(keys=(FieldRef(name),), values=(Const(1),)),
+                Reduce(keys=(name,), func="sum"),
+            ),
+        }
+        ops = (Map(keys=(FieldRef("ipv4.dIP"), FieldRef(field, name))),) + tails[tail]
+        tables = {"empties": {empty}}
+        trace = self._trace()
+        columnar = execute_operators(ops, trace, tables=tables).rows()
+        assert columnar == apply_operators(self._row_inputs(trace), list(ops), tables)
+        assert {type(row[name]) for row in columnar} == {type(empty)}
 
     def test_level_on_payload_fails_in_both_engines(self):
         ops = (Filter((Predicate("payload", "eq", b"", level=1),)),)

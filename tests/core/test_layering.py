@@ -1,7 +1,16 @@
-"""Layering guard: ``repro.core`` is the DSL and its scalar semantics only.
+"""Layering guards.
 
-Columnar evaluation lives in :mod:`repro.exec`; a numpy import in the
-core would be the first step of a second evaluator.
+``repro.core`` is the DSL and its scalar semantics only: columnar
+evaluation lives in :mod:`repro.exec`, and a numpy import in the core
+would be the first step of a second evaluator.
+
+The batch engines and the runtime never decide a string column's kind
+from its name: the field registry (:mod:`repro.core.fields`) gives trace
+columns their kind, a :class:`~repro.exec.Vocab` carries it from there,
+and the per-packet oracle keeps its own rule in
+:mod:`repro.packets.packet`. A field-name literal in :mod:`repro.exec` or
+:mod:`repro.runtime` would be the first step back to a rule that a map's
+rename breaks.
 """
 
 import ast
@@ -10,8 +19,16 @@ from pathlib import Path
 import pytest
 
 import repro.core
+import repro.exec
+import repro.runtime
 
 CORE_MODULES = sorted(Path(repro.core.__path__[0]).glob("*.py"))
+ENGINE_MODULES = sorted(
+    path
+    for package in (repro.exec, repro.runtime)
+    for path in Path(package.__path__[0]).glob("*.py")
+)
+STRING_FIELD_NAMES = {"payload", "dns.rr.name"}
 
 
 def _imported_roots(path: Path) -> set[str]:
@@ -31,3 +48,20 @@ def test_core_modules_found():
 @pytest.mark.parametrize("path", CORE_MODULES, ids=lambda p: p.name)
 def test_core_imports_no_numpy(path):
     assert "numpy" not in _imported_roots(path)
+
+
+def test_engine_modules_found():
+    assert {p.name for p in ENGINE_MODULES} >= {"columns.py", "kernels.py", "wire.py"}
+
+
+@pytest.mark.parametrize(
+    "path", ENGINE_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_engine_names_no_string_field(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in STRING_FIELD_NAMES
+    ]
+    assert not lines, f"string field name literal on line(s) {lines}"

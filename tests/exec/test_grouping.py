@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exec import (
     ColumnarState,
+    Vocab,
     canonical_state,
     group_first_occurrence,
     keys_in,
@@ -189,7 +190,7 @@ class TestKeysIn:
                 "dns.rr.name": np.array([0, 1, 2, -1, 3]),
                 "ipv4.dIP": np.array([7, 7, 7, 7, 8]),
             },
-            {"dns.rr.name": ["a.com", "b.com", "a.com", ""]},
+            {"dns.rr.name": Vocab(["a.com", "b.com", "a.com", ""])},
             keys,
         )
         probe = ColumnarState(
@@ -197,7 +198,7 @@ class TestKeysIn:
                 "dns.rr.name": np.array([2, 0, 1, 0]),
                 "ipv4.dIP": np.array([7, 7, 7, 8]),
             },
-            {"dns.rr.name": ["", "zzz", "a.com"]},
+            {"dns.rr.name": Vocab(["", "zzz", "a.com"])},
         )
         hit = keys_in(unique, keys, vocabs, probe)
         names = [vocabs["dns.rr.name"][i] for i in unique[:, 0].tolist()]

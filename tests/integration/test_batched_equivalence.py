@@ -436,6 +436,48 @@ def test_wire_check_differential(name):
     assert _window_digest(checked) == _window_digest(plain)
 
 
+@pytest.mark.parametrize("wire_check", [False, True], ids=["plain", "wire_check"])
+def test_renamed_payload_query_differential(wire_check):
+    """A payload renamed by a map keeps its bytes kind through the switch,
+    the emitter, the wire check and the stream processor: absent payloads
+    are ``b""`` in both engines. (The wire check alone would hide a lost
+    kind: decoding turns absent cells into explicit empty blobs.)"""
+    stream = PacketStream(name="renamed_payload", qid=1)
+    stream.operators = (
+        Filter((Predicate("tcp.dPort", "eq", 23),)),
+        Map(keys=(FieldRef("ipv4.dIP"), FieldRef("payload", "p"))),
+        Distinct(),
+    )
+    workload = build_workload(["zorro"], duration=9.0, pps=800, seed=1)
+    plan = _plan([Query(stream)], workload.trace)
+    report = _assert_engines_agree(plan, workload.trace, wire_check=wire_check)
+    payloads = {row["p"] for w in report.windows for row in w.detections.get(1, [])}
+    assert b"" in payloads and all(isinstance(p, bytes) for p in payloads)
+
+
+def test_implicit_reduce_value_resolved_from_schema():
+    """A reduce without a value field aggregates the schema's one value
+    field in every engine, even when the tuples carry other non-key
+    fields: the query plans, and both engines take the max pktlen."""
+    stream = PacketStream(name="max_len", qid=1)
+    stream.operators = (
+        Map(keys=(FieldRef("ipv4.dIP"), FieldRef("ipv4.sIP")), values=(FieldRef("pktlen"),)),
+        Reduce(keys=("ipv4.dIP",), func="max"),
+    )
+    workload = build_workload(["ddos"], duration=6.0, pps=500, seed=13)
+    plan = _plan([Query(stream)], workload.trace)
+    report = _assert_engines_agree(plan, workload.trace)
+    first = next(w for w in report.windows if w.detections.get(1))
+    start = float(workload.trace.array["ts"][0]) + first.index * 3.0
+    window = workload.trace.array[
+        (workload.trace.array["ts"] >= start) & (workload.trace.array["ts"] < start + 3.0)
+    ]
+    expected = {}
+    for dip, length in zip(window["dip"].tolist(), window["pktlen"].tolist()):
+        expected[dip] = max(expected.get(dip, 0), length)
+    assert {r["ipv4.dIP"]: r["count"] for r in first.detections[1]} == expected
+
+
 def test_channel_other_than_auto_rejected():
     workload = build_workload(["ddos"], duration=3.0, pps=200, seed=1)
     plan = _plan(build_queries(["ddos"]), workload.trace)

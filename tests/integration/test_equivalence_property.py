@@ -1,19 +1,21 @@
 """Property-based cross-engine equivalence.
 
 The repository has three executors for the same operator semantics: the
-columnar engine (planner costs / ground truth), the row-wise interpreter
-(stream processor), and the per-packet switch simulator. Hypothesis
-generates random linear queries and random packet batches and asserts all
-three agree exactly — the invariant everything else in the system rests on.
+columnar interpreter (the stream processor, planner costs and ground
+truth), the row-wise interpreter (its per-tuple differential oracle), and
+the per-packet switch simulator. Hypothesis generates random linear
+queries and random packet batches — DNS names and payloads present, empty
+or absent, and renamed by maps — and asserts the engines agree exactly:
+the invariant everything else in the system rests on.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.analytics import execute_operators
-from repro.core.expressions import Const, Prefixed, Quantized
-from repro.core.operators import Filter, Map, Predicate, Reduce
+from repro.core.expressions import Const, FieldRef, Prefixed, Quantized
+from repro.core.operators import Distinct, Filter, Map, Predicate, Reduce
 from repro.core.query import PacketStream, Query
-from repro.packets.packet import Packet
+from repro.packets.packet import DNSInfo, Packet
 from repro.packets.trace import Trace
 from repro.planner.collisions import size_register
 from repro.streaming.rowops import apply_operators
@@ -30,6 +32,13 @@ packets_strategy = st.lists(
         sport=st.integers(min_value=1, max_value=100),
         dport=st.sampled_from([22, 53, 80, 443]),
         tcpflags=st.sampled_from([0x02, 0x10, 0x12, 0x18]),
+        # Present, empty and absent names and payloads (a trace stores an
+        # empty DNS name as absent).
+        dns=st.one_of(
+            st.none(),
+            st.builds(DNSInfo, qname=st.sampled_from(["", "a.com", "x.a.com"])),
+        ),
+        payload=st.one_of(st.none(), st.just(b""), st.sampled_from([b"zz", b"a"])),
     ),
     min_size=0,
     max_size=60,
@@ -57,6 +66,40 @@ def _build_ops(params):
         Reduce(keys=("ipv4.dIP", "bucket"), func="sum"),
         Filter((Predicate("count", "gt", params["threshold"]),)),
     )
+
+
+#: (string field, the name a map gives it). Renaming onto another string
+#: field's name must not change what the column's absent cells read as.
+RENAMES = [
+    ("payload", "p"),
+    ("payload", "dns.rr.name"),
+    ("dns.rr.name", "n"),
+    ("dns.rr.name", "payload"),
+]
+
+string_query_strategy = st.builds(
+    dict,
+    rename=st.sampled_from(RENAMES),
+    dport=st.sampled_from([22, 80, 443]),
+    tail=st.sampled_from(["reduce", "distinct", "filter"]),
+)
+
+
+def _build_string_ops(params):
+    field, name = params["rename"]
+    empty = b"" if field == "payload" else ""
+    tails = {
+        "reduce": (
+            Map(keys=(FieldRef(name),), values=(Const(1),)),
+            Reduce(keys=(name,), func="sum"),
+        ),
+        "distinct": (Distinct(),),
+        "filter": (Filter((Predicate(name, "eq", empty),)),),
+    }
+    return (
+        Filter((Predicate("tcp.dPort", "ne", params["dport"]),)),
+        Map(keys=(FieldRef("ipv4.dIP"), FieldRef(field, name))),
+    ) + tails[params["tail"]]
 
 
 def _canon(rows):
@@ -111,3 +154,18 @@ class TestThreeEngineEquivalence:
         assert _canon(columnar) == _canon(rowwise) == _canon(switch_rows)
         # The columnar and row-wise interpreters also agree on row order.
         assert columnar == rowwise
+
+    @settings(max_examples=40, deadline=None)
+    @given(packets=packets_strategy, params=string_query_strategy)
+    def test_renamed_string_columns_agree(self, packets, params):
+        """A map that renames a DNS name or payload keeps the column's
+        kind: both interpreters read its absent cells as the field's
+        empty value, whatever the new name."""
+        ops = _build_string_ops(params)
+        trace = Trace.from_packets(packets)
+        columnar = execute_operators(ops, trace).rows()
+        row_inputs = [
+            {name: p.get(name) for name in ("tcp.dPort", "ipv4.dIP", "payload", "dns.rr.name")}
+            for p in packets
+        ]
+        assert columnar == apply_operators(row_inputs, list(ops))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.errors import PlanningError
-from repro.exec import ColumnarState, materialize_rows
+from repro.core.fields import FIELDS
+from repro.exec import ColumnarState, Vocab, materialize_rows
 from repro.runtime.wire import WireCodec
 from repro.switch.mirror import MirroredBatch
 from repro.switch.simulator import MirroredTuple
@@ -19,7 +20,7 @@ def make_codec():
     codec = WireCodec()
     codec.configure(
         "q1.s0@0-32",
-        {"ipv4.dIP": 32, "count": 64, "payload": 0, "dns.rr.name": 0},
+        {"ipv4.dIP": 32, "count": 64, "payload": "bytes", "dns.rr.name": "str"},
     )
     return codec
 
@@ -96,14 +97,14 @@ class TestRandomizedRoundTrip:
 
     @staticmethod
     def random_schema(rng):
-        """(field -> bit width) with a mix of int, payload and DNS fields."""
+        """(field -> bit width or kind) with a mix of int, payload and DNS fields."""
         schema = {}
         for i in range(rng.randint(1, 6)):
             schema[f"f{i}"] = rng.choice([1, 4, 7, 8, 16, 31, 32, 48, 64])
         if rng.random() < 0.5:
-            schema["payload"] = 0
+            schema["payload"] = "bytes"
         if rng.random() < 0.5:
-            schema["dns.rr.name"] = 0
+            schema["dns.rr.name"] = "str"
         return schema
 
     @staticmethod
@@ -165,18 +166,18 @@ class TestBatchScalarParity:
                 [1, 4, 7, 8, 16, 31, 32, 48, 64, "float"]
             )
         if rng.random() < 0.4:
-            schema["payload"] = 0
+            schema["payload"] = "bytes"
         if rng.random() < 0.4:
-            schema["dns.rr.name"] = 0
+            schema["dns.rr.name"] = "str"
         if rng.random() < 0.3:
-            schema["note"] = 0  # plain str field, no vocab special-casing
+            schema["note"] = "str"  # a str field no registry names
         return schema
 
     @staticmethod
     def random_value(rng, name, bits):
         if name == "payload":
             return bytes(rng.randrange(256) for _ in range(rng.randint(0, 40)))
-        if bits == 0 or name == "dns.rr.name":
+        if bits == "str":
             return "".join(
                 rng.choice("abcxyz0123-.") for _ in range(rng.randint(0, 16))
             )
@@ -447,6 +448,25 @@ class TestWireCheckMutations:
         with pytest.raises(PlanningError, match=r"changed batch inst#key_report#2: (row|\d+ rows)"):
             wire_runtime._wire_roundtrip_batch(_mixed_batch())
 
+    def test_string_kind_comes_from_the_vocabulary(self, wire_runtime):
+        """Columns named like the other string field keep their own kind,
+        absent cells included, through the batch and the tuple check."""
+        state = ColumnarState(
+            columns={"payload": np.array([0, -1]), "dns.rr.name": np.array([-1, 0])},
+            vocabs={
+                "payload": Vocab(["a.com"], "str"),
+                "dns.rr.name": Vocab([b"zz"], "bytes"),
+            },
+        )
+        batch = MirroredBatch("swapped", "stream", 1, state)
+        tuples = batch.materialize()
+        assert [t.fields for t in tuples] == [
+            {"payload": "a.com", "dns.rr.name": b""},
+            {"payload": "", "dns.rr.name": b"zz"},
+        ]
+        assert wire_runtime._wire_roundtrip_batch(batch).materialize() == tuples
+        assert [wire_runtime._wire_roundtrip(t) for t in tuples] == tuples
+
     def test_message_names_row_and_field(self, wire_runtime, monkeypatch):
         decode = WireCodec.decode_batch
 
@@ -497,10 +517,12 @@ class TestDataEqualDifferential:
             move = rng.choice(["vocab", "minus_one", "retype", "cell", "same"])
             if name in vocabs and move == "vocab":
                 # Same values under other ids, plus unused and duplicate entries.
-                vocab = list(vocabs[name])
+                vocab = vocabs[name]
                 perm = list(range(len(vocab)))
                 rng.shuffle(perm)
-                new_vocab = ["unused"] + [vocab[i] for i in perm] + vocab[:1]
+                new_vocab = Vocab(
+                    ["unused"] + [vocab[i] for i in perm] + vocab[:1], vocab.kind
+                )
                 position = {old: new + 1 for new, old in enumerate(perm)}
                 columns[name] = np.array(
                     [position.get(int(i), -1) for i in col], dtype=np.int64
@@ -588,13 +610,14 @@ class TestDataEqualDifferential:
         ],
     )
     def test_vocab_minus_one_reads_empty(self, name, ids, vocab):
-        reference = _batch({name: np.array([-1, 0])}, {name: ["x"]})
-        other = _batch({name: np.array(ids)}, {name: vocab})
+        kind = FIELDS.get(name).kind
+        reference = _batch({name: np.array([-1, 0])}, {name: Vocab(["x"], kind)})
+        other = _batch({name: np.array(ids)}, {name: Vocab(vocab, kind)})
         for x, y in ((reference, other), (other, reference)):
             assert x.data_equal(y) == rows_data_equal(x, y)
 
     def test_vocab_against_plain_column(self):
-        vocab = _batch({"v": np.array([0, 1])}, {"v": ["1", "2"]})
+        vocab = _batch({"v": np.array([0, 1])}, {"v": Vocab(["1", "2"])})
         plain = _batch({"v": np.array([1, 2])})
         assert vocab.data_equal(plain) == rows_data_equal(vocab, plain) is False
 
@@ -611,7 +634,7 @@ class TestBlobEncodeParity:
         """Only the ids that occur are packed; the bytes stay the
         concatenated scalar records."""
         codec = WireCodec()
-        codec.configure("big", {"ipv4.dIP": 32, "payload": 0, "dns.rr.name": 0})
+        codec.configure("big", {"ipv4.dIP": 32, "payload": "bytes", "dns.rr.name": "str"})
         vocab_size, used = 1000, 10
         rng = np.random.default_rng(5)
         payloads = [bytes(rng.integers(0, 256, int(rng.integers(0, 30)))) for _ in range(vocab_size)]
@@ -623,7 +646,7 @@ class TestBlobEncodeParity:
                 "payload": rng.choice(used, rows) * 97,
                 "dns.rr.name": np.where(np.arange(rows) % 7 == 0, -1, rng.choice(used, rows) * 89),
             },
-            vocabs={"payload": payloads, "dns.rr.name": names},
+            vocabs={"payload": Vocab(payloads, "bytes"), "dns.rr.name": Vocab(names)},
         )
         batch = MirroredBatch("big", "stream", 0, state)
         expected = b"".join(codec.encode(t) for t in batch.materialize())

@@ -4,7 +4,15 @@ import pytest
 
 from repro.core.errors import QueryValidationError
 from repro.core.expressions import Const, Ratio
-from repro.core.operators import Distinct, Filter, Map, Predicate, Reduce
+from repro.core.operators import (
+    Distinct,
+    Filter,
+    Map,
+    Predicate,
+    Reduce,
+    Schema,
+    resolve_value_fields,
+)
 from repro.core.query import JoinNode
 from repro.streaming.rowops import (
     apply_operator,
@@ -38,21 +46,28 @@ class TestApplyOperator:
         out = {r["k"]: r["count"] for r in apply_operator(rows, op)}
         assert out == {1: 2, 2: 1}
 
+    @staticmethod
+    def _resolved(op, keys, values):
+        """``op`` with its value field resolved from a (keys, values) schema,
+        as the interpreters receive it."""
+        schema = Schema(keys=keys, values=values, widths=dict.fromkeys(keys + values, 32))
+        (resolved,) = resolve_value_fields((op,), schema)
+        return resolved
+
     def test_reduce_sum_single_value_field(self):
         rows = [{"k": 1, "v": 5}, {"k": 1, "v": 2}]
-        op = Reduce(keys=("k",), func="sum", out="v")
+        op = self._resolved(Reduce(keys=("k",), func="sum", out="v"), ("k",), ("v",))
         assert apply_operator(rows, op) == [{"k": 1, "v": 7}]
 
     def test_reduce_reaggregates_partials(self):
-        # The field named like the output is re-aggregated (switch partials).
+        # A switch partial's count is the schema's one value field.
         rows = [{"k": 1, "count": 5}, {"k": 1, "count": 2}]
-        op = Reduce(keys=("k",), func="sum")
+        op = self._resolved(Reduce(keys=("k",), func="sum"), ("k",), ("count",))
         assert apply_operator(rows, op) == [{"k": 1, "count": 7}]
 
     def test_reduce_ambiguous_raises(self):
-        rows = [{"k": 1, "a": 1, "b": 2}]
         with pytest.raises(QueryValidationError):
-            apply_operator(rows, Reduce(keys=("k",), func="sum"))
+            self._resolved(Reduce(keys=("k",), func="sum"), ("k",), ("a", "b"))
 
     def test_reduce_max_min_or(self):
         rows = [{"k": 1, "v": 5}, {"k": 1, "v": 2}]
