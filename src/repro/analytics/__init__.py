@@ -13,6 +13,8 @@ from repro.analytics.columnar import (
     ColumnarResult,
     ColumnarState,
     OperatorStats,
+    apply_chain,
+    chain_schemas,
     execute_operators,
     execute_query,
     execute_subquery,
@@ -22,6 +24,8 @@ __all__ = [
     "ColumnarState",
     "ColumnarResult",
     "OperatorStats",
+    "apply_chain",
+    "chain_schemas",
     "execute_operators",
     "execute_subquery",
     "execute_query",

@@ -2,10 +2,11 @@
 
 The engine executes a linear operator chain over one window of a
 :class:`~repro.packets.trace.Trace` and records, after every operator, the
-number of rows that would flow to the next operator and — for stateful
-operators — the number of keys and the register bits needed to hold them.
-Those are exactly the ``N_{q,t}`` and ``B_{q,t}`` inputs of the query
-planning ILP (Table 1 of the paper).
+number of rows that would flow to the next operator (for a stateful
+operator, its keys). The cost estimator turns those counts into the
+``N_{q,t}`` and ``B_{q,t}`` inputs of the query planning ILP (Table 1 of
+the paper); :func:`chain_schemas` and :func:`apply_chain` let it run a
+chain in pieces.
 
 The operators themselves run on the stream processor's interpreter,
 :func:`repro.streaming.batchops.apply_operator_state`, so the planner, the
@@ -18,13 +19,13 @@ stream processor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.errors import QueryValidationError
 from repro.core.fields import FIELDS, FieldRegistry
 from repro.core.operators import Join, Operator, Schema, chain_read_fields, resolve_value_fields
 from repro.core.query import Query, SubQuery
-from repro.exec import ColumnarState, materialize_rows, state_bits
+from repro.exec import ColumnarState, materialize_rows
 from repro.packets.trace import Trace
 from repro.streaming.batchops import apply_operator_state
 from repro.streaming.rowops import assemble_join_tree
@@ -33,6 +34,8 @@ __all__ = [
     "ColumnarState",
     "OperatorStats",
     "ColumnarResult",
+    "apply_chain",
+    "chain_schemas",
     "execute_operators",
     "execute_subquery",
     "execute_query",
@@ -45,9 +48,6 @@ class OperatorStats:
 
     operator: str
     rows_out: int
-    stateful: bool
-    keys: int = 0
-    state_bits: int = 0
 
 
 @dataclass
@@ -70,6 +70,35 @@ class ColumnarResult:
         return materialize_rows(self.final, self.schema.fields)
 
 
+def chain_schemas(
+    operators: Sequence[Operator], registry: FieldRegistry = FIELDS
+) -> list[Schema]:
+    """Validate a linear chain; ``schemas[i]`` is operator i's input schema
+    and ``schemas[len(operators)]`` the output's."""
+    schemas = [Schema.packet_schema(registry)]
+    for op in operators:
+        op.validate(schemas[-1])
+        if isinstance(op, Join):
+            raise QueryValidationError(
+                "execute_operators only handles linear chains; use execute_query"
+            )
+        schemas.append(op.output_schema(schemas[-1]))
+    return schemas
+
+
+def apply_chain(
+    operators: Sequence[Operator],
+    state: ColumnarState,
+    schema: Schema,
+    tables: Mapping[str, set] | None = None,
+) -> Iterator[ColumnarState]:
+    """Apply ``operators`` to ``state`` (whose schema is ``schema``) in
+    turn, yielding the state after each."""
+    for op in resolve_value_fields(operators, schema):
+        state = apply_operator_state(state, op, tables)
+        yield state
+
+
 def execute_operators(
     operators: Sequence[Operator],
     trace: Trace,
@@ -81,44 +110,17 @@ def execute_operators(
     The window is projected to the fields the chain reads, as on the
     switch, so that no operator carries a column nothing reads.
     """
-    schemas = [Schema.packet_schema(registry)]
-    for op in operators:
-        op.validate(schemas[-1])
-        if isinstance(op, Join):
-            raise QueryValidationError(
-                "execute_operators only handles linear chains; use execute_query"
-            )
-        schemas.append(op.output_schema(schemas[-1]))
+    schemas = chain_schemas(operators, registry)
     state = ColumnarState.from_trace(trace, registry)
     input_rows = state.n_rows
     state = state.project(chain_read_fields(operators, schemas))
     stats: list[OperatorStats] = []
-    resolved = resolve_value_fields(operators, schemas[0])
-    for op, run, schema_out in zip(operators, resolved, schemas[1:]):
-        state = apply_operator_state(state, run, tables)
-        keys = state.n_rows if op.stateful else 0
-        stats.append(
-            OperatorStats(
-                operator=op.describe(),
-                rows_out=state.n_rows,
-                stateful=op.stateful,
-                keys=keys,
-                state_bits=_register_bits(schema_out, keys),
-            )
-        )
+    states = apply_chain(operators, state, schemas[0], tables)
+    for op, state in zip(operators, states):
+        stats.append(OperatorStats(operator=op.describe(), rows_out=state.n_rows))
     return ColumnarResult(
         stats=stats, final=state, schema=schemas[-1], input_rows=input_rows
     )
-
-
-def _register_bits(schema_out: Schema, n_keys: int) -> int:
-    """Register bits holding ``n_keys`` keys of a stateful operator.
-
-    A slot holds the operator's output key fields and its value fields; a
-    distinct outputs keys only and keeps one presence bit per key.
-    """
-    value_bits = sum(schema_out.width_of(v) for v in schema_out.values) or 1
-    return state_bits(schema_out, schema_out.keys, n_keys, value_bits)
 
 
 def execute_subquery(

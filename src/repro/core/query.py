@@ -197,6 +197,9 @@ class SubQuery:
         ``count > Th`` filter can never miss traffic. Coarsening a
         mid-chain distinct key (e.g. dIP in the superspreader query) could
         merge distinct elements and *reduce* the final count — unsafe.
+        The key must also reach the sub-query's output: a level's output
+        keys fill the next-finer level's filter table, so a key the chain
+        drops or renames could never zoom in.
         """
         schemas = self.schemas()
         last: tuple[Operator, Schema] | None = None
@@ -213,8 +216,13 @@ class SubQuery:
         else:
             raise QueryValidationError(f"unknown stateful operator {op!r}")
         candidates: list[str] = []
+        output = schemas[-1]
         for key in keys:
-            if key in self.registry and self.registry.get(key).hierarchical:
+            if (
+                key in self.registry
+                and self.registry.get(key).hierarchical
+                and output.has(key)
+            ):
                 if key not in candidates:
                     candidates.append(key)
         return candidates

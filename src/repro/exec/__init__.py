@@ -36,7 +36,6 @@ from repro.exec.kernels import (
     materialize_keys,
     predicate_mask,
     reduce_args,
-    state_bits,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "group_first_occurrence",
     "key_columns",
     "keys_in",
-    "state_bits",
     "reduce_args",
     "materialize_keys",
 ]

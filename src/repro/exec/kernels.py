@@ -290,11 +290,6 @@ def keys_in(
     return np.isin(codes[: len(unique)], codes[len(unique) :])
 
 
-def state_bits(schema: Schema, keys: Sequence[str], n_keys: int, value_bits: int) -> int:
-    key_bits = sum(schema.width_of(k) for k in keys)
-    return n_keys * (key_bits + value_bits)
-
-
 def reduce_args(
     op: Reduce, state: ColumnarState, schema_in: Schema
 ) -> tuple[str, np.ndarray]:

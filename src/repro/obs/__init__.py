@@ -32,6 +32,7 @@ Span taxonomy (names are stable API — dashboards key on them)::
           filter_update         one dynamic filter-table update
       stage.collector_merge     network-wide collector merge (per window)
     planner.estimate_costs      one-shot: trace-driven cost estimation
+                                (attrs: chain_runs, derived_transitions)
     planner.solve               one-shot: ILP/greedy plan solve
     trace.load / trace.save     one-shot: trace (de)serialization
 """

@@ -13,16 +13,36 @@ records:
 - the level-``r`` output keys per window, which feed the refinement filter
   of the next-finer level in the following window (pipelined execution).
 
-Every operator chain runs once per training window, in this order:
+Each (sub-query, level) chain reads each training window once, and every
+transition into that level is priced from that one run:
 
-1. the root transitions ``* -> finest``, with the original thresholds. A
-   root transition reads no filter table, so the join of its leaves is the
-   query's output; at the finest level it is the ground truth;
-2. per (sub-query, coarse level), the chain stripped of its trailing
-   thresholds; every threshold field's minimum comes from the same rows;
-3. the coarse root transitions ``* -> r``, with relaxed thresholds; their
-   join gives the level-``r`` output keys;
-4. the filtered transitions ``r_prev -> r``.
+1. the finest level first, with the original thresholds. Its root
+   transition ``* -> finest`` reads no filter table, so the join of its
+   leaves is the query's output: the ground truth;
+2. then each coarse level, coarsest first. The chain runs up to its first
+   filter on a trailing-threshold field. From that state, the rest of the
+   chain without its thresholds gives each threshold field's minimum over
+   the coarsened ground-truth keys (§4.1), and the root transition
+   ``* -> r`` continues with the relaxed thresholds. The join of its
+   leaves gives the level-``r`` output keys;
+3. the filtered transitions ``r_prev -> r`` run no chain. Their chain is
+   the level-``r`` root chain behind the filter ``key/r_prev ∈ table``.
+   A refined chain keeps its refinement key in every operator's output,
+   and ``key/r_prev`` is a function of ``key/r``, so that filter commutes
+   with every operator: a filter keeps or drops rows, a map keeps each
+   row and its key (coarsened to ``r``), and a reduce or a distinct keeps
+   or drops whole groups of one key. Each operator's output behind the
+   filter is therefore the root run's output rows whose key passes it.
+   The estimator keeps the distinct key values of each operator's output
+   with their row counts (a map shares its input's: it keeps every row),
+   evaluates the filter once per value with the filter's own kernel and
+   sums. The packets' key counts price the table filter itself. The
+   precondition is checked, not assumed: a non-empty table and an
+   operator whose output lacks the key raise :class:`PlanningError`.
+
+A level's key counts live until its filtered transitions are priced; the
+finest level's live until every coarse level's output keys exist. Nothing
+is cached across queries.
 
 A key invariant makes per-transition estimation sound: with relaxed
 thresholds, a query's output at level ``r`` is the same whether or not its
@@ -34,11 +54,16 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
+from typing import Any, Mapping
 
-from repro.analytics import ColumnarResult, execute_subquery
+import numpy as np
+
+from repro.analytics import apply_chain, chain_schemas
 from repro.core.errors import PlanningError
 from repro.core.fields import FIELDS, coarsen_value
+from repro.core.operators import Filter, Map, Operator, Schema, chain_read_fields
 from repro.core.query import Query, SubQuery
+from repro.exec import ColumnarState, materialize_rows, predicate_mask
 from repro.packets.trace import Trace
 from repro.planner.collisions import chain_overflow_rate, size_register
 from repro.planner.plans import InstancePlan
@@ -151,6 +176,63 @@ class QueryCosts:
         return self.spec.finest
 
 
+@dataclass
+class _KeyCounts:
+    """One column's distinct refinement-key values, and how many rows hold
+    each."""
+
+    values: ColumnarState
+    counts: np.ndarray
+
+    @staticmethod
+    def of(state: ColumnarState, key: str) -> "_KeyCounts | None":
+        column = state.columns.get(key)
+        if column is None:
+            return None
+        values, counts = np.unique(column, return_counts=True)
+        vocabs = {key: state.vocabs[key]} if key in state.vocabs else {}
+        return _KeyCounts(ColumnarState({key: values}, vocabs), counts)
+
+    def passing(self, table_filter: Filter, tables: Mapping[str, set]) -> int:
+        """Rows whose key passes ``table_filter``."""
+        keep = predicate_mask(table_filter.predicates[0], self.values, tables)
+        return int(self.counts[keep].sum())
+
+
+def _continue(
+    ops: tuple[Operator, ...],
+    state: ColumnarState,
+    schema: Schema,
+    key: str | None,
+    rows: list[int],
+    counts: list[_KeyCounts | None],
+) -> ColumnarState:
+    """Apply ``ops`` from ``state``, appending each operator's rows out and,
+    if ``key`` is set, its output's key counts; returns the last state."""
+    for op, out in zip(ops, apply_chain(ops, state, schema)):
+        rows.append(out.n_rows)
+        if key:
+            # A map keeps every row, as does a filter that returns its input.
+            kept = out is state or isinstance(op, Map)
+            counts.append(counts[-1] if kept else _KeyCounts.of(out, key))
+        state = out
+    return state
+
+
+@dataclass
+class _LevelRun:
+    """One sub-query's root chain at one level, run once per window."""
+
+    sq: SubQuery
+    root: TransitionCosts
+    packets_in: list[float]
+    #: The root chain's output rows per window, until the join reads them.
+    outputs: list[list[dict[str, Any]]]
+    #: Per window: the packets' key counts, then each operator output's
+    #: (empty at the coarsest level, which no transition filters into).
+    key_counts: list[list[_KeyCounts | None]]
+
+
 class CostEstimator:
     """Estimates planning inputs for a set of queries over a training trace."""
 
@@ -176,6 +258,10 @@ class CostEstimator:
         self.relax_thresholds = relax_thresholds
         self._specs = refinement_specs or {}
         self._windows: list[Trace] | None = None
+        #: (sub-query, level, window) chains run, and transitions priced
+        #: from another transition's run.
+        self.chain_runs = 0
+        self.derived_transitions = 0
 
     # -- window handling ---------------------------------------------------
     def windows(self) -> list[Trace]:
@@ -196,61 +282,54 @@ class CostEstimator:
 
     def estimate_query(self, query: Query) -> QueryCosts:
         spec = self.spec_for(query)
-        windows = self.windows()
-        window_packets = _median([float(len(w)) for w in windows])
-
-        native = spec.finest if spec is not None else 32
-        levels = spec.levels if spec is not None else (native,)
-        pairs = (
-            spec.transitions() if spec is not None else [(ROOT_LEVEL, native)]
-        )
+        levels = spec.levels if spec is not None else (32,)
+        pairs = spec.transitions() if spec is not None else [(ROOT_LEVEL, 32)]
         transitions: dict[tuple[int, int], dict[int, TransitionCosts]] = {
             pair: {} for pair in pairs
         }
-
-        # 1. The root transition to the finest level. It runs with the
-        #    original thresholds, so its output is the ground truth.
-        #    Disabling relaxation (an ablation) keeps the original
-        #    thresholds at every level — always correct, but coarse levels
-        #    prune less (§4.1).
-        original = {
+        # The finest level keeps the original thresholds, so its output is
+        # the ground truth. Disabling relaxation (an ablation) keeps them at
+        # every level — always correct, but coarse levels prune less (§4.1).
+        relaxed = {
             (sq.subid, level): thresholds
             for sq in query.subqueries
-            if spec is not None and (thresholds := trailing_threshold_fields(sq))
+            if spec is not None
+            and self.relax_thresholds
+            and (thresholds := trailing_threshold_fields(sq))
             for level in levels
         }
-        relaxed = original if self.relax_thresholds else {}
-        feed_keys = {
-            native: self._root_keys(query, spec, native, relaxed, transitions)
-        }
-
-        # 2. Relaxed thresholds per (subid, level), from the ground truth.
-        if self.relax_thresholds and original:
-            relaxed = self._relax_thresholds(query, spec, original, feed_keys[native])
-
-        # 3. The coarse root transitions, with relaxed thresholds. Their
-        #    output keys feed the next-finer level's filter table.
-        for level in levels[:-1]:
-            feed_keys[level] = self._root_keys(
-                query, spec, level, relaxed, transitions
+        feed_keys: dict[int, list[set]] = {}
+        finest: dict[int, _LevelRun] = {}
+        for level in levels[-1:] + levels[:-1]:
+            # A sub-query inactive at a coarse level leaves the stateful
+            # side of the join to drive refinement alone (Figure 9).
+            runs = {
+                sq.subid: self._run_level(
+                    sq, spec, level, relaxed, feed_keys.get(levels[-1])
+                )
+                for sq in query.subqueries
+                if spec is None or can_coarsen(sq, spec, level)
+            }
+            for subid, run in runs.items():
+                transitions[(ROOT_LEVEL, level)][subid] = run.root
+            feed_keys[level] = self._output_keys(query, spec, runs)
+            if level == levels[-1]:
+                finest = runs
+            else:
+                self._price_filtered(
+                    spec, level, runs, relaxed, feed_keys, transitions
+                )
+        if spec is not None:
+            self._price_filtered(
+                spec, levels[-1], finest, relaxed, feed_keys, transitions
             )
-
-        # 4. The filtered transitions r_prev -> r.
-        for r_prev, r_level in pairs:
-            if r_prev == ROOT_LEVEL:
-                continue
-            for sq in query.subqueries:
-                if can_coarsen(sq, spec, r_level):
-                    transitions[(r_prev, r_level)][sq.subid], _ = self._transition_costs(
-                        sq, spec, r_prev, r_level, relaxed, feed_keys
-                    )
 
         return QueryCosts(
             query=query,
             spec=spec,
             relaxed_thresholds=relaxed,
             transitions=transitions,
-            window_packets=window_packets,
+            window_packets=_median([float(len(w)) for w in self.windows()]),
             output_keys_per_level={
                 level: _median([float(len(k)) for k in feed_keys[level]])
                 for level in levels
@@ -258,126 +337,211 @@ class CostEstimator:
         )
 
     # -- pieces ---------------------------------------------------------------
-    def _root_keys(
+    def _run_level(
         self,
-        query: Query,
+        sq: SubQuery,
         spec: RefinementSpec | None,
         level: int,
         relaxed: dict[tuple[int, int], dict[str, int]],
-        transitions: dict[tuple[int, int], dict[int, TransitionCosts]],
-    ) -> list[set]:
-        """Cost the root transitions ``* -> level`` into ``transitions``;
-        return the keys of their joined output (whole rows when the query
-        has no refinement key), per window."""
-        leaves: list[dict[int, list]] = [{} for _ in self.windows()]
-        for sq in query.subqueries:
-            if spec is not None and not can_coarsen(sq, spec, level):
-                # Inactive at this (coarse) level: the stateful side
-                # of the join drives refinement alone (Figure 9).
-                continue
-            costs, results = self._transition_costs(
-                sq, spec, ROOT_LEVEL, level, relaxed, {}
+        truth: list[set] | None,
+    ) -> _LevelRun:
+        """Run ``sq``'s root chain ``* -> level`` once per window.
+
+        At a coarse level with thresholds to relax, the run stops at the
+        first filter on a threshold field; the rest of the chain without
+        its thresholds yields the minima (§4.1), which set
+        ``relaxed[(sq.subid, level)]`` before the root chain continues.
+        """
+        thresholds = relaxed.get((sq.subid, level))
+        if spec is None:
+            root = sq
+        else:
+            root = augmented_subquery(sq, spec, ROOT_LEVEL, level, thresholds)
+        ops = root.operators
+        schemas = chain_schemas(ops, sq.registry)
+        read = set(chain_read_fields(ops, schemas))
+        split = len(ops)
+        satisfied: list[set] = []
+        if thresholds and level != spec.finest:
+            field = FIELDS.get(spec.key_field)
+            satisfied = [
+                {coarsen_value(field, key, level) for key in keys} for keys in truth
+            ]
+        relax = any(satisfied)
+        if relax:
+            stripped = augmented_subquery(
+                replace(
+                    sq,
+                    name=f"{sq.name}.relax",
+                    operators=without_thresholds(sq.operators, set(thresholds)),
+                ),
+                spec,
+                ROOT_LEVEL,
+                level,
             )
-            transitions[(ROOT_LEVEL, level)][sq.subid] = costs
-            for leaf, result in zip(leaves, results):
-                leaf[sq.subid] = result.rows()
-        outputs = [assemble_join_tree(query.join_tree, leaf) or [] for leaf in leaves]
+            stripped_schemas = chain_schemas(stripped.operators, sq.registry)
+            read |= chain_read_fields(stripped.operators, stripped_schemas)
+            split = next(
+                i
+                for i, op in enumerate(ops)
+                if isinstance(op, Filter)
+                and any(p.field in thresholds for p in op.predicates)
+            )
+            minima: dict[str, list[int]] = {fld: [] for fld in thresholds}
+        key = spec.key_field if spec is not None and level != spec.levels[0] else None
+
+        packets_in: list[float] = []
+        rows_out: list[list[int]] = []
+        key_counts: list[list[_KeyCounts | None]] = []
+        held: list[ColumnarState] = []
+        for w_index, window in enumerate(self.windows()):
+            self.chain_runs += 1
+            packets = ColumnarState.from_trace(window, sq.registry)
+            packets_in.append(float(packets.n_rows))
+            counts = [_KeyCounts.of(packets, key)] if key else []
+            rows: list[int] = []
+            state = _continue(
+                ops[:split], packets.project(read), schemas[0], key, rows, counts
+            )
+            if relax and satisfied[w_index]:
+                final = _continue(
+                    stripped.operators[split:], state, stripped_schemas[split],
+                    None, [], [],
+                )
+                self._add_minima(
+                    materialize_rows(final, stripped_schemas[-1].fields),
+                    spec.key_field,
+                    satisfied[w_index],
+                    minima,
+                )
+            held.append(state)
+            rows_out.append(rows)
+            key_counts.append(counts)
+
+        if relax:
+            relaxed[(sq.subid, level)] = {
+                fld: max(value, min(minima[fld]) - 1) if minima[fld] else value
+                for fld, value in thresholds.items()
+            }
+            root = augmented_subquery(
+                sq, spec, ROOT_LEVEL, level, relaxed[(sq.subid, level)]
+            )
+            ops = root.operators
+        outputs: list[list[dict[str, Any]]] = []
+        for w_index, state in enumerate(held):
+            state = _continue(
+                ops[split:], state, schemas[split], key,
+                rows_out[w_index], key_counts[w_index],
+            )
+            outputs.append(materialize_rows(state, schemas[-1].fields))
+        return _LevelRun(
+            sq=sq,
+            root=self._price(root, ROOT_LEVEL, level, packets_in, rows_out),
+            packets_in=packets_in,
+            outputs=outputs,
+            key_counts=key_counts,
+        )
+
+    @staticmethod
+    def _add_minima(
+        rows: list[dict[str, Any]],
+        key_field: str,
+        keys: set,
+        minima: dict[str, list[int]],
+    ) -> None:
+        """Append each threshold field's minimum over ``keys`` in one
+        window's un-thresholded output ``rows``."""
+        for fld, values in minima.items():
+            counts = {row[key_field]: row.get(fld) for row in rows if fld in row}
+            found = [counts[k] for k in keys if counts.get(k) is not None]
+            if found:
+                values.append(min(found))
+
+    def _output_keys(
+        self,
+        query: Query,
+        spec: RefinementSpec | None,
+        runs: dict[int, _LevelRun],
+    ) -> list[set]:
+        """The keys of the joined root-transition output (whole rows when
+        the query has no refinement key), per window."""
+        outputs = [
+            assemble_join_tree(
+                query.join_tree,
+                {subid: run.outputs[w_index] for subid, run in runs.items()},
+            )
+            or []
+            for w_index in range(len(self.windows()))
+        ]
+        for run in runs.values():
+            run.outputs = []
         if spec is None:
             return [{tuple(sorted(r.items())) for r in rows} for rows in outputs]
         key = spec.key_field
         return [{row[key] for row in rows if key in row} for rows in outputs]
 
-    def _relax_thresholds(
+    def _price_filtered(
         self,
-        query: Query,
         spec: RefinementSpec,
-        original: dict[tuple[int, int], dict[str, int]],
-        truth: list[set],
-    ) -> dict[tuple[int, int], dict[str, int]]:
-        """Relaxed thresholds per (subid, level); §4.1.
-
-        At each coarse level, the sub-query runs once per window without its
-        trailing thresholds; each threshold relaxes to its minimum over the
-        coarsened ground-truth keys ``truth``.
-        """
-        key_field = spec.key_field
-        field = FIELDS.get(key_field)
-        subqueries = {sq.subid: sq for sq in query.subqueries}
-        relaxed: dict[tuple[int, int], dict[str, int]] = {}
-        for (subid, level), thresholds in original.items():
-            relaxed[(subid, level)] = dict(thresholds)
-            if level == spec.finest:
-                continue
-            satisfied = [
-                {coarsen_value(field, key, level) for key in keys} for keys in truth
-            ]
-            if not any(satisfied):
-                continue
-            sq = subqueries[subid]
-            stripped = without_thresholds(sq.operators, set(thresholds))
-            coarse = augmented_subquery(
-                replace(sq, name=f"{sq.name}.relax", operators=stripped),
-                spec,
-                ROOT_LEVEL,
-                level,
-            )
-            minima: dict[str, list[int]] = {fld: [] for fld in thresholds}
-            for window, keys in zip(self.windows(), satisfied):
-                if not keys:
-                    continue
-                rows = execute_subquery(coarse, window).rows()
-                for fld, values in minima.items():
-                    counts = {
-                        row[key_field]: row.get(fld) for row in rows if fld in row
-                    }
-                    found = [counts[k] for k in keys if counts.get(k) is not None]
-                    if found:
-                        values.append(min(found))
-            relaxed[(subid, level)] = {
-                fld: max(value, min(minima[fld]) - 1) if minima[fld] else value
-                for fld, value in thresholds.items()
-            }
-        return relaxed
-
-    def _transition_costs(
-        self,
-        sq: SubQuery,
-        spec: RefinementSpec | None,
-        r_prev: int,
-        r_level: int,
+        level: int,
+        runs: dict[int, _LevelRun],
         relaxed: dict[tuple[int, int], dict[str, int]],
         feed_keys: dict[int, list[set]],
-    ) -> tuple[TransitionCosts, list[ColumnarResult]]:
-        """Cost one instance from one run of its chain per window; the
-        runs' results are returned alongside."""
-        if spec is None:
-            augmented = sq
-        else:
-            augmented = augmented_subquery(
-                sq, spec, r_prev, r_level, relaxed.get((sq.subid, r_level))
-            )
+        transitions: dict[tuple[int, int], dict[int, TransitionCosts]],
+    ) -> None:
+        """Price every ``r_prev -> level`` from the level's root runs (see
+        the module docstring), then drop their key counts."""
+        for r_prev in spec.levels[: spec.levels.index(level)]:
+            for subid, run in runs.items():
+                augmented = augmented_subquery(
+                    run.sq, spec, r_prev, level, relaxed.get((subid, level))
+                )
+                table_filter = augmented.operators[0]
+                name = filter_table_name(run.sq.qid, r_prev)
+                rows_out = []
+                for w_index, counts in enumerate(run.key_counts):
+                    table = feed_keys[r_prev][max(w_index - 1, 0)]
+                    passing: dict[int, int] = {}  # by id: maps share counts
+                    for op, column in zip(augmented.operators, counts):
+                        if column is None and table:
+                            raise PlanningError(
+                                f"{augmented.name}: {op.describe()} drops the "
+                                f"refinement key {spec.key_field}, so its "
+                                "filtered transitions cannot be priced"
+                            )
+                        if id(column) not in passing:
+                            passing[id(column)] = (
+                                column.passing(table_filter, {name: table})
+                                if column is not None
+                                else 0
+                            )
+                    rows_out.append([passing[id(column)] for column in counts])
+                transitions[(r_prev, level)][subid] = self._price(
+                    augmented, r_prev, level, run.packets_in, rows_out
+                )
+                self.derived_transitions += 1
+        for run in runs.values():
+            run.key_counts = []
+
+    def _price(
+        self,
+        augmented: SubQuery,
+        r_prev: int,
+        r_level: int,
+        packets_in: list[float],
+        rows_out: list[list[int]],
+    ) -> TransitionCosts:
+        """Cost one instance from its rows out of each operator, per
+        window."""
         compiled = compile_subquery(augmented)
-        table_name = filter_table_name(sq.qid, r_prev)
-
-        rows_after_op: dict[int, list[float]] = {}
-        keys_per_op: dict[int, list[float]] = {}
-        packets_in: list[float] = []
-        results: list[ColumnarResult] = []
-        for w_index, window in enumerate(self.windows()):
-            tables: dict[str, set] = {}
-            if r_prev != ROOT_LEVEL:
-                tables[table_name] = feed_keys[r_prev][max(w_index - 1, 0)]
-            result = execute_subquery(augmented, window, tables)
-            results.append(result)
-            packets_in.append(float(result.input_rows))
-            for op_index, stat in enumerate(result.stats):
-                rows_after_op.setdefault(op_index, []).append(float(stat.rows_out))
-                if stat.stateful:
-                    keys_per_op.setdefault(op_index, []).append(float(stat.keys))
-
+        rows_after_op = {
+            op_index: [float(rows[op_index]) for rows in rows_out]
+            for op_index in range(len(augmented.operators))
+        }
         key_estimates = {
-            op_index: int(round(_median(values))) or 1
-            for op_index, values in keys_per_op.items()
+            op_index: int(round(_median(rows_after_op[op_index]))) or 1
+            for op_index, op in enumerate(augmented.operators)
+            if op.stateful
         }
 
         # Size registers once per stateful table from the key estimates,
@@ -426,8 +590,8 @@ class CostEstimator:
             )
 
         return TransitionCosts(
-            qid=sq.qid,
-            subid=sq.subid,
+            qid=augmented.qid,
+            subid=augmented.subid,
             r_prev=r_prev,
             r_level=r_level,
             augmented=augmented,
@@ -435,4 +599,4 @@ class CostEstimator:
             cuts=cuts,
             sized_tables=sized,
             key_estimates=key_estimates,
-        ), results
+        )

@@ -71,7 +71,7 @@ class QueryPlanner:
                 "planner.estimate_costs",
                 queries=len(self.queries),
                 packets=len(self.trace),
-            ):
+            ) as span:
                 estimator = CostEstimator(
                     self.queries,
                     self.trace,
@@ -81,6 +81,10 @@ class QueryPlanner:
                     refinement_specs=self.refinement_specs,
                 )
                 self._costs = estimator.estimate()
+                span.set_attribute("chain_runs", estimator.chain_runs)
+                span.set_attribute(
+                    "derived_transitions", estimator.derived_transitions
+                )
         return self._costs
 
     # -- planning -----------------------------------------------------------

@@ -62,8 +62,7 @@ class TestOperators:
         result = execute_operators(ops, simple_trace())
         rows = {r["ipv4.dIP"]: r["count"] for r in result.rows()}
         assert rows == {0x0A000000: 10, 0x0A000001: 10}
-        assert result.stats[1].keys == 2
-        assert result.stats[1].state_bits == 2 * (32 + 32)
+        assert result.stats[1].rows_out == 2
 
     def test_reduce_value_field(self):
         ops = (

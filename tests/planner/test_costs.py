@@ -1,12 +1,20 @@
 """Tests for trace-driven cost estimation (§3.3, Figure 5)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core.expressions import Const
+from repro.core.errors import PlanningError
+from repro.core.expressions import Const, FieldRef
+from repro.core.fields import FIELDS, TCP_SYN
+from repro.core.operators import Filter
 from repro.core.query import PacketStream, Query
+from repro.exec import ColumnarState
+from repro.obs import Observability
 from repro.packets import Trace, attacks
+from repro.planner import QueryPlanner
 from repro.planner.costs import CostEstimator
-from repro.planner.refinement import ROOT_LEVEL
+from repro.planner.refinement import ROOT_LEVEL, can_coarsen
 from repro.queries.library import build_query
 
 VICTIM = 0x0A000001
@@ -105,8 +113,10 @@ class TestNoRefinementQuery:
 
 
 class TestOneRunPerChain:
-    """Within one ``estimate()``, no operator chain runs twice on the same
-    window with the same filter-table contents."""
+    """Within one ``estimate()``, each (sub-query, level, window) chain reads
+    the window's packets once, no operator runs twice on one state, and no
+    filtered transition ``r_prev -> r`` runs a chain: it is priced from the
+    level-``r`` root run's key columns."""
 
     @pytest.fixture(scope="class")
     def trace(self, synflood_trace):
@@ -135,18 +145,84 @@ class TestOneRunPerChain:
     def test_no_chain_runs_twice(self, monkeypatch, trace, query):
         from repro.planner import costs as costs_module
 
-        runs = []
-        execute = costs_module.execute_subquery
+        reads, steps, pinned = [], [], []
+        from_trace = ColumnarState.from_trace
+        apply_chain = costs_module.apply_chain
 
-        def recording(subquery, window, tables=None):
-            contents = tuple(
-                sorted((name, frozenset(keys)) for name, keys in (tables or {}).items())
-            )
-            runs.append((subquery.operators, id(window), contents))
-            return execute(subquery, window, tables)
+        def reading(window, registry=FIELDS):
+            reads.append(id(window))
+            return from_trace(window, registry)
 
-        monkeypatch.setattr(costs_module, "execute_subquery", recording)
+        def recording(operators, state, schema, tables=None):
+            for op, out in zip(operators, apply_chain(operators, state, schema, tables)):
+                steps.append((op, id(state)))
+                pinned.append(state)  # keeps ids unique
+                state = out
+                yield out
+
+        monkeypatch.setattr(ColumnarState, "from_trace", staticmethod(reading))
+        monkeypatch.setattr(costs_module, "apply_chain", recording)
         estimator = CostEstimator([query], trace, window=3.0, max_levels=4)
-        estimator.estimate()
-        assert runs
-        assert len(runs) == len(set(runs))
+        costs = estimator.estimate()[query.qid]
+        windows = estimator.windows()
+        assert len(windows) > 1
+
+        active = sum(
+            1
+            for level in costs.levels
+            for sq in query.subqueries
+            if costs.spec is None or can_coarsen(sq, costs.spec, level)
+        )
+        assert Counter(reads) == {id(w): active for w in windows}
+        assert estimator.chain_runs == active * len(windows)
+        assert len(steps) == len(set(steps))
+        # No operator reads a filter table: filtered transitions run nothing.
+        assert not any(
+            pred.op == "in"
+            for op, _ in steps
+            if isinstance(op, Filter)
+            for pred in op.predicates
+        )
+        filtered = sum(
+            len(per_sub)
+            for (r_prev, _), per_sub in costs.transitions.items()
+            if r_prev != ROOT_LEVEL
+        )
+        assert estimator.derived_transitions == filtered
+        assert filtered > 0 or costs.spec is None
+
+
+class TestEstimatorSpan:
+    def test_span_counts_chain_runs_and_derived_transitions(self, synflood_trace):
+        obs = Observability()
+        query = build_query("newly_opened_tcp_conns", qid=1, Th=10)
+        planner = QueryPlanner([query], synflood_trace, window=3.0, max_levels=4, obs=obs)
+        costs = planner.costs()[1]
+        (span,) = obs.tracer.spans_named("planner.estimate_costs")
+        windows = len(list(synflood_trace.windows(3.0)))
+        levels = len(costs.spec.levels)
+        assert windows > 1 and levels == 4
+        assert span.attrs["chain_runs"] == len(query.subqueries) * levels * windows
+        # One sub-query, every r_prev -> r with r_prev a real level.
+        assert span.attrs["derived_transitions"] == levels * (levels - 1) // 2
+
+
+class TestKeyColumnPrecondition:
+    def test_operator_dropping_the_key_raises(self, synflood_trace):
+        """Filtered transitions are priced from the root run's key columns;
+        a filter after the key is renamed away cannot be, and is named."""
+        query = Query(
+            PacketStream(name="roundtrip", qid=4)
+            .filter(("tcp.flags", "eq", TCP_SYN))
+            .map(keys=("ipv4.dIP",), values=(Const(1),))
+            .reduce(keys=("ipv4.dIP",), func="sum")
+            .map(keys=(FieldRef("ipv4.dIP", "victim"),), values=("count",))
+            .filter(("count", "gt", 40))
+            .map(keys=(FieldRef("victim", "ipv4.dIP"),), values=("count",))
+        )
+        estimator = CostEstimator([query], synflood_trace, window=3.0, max_levels=4)
+        with pytest.raises(PlanningError) as error:
+            estimator.estimate()
+        message = str(error.value)
+        assert "filter(count gt" in message
+        assert "drops the refinement key ipv4.dIP" in message

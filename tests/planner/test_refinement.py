@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.errors import PlanningError
-from repro.core.expressions import Const, Prefixed
+from repro.core.expressions import Const, FieldRef, Prefixed
 from repro.core.fields import TCP_SYN
 from repro.core.operators import Filter, Map
 from repro.core.query import PacketStream, Query
+from repro.planner import QueryPlanner
 from repro.planner.refinement import (
     ROOT_LEVEL,
     RefinementSpec,
@@ -17,6 +18,9 @@ from repro.planner.refinement import (
     filter_table_name,
 )
 from repro.queries.library import build_query
+from repro.runtime import SonataRuntime
+
+VICTIM = 0x0A000001
 
 
 def newly_opened():
@@ -174,3 +178,40 @@ class TestThresholdHelpers:
         scaled = scale_thresholds(sq.operators, {"count"}, 4)
         syn_filter = scaled[0].predicates[0]
         assert syn_filter.field == "tcp.flags" and syn_filter.value == TCP_SYN
+
+
+def renamed_victim():
+    """newly_opened whose output renames the refinement key away."""
+    return Query(
+        PacketStream(name="renamed", qid=3)
+        .filter(("tcp.flags", "eq", TCP_SYN))
+        .map(keys=("ipv4.dIP",), values=(Const(1),))
+        .reduce(keys=("ipv4.dIP",), func="sum")
+        .filter(("count", "gt", 40))
+        .map(keys=(FieldRef("ipv4.dIP", "victim"),), values=("count",))
+    )
+
+
+class TestKeyMustReachOutput:
+    """A level's output keys fill the next level's filter table, so a key
+    the sub-query does not output cannot refine it."""
+
+    def test_renamed_key_is_no_candidate(self):
+        query = renamed_victim()
+        assert query.subqueries[0].refinement_key_candidates() == []
+        assert choose_refinement_spec(query) is None
+        assert newly_opened().subqueries[0].refinement_key_candidates() == [
+            "ipv4.dIP"
+        ]
+
+    def test_plans_single_level_and_matches_all_sp(self, synflood_trace):
+        query = renamed_victim()
+        planner = QueryPlanner([query], synflood_trace, window=3.0)
+        plan = planner.plan("sonata")
+        qplan = plan.query_plans[3]
+        assert qplan.spec is None and qplan.path == (32,)
+        sonata = SonataRuntime(plan).run(synflood_trace)
+        all_sp = SonataRuntime(planner.plan("all_sp")).run(synflood_trace)
+        found = [w.detections.get(3, []) for w in sonata.windows]
+        assert found == [w.detections.get(3, []) for w in all_sp.windows]
+        assert any(row["victim"] == VICTIM for rows in found for row in rows)
