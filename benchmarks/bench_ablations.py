@@ -13,6 +13,7 @@ asserts qualitatively:
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -43,11 +44,10 @@ def bench_ablation_chain_depth(benchmark, workload):
     query = build_query("newly_opened_tcp_conns", qid=1)
 
     def cell(d):
-        estimator = CostEstimator(
-            [query], workload.trace, window=3.0, chain_depth=d
-        )
+        config = replace(SwitchConfig.paper_default(), default_hash_chain_depth=d)
+        estimator = CostEstimator([query], workload.trace, config=config, window=3.0)
         costs = estimator.estimate()
-        plan = PlanILP(costs, SwitchConfig.paper_default(), mode="max_dp").solve()
+        plan = PlanILP(costs, config, mode="max_dp").solve()
         runtime = SonataRuntime(plan)
         report = runtime.run(workload.trace)
         bits = sum(

@@ -33,7 +33,6 @@ from repro.exec.kernels import (
     group_first_occurrence,
     key_columns,
     keys_in,
-    materialize_keys,
     predicate_mask,
     reduce_args,
 )
@@ -60,5 +59,4 @@ __all__ = [
     "key_columns",
     "keys_in",
     "reduce_args",
-    "materialize_keys",
 ]

@@ -296,32 +296,15 @@ def reduce_args(
     """Resolve a reduce's (ALU function, per-row argument column).
 
     Matches the per-packet engine: no value field means the argument is 1,
-    and ``sum`` over implicit 1s runs as ``count``.
+    and ``sum`` over implicit 1s runs as ``count``, whose argument is
+    always 1.
     """
     value_field = op.resolved_value_field(schema_in)
     func = "count" if value_field is None and op.func == "sum" else op.func
-    if value_field is None:
+    if value_field is None or func == "count":
         args = np.ones(state.n_rows, dtype=np.int64)
     else:
         args = state.columns[value_field].astype(np.int64)
     return func, args
 
 
-def materialize_keys(
-    state: ColumnarState, keys: Sequence[str], unique: np.ndarray
-) -> list[tuple]:
-    """Resolve an int64 unique-key matrix to Python key tuples.
-
-    Values match the row-wise engines: ints stay ``int``; vocab-typed
-    columns resolve ids to ``str``/``bytes`` (the vocabulary's empty value
-    for -1).
-    """
-    columns = unique.T.tolist()  # Python ints
-    for j, k in enumerate(keys):
-        vocab = state.vocabs.get(k)
-        if vocab is not None:
-            missing = vocab.empty
-            columns[j] = [
-                vocab[i] if 0 <= i < len(vocab) else missing for i in columns[j]
-            ]
-    return list(zip(*columns)) if columns else [() for _ in range(len(unique))]

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.core.errors import PlanningError
+from repro.core.operators import Reduce
 from repro.core.query import Query, SubQuery
 from repro.faults import DegradationPolicy, FaultInjector, FaultSpec
 from repro.faults.injector import SWITCH_FAILED, SWITCH_OK
@@ -74,6 +75,29 @@ def _localized_query(query: Query, n_switches: int, scale: bool) -> Query:
             )
         )
     return clone
+
+
+def _check_mergeable(query: Query) -> None:
+    """Refuse a sub-query whose output the collector cannot re-aggregate.
+
+    The collector merges per-switch partials by re-running the last
+    stateful reduce over the sub-query's output rows (see
+    :meth:`NetworkRuntime._merge_partials`), so that output must keep the
+    reduce's keys and its aggregate field.
+    """
+    for sq in query.subqueries:
+        stateful = [op for op in sq.operators if op.stateful]
+        if not stateful or not isinstance(stateful[-1], Reduce):
+            continue
+        last = stateful[-1]
+        kept = sq.output_schema().fields
+        dropped = [f for f in (*last.keys, last.out) if f not in kept]
+        if dropped:
+            raise PlanningError(
+                f"sub-query {sq.name!r}: the collector merges partials by "
+                f"{last.describe()}, but the sub-query's output drops "
+                f"{', '.join(dropped)}"
+            )
 
 
 @dataclass
@@ -164,6 +188,8 @@ class NetworkRuntime:
         self.queries = list(queries)
         if not self.queries:
             raise PlanningError("no queries for network-wide execution")
+        for query in self.queries:
+            _check_mergeable(query)
         self.topology = topology
         self.window = window
         self.engine = engine

@@ -59,17 +59,17 @@ def size_register(
     key_bits: int,
     value_bits: int,
     config: SwitchConfig,
-    d: int | None = None,
     target_overflow: float = 0.002,
 ) -> RegisterSpec:
-    """Choose (n, d) for a stateful operator from the training estimate.
+    """Choose ``n`` for a stateful operator from the training estimate;
+    the chain depth is the switch's ``default_hash_chain_depth``.
 
     The planner keeps the expected overflow rate at the *estimated* key
     count below ``target_overflow`` — low, but deliberately not zero
     (§3.3: collisions are the signal that the switch is holding many more
     keys than expected, which triggers re-planning).
     """
-    depth = d if d is not None else config.default_hash_chain_depth
+    depth = config.default_hash_chain_depth
     keys = max(estimated_keys, 1)
     n_slots = max(int(math.ceil(keys * config.register_headroom / depth)), 16)
     while chain_overflow_rate(n_slots, keys, depth) > target_overflow:

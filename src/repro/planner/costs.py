@@ -244,7 +244,6 @@ class CostEstimator:
         window: float | None = None,
         max_levels: int = 8,
         refinement_specs: dict[int, RefinementSpec | None] | None = None,
-        chain_depth: int | None = None,
         relax_thresholds: bool = True,
     ) -> None:
         self.queries = queries
@@ -254,7 +253,6 @@ class CostEstimator:
             queries[0].window if queries else 3.0
         )
         self.max_levels = max_levels
-        self.chain_depth = chain_depth
         self.relax_thresholds = relax_thresholds
         self._specs = refinement_specs or {}
         self._windows: list[Trace] | None = None
@@ -565,7 +563,6 @@ class CostEstimator:
                 key_bits=table.register.key_bits,
                 value_bits=table.register.value_bits,
                 config=self.config,
-                d=self.chain_depth,
             )
             sized.append(table.sized(register))
             rate = chain_overflow_rate(register.n_slots, keys, register.d)

@@ -79,26 +79,21 @@ class RegisterChain:
         ]
         self.updates = 0
         self.overflows = 0
-        #: Deferred columnar window load (see :meth:`bulk_load_vec`): the
-        #: chain's contents exist only as arrays until something needs the
-        #: dict representation. ``None`` when fully materialized.
-        self._pending: "tuple | None" = None
+        #: Set by :meth:`bulk_load_vec`: the window's keys were placed, but
+        #: their contents live with the caller, not in ``_arrays``.
+        self._bulk_loaded = False
 
     def bulk_load_vec(
         self,
         key_columns: "list[np.ndarray]",
-        values: np.ndarray,
-        func: str,
-        keys_factory,
         vocabs: "list[list | None] | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Load one window's aggregates into an *empty* chain, vectorized.
+        """Place one window's unique keys in an *empty* chain, vectorized.
 
         Key ``j`` is row ``j`` of ``key_columns`` (one column per tuple
         element; a column with a vocabulary in ``vocabs`` holds ids into
         it, see :meth:`HashFamily.indices_vec`). Keys must be the window's
-        *unique* keys in first-occurrence order, with ``values[j]`` the
-        final window aggregate of key ``j``. The d-way placement is
+        *unique* keys in first-occurrence order. The d-way placement is
         simulated in numpy: walking the arrays in order, the first key
         hashing to a free slot wins it, losers proceed to the next array,
         keys losing all ``d`` arrays overflow. Because within a window
@@ -107,22 +102,17 @@ class RegisterChain:
         NOT touched; the caller accounts them per packet.
 
         Returns ``(inserted, array_idx)`` where ``array_idx[j]`` is the
-        array that stored key ``j`` (-1 for overflow). The dict view of
-        the arrays is built lazily: ``keys_factory()`` must return the
-        materialized Python key tuples and is only invoked if something
-        (``update``/``lookup``/``dump``) needs the dicts before the window
-        resets. A second load into the same window raises
-        :class:`ResourceExhaustedError`.
+        array that stored key ``j`` (-1 for overflow). The chain stores
+        nothing: the caller holds the window's values. Until
+        :meth:`reset`, a second load, :meth:`update`, :meth:`lookup` and
+        :meth:`dump` raise :class:`ResourceExhaustedError`.
         """
-        if func not in UPDATE_FUNCS:
-            raise ResourceExhaustedError(
-                f"register ALU does not support function {func!r}"
-            )
-        if self._pending is not None or any(self._arrays):
+        if self._bulk_loaded or any(self._arrays):
             raise ResourceExhaustedError(
                 "bulk_load_vec requires an empty register chain"
             )
-        n = len(values)
+        self._bulk_loaded = True
+        n = len(key_columns[0]) if key_columns else 0
         index_matrix = (
             self._hashes.indices_vec(key_columns, vocabs)
             if n
@@ -144,26 +134,18 @@ class RegisterChain:
             keep = np.ones(len(remaining), dtype=bool)
             keep[first] = False
             remaining = remaining[keep]
-        if n:
-            self._pending = (index_matrix, values, array_idx, keys_factory)
         return inserted, array_idx
 
-    def _materialize_pending(self) -> None:
-        if self._pending is None:
-            return
-        index_matrix, values, array_idx, keys_factory = self._pending
-        self._pending = None
-        keys = keys_factory()
-        for which in range(self.spec.d):
-            for j in np.flatnonzero(array_idx == which).tolist():
-                self._arrays[which][int(index_matrix[j, which])] = (
-                    keys[j],
-                    int(values[j]),
-                )
+    def _check_not_bulk_loaded(self, what: str) -> None:
+        if self._bulk_loaded:
+            raise ResourceExhaustedError(
+                f"{what}: the register chain was bulk-loaded this window "
+                "and holds placements only; reset() it first"
+            )
 
     def update(self, key: Hashable, func: str, arg: int = 1) -> UpdateResult:
         """Apply ``func`` for ``key``; walk the chain on collisions."""
-        self._materialize_pending()
+        self._check_not_bulk_loaded("update")
         try:
             update_func = UPDATE_FUNCS[func]
         except KeyError:
@@ -189,7 +171,7 @@ class RegisterChain:
         return UpdateResult(value=0, inserted=False, overflowed=True)
 
     def lookup(self, key: Hashable) -> int | None:
-        self._materialize_pending()
+        self._check_not_bulk_loaded("lookup")
         for which in range(self.spec.d):
             slot = self._arrays[which].get(self._hashes.index(which, key))
             if slot is not None and slot[0] == key:
@@ -197,8 +179,8 @@ class RegisterChain:
         return None
 
     def dump(self) -> dict[Hashable, int]:
-        """All stored (key, value) pairs — the end-of-window poll."""
-        self._materialize_pending()
+        """All stored (key, value) pairs of the window so far."""
+        self._check_not_bulk_loaded("dump")
         out: dict[Hashable, int] = {}
         for array in self._arrays:
             for key, value in array.values():
@@ -207,16 +189,9 @@ class RegisterChain:
 
     def reset(self) -> None:
         """End-of-window register clear."""
-        self._pending = None
+        self._bulk_loaded = False
         for array in self._arrays:
             array.clear()
-
-    @property
-    def collision_rate(self) -> float:
-        """Fraction of updates that overflowed the whole chain."""
-        if self.updates == 0:
-            return 0.0
-        return self.overflows / self.updates
 
     def take_window_stats(self) -> tuple[int, int]:
         """Return and reset (updates, overflows) — called at window end.

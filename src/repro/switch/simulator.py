@@ -45,7 +45,6 @@ from repro.exec import (
     filter_mask,
     group_first_occurrence,
     keys_in,
-    materialize_keys,
     materialize_rows,
     predicate_mask,
     reduce_args,
@@ -57,7 +56,7 @@ from repro.switch.compiler import CompiledSubQuery
 from repro.switch.config import SwitchConfig
 from repro.switch.mirror import MirroredBatch, MirroredTuple, merge_tagged
 from repro.switch.parser import ParserConfig
-from repro.switch.registers import RegisterChain
+from repro.switch.registers import RegisterChain, UpdateResult
 from repro.switch.resources import (
     StageLedger,
     chain_violation,
@@ -73,8 +72,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class _ChainCache:
-    """Columnar view of one register chain's window, for end-of-window
-    reporting without materializing Python key tuples.
+    """The window's contents of one register chain the batched path
+    loaded, columnar: the chain itself holds placements only.
 
     ``unique`` is the first-occurrence-ordered int64 key matrix of
     :func:`~repro.exec.group_first_occurrence`, vocab-typed columns
@@ -398,24 +397,12 @@ class PISASwitch:
             if isinstance(op, Distinct):
                 keys = op.effective_keys(schemas[i])
                 key = tuple(tup[k] for k in keys)
-                if self._forced_overflow(inst, i):
-                    return MirroredTuple(
-                        instance=inst.key,
-                        kind="overflow",
-                        fields={k: tup[k] for k in keys},
-                        op_index=i,
-                    )
-                result = inst.chains[i].update(key, "or", 1)
-                if result.overflowed:
-                    return MirroredTuple(
-                        instance=inst.key,
-                        kind="overflow",
-                        fields={k: tup[k] for k in keys},
-                        op_index=i,
-                    )
+                result = self._update(inst, i, key, "or", 1)
+                if result is None:
+                    return MirroredTuple(inst.key, "overflow", dict(zip(keys, key)), i)
                 if not result.inserted:
                     return None  # duplicate: only the first packet continues
-                tup = {k: tup[k] for k in keys}
+                tup = dict(zip(keys, key))
                 if i == len(ops) - 1:
                     # Last operator: report each distinct key once.
                     inst.reported_keys.add((i, key))
@@ -423,30 +410,15 @@ class PISASwitch:
                 i += 1
                 continue
             if isinstance(op, Reduce):
-                schema_in = schemas[i]
-                value_field = op.resolved_value_field(schema_in)
+                value_field = op.resolved_value_field(schemas[i])
                 arg = 1 if value_field is None else int(tup[value_field])
                 key = tuple(tup[k] for k in op.keys)
                 func = "count" if value_field is None and op.func == "sum" else op.func
-                if self._forced_overflow(inst, i):
-                    fields = {k: tup[k] for k in op.keys}
+                result = self._update(inst, i, key, func, arg)
+                if result is None:
+                    fields = dict(zip(op.keys, key))
                     fields[op.out] = arg if func != "count" else 1
-                    return MirroredTuple(
-                        instance=inst.key,
-                        kind="overflow",
-                        fields=fields,
-                        op_index=i,
-                    )
-                result = inst.chains[i].update(key, func, arg)
-                if result.overflowed:
-                    fields = {k: tup[k] for k in op.keys}
-                    fields[op.out] = arg if func != "count" else 1
-                    return MirroredTuple(
-                        instance=inst.key,
-                        kind="overflow",
-                        fields=fields,
-                        op_index=i,
-                    )
+                    return MirroredTuple(inst.key, "overflow", fields, i)
                 folded = inst.folded_by_op.get(i)
                 if folded is not None:
                     probe = dict(zip(op.keys, key))
@@ -461,20 +433,25 @@ class PISASwitch:
         # Stateless-last instance: the surviving packet is mirrored.
         return self._mirror_surviving(inst, tup, schemas)
 
-    def _forced_overflow(self, inst: InstalledInstance, op_index: int) -> bool:
-        """Fault injection: pretend the whole chain collided for this update.
+    def _update(
+        self, inst: InstalledInstance, i: int, key, func: str, arg: int
+    ) -> "UpdateResult | None":
+        """One packet's register update at operator ``i``; ``None`` when it
+        overflows, because the key collided in every array or because
+        fault injection forced it to.
 
-        Counted against the chain's window stats so the §5 overflow-rate
-        signal (re-training, raw-mirror fallback) sees the pressure.
+        Forced overflows skip the chain but count against its window
+        stats, so the §5 overflow-rate signal (re-training, raw-mirror
+        fallback) sees the pressure.
         """
+        chain = inst.chains[i]
         injector = self.fault_injector
-        if injector is None or not injector.force_overflow(inst.key, op_index):
-            return False
-        chain = inst.chains.get(op_index)
-        if chain is not None:
+        if injector is not None and injector.force_overflow(inst.key, i):
             chain.updates += 1
             chain.overflows += 1
-        return True
+            return None
+        result = chain.update(key, func, arg)
+        return None if result.overflowed else result
 
     def _mirror_surviving(
         self, inst: InstalledInstance, tup, schemas
@@ -608,62 +585,83 @@ class PISASwitch:
             )
         )
 
-    def _load_chain(
+    def _register_step(
         self,
-        chain: RegisterChain,
-        state: ColumnarState,
+        inst: InstalledInstance,
+        i: int,
         keys,
-        unique: np.ndarray,
-        values: np.ndarray,
-        func: str,
-    ) -> np.ndarray:
-        """Bulk-load one window's unique keys into ``chain``.
+        state: ColumnarState,
+        sel: np.ndarray,
+        pos: int,
+        items: list,
+        out: "str | None" = None,
+    ) -> "tuple[_ChainCache, ColumnarState, np.ndarray, np.ndarray, np.ndarray]":
+        """Operator ``i``'s register updates for one window, batched.
 
-        ``state`` must be canonical for ``keys``
-        (:func:`~repro.exec.canonical_state`), so equal values share one
-        id. Returns the ``inserted`` mask of
-        :meth:`~repro.switch.registers.RegisterChain.bulk_load_vec`; the
-        Python key tuples are only built if the chain's dicts are read.
-        """
-        inserted, _array_idx = chain.bulk_load_vec(
-            [unique[:, j] for j in range(unique.shape[1])],
-            values,
-            func,
-            lambda: materialize_keys(state, keys, unique),
-            [state.vocabs.get(k) for k in keys],
-        )
-        return inserted
+        The window's twin of :meth:`_update`. Rows that fault injection
+        forces to overflow skip the chain (the per-packet path's draws,
+        keyed by position). The other rows are grouped by key in first-
+        occurrence order and the unique keys placed in the chain. Forced
+        rows and rows whose key lost every array leave as one overflow
+        batch in packet order, carrying the key columns and ``out`` (a
+        reduce's per-row argument column).
 
-    def _forced_rows(
-        self, inst: InstalledInstance, i: int, n: int
-    ) -> "np.ndarray | None":
-        """Mask of the ``n`` register updates at operator ``i`` that fault
-        injection forces to overflow, or ``None`` when there are none.
-
-        Forced updates skip the register chain and join the operator's
-        overflow batch in packet order — the per-packet path's
-        :meth:`_forced_overflow`, over the same position-keyed draws.
+        Returns ``(cache, live, live_sel, first_rows, inv)``: the window's
+        :class:`_ChainCache` reporting every inserted key, the rows that
+        reached the chain (``live``, canonical for ``keys``, and their
+        global rows) and :func:`~repro.exec.group_first_occurrence`'s
+        first rows and inverse over them.
         """
         injector = self.fault_injector
-        if injector is None:
-            return None
-        forced = injector.force_overflow_mask(inst.key, i, n)
-        if forced is None or not forced.any():
-            return None
-        return forced
-
-    @staticmethod
-    def _overflow_rows(
-        inserted: np.ndarray, inv: np.ndarray, forced: "np.ndarray | None"
-    ) -> np.ndarray:
-        """Rows mirrored as overflow: forced ones, and live rows whose key
-        collided in every register array."""
-        lost = ~inserted[inv] if len(inv) else np.zeros(0, dtype=bool)
-        if forced is None:
-            return lost
-        over = forced.copy()
-        over[~forced] = lost
-        return over
+        forced = (
+            None if injector is None
+            else injector.force_overflow_mask(inst.key, i, len(sel))
+        )
+        if forced is not None and not forced.any():
+            forced = None
+        live, live_sel = state, sel
+        if forced is not None:
+            live, live_sel = state.select(~forced), sel[~forced]
+        live = canonical_state(live, keys)
+        unique, first_rows, inv = group_first_occurrence(live, keys)
+        chain = inst.chains[i]
+        inserted, _array_idx = chain.bulk_load_vec(
+            [unique[:, j] for j in range(len(keys))],
+            [live.vocabs.get(k) for k in keys],
+        )
+        over = ~inserted[inv]
+        if forced is not None:
+            lost, over = over, forced.copy()
+            over[~forced] = lost
+        n_over = int(over.sum())
+        chain.updates += len(sel)
+        chain.overflows += n_over
+        if n_over:
+            inst.tuples_mirrored += n_over
+            fields = keys if out is None else (*keys, out)
+            items.append(
+                MirroredBatch(
+                    instance=inst.key,
+                    kind="overflow",
+                    op_index=i,
+                    state=ColumnarState(
+                        columns={k: state.columns[k][over] for k in fields},
+                        vocabs={
+                            k: v for k, v in state.vocabs.items() if k in keys
+                        },
+                    ),
+                    rows=sel[over],
+                    pos=pos,
+                )
+            )
+        cache = _ChainCache(
+            keys=tuple(keys),
+            vocabs={k: v for k, v in live.vocabs.items() if k in keys},
+            unique=unique,
+            inserted=inserted,
+            reported=inserted,
+        )
+        return cache, live, live_sel, first_rows, inv
 
     def _batch_distinct(
         self,
@@ -676,56 +674,21 @@ class PISASwitch:
         items: list,
         ops,
     ) -> "tuple[ColumnarState, np.ndarray] | None":
-        schemas = inst.compiled.schemas
-        keys = op.effective_keys(schemas[i])
-        forced = self._forced_rows(inst, i, len(sel))
-        live, live_sel = state, sel
-        if forced is not None:
-            live, live_sel = state.select(~forced), sel[~forced]
-        live = canonical_state(live, keys)
-        unique, first_rows, inv = group_first_occurrence(live, keys)
-        chain = inst.chains[i]
-        inserted = self._load_chain(
-            chain, live, keys, unique, np.ones(len(unique), dtype=np.int64), "or"
+        keys = op.effective_keys(inst.compiled.schemas[i])
+        cache, live, live_sel, first_rows, _inv = self._register_step(
+            inst, i, keys, state, sel, pos, items
         )
-        chain.updates += len(sel)
-        over = self._overflow_rows(inserted, inv, forced)
-        n_over = int(over.sum())
-        if n_over:
-            chain.overflows += n_over
-            inst.tuples_mirrored += n_over
-            items.append(
-                MirroredBatch(
-                    instance=inst.key,
-                    kind="overflow",
-                    op_index=i,
-                    state=ColumnarState(
-                        columns={k: state.columns[k][over] for k in keys},
-                        vocabs={
-                            k: v for k, v in state.vocabs.items() if k in keys
-                        },
-                    ),
-                    rows=sel[over],
-                    pos=pos,
-                )
-            )
         if i == len(ops) - 1:
             # Last operator: report each distinct key once at window end.
-            inst.window_caches[i] = _ChainCache(
-                keys=tuple(keys),
-                vocabs={k: v for k, v in live.vocabs.items() if k in keys},
-                unique=unique,
-                inserted=inserted,
-                reported=inserted,
-            )
+            inst.window_caches[i] = cache
             return None
         # Mid-chain: only the first packet of each inserted key continues,
         # carrying just the key fields (first_rows is ascending, so the
         # continuation stays in packet order for later stateful ops).
-        cont = first_rows[inserted]
+        cont = first_rows[cache.inserted]
         new_state = ColumnarState(
             columns={k: live.columns[k][cont] for k in keys},
-            vocabs={k: v for k, v in live.vocabs.items() if k in keys},
+            vocabs=dict(cache.vocabs),
         )
         return new_state, live_sel[cont]
 
@@ -741,60 +704,25 @@ class PISASwitch:
         schemas,
     ) -> None:
         func, args = reduce_args(op, state, schemas[i])
-        forced = self._forced_rows(inst, i, len(sel))
-        live, live_args = state, args
-        if forced is not None:
-            live, live_args = state.select(~forced), args[~forced]
-        live = canonical_state(live, op.keys)
-        unique, _first_rows, inv = group_first_occurrence(live, op.keys)
-        values = None if func == "count" else live_args
-        finals = aggregate_groups(inv, values, len(unique), func)
-        chain = inst.chains[i]
-        inserted = self._load_chain(chain, live, op.keys, unique, finals, func)
-        chain.updates += len(sel)
-        over = self._overflow_rows(inserted, inv, forced)
-        n_over = int(over.sum())
-        if n_over:
-            chain.overflows += n_over
-            inst.tuples_mirrored += n_over
-            over_columns = {k: state.columns[k][over] for k in op.keys}
-            over_columns[op.out] = (
-                np.ones(n_over, dtype=np.int64) if func == "count" else args[over]
-            )
-            items.append(
-                MirroredBatch(
-                    instance=inst.key,
-                    kind="overflow",
-                    op_index=i,
-                    state=ColumnarState(
-                        columns=over_columns,
-                        vocabs={
-                            k: v for k, v in state.vocabs.items() if k in op.keys
-                        },
-                    ),
-                    rows=sel[over],
-                    pos=pos,
-                )
-            )
-        reported = inserted
+        # The argument rides along as the output column: the overflow
+        # batch mirrors it, and forced rows drop out of it with the keys.
+        state = ColumnarState({**state.columns, op.out: args}, state.vocabs)
+        cache, live, _live_sel, _first_rows, inv = self._register_step(
+            inst, i, op.keys, state, sel, pos, items, out=op.out
+        )
+        values = None if func == "count" else live.columns[op.out]
+        cache.finals = aggregate_groups(inv, values, len(cache.unique), func)
+        cache.out_field = op.out
         folded = inst.folded_by_op.get(i)
         if folded is not None:
             # Folded threshold: a key is reported iff any of its running
             # (per-update) aggregates passes — first-crossing semantics.
             running = ColumnarState({op.out: running_groups(inv, values, func)})
             passing = filter_mask(folded, running, None)
-            passing &= inserted[inv]
-            reported = np.zeros(len(unique), dtype=bool)
-            reported[inv[passing]] = True
-        inst.window_caches[i] = _ChainCache(
-            keys=tuple(op.keys),
-            vocabs={k: v for k, v in live.vocabs.items() if k in op.keys},
-            unique=unique,
-            inserted=inserted,
-            reported=reported,
-            finals=finals,
-            out_field=op.out,
-        )
+            passing &= cache.inserted[inv]
+            cache.reported = np.zeros(len(cache.unique), dtype=bool)
+            cache.reported[inv[passing]] = True
+        inst.window_caches[i] = cache
 
     # ------------------------------------------------------------------
     # Window lifecycle

@@ -8,11 +8,12 @@ sketches: no keys are stored, memory is fixed, nothing overflows — but
 estimates can only over-count, and keys cannot be enumerated at window
 end, so a threshold must be checked inline on every update.
 
-This module implements that alternative as a drop-in stateful backend for
-the switch simulator, used by the sketch-vs-chain ablation benchmark. A
-sketch-backed reduce *requires* a folded threshold (reporting "all keys"
-is impossible without stored keys), which is exactly the expressiveness
-restriction the paper attributes to sketch-only systems.
+This module implements the count-min sketch for the sketch-vs-chain
+ablation benchmark, which compares its over-counting and memory with the
+register chain's; the switch simulator itself runs register chains only.
+A sketch-backed reduce would *require* a folded threshold (reporting "all
+keys" is impossible without stored keys), which is exactly the
+expressiveness restriction the paper attributes to sketch-only systems.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.core.errors import ResourceExhaustedError
-from repro.switch.registers import UpdateResult
 from repro.utils.hashing import HashFamily
 
 
@@ -85,52 +85,3 @@ class CountMinSketch:
         for row in self._rows:
             for index in range(len(row)):
                 row[index] = 0
-
-
-class SketchReduceState:
-    """Adapter: count-min sketch behind the RegisterChain interface.
-
-    Because keys are not stored, a window-end dump is impossible; the
-    caller must fold the threshold into the update (the inline crossing
-    check) and track reported keys itself — which is what the switch
-    simulator's folded-filter path does. ``overflowed`` is always False:
-    sketches absorb any key population (trading accuracy, not capacity).
-    """
-
-    def __init__(self, spec: SketchSpec) -> None:
-        self.spec = spec
-        self._sketch = CountMinSketch(spec)
-        self.updates = 0
-        self.overflows = 0
-
-    def update(self, key: Hashable, func: str, arg: int = 1) -> UpdateResult:
-        if func not in ("sum", "count", "or"):
-            raise ResourceExhaustedError(
-                f"sketch state supports sum/count/or, not {func!r}"
-            )
-        self.updates += 1
-        amount = 1 if func in ("count", "or") else arg
-        before = self._sketch.estimate(key)
-        value = self._sketch.update(key, amount)
-        return UpdateResult(value=value, inserted=before == 0, overflowed=False)
-
-    def lookup(self, key: Hashable) -> int:
-        return self._sketch.estimate(key)
-
-    def dump(self) -> dict:
-        raise ResourceExhaustedError(
-            "count-min sketches cannot enumerate keys; use a folded "
-            "threshold and per-key reports instead"
-        )
-
-    def reset(self) -> None:
-        self._sketch.reset()
-
-    def take_window_stats(self) -> tuple[int, int]:
-        stats = (self.updates, 0)
-        self.updates = 0
-        return stats
-
-    @property
-    def collision_rate(self) -> float:
-        return 0.0

@@ -532,8 +532,9 @@ class TestVectorizedRegisters:
         func=st.sampled_from(["sum", "count", "max", "min", "or"]),
     )
     def test_bulk_load_matches_per_packet_updates(self, updates, n_slots, func):
-        """bulk_load_vec of first-occurrence-ordered window aggregates
-        leaves the chain in exactly the per-packet end state."""
+        """bulk_load_vec of first-occurrence-ordered unique keys places
+        exactly the keys the per-packet walk stores, and their window
+        aggregates are the per-packet chain's end state."""
         from repro.exec.alu import UPDATE_FUNCS, init_value
         from repro.switch.registers import RegisterChain, RegisterSpec
 
@@ -557,22 +558,34 @@ class TestVectorizedRegisters:
                 finals[k] = UPDATE_FUNCS[func](finals[k], arg)
 
         loaded = RegisterChain(spec)
-        inserted, _ = loaded.bulk_load_vec(
-            [np.array([k[0] for k in order], dtype=np.int64)],
-            np.array([finals[k] for k in order], dtype=np.int64),
-            func,
-            lambda: order,
+        inserted, array_idx = loaded.bulk_load_vec(
+            [np.array([k[0] for k in order], dtype=np.int64)]
         )
-        assert inserted.all()
-        assert loaded.dump() == oracle.dump()
+        assert inserted.all() and (array_idx >= 0).all()
+        assert finals == oracle.dump()
+
+        # Every unique key loaded: exactly the oracle's stored keys win.
+        every = list(dict.fromkeys((key,) for key, _ in updates))
+        loaded.reset()
+        inserted, _ = loaded.bulk_load_vec(
+            [np.array([k[0] for k in every], dtype=np.int64)]
+        )
+        assert inserted.tolist() == [oracle.lookup(k) is not None for k in every]
 
     def test_second_load_into_a_nonempty_chain_raises(self):
         from repro.switch.registers import RegisterChain, RegisterSpec
 
         chain = RegisterChain(RegisterSpec(name="t", n_slots=8, d=2, key_bits=32))
-        keys, values = [np.array([1, 2], dtype=np.int64)], np.ones(2, dtype=np.int64)
-        chain.bulk_load_vec(keys, values, "sum", lambda: [(1,), (2,)])
+        keys = [np.array([1, 2], dtype=np.int64)]
+        chain.bulk_load_vec(keys)
         with pytest.raises(ResourceExhaustedError, match="empty register chain"):
-            chain.bulk_load_vec(keys, values, "sum", lambda: [(1,), (2,)])
+            chain.bulk_load_vec(keys)
+        # The chain holds placements only: no path reads it as empty.
+        with pytest.raises(ResourceExhaustedError, match="bulk-loaded"):
+            chain.update((1,), "sum", 1)
+        with pytest.raises(ResourceExhaustedError, match="bulk-loaded"):
+            chain.lookup((1,))
+        with pytest.raises(ResourceExhaustedError, match="bulk-loaded"):
+            chain.dump()
         chain.reset()
-        chain.bulk_load_vec(keys, values, "sum", lambda: [(1,), (2,)])
+        chain.bulk_load_vec(keys)

@@ -152,3 +152,25 @@ class TestNetworkRuntime:
 
         with pytest.raises(PlanningError):
             NetworkRuntime([], Topology.ecmp(2), workload.trace)
+
+    def test_renamed_merge_key_rejected(self, workload):
+        """The collector re-aggregates a sub-query's output by its last
+        reduce; an output that renames that reduce's key away fails at
+        construction, naming the sub-query and the dropped field."""
+        from repro.core.errors import PlanningError
+        from tests.planner.test_refinement import renamed_victim
+
+        with pytest.raises(PlanningError, match=r"'renamed\.sq0'.*drops ipv4\.dIP"):
+            NetworkRuntime(
+                [renamed_victim()], Topology.ecmp(2, seed=3), workload.trace
+            )
+
+    def test_library_queries_construct(self, workload):
+        from repro.queries.library import QUERY_LIBRARY
+
+        net = NetworkRuntime(
+            build_queries(list(QUERY_LIBRARY)), Topology.ecmp(2, seed=3),
+            workload.trace, window=3.0, time_limit=10,
+        )
+        assert len(net.runtimes) == 2
+        assert len(net.queries) == len(QUERY_LIBRARY) == 11

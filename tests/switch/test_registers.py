@@ -80,7 +80,7 @@ class TestCollisions:
         assert not chain.update("a", "sum", 1).overflowed
         result = chain.update("b", "sum", 1)
         assert result.overflowed
-        assert chain.collision_rate > 0
+        assert chain.overflows == 1
 
     def test_chain_absorbs_single_array_collisions(self):
         shallow = make_chain(n_slots=32, d=1, seed=3)

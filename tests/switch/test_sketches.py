@@ -1,10 +1,10 @@
-"""Tests for the count-min-sketch register backend."""
+"""Tests for the count-min sketch of the sketch-vs-chain ablation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ResourceExhaustedError
-from repro.switch.sketches import CountMinSketch, SketchReduceState, SketchSpec
+from repro.switch.sketches import CountMinSketch, SketchSpec
 
 
 def make_sketch(width=256, depth=3, seed=0):
@@ -53,34 +53,3 @@ class TestCountMinSketch:
     def test_memory_accounting(self):
         spec = SketchSpec("s", width=100, depth=4)
         assert spec.total_bits == 100 * 4 * 32
-
-
-class TestSketchReduceState:
-    def test_register_interface(self):
-        state = SketchReduceState(SketchSpec("s", 256, 3))
-        first = state.update("k", "sum", 5)
-        assert first.value == 5 and first.inserted and not first.overflowed
-        second = state.update("k", "sum", 2)
-        assert second.value == 7 and not second.inserted
-        assert state.lookup("k") == 7
-
-    def test_never_overflows(self):
-        state = SketchReduceState(SketchSpec("s", 4, 1))
-        results = [state.update(k, "count") for k in range(100)]
-        assert not any(r.overflowed for r in results)
-
-    def test_dump_unsupported(self):
-        state = SketchReduceState(SketchSpec("s", 16, 2))
-        with pytest.raises(ResourceExhaustedError):
-            state.dump()
-
-    def test_unsupported_func(self):
-        state = SketchReduceState(SketchSpec("s", 16, 2))
-        with pytest.raises(ResourceExhaustedError):
-            state.update("k", "max", 5)
-
-    def test_window_stats(self):
-        state = SketchReduceState(SketchSpec("s", 16, 2))
-        state.update("k", "count")
-        assert state.take_window_stats() == (1, 0)
-        assert state.take_window_stats() == (0, 0)
