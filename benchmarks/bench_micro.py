@@ -85,24 +85,40 @@ def bench_stable_hash(benchmark):
 
 
 @pytest.mark.parametrize(
-    "keys",
-    [("ipv4.dIP",), ("ipv4.dIP", "ipv4.sIP"), ("ipv4.dIP", "ipv4.sIP", "tcp.sPort")],
-    ids=["ip", "ip_pair", "ip_pair_port"],
+    "n, keys",
+    [
+        (15_000, ("ipv4.dIP",)),
+        (15_000, ("ipv4.dIP", "ipv4.sIP")),
+        (15_000, ("ipv4.dIP", "ipv4.sIP", "tcp.sPort")),
+        (170_000, ("ipv4.dIP",)),
+        (170_000, ("ipv4.dIP", "ipv4.sIP")),
+    ],
+    ids=["ip", "ip_pair", "ip_pair_port", "large_ip", "large_ip_pair"],
 )
-def bench_group_first_occurrence(benchmark, keys):
-    """The grouping kernel on 15k seeded rows, 1-3 key columns."""
+def bench_group_first_occurrence(benchmark, n, keys):
+    """The grouping kernel on ``n`` seeded rows, 1-3 key columns read as
+    strided views of 38-byte packet records, as a
+    :class:`~repro.packets.trace.Trace` holds them. 170k rows is a
+    ``large`` training window; its full-range IP pair packs 64 bits, so
+    it takes the hashed sort."""
     import numpy as np
 
     from repro.exec import ColumnarState, group_first_occurrence
 
     rng = np.random.default_rng(5)
-    n = 15_000
-    hosts = rng.integers(0, 2**32, 2_000, dtype=np.uint32)
+    records = np.zeros(
+        n,
+        dtype=[("ts", "f8"), ("dIP", "u4"), ("sIP", "u4"), ("sPort", "u2"), ("rest", "V20")],
+    )
+    hosts = rng.integers(0, 2**32, n // 8, dtype=np.uint32)
+    records["dIP"] = rng.choice(hosts[: n // 50], n)
+    records["sIP"] = rng.choice(hosts, n)
+    records["sPort"] = rng.integers(0, 2**16, n)
     state = ColumnarState(
         columns={
-            "ipv4.dIP": rng.choice(hosts[:300], n),
-            "ipv4.sIP": rng.choice(hosts, n),
-            "tcp.sPort": rng.integers(0, 2**16, n).astype(np.uint16),
+            "ipv4.dIP": records["dIP"],
+            "ipv4.sIP": records["sIP"],
+            "tcp.sPort": records["sPort"],
         }
     )
     unique, first_rows, inverse = benchmark(group_first_occurrence, state, keys)

@@ -30,7 +30,9 @@ from repro.exec.kernels import (
     apply_map,
     eval_expression,
     filter_mask,
+    first_occurrences,
     group_first_occurrence,
+    group_keys,
     key_columns,
     keys_in,
     predicate_mask,
@@ -55,7 +57,9 @@ __all__ = [
     "filter_mask",
     "eval_expression",
     "apply_map",
+    "first_occurrences",
     "group_first_occurrence",
+    "group_keys",
     "key_columns",
     "keys_in",
     "reduce_args",

@@ -9,7 +9,8 @@ their semantics cannot drift apart. :mod:`repro.core` only describes
 operators and evaluates them on one tuple; where a column cannot be
 compared vectorized (vocab-typed names and payloads, ``contains``), a
 kernel applies that scalar definition once per distinct value.
-:func:`group_first_occurrence` is the one grouping kernel. The row-wise
+:func:`group_first_occurrence` is the one grouping kernel (and
+:func:`group_keys` the same sort without the per-row inverse). The row-wise
 interpreters share the scalar half of the ALU via :mod:`repro.exec.alu`.
 """
 
@@ -147,17 +148,11 @@ def apply_map(op: Map, state: ColumnarState) -> ColumnarState:
     return ColumnarState(columns=columns, vocabs=vocabs)
 
 
-def _key_matrix(state: ColumnarState, keys: Sequence[str]) -> np.ndarray:
-    """Key columns stacked as int64; float columns group by their bits."""
-    return np.stack(
-        [
-            col.astype(np.float64, copy=False).view(np.int64)
-            if col.dtype.kind == "f"
-            else col.astype(np.int64)
-            for col in (state.columns[k] for k in keys)
-        ],
-        axis=1,
-    )
+def _int64_column(col: np.ndarray) -> np.ndarray:
+    """A key column as int64; a float column as its bits."""
+    if col.dtype.kind == "f":
+        return col.astype(np.float64, copy=False).view(np.int64)
+    return col.astype(np.int64, copy=False)
 
 
 def key_columns(
@@ -172,54 +167,118 @@ def key_columns(
     }
 
 
-def _sorted_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One 1-D sort of ``codes``: ``(order, starts, group_of_sorted)``.
+#: Odd, so multiplying by it permutes ``uint64``; the high bits of the
+#: product depend on every bit of the code.
+_HASH = np.uint64(0x9E3779B97F4A7C15)
 
-    ``order`` sorts the codes, ``starts`` are the sorted positions where
-    a new code begins and ``group_of_sorted[i]`` is the dense id (in code
-    order) of the code at sorted position ``i``.
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Positions of sorted ``ordered`` where a new value begins."""
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _sorted_runs(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stably sort ``width``-bit ``codes``: ``(order, starts)``.
+
+    ``order`` lists the rows so that equal codes are adjacent and, within
+    a run, in row order; ``starts`` are the positions where a run begins,
+    so ``order[starts]`` are the runs' first rows. With ``b`` bits for a
+    row index, one value sort of ``code << b | row`` does it when the two
+    fit in 64 bits. A wider code sorts a multiplicative hash of it in the
+    ``64 - b`` free bits instead, and keeps that order only if the hash
+    runs are exactly the code runs; on a collision it falls back to a
+    stable argsort of the codes.
     """
-    order = np.argsort(codes)
-    ordered = codes[order]
-    new_group = np.empty(len(codes), dtype=bool)
-    new_group[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
-    starts = np.flatnonzero(new_group)
-    sizes = np.diff(starts, append=len(codes))
-    return order, starts, np.repeat(np.arange(len(starts)), sizes)
+    n = len(codes)
+    b = (n - 1).bit_length()
+    shift, low = np.uint64(b), np.uint64((1 << b) - 1)
+    hashed = width + b > 64
+    if hashed:
+        words = codes * _HASH
+        words &= ~low
+    else:
+        words = codes << shift
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort()
+    starts = _run_starts(words >> shift)
+    words &= low
+    order = words.view(np.int64)
+    if hashed and len(_run_starts(codes[order])) != len(starts):
+        order = np.argsort(codes, kind="stable")
+        starts = _run_starts(codes[order])
+    return order, starts
 
 
-def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
+def _densify(codes: np.ndarray, width: int) -> tuple[np.ndarray, int]:
     """Replace codes by dense group ids; return ``(ids, bit width)``."""
-    order, starts, group_of_sorted = _sorted_groups(codes)
+    order, starts = _sorted_runs(codes, width)
     dense = np.empty(len(codes), dtype=np.uint64)
-    dense[order] = group_of_sorted
+    dense[order] = np.repeat(
+        np.arange(len(starts), dtype=np.uint64), np.diff(starts, append=len(codes))
+    )
     return dense, (len(starts) - 1).bit_length()
 
 
-def _pack_codes(matrix: np.ndarray) -> np.ndarray:
-    """Fold the key columns of ``matrix`` into one ``uint64`` code per row.
+def _pack_codes(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Fold int64 key columns into one ``uint64`` code per row.
 
-    Rows get equal codes exactly when their keys are equal. Each column is
-    shifted to start at zero (in ``uint64``, so any int64 span stays exact)
-    and packed in the bits its range needs. When the next column would push
-    the code past 64 bits the running code is first densified to group
-    ids, and if it still does not fit the column is densified too; dense
-    ids need at most ``bit_length(n)`` bits.
+    Returns ``(codes, width)``: rows get equal codes exactly when their
+    keys are equal, and every code fits in ``width`` bits. Each column is
+    shifted to start at zero (the int64 difference read as ``uint64``, so
+    any span stays exact) and packed in the bits its range needs. When
+    the next column would push the code past 64 bits the running code is
+    first densified to group ids, and if it still does not fit the column
+    is densified too; dense ids need at most ``bit_length(n)`` bits.
     """
-    code = np.zeros(len(matrix), dtype=np.uint64)
-    width = 0
-    for j in range(matrix.shape[1]):
-        column = matrix[:, j].view(np.uint64)
-        column = column - column.min()
-        bits = int(column.max()).bit_length()
+    code, width = None, 0
+    for column in columns:
+        lo = int(column.min())
+        bits = (int(column.max()) - lo).bit_length()
+        column = (column - np.int64(lo)).view(np.uint64)
         if width + bits > 64:
-            code, width = _densify(code)
+            code, width = _densify(code, width)
             if width + bits > 64:
-                column, bits = _densify(column)
-        code = column if width == 0 else (code << np.uint64(bits)) | column
+                column, bits = _densify(column, bits)
+        if width == 0:
+            code = column
+        else:
+            code <<= np.uint64(bits)
+            code |= column
         width += bits
-    return code
+    return code, width
+
+
+def _group(
+    state: ColumnarState, keys: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one sort behind :func:`group_keys` and
+    :func:`group_first_occurrence`: ``(unique, first_rows, order, starts)``
+    (see :func:`_sorted_runs` for the last two)."""
+    if state.n_rows == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return np.empty((0, len(keys)), dtype=np.int64), empty, empty, empty
+    columns = [_int64_column(state.columns[k]) for k in keys]
+    order, starts = _sorted_runs(*_pack_codes(columns))
+    # Each run's first row is its group's first occurrence; marked and
+    # read back in row order, they rank the groups as a row-wise engine
+    # meets them.
+    is_first = np.zeros(len(order), dtype=bool)
+    is_first[order[starts]] = True
+    first_rows = np.flatnonzero(is_first)
+    unique = np.stack([column[first_rows] for column in columns], axis=1)
+    return unique, first_rows, order, starts
+
+
+def group_keys(
+    state: ColumnarState, keys: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(unique, first_rows)`` of :func:`group_first_occurrence`, without
+    the per-row ``inverse`` (what a distinct needs)."""
+    unique, first_rows, _order, _starts = _group(state, keys)
+    return unique, first_rows
 
 
 def group_first_occurrence(
@@ -236,27 +295,27 @@ def group_first_occurrence(
     register simulation insert keys exactly like the per-packet oracle.
 
     The key columns are packed into one ``uint64`` code per row (see
-    :func:`_pack_codes`) and grouped with a single 1-D sort; the order
-    of the codes is irrelevant because groups are ranked by first
-    occurrence afterwards.
+    :func:`_pack_codes`) and grouped by one stable sort (see
+    :func:`_sorted_runs`); the order of the codes is irrelevant because
+    groups are ranked by first occurrence afterwards.
     """
     n = state.n_rows
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty((0, len(keys)), dtype=np.int64), empty, empty
-    matrix = _key_matrix(state, keys)
-    order, starts, group_of_sorted = _sorted_groups(_pack_codes(matrix))
-    first = np.minimum.reduceat(order, starts)
-    # Rank groups by first occurrence: the marked first rows, read in row
-    # order, are the groups in the order a row-wise engine meets them.
-    is_first = np.zeros(n, dtype=bool)
-    is_first[first] = True
-    first_rows = np.flatnonzero(is_first)
+    unique, first_rows, order, starts = _group(state, keys)
     rank = np.empty(n, dtype=np.int64)
     rank[first_rows] = np.arange(len(first_rows))
     inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = rank[first][group_of_sorted]
-    return np.take(matrix, first_rows, axis=0), first_rows, inverse
+    inverse[order] = np.repeat(rank[order[starts]], np.diff(starts, append=n))
+    return unique, first_rows, inverse
+
+
+def first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Index of each distinct value's first occurrence in the int array
+    ``values``, in no particular order (``np.unique``'s ``return_index``
+    without its argsort)."""
+    if not len(values):
+        return np.empty(0, dtype=np.int64)
+    order, starts = _sorted_runs(*_pack_codes([values.astype(np.int64)]))
+    return order[starts]
 
 
 def keys_in(
@@ -284,8 +343,11 @@ def keys_in(
             index = {value: i for i, value in enumerate(vocab)}
             recoded = np.array([index.get(v, -1) for v in values], dtype=np.int64)
             columns[k] = recoded[ids]
-    codes = _pack_codes(
-        np.concatenate([unique, _key_matrix(ColumnarState(columns), keys)])
+    codes, _width = _pack_codes(
+        [
+            np.concatenate([unique[:, j], _int64_column(columns[k])])
+            for j, k in enumerate(keys)
+        ]
     )
     return np.isin(codes[: len(unique)], codes[len(unique) :])
 

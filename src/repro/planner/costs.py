@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from repro.core.fields import FIELDS, coarsen_value
 from repro.core.operators import Filter, Map, Operator, Schema, chain_read_fields
 from repro.core.query import Query, SubQuery
 from repro.exec import ColumnarState, materialize_rows, predicate_mask
+from repro.exec.columns import column_values
 from repro.packets.trace import Trace
 from repro.planner.collisions import chain_overflow_rate, size_register
 from repro.planner.plans import InstancePlan
@@ -407,7 +408,8 @@ class CostEstimator:
                     None, [], [],
                 )
                 self._add_minima(
-                    materialize_rows(final, stripped_schemas[-1].fields),
+                    final,
+                    stripped_schemas[-1].fields,
                     spec.key_field,
                     satisfied[w_index],
                     minima,
@@ -442,18 +444,24 @@ class CostEstimator:
 
     @staticmethod
     def _add_minima(
-        rows: list[dict[str, Any]],
+        state: ColumnarState,
+        fields: Sequence[str],
         key_field: str,
         keys: set,
         minima: dict[str, list[int]],
     ) -> None:
         """Append each threshold field's minimum over ``keys`` in one
-        window's un-thresholded output ``rows``."""
-        for fld, values in minima.items():
-            counts = {row[key_field]: row.get(fld) for row in rows if fld in row}
+        window's un-thresholded output ``state`` (with output ``fields``);
+        a key repeated in the output reads its last row."""
+        present = [fld for fld in minima if fld in fields]
+        if not present or not state.n_rows:
+            return
+        key_values = column_values(state, key_field)
+        for fld in present:
+            counts = dict(zip(key_values, column_values(state, fld)))
             found = [counts[k] for k in keys if counts.get(k) is not None]
             if found:
-                values.append(min(found))
+                minima[fld].append(min(found))
 
     def _output_keys(
         self,

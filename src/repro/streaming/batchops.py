@@ -31,6 +31,7 @@ from repro.exec import (
     canonical_state,
     filter_mask,
     group_first_occurrence,
+    group_keys,
     key_columns,
 )
 
@@ -71,7 +72,7 @@ def _apply_distinct(state: ColumnarState, op: Distinct) -> ColumnarState:
         # No columns at all — nothing to project (n_rows is 0 too).
         return ColumnarState(columns={})
     grouped = canonical_state(state, keys)
-    unique, _first, _inv = group_first_occurrence(grouped, keys)
+    unique, _first = group_keys(grouped, keys)
     columns = key_columns(grouped, keys, unique)
     vocabs = {k: grouped.vocabs[k] for k in keys if k in grouped.vocabs}
     return ColumnarState(columns=columns, vocabs=vocabs)

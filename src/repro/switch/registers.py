@@ -16,6 +16,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.core.errors import ResourceExhaustedError
+from repro.exec import first_occurrences
 from repro.exec.alu import UPDATE_FUNCS
 from repro.utils.hashing import HashFamily
 
@@ -124,10 +125,8 @@ class RegisterChain:
         for which in range(self.spec.d):
             if not len(remaining):
                 break
-            slots = index_matrix[remaining, which]
-            # First occurrence per slot wins it (np.unique returns the
-            # index of each unique value's first appearance).
-            _, first = np.unique(slots, return_index=True)
+            # First occurrence per slot wins it.
+            first = first_occurrences(index_matrix[remaining, which])
             winners = remaining[first]
             inserted[winners] = True
             array_idx[winners] = which

@@ -1,11 +1,14 @@
-"""``group_first_occurrence`` against a pure-Python first-occurrence dict,
-and ``keys_in`` (built on the same packed codes) against set membership.
+"""``group_first_occurrence`` and ``group_keys`` against a pure-Python
+first-occurrence dict, and ``keys_in`` (built on the same packed codes)
+against set membership.
 
-The kernel packs every key column into one ``uint64`` code and groups
-with a 1-D sort, densifying when the packed key would pass 64 bits. These
-tests pin its outputs (values, dtypes, order) to the row-wise definition:
-keys numbered in the order the rows first show them, float columns
-compared by their bit patterns.
+The kernel packs every key column into one ``uint64`` code, densifying
+when the packed key would pass 64 bits, and sorts ``code << b | row``
+words (``b`` bits per row index) by value; a code too wide for that
+sorts a hash of it instead, checked exact, with an argsort fallback.
+These tests pin its outputs (values, dtypes, order) to the row-wise
+definition: keys numbered in the order the rows first show them, float
+columns compared by their bit patterns.
 """
 
 from __future__ import annotations
@@ -13,13 +16,17 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.evaluation.workloads import build_workload
 from repro.exec import (
     ColumnarState,
     Vocab,
     canonical_state,
+    first_occurrences,
     group_first_occurrence,
+    group_keys,
     keys_in,
 )
 from repro.exec import kernels
@@ -159,6 +166,115 @@ class TestGroupFirstOccurrence:
         with mock.patch.object(kernels, "_densify", wraps=kernels._densify) as spy:
             assert_matches_reference(columns)
         assert spy.call_count >= 1
+
+
+def _paths(columns: dict[str, np.ndarray]) -> int:
+    """``_run_starts`` calls of one grouping: 1 for the value sort, 2 for
+    the checked hash sort, 3 when the check falls back to an argsort."""
+    with mock.patch.object(kernels, "_run_starts", wraps=kernels._run_starts) as spy:
+        assert_matches_reference(columns)
+    return spy.call_count
+
+
+class TestSortPaths:
+    """The boundary between the value sort and the hashed sort, and the
+    hashed sort's fallback. 17 rows take ``b = 5`` bits of row index."""
+
+    N = 17
+
+    def _column(self, bits: int) -> np.ndarray:
+        """``N`` cells spanning exactly ``bits`` bits, values repeating."""
+        rng = np.random.default_rng(bits)
+        pool = np.concatenate([[0, 2**bits - 1], rng.integers(0, 2**bits, 6)])
+        return rng.permutation(
+            np.concatenate([pool, rng.choice(pool, self.N - len(pool))])
+        )
+
+    def test_width_plus_row_bits_64_sorts_values(self):
+        assert _paths({"k": self._column(59)}) == 1
+
+    def test_width_plus_row_bits_65_sorts_hashes(self):
+        assert _paths({"k": self._column(60)}) == 2
+
+    def test_two_columns_at_the_boundary(self):
+        rng = np.random.default_rng(4)
+        hi = rng.choice(np.array([0, 2**32 - 1], dtype=np.uint32), self.N)
+        for lo_bits, paths in ((27, 1), (28, 2)):
+            lo = rng.choice(np.array([0, 5, 2**lo_bits - 1], dtype=np.int64), self.N)
+            assert _paths({"hi": hi, "lo": lo}) == paths
+
+    def test_hash_collision_falls_back_exactly(self):
+        # Codes 0 and c with c * _HASH < 2**b share every hash bit; rows
+        # of the two interleave, so the check must catch it.
+        n = 1_000
+        b = (n - 1).bit_length()
+        inverse = pow(int(kernels._HASH), -1, 2**64)
+        c = next(
+            c
+            for c in (inverse * j % 2**64 for j in range(1, 2**b))
+            if 2 ** (64 - b) <= c < 2**63
+        )
+        assert (c * int(kernels._HASH)) % 2**64 >> b == 0
+        rng = np.random.default_rng(9)
+        column = rng.choice(np.array([0, c, 7, 2**40], dtype=np.int64), n)
+        assert _paths({"k": column}) == 3
+
+
+@pytest.fixture(scope="module")
+def large_window() -> ColumnarState:
+    """One 3 s window at 60k pps of the three-query trace (~175k rows)."""
+    trace = build_workload(
+        ("ddos", "newly_opened_tcp_conns", "superspreader"),
+        duration=3.0, pps=60_000.0, seed=1,
+    ).trace
+    return ColumnarState.from_trace(trace)
+
+
+class TestScale:
+    """A full training window at the ``large`` rate, through the trace's
+    strided columns: 18 bits of row index, and the two full 32-bit IPs
+    take the hashed sort."""
+
+    @pytest.mark.parametrize("keys", [("ipv4.dIP", "ipv4.sIP"), ("ipv4.dIP",)])
+    def test_large_window_matches_reference(self, large_window, keys):
+        assert large_window.n_rows > 2**17
+        assert_matches_reference({k: large_window.columns[k] for k in keys})
+
+    def test_group_keys_on_large_window(self, large_window):
+        keys = ["ipv4.dIP", "ipv4.sIP"]
+        unique, first_rows = group_keys(large_window, keys)
+        want, want_first, _inverse = group_first_occurrence(large_window, keys)
+        assert np.array_equal(unique, want)
+        assert np.array_equal(first_rows, want_first)
+
+
+class TestGroupKeys:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(grouping_columns())
+    def test_equals_group_first_occurrence(self, columns):
+        state = ColumnarState(columns=columns)
+        unique, first_rows = group_keys(state, list(columns))
+        want, want_first, _inverse = group_first_occurrence(state, list(columns))
+        for got, expected in ((unique, want), (first_rows, want_first)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    def test_empty_state(self):
+        state = ColumnarState(columns={"a": np.empty(0, dtype=np.uint32)})
+        unique, first_rows = group_keys(state, ["a"])
+        assert unique.shape == (0, 1) and unique.dtype == np.int64
+        assert first_rows.dtype == np.int64 and len(first_rows) == 0
+
+
+class TestFirstOccurrences:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-5, 2**40), max_size=60))
+    def test_matches_np_unique(self, values):
+        values = np.array(values, dtype=np.int64)
+        _distinct, want = np.unique(values, return_index=True)
+        got = first_occurrences(values)
+        assert got.dtype == np.int64
+        assert sorted(got.tolist()) == sorted(want.tolist())
 
 
 class TestKeysIn:
