@@ -14,7 +14,6 @@ from repro.analytics.columnar import (
     ColumnarState,
     OperatorStats,
     apply_chain,
-    chain_schemas,
     execute_operators,
     execute_query,
     execute_subquery,
@@ -25,7 +24,6 @@ __all__ = [
     "ColumnarResult",
     "OperatorStats",
     "apply_chain",
-    "chain_schemas",
     "execute_operators",
     "execute_subquery",
     "execute_query",

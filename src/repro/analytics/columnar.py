@@ -5,8 +5,7 @@ The engine executes a linear operator chain over one window of a
 number of rows that would flow to the next operator (for a stateful
 operator, its keys). The cost estimator turns those counts into the
 ``N_{q,t}`` and ``B_{q,t}`` inputs of the query planning ILP (Table 1 of
-the paper); :func:`chain_schemas` and :func:`apply_chain` let it run a
-chain in pieces.
+the paper); :func:`apply_chain` lets it run a chain in pieces.
 
 The operators themselves run on the stream processor's interpreter,
 :func:`repro.streaming.batchops.apply_operator_state`, so the planner, the
@@ -21,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro.core.errors import QueryValidationError
 from repro.core.fields import FIELDS, FieldRegistry
-from repro.core.operators import Join, Operator, Schema, chain_read_fields, resolve_value_fields
+from repro.core.operators import (
+    Operator, Schema, chain_read_fields, chain_schemas, resolve_value_fields,
+)
 from repro.core.query import Query, SubQuery
 from repro.exec import ColumnarState, materialize_rows
 from repro.packets.trace import Trace
@@ -35,7 +35,6 @@ __all__ = [
     "OperatorStats",
     "ColumnarResult",
     "apply_chain",
-    "chain_schemas",
     "execute_operators",
     "execute_subquery",
     "execute_query",
@@ -68,22 +67,6 @@ class ColumnarResult:
     def rows(self) -> list[dict[str, Any]]:
         """Materialize the final tuples as dicts (ids resolved to strings)."""
         return materialize_rows(self.final, self.schema.fields)
-
-
-def chain_schemas(
-    operators: Sequence[Operator], registry: FieldRegistry = FIELDS
-) -> list[Schema]:
-    """Validate a linear chain; ``schemas[i]`` is operator i's input schema
-    and ``schemas[len(operators)]`` the output's."""
-    schemas = [Schema.packet_schema(registry)]
-    for op in operators:
-        op.validate(schemas[-1])
-        if isinstance(op, Join):
-            raise QueryValidationError(
-                "execute_operators only handles linear chains; use execute_query"
-            )
-        schemas.append(op.output_schema(schemas[-1]))
-    return schemas
 
 
 def apply_chain(

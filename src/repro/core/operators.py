@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 from repro.core.errors import QueryValidationError
-from repro.core.expressions import Expression, as_expression
+from repro.core.expressions import Expression, FieldRef, as_expression
 from repro.core.fields import FieldRegistry, FIELDS, coarsen_value
 
 
@@ -306,6 +306,47 @@ class Reduce(Operator):
         return f"reduce(keys=({', '.join(self.keys)}), {self.func}{value and ' ' + value})"
 
 
+#: Reduce functions whose running aggregate never falls as rows arrive.
+#: ``sum`` is one because summed values are non-negative: packet fields
+#: are unsigned and the library's constants are positive.
+RISING_AGGREGATES = frozenset(("count", "sum", "max", "or"))
+
+
+def aggregate_predicates(operators: Sequence[Operator]) -> dict[tuple[int, int], bool]:
+    """The one definition of a threshold (DESIGN.md §15).
+
+    Maps each predicate of ``operators`` that compares a reduce's output,
+    by (operator index, predicate index), to True for a *threshold*: a
+    ``gt``/``ge`` predicate, with no refinement level, on a reduce in
+    :data:`RISING_AGGREGATES`. Only a threshold may be folded into the
+    reduce (first crossing), relaxed at a coarse level or scaled at a
+    network switch. Any other such predicate maps to False, a *bound*,
+    correct only on a final, finest-level aggregate. A map passes a
+    reduce's output on only by :class:`FieldRef`, renamed or not.
+    """
+    aggregates: dict[str, Reduce] = {}
+    roles: dict[tuple[int, int], bool] = {}
+    for i, op in enumerate(operators):
+        if isinstance(op, Filter):
+            for j, pred in enumerate(op.predicates):
+                reduce = aggregates.get(pred.field)
+                if reduce is not None:
+                    roles[(i, j)] = (
+                        pred.op in ("gt", "ge")
+                        and pred.level is None
+                        and reduce.func in RISING_AGGREGATES
+                    )
+        elif isinstance(op, Reduce):
+            aggregates = {op.out: op}
+        elif isinstance(op, Map):
+            aggregates = {
+                e.name: aggregates[e.field]
+                for e in op.keys + op.values
+                if isinstance(e, FieldRef) and e.field in aggregates
+            }
+    return roles
+
+
 def resolve_value_fields(
     operators: Sequence[Operator], schema: Schema
 ) -> tuple[Operator, ...]:
@@ -417,6 +458,18 @@ class Join(Operator):
 def ensure_expressions(specs: tuple) -> tuple[Expression, ...]:
     """Coerce a mixed tuple of names/expressions into expressions."""
     return tuple(as_expression(spec) for spec in specs)
+
+
+def chain_schemas(
+    operators: Sequence[Operator], registry: FieldRegistry = FIELDS
+) -> list[Schema]:
+    """Validate a chain over the packet stream; ``schemas[i]`` is operator
+    i's input schema and ``schemas[len(operators)]`` the output's."""
+    schemas = [Schema.packet_schema(registry)]
+    for op in operators:
+        op.validate(schemas[-1])
+        schemas.append(op.output_schema(schemas[-1]))
+    return schemas
 
 
 def chain_read_fields(

@@ -33,6 +33,7 @@ from repro.core.operators import (
     Predicate,
     Reduce,
     Schema,
+    chain_schemas,
     ensure_expressions,
     resolve_value_fields,
 )
@@ -121,13 +122,7 @@ class PacketStream:
     # -- introspection --------------------------------------------------
     def schemas(self) -> list[Schema]:
         """Schema *after* each operator (index 0 = packet schema)."""
-        schema = Schema.packet_schema(self.registry)
-        out = [schema]
-        for op in self.operators:
-            op.validate(schema)
-            schema = op.output_schema(schema)
-            out.append(schema)
-        return out
+        return chain_schemas(self.operators, self.registry)
 
     def output_schema(self) -> Schema:
         return self.schemas()[-1]
@@ -167,13 +162,7 @@ class SubQuery:
         return (self.qid, self.subid)
 
     def schemas(self) -> list[Schema]:
-        schema = Schema.packet_schema(self.registry)
-        out = [schema]
-        for op in self.operators:
-            op.validate(schema)
-            schema = op.output_schema(schema)
-            out.append(schema)
-        return out
+        return chain_schemas(self.operators, self.registry)
 
     def output_schema(self) -> Schema:
         return self.schemas()[-1]

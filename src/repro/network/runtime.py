@@ -10,14 +10,20 @@ generation while still pruning aggressively. Every window, the collector:
 1. gathers each sub-query's finest-level partial aggregates from all
    switches;
 2. merges them (summing partial counts per key);
-3. applies the *original* thresholds and the query's join tree.
+3. applies the *original* thresholds, the bounds and the query's join
+   tree.
 
-``local_threshold_scale=False`` instead strips local thresholds entirely —
-exact for any traffic split, at the cost of reporting every key from every
-switch (the ablation benchmark quantifies the gap). With scaling, a key
-split so evenly that no switch crosses Th/n *and* whose crossing switches'
-partials sum below Th can be missed at the margin; the exact variant never
-misses.
+Only thresholds (:func:`repro.core.operators.aggregate_predicates`)
+survive a split: a bound such as ``count < 6`` can hold on every
+switch's partial count and fail on their sum, so switches drop their
+bounds and only the collector applies them. ``local_threshold_scale=False``
+instead strips local thresholds entirely — exact for any traffic split,
+at the cost of reporting every key from every switch (the ablation
+benchmark quantifies the gap). With scaling, a key split so evenly that
+no switch crosses Th/n *and* whose crossing switches' partials sum below
+Th can be missed at the margin, and a key whose unreported partials
+would lift it past a bound can be kept; the exact variant, bounds
+included, never misses and never over-reports.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.core.errors import PlanningError
-from repro.core.operators import Reduce
+from repro.core.operators import Reduce, aggregate_predicates
 from repro.core.query import Query, SubQuery
 from repro.faults import DegradationPolicy, FaultInjector, FaultSpec
 from repro.faults.injector import SWITCH_FAILED, SWITCH_OK
@@ -37,43 +43,28 @@ from repro.network.topology import Topology
 from repro.obs import MetricsSnapshot, get_observability
 from repro.packets.trace import Trace
 from repro.planner import QueryPlanner
-
-from repro.planner.refinement import (
-    scale_thresholds,
-    trailing_threshold_fields,
-    trailing_thresholds,
-    without_thresholds,
-)
+from repro.planner.refinement import rewrite_thresholds
 from repro.runtime import SonataRuntime
 from repro.runtime.emitter import partial_remerge
-from repro.streaming.rowops import Row, apply_operator, assemble_join_tree
+from repro.streaming.rowops import Row, apply_operator, apply_operators, assemble_join_tree
 from repro.switch.config import SwitchConfig
 
 logger = logging.getLogger(__name__)
 
 
 def _localized_query(query: Query, n_switches: int, scale: bool) -> Query:
-    """Clone ``query`` with per-switch (scaled or stripped) thresholds."""
+    """Clone ``query`` with per-switch (scaled or stripped) thresholds and
+    no bounds: a switch sees only partial aggregates."""
     clone = copy.copy(query)
-    clone.subqueries = []
-    for sq in query.subqueries:
-        fields = set(trailing_threshold_fields(sq))
-        if not fields:
-            ops = sq.operators
-        elif scale:
-            ops = scale_thresholds(sq.operators, fields, n_switches)
-        else:
-            ops = without_thresholds(sq.operators, fields)
-        clone.subqueries.append(
-            SubQuery(
-                qid=sq.qid,
-                subid=sq.subid,
-                name=f"{sq.name}.local",
-                operators=ops,
-                window=sq.window,
-                registry=sq.registry,
-            )
+    scaled = (lambda pred: int(pred.value) // n_switches) if scale else None
+    clone.subqueries = [
+        replace(
+            sq,
+            name=f"{sq.name}.local",
+            operators=rewrite_thresholds(sq.operators, scaled, bounds=False),
         )
+        for sq in query.subqueries
+    ]
     return clone
 
 
@@ -83,13 +74,24 @@ def _check_mergeable(query: Query) -> None:
     The collector merges per-switch partials by re-running the last
     stateful reduce over the sub-query's output rows (see
     :meth:`NetworkRuntime._merge_partials`), so that output must keep the
-    reduce's keys and its aggregate field.
+    reduce's keys and its aggregate field. It then re-applies thresholds
+    and bounds, which must therefore compare that last aggregate.
     """
     for sq in query.subqueries:
-        stateful = [op for op in sq.operators if op.stateful]
-        if not stateful or not isinstance(stateful[-1], Reduce):
+        stateful = [i for i, op in enumerate(sq.operators) if op.stateful]
+        early = [
+            sq.operators[i].predicates[j].describe()
+            for i, j in aggregate_predicates(sq.operators)
+            if i < stateful[-1]
+        ]
+        if early:
+            raise PlanningError(
+                f"sub-query {sq.name!r}: the collector re-applies thresholds "
+                f"and bounds to the last aggregate only, not {', '.join(early)}"
+            )
+        last = sq.operators[stateful[-1]] if stateful else None
+        if not isinstance(last, Reduce):
             continue
-        last = stateful[-1]
         kept = sq.output_schema().fields
         dropped = [f for f in (*last.keys, last.out) if f not in kept]
         if dropped:
@@ -222,13 +224,6 @@ class NetworkRuntime:
             if faults is not None and faults.active
             else None
         )
-        self._original_thresholds = {
-            query.qid: {
-                sq.subid: trailing_thresholds(sq)
-                for sq in query.subqueries
-            }
-            for query in self.queries
-        }
         self._local_queries = [
             _localized_query(q, topology.n_switches, local_threshold_scale)
             for q in self.queries
@@ -443,8 +438,12 @@ class NetworkRuntime:
                 for sq, local_sq in zip(query.subqueries, local.subqueries):
                     rows = merged_leaves[query.qid][sq.subid]
                     rows = self._merge_partials(local_sq, rows)
-                    rows = self._apply_original_thresholds(query, sq, rows, scale)
-                    leaf_outputs[sq.subid] = rows
+                    # The original thresholds, scaled by the quorum, and
+                    # bounds, on the merged aggregates.
+                    final = rewrite_thresholds(
+                        sq.operators, lambda p: p.value * scale, bounds=True, rest=False
+                    )
+                    leaf_outputs[sq.subid] = apply_operators(rows, final)
                 output = assemble_join_tree(query.join_tree, leaf_outputs) or []
                 detections[query.qid] = output
         else:
@@ -491,17 +490,3 @@ class NetworkRuntime:
         if not stateful or not rows:
             return rows
         return apply_operator(rows, partial_remerge(stateful[-1]))
-
-    def _apply_original_thresholds(
-        self, query: Query, sq: SubQuery, rows: list[Row], scale: float = 1.0
-    ) -> list[Row]:
-        """Apply network-wide thresholds, scaled by the reporting quorum.
-
-        ``scale`` is k/n when only k of n switches reported (pigeonhole:
-        the k observed partials of a threshold-crossing key sum to at
-        least ``Th * k/n`` under a proportional traffic split).
-        """
-        for pred in self._original_thresholds[query.qid][sq.subid]:
-            scaled = replace(pred, value=pred.value * scale)
-            rows = [row for row in rows if pred.field in row and scaled.evaluate(row)]
-        return rows

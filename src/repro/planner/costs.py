@@ -19,12 +19,12 @@ transition into that level is priced from that one run:
 1. the finest level first, with the original thresholds. Its root
    transition ``* -> finest`` reads no filter table, so the join of its
    leaves is the query's output: the ground truth;
-2. then each coarse level, coarsest first. The chain runs up to its first
-   filter on a trailing-threshold field. From that state, the rest of the
-   chain without its thresholds gives each threshold field's minimum over
-   the coarsened ground-truth keys (§4.1), and the root transition
-   ``* -> r`` continues with the relaxed thresholds. The join of its
-   leaves gives the level-``r`` output keys;
+2. then each coarse level, coarsest first, without bounds. The chain runs
+   up to its first filter holding a threshold. From that state, the rest
+   of the chain without its thresholds gives each threshold field's
+   minimum over the coarsened ground-truth keys (§4.1), and the root
+   transition ``* -> r`` continues with the relaxed thresholds. The join
+   of its leaves gives the level-``r`` output keys;
 3. the filtered transitions ``r_prev -> r`` run no chain. Their chain is
    the level-``r`` root chain behind the filter ``key/r_prev ∈ table``.
    A refined chain keeps its refinement key in every operator's output,
@@ -58,10 +58,12 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.analytics import apply_chain, chain_schemas
+from repro.analytics import apply_chain
 from repro.core.errors import PlanningError
 from repro.core.fields import FIELDS, coarsen_value
-from repro.core.operators import Filter, Map, Operator, Schema, chain_read_fields
+from repro.core.operators import (
+    Filter, Map, Operator, Schema, aggregate_predicates, chain_read_fields, chain_schemas,
+)
 from repro.core.query import Query, SubQuery
 from repro.exec import ColumnarState, materialize_rows, predicate_mask
 from repro.exec.columns import column_values
@@ -75,8 +77,8 @@ from repro.planner.refinement import (
     can_coarsen,
     choose_refinement_spec,
     filter_table_name,
+    rewrite_thresholds,
     trailing_threshold_fields,
-    without_thresholds,
 )
 from repro.streaming.rowops import assemble_join_tree
 from repro.switch.compiler import CompiledSubQuery, compile_subquery
@@ -347,7 +349,7 @@ class CostEstimator:
         """Run ``sq``'s root chain ``* -> level`` once per window.
 
         At a coarse level with thresholds to relax, the run stops at the
-        first filter on a threshold field; the rest of the chain without
+        first filter holding a threshold; the rest of the chain without
         its thresholds yields the minima (§4.1), which set
         ``relaxed[(sq.subid, level)]`` before the root chain continues.
         """
@@ -372,7 +374,7 @@ class CostEstimator:
                 replace(
                     sq,
                     name=f"{sq.name}.relax",
-                    operators=without_thresholds(sq.operators, set(thresholds)),
+                    operators=rewrite_thresholds(sq.operators, None, bounds=False),
                 ),
                 spec,
                 ROOT_LEVEL,
@@ -380,11 +382,8 @@ class CostEstimator:
             )
             stripped_schemas = chain_schemas(stripped.operators, sq.registry)
             read |= chain_read_fields(stripped.operators, stripped_schemas)
-            split = next(
-                i
-                for i, op in enumerate(ops)
-                if isinstance(op, Filter)
-                and any(p.field in thresholds for p in op.predicates)
+            split = min(
+                i for (i, _), threshold in aggregate_predicates(ops).items() if threshold
             )
             minima: dict[str, list[int]] = {fld: [] for fld in thresholds}
         key = spec.key_field if spec is not None and level != spec.levels[0] else None

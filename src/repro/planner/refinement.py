@@ -10,18 +10,21 @@ transition ``r_prev -> r``:
   reported by the previous window's execution at level ``r_prev``
   (matched against a runtime-updated filter table);
 - every map expression producing the key is coarsened to level ``r``;
-- trailing thresholds are relaxed to the training-data minimum so coarser
-  levels stay correct but prune aggressively (Figure 4).
+- thresholds are relaxed to the training-data minimum so coarser levels
+  stay correct but prune aggressively (Figure 4), and bounds, which hold
+  only on finest-level aggregates, are dropped
+  (:func:`repro.core.operators.aggregate_predicates` tells them apart).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Sequence
 
 from repro.core.errors import PlanningError
 from repro.core.expressions import Expression, FieldRef, Prefixed
 from repro.core.fields import FIELDS, FieldRegistry
-from repro.core.operators import Filter, Map, Operator, Predicate, Reduce
+from repro.core.operators import Filter, Map, Operator, Predicate, aggregate_predicates
 from repro.core.query import Query, SubQuery
 
 #: The root (coarsest possible) pseudo-level: "no key restriction".
@@ -122,13 +125,22 @@ def augment_operators(
 ) -> tuple[Operator, ...]:
     """Build the augmented operator chain for transition ``r_prev -> r``.
 
-    ``relaxed_thresholds`` maps threshold-filter field names (e.g.
-    ``"count"``) to the relaxed value for ``r_level``; absent entries keep
-    the original thresholds (always correct, §4.1).
+    ``relaxed_thresholds`` maps threshold fields (e.g. ``"count"``) to
+    the relaxed value for a coarse ``r_level``; absent entries keep the
+    original thresholds (always correct, §4.1). Bounds hold only on
+    finest-level aggregates, so coarse levels drop them. The native level
+    runs the original chain: a field has one relaxed value, but it may
+    have two thresholds.
     """
     if r_level == ROOT_LEVEL:
         raise PlanningError("cannot execute a query at the root pseudo-level")
     native = registry.get(spec.key_field).hierarchy[-1]
+    relaxed = relaxed_thresholds if relaxed_thresholds and r_level != native else {}
+    operators = rewrite_thresholds(
+        subquery.operators,
+        lambda pred: relaxed.get(pred.field, pred.value),
+        bounds=r_level == native,
+    )
     ops: list[Operator] = []
     if r_prev != ROOT_LEVEL:
         ops.append(
@@ -145,7 +157,7 @@ def augment_operators(
         )
 
     saw_map_of_key = False
-    for op in subquery.operators:
+    for op in operators:
         if isinstance(op, Map) and r_level != native:
             new_keys = tuple(
                 _coarsen_expression(e, spec.key_field, r_level) for e in op.keys
@@ -161,24 +173,6 @@ def augment_operators(
             saw_map_of_key = saw_map_of_key or any(
                 spec.key_field in e.inputs() for e in op.keys + op.values
             )
-        if isinstance(op, Filter) and relaxed_thresholds:
-            new_preds = []
-            changed = False
-            for pred in op.predicates:
-                if pred.op in ("gt", "ge") and pred.field in relaxed_thresholds:
-                    new_preds.append(
-                        Predicate(
-                            pred.field,
-                            pred.op,
-                            relaxed_thresholds[pred.field],
-                            level=pred.level,
-                        )
-                    )
-                    changed = True
-                else:
-                    new_preds.append(pred)
-            ops.append(Filter(tuple(new_preds)) if changed else op)
-            continue
         ops.append(op)
 
     if r_level != native and not saw_map_of_key:
@@ -189,68 +183,57 @@ def augment_operators(
     return tuple(ops)
 
 
-def trailing_thresholds(subquery: SubQuery) -> list[Predicate]:
-    """The gt/ge predicates on aggregate fields in the sub-query's filters.
-
-    These are the thresholds dynamic refinement relaxes (§4.1) and the ones
-    network-wide execution moves to the central collector.
-    """
-    reduce_outs = {
-        op.out for op in subquery.operators if isinstance(op, Reduce)
-    }
-    return [
-        pred
-        for op in subquery.operators
-        if isinstance(op, Filter)
-        for pred in op.predicates
-        if pred.op in ("gt", "ge") and pred.field in reduce_outs
-    ]
-
-
 def trailing_threshold_fields(subquery: SubQuery) -> dict[str, int]:
-    """The value of each trailing threshold, by field."""
-    return {pred.field: int(pred.value) for pred in trailing_thresholds(subquery)}
+    """The smallest of the sub-query's thresholds on each field: the
+    value dynamic refinement relaxes (§4.1).
 
-
-def without_thresholds(
-    operators: "tuple[Operator, ...]", threshold_fields: set[str]
-) -> tuple[Operator, ...]:
-    """Drop filters that only threshold the given aggregate fields."""
-    ops: list[Operator] = []
-    for op in operators:
-        if isinstance(op, Filter) and all(
-            p.field in threshold_fields for p in op.predicates
-        ):
-            continue
-        ops.append(op)
-    return tuple(ops)
-
-
-def scale_thresholds(
-    operators: "tuple[Operator, ...]",
-    threshold_fields: set[str],
-    divisor: int,
-) -> tuple[Operator, ...]:
-    """Divide the given trailing thresholds by ``divisor`` (floor, >= 0).
-
-    Used by network-wide execution: if a key's network-wide aggregate
-    exceeds Th, some switch sees at least Th/n locally (pigeonhole), so
-    scaled local thresholds preserve candidate generation.
+    Every threshold on a field takes the one relaxed value; relaxing from
+    the smallest keeps a ``gt`` from dropping a prefix that a larger
+    ``ge`` on the same field keeps
+    (:func:`repro.core.operators.aggregate_predicates` says which
+    predicates are thresholds).
     """
+    ops = subquery.operators
+    values: dict[str, int] = {}
+    for (i, j), threshold in aggregate_predicates(ops).items():
+        if threshold:
+            pred = ops[i].predicates[j]
+            value = int(pred.value)
+            values[pred.field] = min(value, values.get(pred.field, value))
+    return values
+
+
+def rewrite_thresholds(
+    operators: Sequence[Operator],
+    threshold: Callable[[Predicate], Any] | None,
+    bounds: bool,
+    rest: bool = True,
+) -> tuple[Operator, ...]:
+    """Rewrite the thresholds and bounds of a chain.
+
+    Each threshold's value becomes ``threshold(pred)``; with ``threshold``
+    None every threshold goes. Bounds stay iff ``bounds``, and every other
+    operator and predicate stays iff ``rest``. A filter left without a
+    predicate goes. The one place a chain's thresholds change: relaxed at
+    coarse levels, stripped for the relaxation minima, scaled or stripped
+    at network switches, and re-applied at the central collector.
+    """
+    roles = aggregate_predicates(operators)
     ops: list[Operator] = []
-    for op in operators:
-        if isinstance(op, Filter) and any(
-            p.field in threshold_fields for p in op.predicates
-        ):
-            new_preds = tuple(
-                Predicate(p.field, p.op, int(p.value) // divisor, level=p.level)
-                if p.field in threshold_fields and p.op in ("gt", "ge")
-                else p
-                for p in op.predicates
-            )
-            ops.append(Filter(new_preds))
+    for i, op in enumerate(operators):
+        if not isinstance(op, Filter):
+            if rest:
+                ops.append(op)
             continue
-        ops.append(op)
+        preds = []
+        for j, pred in enumerate(op.predicates):
+            role = roles.get((i, j))
+            if role and threshold is not None:
+                preds.append(replace(pred, value=threshold(pred)))
+            elif (role is None and rest) or (role is False and bounds):
+                preds.append(pred)
+        if preds:
+            ops.append(Filter(tuple(preds)))
     return tuple(ops)
 
 

@@ -10,8 +10,12 @@ before it *may*, and the planner chooses the actual cut.
 
 Folding rules applied (so table counts match the paper's examples):
 
-- a threshold filter immediately following a reduce folds into the
-  reduce's update table;
+- a filter immediately following a reduce folds into the reduce's update
+  table when every predicate in it is a threshold on the reduce's output
+  (:func:`repro.core.operators.aggregate_predicates`): the switch reports
+  a key on the first running aggregate that passes, which is sound only
+  for an aggregate that never falls. Any other filter after a reduce
+  runs at the stream processor on the final key reports;
 - every stateful operator occupies two tables (index + update) in two
   consecutive stages.
 """
@@ -31,6 +35,7 @@ from repro.core.operators import (
     Operator,
     Reduce,
     Schema,
+    aggregate_predicates,
 )
 from repro.core.query import SubQuery
 from repro.packets.trace import TRACE_DTYPE
@@ -56,18 +61,6 @@ def _float_valued(expr: Expression, floats: set[str]) -> bool:
     if isinstance(expr, Quantized):
         return False  # rounds to an int
     return any(name in floats for name in expr.inputs())
-
-
-def _is_threshold_filter(op: Operator, aggregate_field: str) -> bool:
-    """A filter that only thresholds the aggregate (foldable into reduce)."""
-    if not isinstance(op, Filter):
-        return False
-    return all(
-        pred.field == aggregate_field
-        and pred.level is None
-        and pred.op in ("gt", "ge", "lt", "le")
-        for pred in op.predicates
-    )
 
 
 @dataclass
@@ -180,6 +173,7 @@ def compile_subquery(
     floats = _float_fields(registry)  # float-valued fields of the tuple
 
     ops = subquery.operators
+    roles = aggregate_predicates(ops)
     i = 0
     while i < len(ops):
         op = ops[i]
@@ -275,7 +269,9 @@ def compile_subquery(
             folded = None
             if isinstance(op, Reduce) and i + 1 < len(ops):
                 nxt = ops[i + 1]
-                if _is_threshold_filter(nxt, op.out) and nxt.switch_compilable(registry):
+                if isinstance(nxt, Filter) and nxt.switch_compilable(registry) and all(
+                    roles.get((i + 1, j)) for j in range(len(nxt.predicates))
+                ):
                     folded = nxt
             tables.append(
                 LogicalTable(

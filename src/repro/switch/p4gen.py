@@ -315,11 +315,12 @@ class P4Generator:
         )
         lines.append(f"        meta.{safe}_{table.name}_val = val;")
         if table.folded_filter is not None:
-            pred = table.folded_filter.predicates[0]
-            cmp = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}[pred.op]
-            lines.append(
-                f"        if (val {cmp} {pred.value}) {{ meta.{safe}_report = 1; }}"
+            # A folded filter holds only thresholds, each a gt or ge.
+            passes = " && ".join(
+                f"val {'>' if p.op == 'gt' else '>='} {p.value}"
+                for p in table.folded_filter.predicates
             )
+            lines.append(f"        if ({passes}) {{ meta.{safe}_report = 1; }}")
         elif isinstance(op, (Reduce, Distinct)):
             lines.append(f"        if (val == 1) {{ meta.{safe}_report = 1; }}")
         lines.append("    }")

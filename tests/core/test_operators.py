@@ -13,6 +13,8 @@ from repro.core.operators import (
     Predicate,
     Reduce,
     Schema,
+    aggregate_predicates,
+    chain_schemas,
 )
 from repro.core.query import PacketStream
 
@@ -138,6 +140,63 @@ class TestReduce:
 
     def test_stateful(self):
         assert Reduce(keys=("k",), func="sum").stateful
+
+
+class TestAggregatePredicates:
+    """The one rule: which comparisons of a reduce's output are thresholds
+    (True) and which are bounds (False)."""
+
+    @staticmethod
+    def roles(func, *predicates, tail=()):
+        ops = (
+            Map(keys=("ipv4.dIP",), values=(FieldRef("pktlen", "v"),)),
+            Reduce(keys=("ipv4.dIP",), func=func, value_field="v"),
+            *tail,
+            Filter(predicates),
+        )
+        return aggregate_predicates(ops)
+
+    @pytest.mark.parametrize("func", ["count", "sum", "max", "or"])
+    @pytest.mark.parametrize("op", ["gt", "ge"])
+    def test_lower_bound_on_rising_aggregate_is_threshold(self, func, op):
+        assert self.roles(func, Predicate("count", op, 5)) == {(2, 0): True}
+
+    @pytest.mark.parametrize("op", ["lt", "le", "eq", "ne"])
+    def test_other_comparisons_are_bounds(self, op):
+        assert self.roles("sum", Predicate("count", op, 5)) == {(2, 0): False}
+
+    def test_falling_aggregate_has_only_bounds(self):
+        assert self.roles("min", Predicate("count", "gt", 5)) == {(2, 0): False}
+
+    def test_refinement_level_makes_a_bound(self):
+        pred = Predicate("count", "gt", 5, level=8)
+        assert self.roles("sum", pred) == {(2, 0): False}
+
+    def test_packet_fields_are_neither(self):
+        roles = self.roles(
+            "sum", Predicate("ipv4.dIP", "gt", 5), Predicate("count", "gt", 1)
+        )
+        assert roles == {(2, 1): True}
+
+    def test_renaming_map_passes_the_aggregate_on(self):
+        tail = (Map(keys=("ipv4.dIP",), values=(FieldRef("count", "n"),)),)
+        roles = self.roles("sum", Predicate("n", "gt", 5), tail=tail)
+        assert roles == {(3, 0): True}
+
+    def test_computing_map_ends_the_aggregate(self):
+        tail = (Map(keys=("ipv4.dIP",), values=(Const(1),)),)
+        assert self.roles("sum", Predicate("count", "gt", 5), tail=tail) == {}
+
+
+def test_chain_schemas_is_the_one_schema_walk():
+    stream = (
+        PacketStream(name="s")
+        .map(keys=("ipv4.dIP",), values=(Const(1),))
+        .reduce(keys=("ipv4.dIP",), func="sum")
+    )
+    schemas = chain_schemas(stream.operators)
+    assert stream.schemas() == schemas
+    assert schemas[-1].fields == ("ipv4.dIP", "count")
 
 
 class TestDistinct:

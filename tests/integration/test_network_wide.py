@@ -147,6 +147,78 @@ class TestNetworkRuntime:
             at_threshold += sum(count == 6 for count in truth.values())
         assert at_threshold > 0
 
+    @pytest.fixture(scope="class")
+    def band(self):
+        """SYNs per destination between two comparisons: ``count > 2`` is
+        a threshold, ``count < 6`` a bound."""
+        from repro.analytics import execute_query
+        from repro.core.expressions import Const
+        from repro.core.fields import TCP_SYN
+        from repro.core.query import PacketStream, Query
+
+        query = Query(
+            PacketStream(name="syn_band", qid=1, window=3.0)
+            .filter(("tcp.flags", "eq", TCP_SYN))
+            .map(keys=("ipv4.dIP",), values=(Const(1),))
+            .reduce(keys=("ipv4.dIP",), func="sum")
+            .filter(("count", "gt", 2))
+            .filter(("count", "lt", 6))
+        )
+        trace = build_workload(
+            ["newly_opened_tcp_conns"], duration=9.0, pps=1_500, seed=3
+        ).trace
+        truth = [
+            {row["ipv4.dIP"] for row in execute_query(query, window)}
+            for _, window in trace.windows(3.0)
+        ]
+        assert all(truth)
+
+        def detected(scale):
+            report = NetworkRuntime(
+                [query], Topology.ecmp(2, seed=3), trace,
+                window=3.0, time_limit=10, local_threshold_scale=scale,
+            ).run(trace)
+            return [
+                {row["ipv4.dIP"] for row in window.detections.get(1, [])}
+                for window in report.windows
+            ]
+
+        return detected, truth
+
+    def test_exact_bound_detections_match_truth(self, band):
+        """Switches drop the bound and the collector applies it to the
+        merged counts, so the exact variant matches a single switch
+        observing all traffic."""
+        detected, truth = band
+        assert detected(False) == truth
+
+    def test_scaled_bound_reports_no_false_key(self, band):
+        """Scaled local thresholds may miss keys at the margin, but the
+        bound, applied only at the collector, adds none."""
+        detected, truth = band
+        got = detected(True)
+        assert len(got) == len(truth)
+        assert all(g <= t for g, t in zip(got, truth))
+
+    def test_bound_on_earlier_aggregate_rejected(self, workload):
+        """The collector re-applies thresholds and bounds to the merged
+        last aggregate only; one on an earlier aggregate fails at
+        construction."""
+        from repro.core.errors import PlanningError
+        from repro.core.expressions import Const
+        from repro.core.query import PacketStream, Query
+
+        query = Query(
+            PacketStream(name="twice", qid=1, window=3.0)
+            .map(keys=("ipv4.dIP", "ipv4.sIP"), values=(Const(1),))
+            .reduce(keys=("ipv4.dIP", "ipv4.sIP"), func="sum")
+            .filter(("count", "lt", 3))
+            .map(keys=("ipv4.dIP",), values=(Const(1),))
+            .reduce(keys=("ipv4.dIP",), func="sum")
+        )
+        with pytest.raises(PlanningError, match="count lt 3"):
+            NetworkRuntime([query], Topology.ecmp(2), workload.trace)
+
     def test_no_queries_rejected(self, workload):
         from repro.core.errors import PlanningError
 

@@ -23,8 +23,8 @@ from repro.planner.refinement import (
     augmented_subquery,
     can_coarsen,
     filter_table_name,
+    rewrite_thresholds,
     trailing_threshold_fields,
-    without_thresholds,
 )
 from repro.queries.library import EXTENSION_QUERIES, QUERY_LIBRARY, build_queries
 from repro.streaming.rowops import assemble_join_tree
@@ -116,7 +116,7 @@ def relax(spec, query, windows, original, truth):
             continue
         sq = subqueries[subid]
         stripped = replace(
-            sq, operators=without_thresholds(sq.operators, set(thresholds))
+            sq, operators=rewrite_thresholds(sq.operators, None, bounds=False)
         )
         coarse = augmented_subquery(stripped, spec, ROOT_LEVEL, level)
         minima = {fld: [] for fld in thresholds}

@@ -149,14 +149,10 @@ class TestThresholdHelpers:
         assert trailing_threshold_fields(sq) == {"count": 40}
 
     def test_without_thresholds(self):
-        from repro.planner.refinement import (
-            trailing_threshold_fields,
-            without_thresholds,
-        )
+        from repro.planner.refinement import rewrite_thresholds
 
         sq = newly_opened().subquery(0)
-        fields = set(trailing_threshold_fields(sq))
-        stripped = without_thresholds(sq.operators, fields)
+        stripped = rewrite_thresholds(sq.operators, None, bounds=True)
         assert len(stripped) == len(sq.operators) - 1
         assert all(
             not (isinstance(op, Filter) and op.predicates[0].field == "count")
@@ -164,18 +160,18 @@ class TestThresholdHelpers:
         )
 
     def test_scale_thresholds(self):
-        from repro.planner.refinement import scale_thresholds
+        from repro.planner.refinement import rewrite_thresholds
 
         sq = newly_opened().subquery(0)
-        scaled = scale_thresholds(sq.operators, {"count"}, 4)
+        scaled = rewrite_thresholds(sq.operators, lambda p: p.value // 4, bounds=True)
         threshold = scaled[-1].predicates[0]
         assert threshold.value == 10
 
     def test_scale_preserves_other_predicates(self):
-        from repro.planner.refinement import scale_thresholds
+        from repro.planner.refinement import rewrite_thresholds
 
         sq = newly_opened().subquery(0)
-        scaled = scale_thresholds(sq.operators, {"count"}, 4)
+        scaled = rewrite_thresholds(sq.operators, lambda p: p.value // 4, bounds=True)
         syn_filter = scaled[0].predicates[0]
         assert syn_filter.field == "tcp.flags" and syn_filter.value == TCP_SYN
 

@@ -88,6 +88,32 @@ class TestTableLayout:
         assert compiled.compilable_operators == 2
 
     @pytest.mark.parametrize(
+        "func, clauses, folded",
+        [
+            ("sum", [("count", "gt", 2)], True),
+            ("max", [("count", "ge", 2)], True),
+            ("sum", [("count", "gt", 2), ("count", "ge", 3)], True),
+            ("sum", [("count", "lt", 3)], False),
+            ("sum", [("count", "gt", 2), ("count", "lt", 6)], False),
+            ("min", [("count", "gt", 200)], False),
+        ],
+        ids=["sum-gt", "max-ge", "two-thresholds", "lt-bound", "mixed", "min-gt"],
+    )
+    def test_only_thresholds_fold(self, func, clauses, folded):
+        """A filter folds into the reduce's update table only when all its
+        predicates are thresholds; a bound runs at the stream processor
+        on the final key reports."""
+        sq = Query(
+            PacketStream(name="f")
+            .map(keys=("ipv4.dIP",), values=(FieldRef("pktlen", "v"),))
+            .reduce(keys=("ipv4.dIP",), func=func, value_field="v")
+            .filter(*clauses)
+        ).subquery(0)
+        compiled = compile_subquery(sq)
+        assert (compiled.tables[-1].folded_filter is not None) == folded
+        assert compiled.compilable_operators == (3 if folded else 2)
+
+    @pytest.mark.parametrize(
         "ops, prefix",
         [
             ((Map(keys=(FieldRef("ts"),)), Distinct()), 1),

@@ -61,6 +61,23 @@ class TestGeneration:
         program = generate_p4(compiled_instances("newly_opened_tcp_conns", 813))
         assert "if (val >" in program  # the folded threshold check
 
+    def test_every_folded_threshold_emitted(self):
+        """A folded filter may hold several thresholds; the switch reports
+        a key only when its running aggregate passes all of them."""
+        from repro.core.expressions import Const
+        from repro.core.query import PacketStream, Query
+
+        sq = Query(
+            PacketStream(name="two", qid=815)
+            .map(keys=("ipv4.dIP",), values=(Const(1),))
+            .reduce(keys=("ipv4.dIP",), func="sum")
+            .filter(("count", "gt", 2), ("count", "ge", 30))
+        ).subquery(0)
+        compiled = compile_subquery(sq)
+        assert compiled.tables[-1].folded_filter is not None
+        program = generate_p4([("q815", compiled, compiled.compilable_operators)])
+        assert "if (val > 2 && val >= 30)" in program
+
     def test_refinement_mask_emitted(self):
         from repro.core.query import Query
         from repro.core.expressions import Const, Prefixed
