@@ -40,8 +40,9 @@ from repro.core.query import Query, SubQuery
 from repro.faults import DegradationPolicy, FaultInjector, FaultSpec
 from repro.faults.injector import SWITCH_FAILED, SWITCH_OK
 from repro.network.topology import Topology
-from repro.obs import MetricsSnapshot, get_observability
+from repro.obs import NULL_OBS, MetricsSnapshot, Observability, get_observability
 from repro.packets.trace import Trace
+from repro.parallel import parallel_map, resolve_workers
 from repro.planner import QueryPlanner
 from repro.planner.refinement import rewrite_thresholds
 from repro.runtime import SonataRuntime
@@ -100,6 +101,18 @@ def _check_mergeable(query: Query) -> None:
                 f"{last.describe()}, but the sub-query's output drops "
                 f"{', '.join(dropped)}"
             )
+
+
+@dataclass
+class SwitchResult:
+    """What one switch's worker hands back to the collector."""
+
+    report: object  # RunReport
+    rng_draws: dict = field(default_factory=dict)  # channel -> draw count
+    metrics: "MetricsSnapshot | None" = None
+    spans: list = field(default_factory=list)
+    events: list = field(default_factory=list)
+    dropped_records: int = 0
 
 
 @dataclass
@@ -256,17 +269,15 @@ class NetworkRuntime:
     def run(self, trace: Trace, workers: "int | None" = None) -> NetworkRunReport:
         """Execute the trace network-wide; returns per-window accounting.
 
-        ``workers`` > 1 fans the per-switch pipelines across a process
-        pool (see :mod:`repro.parallel`): each worker rebuilds its switch
-        pipeline from the (picklable) plan, maps its trace slice out of
-        shared memory, and ships back a :class:`RunReport` the parent
-        merges in switch-id order — so parallel runs are tuple-for-tuple
-        identical to serial ones, and ``workers=1`` *is* the serial path.
+        ``workers`` > 1 fans the per-switch pipelines over forked workers
+        (:func:`repro.parallel.parallel_map`): each worker rebuilds its
+        switch pipeline from the plan, runs its trace split, and ships
+        back a :class:`RunReport` the parent merges in switch-id order —
+        so parallel runs are tuple-for-tuple identical to serial ones, and
+        ``workers=1`` *is* the serial path.
         A repeated run repeats the first: the installed plan, refinement
         tables and fault streams restart.
         """
-        from repro.parallel import resolve_workers
-
         if len(trace) == 0:
             # Zero windows: mirror SonataRuntime.run's guard instead of
             # crashing in the collector loop below.
@@ -318,63 +329,67 @@ class NetworkRuntime:
     def _run_parallel(
         self, splits: list[Trace], origin: float, n_workers: int
     ) -> tuple[list, dict[str, dict[str, int]]]:
-        """Fan per-switch pipelines across a process pool and merge back."""
-        from concurrent.futures import ProcessPoolExecutor
+        """Fan per-switch pipelines across forked workers and merge back.
 
-        from repro.parallel.netexec import SwitchTask, run_switch_task
-        from repro.parallel.pool import fork_context
-        from repro.parallel.shm import TraceShmPool
+        A forked child reads its plan and split through the closure
+        (copy-on-write); :func:`parallel_map` pickles only the returned
+        :class:`SwitchResult`. Without ``fork`` it runs the switches in
+        this process, one after another.
 
+        Each switch's pipeline is rebuilt from its plan with its own
+        observability context. That loses nothing a serial run keeps:
+        every ``run()`` reinstalls fallen-back instances and restarts the
+        refinement tables, and fault decisions are keyed by ``(scope,
+        channel, window, stream, position)``, not by runtime identity, so a
+        rebuilt pipeline draws what a reused serial one does.
+        """
         obs = self.obs
-        with obs.span(
-            "parallel.dispatch", switches=len(splits), workers=n_workers
-        ) as dispatch_span:
-            with TraceShmPool() as shm_pool:
-                tasks = [
-                    SwitchTask(
-                        switch_id=switch_id,
-                        plan=self.runtimes[switch_id].plan,
-                        window=self.window,
-                        origin=origin,
-                        engine=self.engine,
-                        fault_scope=f"switch{switch_id}",
-                        faults=self.faults,
-                        degradation=self.degradation,
-                        obs_enabled=obs.enabled,
-                        handle=shm_pool.share(split),
-                    )
-                    for switch_id, split in enumerate(splits)
-                ]
-                if obs.enabled:
-                    obs.counter(
-                        "sonata_parallel_tasks_total",
-                        "tasks dispatched to worker processes",
-                    ).inc(len(tasks), label="network")
-                    obs.counter(
-                        "sonata_shm_bytes_total",
-                        "trace bytes handed to workers via shared memory",
-                    ).inc(shm_pool.shared_bytes)
-                    dispatch_span.set_attribute("shm_bytes", shm_pool.shared_bytes)
-                ctx = fork_context()
-                kwargs = {"mp_context": ctx} if ctx is not None else {}
-                with ProcessPoolExecutor(max_workers=n_workers, **kwargs) as pool:
-                    results = list(pool.map(run_switch_task, tasks))
 
-        # Merge in switch-id order (pool.map preserves input order) so the
+        def run_switch(switch_id: int) -> SwitchResult:
+            local_obs = Observability() if obs.enabled else NULL_OBS
+            runtime = SonataRuntime(
+                self.runtimes[switch_id].plan,
+                faults=self.faults,
+                degradation=self.degradation,
+                fault_scope=f"switch{switch_id}",
+                obs=local_obs,
+                engine=self.engine,
+            )
+            report = runtime.run(
+                splits[switch_id], window=self.window, origin=origin
+            )
+            # The worker's snapshot is merged into the parent registry; the
+            # per-switch copy on the report would be a second view of it.
+            report.metrics = None
+            result = SwitchResult(
+                report,
+                runtime.faults.rng_draws() if runtime.faults is not None else {},
+            )
+            if local_obs.enabled:
+                result.metrics = local_obs.snapshot()
+                result.spans = local_obs.tracer.spans
+                result.events = local_obs.tracer.events
+                result.dropped_records = local_obs.tracer.dropped
+            return result
+
+        with obs.span("parallel.dispatch", switches=len(splits), workers=n_workers):
+            results = parallel_map(
+                run_switch, range(len(splits)), n_workers, label="network", obs=obs
+            )
+
+        # Merge in switch-id order (parallel_map keeps input order) so the
         # combined metrics/trace records are deterministic.
-        per_switch_reports = []
         fault_draws: dict[str, dict[str, int]] = {}
-        for result in results:
-            per_switch_reports.append(result.report)
+        for switch_id, result in enumerate(results):
             if result.rng_draws:
-                fault_draws[f"switch{result.switch_id}"] = result.rng_draws
+                fault_draws[f"switch{switch_id}"] = result.rng_draws
             if result.metrics is not None:
                 obs.registry.merge(result.metrics)
             if result.spans or result.events or result.dropped_records:
                 obs.tracer.absorb(
                     result.spans, result.events, result.dropped_records
                 )
-        return per_switch_reports, fault_draws
+        return [result.report for result in results], fault_draws
 
     def _collect(self, index: int, per_switch_reports) -> NetworkWindowReport:
         switch_tuples = []

@@ -71,10 +71,7 @@ class Topology:
         groups rows by switch (preserving packet order within each
         switch, exactly like the per-switch boolean masks it replaces),
         and every per-switch trace is then a contiguous *view* into that
-        one grouped array. Besides halving peak memory, contiguous views
-        over a shared base are what lets the process-parallel runner ship
-        all splits through one shared-memory segment (see
-        ``repro.parallel.shm``).
+        one grouped array, which halves peak memory.
         """
         if len(trace) == 0:
             return [trace for _ in range(self.n_switches)]

@@ -179,7 +179,6 @@ def generate_backbone(config: BackboneConfig | None = None) -> Trace:
     of the config, repeated calls with an equal config within one process
     return the same immutable trace from :mod:`repro.parallel.cache`
     instead of regenerating (sweeps rebuild identical workloads per cell).
-    Set ``REPRO_TRACE_CACHE=0`` to always regenerate.
     """
     config = config or BackboneConfig()
     from repro.parallel.cache import trace_cache

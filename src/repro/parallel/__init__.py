@@ -3,9 +3,9 @@
 Three layers build on this package (DESIGN.md §11):
 
 - **network**: :meth:`repro.network.runtime.NetworkRuntime.run` fans the
-  per-switch pipelines across a process pool, handing each worker its
-  trace slice through shared memory (:mod:`repro.parallel.shm`) and
-  merging reports, metrics and fault accounting deterministically;
+  per-switch pipelines over :func:`parallel_map`; forked workers inherit
+  their trace splits, and the parent merges reports, metrics and fault
+  accounting deterministically;
 - **evaluation**: :func:`parallel_map` runs independent sweep/benchmark
   cells concurrently, and the content-addressed :func:`trace_cache`
   stops sweeps regenerating identical synthetic traces per cell;
@@ -14,11 +14,10 @@ Three layers build on this package (DESIGN.md §11):
   ``REPRO_WORKERS``).
 
 Everything degrades gracefully: ``workers=1`` is exactly the serial code
-path, shared memory falls back to pickling, and platforms without
-``fork`` run the evaluation maps serially.
+path, and platforms without ``fork`` run every map serially.
 """
 
-from repro.parallel.cache import TraceCache, cache_enabled, config_key, trace_cache
+from repro.parallel.cache import TraceCache, config_key, trace_cache
 from repro.parallel.pool import (
     MAX_AUTO_WORKERS,
     default_workers,
@@ -26,20 +25,14 @@ from repro.parallel.pool import (
     parallel_map,
     resolve_workers,
 )
-from repro.parallel.shm import TraceHandle, TraceShmPool, open_trace, shm_available
 
 __all__ = [
     "MAX_AUTO_WORKERS",
     "TraceCache",
-    "TraceHandle",
-    "TraceShmPool",
-    "cache_enabled",
     "config_key",
     "default_workers",
     "fork_context",
-    "open_trace",
     "parallel_map",
     "resolve_workers",
-    "shm_available",
     "trace_cache",
 ]

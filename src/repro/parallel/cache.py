@@ -10,13 +10,12 @@ back on every hit.
 
 Cached traces are shared, not copied: the packet array is marked
 read-only, and callers that mutate traces (``Trace.merge``,
-``anonymize``) already copy first. Disable with ``REPRO_TRACE_CACHE=0``.
+``anonymize``) already copy first.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from collections import OrderedDict
 from typing import Any, Callable
 
@@ -26,10 +25,6 @@ from repro.utils.hashing import stable_hash
 
 #: Bump when the generator's output changes for an unchanged config.
 _KEY_VERSION = 1
-
-
-def cache_enabled() -> bool:
-    return os.environ.get("REPRO_TRACE_CACHE", "1") not in ("0", "false")
 
 
 def _freeze(value: Any):
@@ -102,8 +97,6 @@ class TraceCache:
         self, config: Any, generate: "Callable[[], Trace]", salt: str = ""
     ) -> Trace:
         """The front door: cached trace for ``config``, else generate."""
-        if not cache_enabled():
-            return generate()
         key = config_key(config, salt=salt)
         cached = self.get(key)
         if cached is not None:

@@ -9,13 +9,14 @@ Two knobs pick the worker count everywhere in the tree:
   while CLI entry points and benchmarks default to
   :func:`default_workers`, which is ``os.cpu_count()``-aware.
 
-:func:`parallel_map` is the generic evaluation-layer executor: it runs
-``fn`` over ``items`` on a process pool and returns results in input
-order. It accepts *closures* — the pool is forked after the function and
-items are parked in module globals, so children inherit them by COW
-memory instead of pickling (the per-cell sweep closures capture the whole
-workload trace; shipping that per task would drown the win). Only the
-item index crosses the pipe going in; results are pickled coming back.
+:func:`parallel_map` is the tree's one process pool (evaluation sweeps,
+benchmarks and the network fan-out): it runs ``fn`` over ``items`` on
+forked workers and returns results in input order. It accepts *closures*
+— the pool is forked after the function and items are parked in module
+globals, so children inherit them by COW memory instead of pickling (the
+per-cell sweep closures and the per-switch network closure capture whole
+traces; shipping those per task would drown the win). Only the item
+index crosses the pipe going in; results are pickled coming back.
 Platforms without ``fork`` (or ``workers=1``, or a single item) degrade
 to a plain serial loop with identical semantics.
 """
@@ -35,28 +36,27 @@ from repro.obs import get_observability
 MAX_AUTO_WORKERS = 16
 
 
+def _env_workers() -> "int | None":
+    """The ``REPRO_WORKERS`` override, or ``None`` when it is unset."""
+    env = os.environ.get("REPRO_WORKERS", "").strip()
+    if not env:
+        return None
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"REPRO_WORKERS={env!r} is not an integer") from None
+
+
 def default_workers() -> int:
     """CPU-count-aware default for CLI/benchmark entry points."""
-    env = os.environ.get("REPRO_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"REPRO_WORKERS={env!r} is not an integer") from None
-    return max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
+    return _env_workers() or max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
 
 
 def resolve_workers(workers: "int | None") -> int:
     """Normalize a ``workers=`` argument (library default: serial)."""
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get("REPRO_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"REPRO_WORKERS={env!r} is not an integer") from None
-    return 1
+    return _env_workers() or 1
 
 
 def fork_context() -> "multiprocessing.context.BaseContext | None":

@@ -1,202 +1,24 @@
-"""Zero-copy trace handoff between processes via POSIX shared memory.
+"""Retired shared-memory trace handoff.
 
-A :class:`TraceShmPool` owns the shared-memory segments for one fan-out:
-the parent calls :meth:`TraceShmPool.share` once per per-switch trace and
-ships the resulting (small, picklable) :class:`TraceHandle` to the worker;
-the worker calls :func:`open_trace` and gets a :class:`Trace` whose numpy
-structured array is mapped straight onto the segment — no serialization
-and no copy on the receiving side. Traces that share one backing array
-(the contiguous views :meth:`Topology.split` produces) share one segment:
-the pool keys segments by the base buffer, so an n-switch fan-out writes
-the trace bytes exactly once.
-
-Side tables (DNS names, payload bytes) ride along pickled inside the
-handle — they are orders of magnitude smaller than the packet array and
-referenced by integer id, so sharing them by value keeps ids valid.
-
-When ``multiprocessing.shared_memory`` is unavailable, a segment cannot be
-created (e.g. ``/dev/shm`` is full or mount-restricted), or the caller set
-``REPRO_NO_SHM=1``, the handle degrades to carrying the pickled array
-bytes instead — same API, one extra copy, no functional difference.
+Network fan-out forks through :func:`repro.parallel.parallel_map`, so
+every worker inherits its trace split by copy-on-write and no trace
+crosses a process boundary.
 """
-
-from __future__ import annotations
-
-import os
-import pickle
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.packets.trace import TRACE_DTYPE, Trace
-
-try:  # pragma: no cover - import succeeds everywhere we support
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic platforms only
-    _shared_memory = None
-
-
-def shm_available() -> bool:
-    """Shared-memory handoff possible (and not disabled via env)?"""
-    if os.environ.get("REPRO_NO_SHM", "") not in ("", "0"):
-        return False
-    return _shared_memory is not None
-
-
-@dataclass
-class TraceHandle:
-    """Picklable reference to a trace living in a shared-memory segment.
-
-    Exactly one of ``shm_name`` (shared-memory mode) or ``payload``
-    (pickle fallback) is set. ``offset``/``count`` address the rows of
-    this trace inside the (possibly shared) segment.
-    """
-
-    count: int
-    offset: int = 0
-    shm_name: "str | None" = None
-    payload: "bytes | None" = None
-    qnames: list = field(default_factory=list)
-    payloads: list = field(default_factory=list)
-
-    @property
-    def nbytes(self) -> int:
-        return self.count * TRACE_DTYPE.itemsize
-
-
-def open_trace(handle: TraceHandle) -> "tuple[Trace, object]":
-    """Materialize a handle in the receiving process.
-
-    Returns ``(trace, closer)``; call ``closer()`` once the trace is no
-    longer needed (it detaches the segment — the creating side unlinks).
-    In shared-memory mode the trace's array is a read-only view over the
-    mapped segment: zero-copy.
-    """
-    if handle.shm_name is None:
-        if handle.count == 0:
-            array = np.empty(0, dtype=TRACE_DTYPE)
-        else:
-            array = pickle.loads(handle.payload)
-        return Trace(array, handle.qnames, handle.payloads), lambda: None
-    # Note on the resource tracker: the pool workers are forked from the
-    # creating process, so attach-side registration lands in the same
-    # tracker set the create-side registration did (a no-op duplicate)
-    # and the parent's unlink cleans it exactly once.
-    shm = _shared_memory.SharedMemory(name=handle.shm_name)
-    array = np.ndarray(
-        handle.count,
-        dtype=TRACE_DTYPE,
-        buffer=shm.buf,
-        offset=handle.offset * TRACE_DTYPE.itemsize,
-    )
-    array.flags.writeable = False
-    trace = Trace(array, handle.qnames, handle.payloads)
-    return trace, shm.close
 
 
 class TraceShmPool:
-    """Parent-side owner of the segments for one fan-out.
+    """Retired owner of a fan-out's shared-memory segments; nothing
+    constructs it.
 
-    Usage::
-
-        pool = TraceShmPool()
-        handles = [pool.share(split) for split in splits]
-        ...  # ship handles to workers, wait for results
-        pool.release()
+    Kept importable for external tooling that still wraps its
+    ``__exit__``.
     """
 
-    def __init__(self, use_shm: "bool | None" = None) -> None:
-        self._use_shm = shm_available() if use_shm is None else use_shm
-        self._segments: list = []
-        #: base-buffer id -> (shm, base_address) for view deduplication.
-        self._by_base: dict[int, tuple] = {}
-        #: Total bytes written into shared memory (for obs accounting).
-        self.shared_bytes = 0
-
-    def share(self, trace: Trace) -> TraceHandle:
-        array = trace.array
-        qnames = list(trace.qnames)
-        payloads = list(trace.payloads)
-        if len(array) == 0:
-            return TraceHandle(count=0, qnames=qnames, payloads=payloads)
-        if not self._use_shm:
-            return self._pickle_handle(array, qnames, payloads)
-
-        base = array.base
-        if (
-            isinstance(base, np.ndarray)
-            and base.dtype == TRACE_DTYPE
-            and base.flags["C_CONTIGUOUS"]
-        ):
-            # Contiguous row-slice view (what Topology.split hands out):
-            # share the base once and address this trace by row offset.
-            entry = self._segment_for(base)
-            if entry is not None:
-                shm, base_address, _ = entry
-                byte_offset = (
-                    array.__array_interface__["data"][0] - base_address
-                )
-                if 0 <= byte_offset and byte_offset % TRACE_DTYPE.itemsize == 0:
-                    return TraceHandle(
-                        count=len(array),
-                        offset=byte_offset // TRACE_DTYPE.itemsize,
-                        shm_name=shm.name,
-                        qnames=qnames,
-                        payloads=payloads,
-                    )
-
-        # Standalone (or oddly-strided) trace: its own segment.
-        contiguous = np.ascontiguousarray(array)
-        entry = self._segment_for(contiguous)
-        if entry is None:
-            return self._pickle_handle(array, qnames, payloads)
-        shm = entry[0]
-        return TraceHandle(
-            count=len(array), shm_name=shm.name, qnames=qnames, payloads=payloads
-        )
-
-    def _segment_for(self, base: np.ndarray) -> "tuple | None":
-        """Get-or-create the segment holding ``base``'s bytes."""
-        key = id(base)
-        entry = self._by_base.get(key)
-        if entry is not None:
-            return entry
-        try:
-            shm = _shared_memory.SharedMemory(create=True, size=max(base.nbytes, 1))
-        except OSError:  # /dev/shm unavailable or full
-            return None
-        shm.buf[: base.nbytes] = base.tobytes()
-        self.shared_bytes += base.nbytes
-        self._segments.append(shm)
-        # Keep ``base`` referenced so its id cannot be recycled while the
-        # pool is alive (the dict is keyed by id()).
-        entry = (shm, base.__array_interface__["data"][0], base)
-        self._by_base[key] = entry
-        return entry
-
-    @staticmethod
-    def _pickle_handle(array: np.ndarray, qnames: list, payloads: list) -> TraceHandle:
-        return TraceHandle(
-            count=len(array),
-            payload=pickle.dumps(np.ascontiguousarray(array)),
-            qnames=qnames,
-            payloads=payloads,
-        )
-
-    def release(self) -> None:
-        """Detach and unlink every segment this pool created."""
-        for shm in self._segments:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
-        self._by_base.clear()
+    #: Trace bytes written into shared memory: always none.
+    shared_bytes = 0
 
     def __enter__(self) -> "TraceShmPool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.release()
         return False

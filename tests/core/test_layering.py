@@ -11,6 +11,10 @@ and the per-packet oracle keeps its own rule in
 :mod:`repro.packets.packet`. A field-name literal in :mod:`repro.exec` or
 :mod:`repro.runtime` would be the first step back to a rule that a map's
 rename breaks.
+
+One process pool: :mod:`repro.parallel.pool` alone imports
+``concurrent.futures`` or ``multiprocessing``; every fan-out in the tree
+goes through its ``parallel_map``.
 """
 
 import ast
@@ -18,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 import repro.core
 import repro.exec
 import repro.runtime
@@ -29,9 +34,13 @@ ENGINE_MODULES = sorted(
     for path in Path(package.__path__[0]).glob("*.py")
 )
 STRING_FIELD_NAMES = {"payload", "dns.rr.name"}
+SRC_ROOT = Path(repro.__path__[0])
+POOL_MODULE = SRC_ROOT / "parallel" / "pool.py"
+PROCESS_MODULES = {"concurrent", "multiprocessing"}
 
 
 def _imported_roots(path: Path) -> set[str]:
+    """Top-level packages ``path`` imports, at any depth of its code."""
     roots = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -39,6 +48,17 @@ def _imported_roots(path: Path) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             roots.add(node.module.split(".")[0])
     return roots
+
+
+def test_only_the_pool_starts_processes():
+    assert POOL_MODULE.is_file()
+    assert PROCESS_MODULES <= _imported_roots(POOL_MODULE)
+    offenders = sorted(
+        str(path.relative_to(SRC_ROOT))
+        for path in SRC_ROOT.rglob("*.py")
+        if path != POOL_MODULE and _imported_roots(path) & PROCESS_MODULES
+    )
+    assert not offenders, f"process pools outside repro.parallel.pool: {offenders}"
 
 
 def test_core_modules_found():

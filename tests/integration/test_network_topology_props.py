@@ -65,8 +65,7 @@ class TestTopologyProperties:
     def test_split_returns_views_over_one_base(self, pkts, n_switches):
         """split() must not copy per switch: every non-empty sub-trace is
         a contiguous view into one shared grouped array (one allocation
-        for the whole fan-out, and the precondition for single-segment
-        shared-memory handoff)."""
+        for the whole fan-out, which forked workers then inherit)."""
         trace = Trace.from_packets(pkts)
         if len(trace) == 0:
             return

@@ -1,4 +1,4 @@
-"""Content-addressed trace cache: keys, hits, sharing, disable switch."""
+"""Content-addressed trace cache: keys, hits, sharing, LRU eviction."""
 
 import dataclasses
 
@@ -9,7 +9,6 @@ from repro.packets.generator import BackboneConfig, generate_backbone
 from repro.packets.trace import Trace
 from repro.parallel.cache import (
     TraceCache,
-    cache_enabled,
     config_key,
     trace_cache,
 )
@@ -69,20 +68,6 @@ class TestTraceCache:
             dataclasses.replace(CONFIG, seed=1), Trace.empty
         )
         assert cache.misses == misses + 1
-
-    def test_disable_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert not cache_enabled()
-        cache = TraceCache()
-        calls = []
-
-        def gen():
-            calls.append(1)
-            return Trace.empty()
-
-        cache.get_or_generate(CONFIG, gen)
-        cache.get_or_generate(CONFIG, gen)
-        assert len(calls) == 2  # regenerated both times
 
 
 class TestGeneratorIntegration:
