@@ -8,27 +8,25 @@ operator, its keys). The cost estimator turns those counts into the
 the paper); :func:`apply_chain` lets it run a chain in pieces.
 
 The operators themselves run on the stream processor's interpreter,
-:func:`repro.streaming.batchops.apply_operator_state`, so the planner, the
+:func:`repro.streaming.batchops.apply_operator_state`, and joins on its
+:func:`~repro.streaming.batchops.assemble_join_tree`, so the planner, the
 All-SP ground truth and the raw-mirror path count exactly the tuples the
-stream processor would produce, in the same order. Joins are assembled by
-the row-wise :func:`~repro.streaming.rowops.assemble_join_tree`, as at the
-stream processor.
+stream processor would produce, in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.fields import FIELDS, FieldRegistry
 from repro.core.operators import (
     Operator, Schema, chain_read_fields, chain_schemas, resolve_value_fields,
 )
 from repro.core.query import Query, SubQuery
-from repro.exec import ColumnarState, materialize_rows
+from repro.exec import ColumnarState, Row, materialize_rows
 from repro.packets.trace import Trace
-from repro.streaming.batchops import apply_operator_state
-from repro.streaming.rowops import assemble_join_tree
+from repro.streaming.batchops import apply_operator_state, assemble_join_tree
 
 __all__ = [
     "ColumnarState",
@@ -64,7 +62,7 @@ class ColumnarResult:
             return self.input_rows
         return self.stats[op_index].rows_out
 
-    def rows(self) -> list[dict[str, Any]]:
+    def rows(self) -> list[Row]:
         """Materialize the final tuples as dicts (ids resolved to strings)."""
         return materialize_rows(self.final, self.schema.fields)
 
@@ -119,14 +117,14 @@ def execute_query(
     query: Query,
     trace: Trace,
     tables: Mapping[str, set] | None = None,
-) -> list[dict[str, Any]]:
+) -> list[Row]:
     """Execute a full query (including joins) over one window.
 
     This is the ground-truth, All-SP semantics: every packet is visible to
     every operator. Returns the output tuples as dicts.
     """
     leaf_outputs = {
-        sq.subid: execute_subquery(sq, trace, tables).rows()
+        sq.subid: execute_subquery(sq, trace, tables).final
         for sq in query.subqueries
     }
-    return assemble_join_tree(query.join_tree, leaf_outputs, tables)
+    return materialize_rows(assemble_join_tree(query.join_tree, leaf_outputs, tables))

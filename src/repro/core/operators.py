@@ -410,11 +410,8 @@ class Join(Operator):
 
     right: "Any"  # PacketStream; typed loosely to avoid a circular import
     keys: tuple[str, ...]
-    how: str = "inner"
 
     def __post_init__(self) -> None:
-        if self.how not in ("inner", "left"):
-            raise QueryValidationError(f"unsupported join type {self.how!r}")
         if not self.keys:
             raise QueryValidationError("join needs at least one key")
 

@@ -113,11 +113,9 @@ class PacketStream:
         """Append per-window deduplication on ``keys`` (default all fields)."""
         return self._extend(Distinct(keys=tuple(keys)))
 
-    def join(
-        self, other: "PacketStream", keys: Sequence[str], how: str = "inner"
-    ) -> "PacketStream":
-        """Join with the output of another sub-query on ``keys``."""
-        return self._extend(Join(right=other, keys=tuple(keys), how=how))
+    def join(self, other: "PacketStream", keys: Sequence[str]) -> "PacketStream":
+        """Inner-join with the output of another sub-query on ``keys``."""
+        return self._extend(Join(right=other, keys=tuple(keys)))
 
     # -- introspection --------------------------------------------------
     def schemas(self) -> list[Schema]:
@@ -233,7 +231,6 @@ class JoinNode:
     left: "int | JoinNode"
     right: "int | JoinNode"
     keys: tuple[str, ...]
-    how: str
     post_ops: tuple[Operator, ...]  # reduce value fields resolved
 
 
@@ -289,7 +286,6 @@ class Query:
                 left=node,
                 right=right_node,
                 keys=join.keys,
-                how=join.how,
                 post_ops=resolve_value_fields(
                     ops[index + 1 : next_join], schemas[index + 1]
                 ),

@@ -164,7 +164,6 @@ def operator_to_dict(op: Operator) -> dict:
         return {
             "op": "join",
             "keys": list(op.keys),
-            "how": op.how,
             "right": stream_to_dict(op.right),
         }
     raise QueryValidationError(f"cannot serialize operator {op!r}")
@@ -191,11 +190,9 @@ def operator_from_dict(data: dict) -> Operator:
     if kind == "distinct":
         return Distinct(keys=tuple(data.get("keys", ())))
     if kind == "join":
-        return Join(
-            right=stream_from_dict(data["right"]),
-            keys=tuple(data["keys"]),
-            how=data.get("how", "inner"),
-        )
+        if data.get("how", "inner") != "inner":
+            raise QueryValidationError(f"unsupported join type {data['how']!r}")
+        return Join(right=stream_from_dict(data["right"]), keys=tuple(data["keys"]))
     raise QueryValidationError(f"unknown operator kind {kind!r}")
 
 

@@ -16,10 +16,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.analytics import execute_subquery
+from repro.exec import ColumnarState, Row, materialize_rows
+from repro.exec.columns import column_set
 from repro.packets.trace import Trace
 from repro.planner.plans import Plan
 from repro.planner.refinement import filter_table_name
-from repro.streaming.rowops import Row, assemble_join_tree
+from repro.streaming.batchops import assemble_join_tree
 
 
 @dataclass
@@ -76,7 +78,7 @@ def evaluate_plan(
         for qid, qplan in plan.query_plans.items():
             finest = qplan.path[-1]
             for r_prev, r_level in qplan.transitions():
-                leaf_outputs: dict[int, list[Row] | None] = {
+                leaf_outputs: dict[int, ColumnarState | None] = {
                     sq.subid: None for sq in qplan.query.subqueries
                 }
                 raw_mirror = False
@@ -84,7 +86,7 @@ def evaluate_plan(
                     result = execute_subquery(
                         inst.augmented, window_trace, tables
                     )
-                    leaf_outputs[inst.subid] = result.rows()
+                    leaf_outputs[inst.subid] = result.final
                     if inst.on_switch:
                         window_tuples[qid] += result.rows_after(inst.cut - 1)
                     else:
@@ -92,22 +94,17 @@ def evaluate_plan(
                 if raw_mirror:
                     window_tuples[qid] += len(window_trace)
 
-                output = (
-                    assemble_join_tree(
-                        qplan.query.join_tree, leaf_outputs, tables
-                    )
-                    or []
-                )
+                output = assemble_join_tree(
+                    qplan.query.join_tree, leaf_outputs, tables
+                ) or ColumnarState(columns={})
                 if r_level == finest:
                     measurement.detections.extend(
-                        (w_index, qid, row) for row in output
+                        (w_index, qid, row) for row in materialize_rows(output)
                     )
                 elif qplan.spec is not None:
-                    new_feeds[(qid, r_level)] = {
-                        row[qplan.spec.key_field]
-                        for row in output
-                        if qplan.spec.key_field in row
-                    }
+                    new_feeds[(qid, r_level)] = column_set(
+                        output, qplan.spec.key_field
+                    )
         measurement.per_window.append(dict(window_tuples))
         feeds = new_feeds
     return measurement

@@ -3,10 +3,11 @@
 Both batch engines in the pipeline — the switch's batched window path and
 the columnar operator interpreter in :mod:`repro.streaming.batchops`
 (stream processor, emitter, planner cost estimation, All-SP ground truth,
-raw mirroring) — run on this one kernel layer, operating on column dicts
-over :class:`~repro.packets.trace.Trace` numpy views, in the one
-columnar tuple format of :mod:`repro.exec.columns`. The scalar ALU fold
-semantics the row-wise interpreters use live in :mod:`repro.exec.alu`.
+raw mirroring, the network collector) — run on this one kernel layer,
+joins included, operating on column dicts over
+:class:`~repro.packets.trace.Trace` numpy views, in the one columnar
+tuple format of :mod:`repro.exec.columns`. The scalar ALU fold semantics
+the row-wise interpreters use live in :mod:`repro.exec.alu`.
 """
 
 from repro.exec.alu import (
@@ -17,6 +18,7 @@ from repro.exec.alu import (
 )
 from repro.exec.columns import (
     ColumnarState,
+    Row,
     Vocab,
     canonical_column,
     canonical_state,
@@ -33,6 +35,7 @@ from repro.exec.kernels import (
     first_occurrences,
     group_first_occurrence,
     group_keys,
+    join_states,
     key_columns,
     keys_in,
     predicate_mask,
@@ -45,6 +48,7 @@ __all__ = [
     "aggregate_groups",
     "running_groups",
     "ColumnarState",
+    "Row",
     "Vocab",
     "canonical_column",
     "canonical_state",
@@ -60,6 +64,7 @@ __all__ = [
     "first_occurrences",
     "group_first_occurrence",
     "group_keys",
+    "join_states",
     "key_columns",
     "keys_in",
     "reduce_args",

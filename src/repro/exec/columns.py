@@ -27,6 +27,9 @@ from repro.core.fields import FIELDS, FieldRegistry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.packets.trace import Trace
 
+#: One tuple as the row-wise engines and the reports hold it.
+Row = dict[str, Any]
+
 
 class Vocab(list):
     """The value table a string column's ids index.
@@ -122,16 +125,23 @@ def column_values(state: ColumnarState, name: str) -> list[Any]:
     return col.tolist()  # tolist() yields Python ints
 
 
+def column_set(state: ColumnarState, name: str) -> set:
+    """Column ``name``'s values as a set; empty if ``state`` lacks it."""
+    return set(column_values(state, name)) if name in state.columns else set()
+
+
 def materialize_rows(
-    state: ColumnarState, names: "list[str] | tuple[str, ...]"
-) -> list[dict[str, Any]]:
+    state: ColumnarState, names: "Sequence[str] | None" = None
+) -> list[Row]:
     """Materialize every row of ``state`` as a dict of Python values.
 
     Types match the row-wise engines exactly: plain ``int`` (``float`` for
     the float-typed ``ts`` column), vocab ids resolved to ``str``/``bytes``
-    with the vocabulary's empty value for absent (-1) ids.
+    with the vocabulary's empty value for absent (-1) ids. ``names``
+    defaults to every column, in column order.
     """
     n = state.n_rows
+    names = list(state.columns) if names is None else names
     resolved = {name: column_values(state, name) for name in names}
     return [{name: resolved[name][i] for name in names} for i in range(n)]
 
@@ -261,7 +271,7 @@ def column_from_values(values: Sequence[Any]) -> "tuple[np.ndarray, Vocab | None
 
 
 def state_from_rows(
-    rows: "list[dict[str, Any]]", order: "Sequence[str] | None" = None
+    rows: "list[Row]", order: "Sequence[str] | None" = None
 ) -> ColumnarState:
     """Intern dict rows into a :class:`ColumnarState` (inverse of
     :func:`materialize_rows`). All rows must share one shape."""

@@ -4,7 +4,7 @@ The one columnar evaluator. Both batch engines — the switch's batched
 window path and the columnar operator interpreter
 (:mod:`repro.streaming.batchops`, which also serves the planner's cost
 estimation, the All-SP ground truth and raw mirroring) — execute
-filters, maps, grouping and aggregation through these functions, so
+filters, maps, grouping, aggregation and joins through these functions, so
 their semantics cannot drift apart. :mod:`repro.core` only describes
 operators and evaluates them on one tuple; where a column cannot be
 compared vectorized (vocab-typed names and payloads, ``contains``), a
@@ -350,6 +350,44 @@ def keys_in(
         ]
     )
     return np.isin(codes[: len(unique)], codes[len(unique) :])
+
+
+def join_states(
+    left: ColumnarState, right: ColumnarState, keys: Sequence[str]
+) -> ColumnarState:
+    """Inner hash join on ``keys``: the row join's rows, in its order (left
+    rows in order, each with its matches in right order), and columns (the
+    left's, then the right's non-key ones, a taken name suffixed ``_r``).
+    Vocab keys match by value through one :func:`canonical_column` table;
+    a key has one kind on both sides. An empty side gives an empty state."""
+    n_left = left.n_rows
+    if not n_left or not right.n_rows:
+        return ColumnarState(columns={})
+    both = []
+    for k in keys:
+        intern: dict = {}  # one id space for both sides
+        ids = [_int64_column(canonical_column(s, k, intern)[0]) for s in (left, right)]
+        both.append(np.concatenate(ids))
+    # One sort of both sides' key codes: within a run rows keep row
+    # order, so each run lists its left rows, then its right rows.
+    order, starts = _sorted_runs(*_pack_codes(both))
+    ends = np.append(starts[1:], len(order))
+    run = np.empty(len(order), dtype=np.int64)
+    run[order] = np.repeat(np.arange(len(starts)), ends - starts)
+    n_right = np.add.reduceat((order >= n_left).astype(np.int64), starts)
+    # Left row i's matches end its run; output row j is one of them.
+    matches = n_right[run[:n_left]]
+    left_rows = np.repeat(np.arange(n_left), matches)
+    skip = np.repeat(ends[run[:n_left]] - np.cumsum(matches), matches)
+    right_rows = order[skip + np.arange(len(left_rows))] - n_left
+    picks = {name: (left, name, left_rows) for name in left.columns}
+    for name in right.columns:
+        if name not in keys:
+            picks[name if name not in picks else f"{name}_r"] = (right, name, right_rows)
+    return ColumnarState(
+        columns={out: s.columns[n][rows] for out, (s, n, rows) in picks.items()},
+        vocabs={out: s.vocabs[n] for out, (s, n, _) in picks.items() if n in s.vocabs},
+    )
 
 
 def reduce_args(

@@ -8,10 +8,10 @@ Th/n of it (pigeonhole), so scaled local thresholds preserve candidate
 generation while still pruning aggressively. Every window, the collector:
 
 1. gathers each sub-query's finest-level partial aggregates from all
-   switches;
+   switches into one columnar state per sub-query;
 2. merges them (summing partial counts per key);
 3. applies the *original* thresholds, the bounds and the query's join
-   tree.
+   tree, on the stream processor's columnar interpreter.
 
 Only thresholds (:func:`repro.core.operators.aggregate_predicates`)
 survive a split: a bound such as ``count < 6`` can hold on every
@@ -36,7 +36,8 @@ from typing import Iterable
 
 from repro.core.errors import PlanningError
 from repro.core.operators import Reduce, aggregate_predicates
-from repro.core.query import Query, SubQuery
+from repro.core.query import Query
+from repro.exec import ColumnarState, Row, materialize_rows, state_from_rows
 from repro.faults import DegradationPolicy, FaultInjector, FaultSpec
 from repro.faults.injector import SWITCH_FAILED, SWITCH_OK
 from repro.network.topology import Topology
@@ -47,7 +48,7 @@ from repro.planner import QueryPlanner
 from repro.planner.refinement import rewrite_thresholds
 from repro.runtime import SonataRuntime
 from repro.runtime.emitter import partial_remerge
-from repro.streaming.rowops import Row, apply_operator, apply_operators, assemble_join_tree
+from repro.streaming.batchops import apply_operator_state, apply_operators_state, assemble_join_tree
 from repro.switch.config import SwitchConfig
 
 logger = logging.getLogger(__name__)
@@ -73,8 +74,8 @@ def _check_mergeable(query: Query) -> None:
     """Refuse a sub-query whose output the collector cannot re-aggregate.
 
     The collector merges per-switch partials by re-running the last
-    stateful reduce over the sub-query's output rows (see
-    :meth:`NetworkRuntime._merge_partials`), so that output must keep the
+    stateful reduce over the sub-query's output (see
+    :meth:`NetworkRuntime._collect`), so that output must keep the
     reduce's keys and its aggregate field. It then re-applies thresholds
     and bounds, which must therefore compare that last aggregate.
     """
@@ -449,18 +450,20 @@ class NetworkRuntime:
         detections: dict[int, list[Row]] = {}
         if reporting >= self.degradation.quorum:
             for query, local in zip(self.queries, self._local_queries):
-                leaf_outputs: dict[int, list[Row] | None] = {}
+                leaf_outputs: dict[int, ColumnarState | None] = {}
                 for sq, local_sq in zip(query.subqueries, local.subqueries):
-                    rows = merged_leaves[query.qid][sq.subid]
-                    rows = self._merge_partials(local_sq, rows)
-                    # The original thresholds, scaled by the quorum, and
-                    # bounds, on the merged aggregates.
+                    merged = state_from_rows(merged_leaves[query.qid][sq.subid])
+                    # Re-aggregate the partials of the last stateful op, then
+                    # the original thresholds, scaled by the quorum, and bounds.
+                    stateful = [op for op in local_sq.operators if op.stateful]
+                    if stateful and merged.n_rows:
+                        merged = apply_operator_state(merged, partial_remerge(stateful[-1]))
                     final = rewrite_thresholds(
                         sq.operators, lambda p: p.value * scale, bounds=True, rest=False
                     )
-                    leaf_outputs[sq.subid] = apply_operators(rows, final)
-                output = assemble_join_tree(query.join_tree, leaf_outputs) or []
-                detections[query.qid] = output
+                    leaf_outputs[sq.subid] = apply_operators_state(merged, final)
+                output = assemble_join_tree(query.join_tree, leaf_outputs)
+                detections[query.qid] = materialize_rows(output)
         else:
             # Below quorum: the watchdog still closes the window — with no
             # detections — rather than blocking on reports that will never
@@ -497,11 +500,3 @@ class NetworkRuntime:
             quorum_scale=scale,
             faults_injected=dict(faults_injected),
         )
-
-    @staticmethod
-    def _merge_partials(local_sq: SubQuery, rows: list[Row]) -> list[Row]:
-        """Re-aggregate per-switch partials of the final stateful op."""
-        stateful = [op for op in local_sq.operators if op.stateful]
-        if not stateful or not rows:
-            return rows
-        return apply_operator(rows, partial_remerge(stateful[-1]))

@@ -77,7 +77,7 @@ class Topology:
             return [trace for _ in range(self.n_switches)]
         assignment = self.ingress(trace.array)
         order = np.argsort(assignment, kind="stable")
-        grouped = trace.array[order]  # the one copy, shared by all views
+        grouped = np.take(trace.array, order)  # the one copy, shared by all views
         bounds = np.searchsorted(
             assignment[order], np.arange(self.n_switches + 1)
         )

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -65,8 +65,8 @@ from repro.core.operators import (
     Filter, Map, Operator, Schema, aggregate_predicates, chain_read_fields, chain_schemas,
 )
 from repro.core.query import Query, SubQuery
-from repro.exec import ColumnarState, materialize_rows, predicate_mask
-from repro.exec.columns import column_values
+from repro.exec import ColumnarState, predicate_mask
+from repro.exec.columns import column_set, column_values
 from repro.packets.trace import Trace
 from repro.planner.collisions import chain_overflow_rate, size_register
 from repro.planner.plans import InstancePlan
@@ -80,7 +80,7 @@ from repro.planner.refinement import (
     rewrite_thresholds,
     trailing_threshold_fields,
 )
-from repro.streaming.rowops import assemble_join_tree
+from repro.streaming.batchops import assemble_join_tree
 from repro.switch.compiler import CompiledSubQuery, compile_subquery
 from repro.switch.config import SwitchConfig
 from repro.switch.tables import LogicalTable
@@ -229,8 +229,8 @@ class _LevelRun:
     sq: SubQuery
     root: TransitionCosts
     packets_in: list[float]
-    #: The root chain's output rows per window, until the join reads them.
-    outputs: list[list[dict[str, Any]]]
+    #: The root chain's output per window, until the join reads it.
+    outputs: list[ColumnarState]
     #: Per window: the packets' key counts, then each operator output's
     #: (empty at the coarsest level, which no transition filters into).
     key_counts: list[list[_KeyCounts | None]]
@@ -426,13 +426,13 @@ class CostEstimator:
                 sq, spec, ROOT_LEVEL, level, relaxed[(sq.subid, level)]
             )
             ops = root.operators
-        outputs: list[list[dict[str, Any]]] = []
-        for w_index, state in enumerate(held):
-            state = _continue(
+        outputs = [
+            _continue(
                 ops[split:], state, schemas[split], key,
                 rows_out[w_index], key_counts[w_index],
             )
-            outputs.append(materialize_rows(state, schemas[-1].fields))
+            for w_index, state in enumerate(held)
+        ]
         return _LevelRun(
             sq=sq,
             root=self._price(root, ROOT_LEVEL, level, packets_in, rows_out),
@@ -475,15 +475,14 @@ class CostEstimator:
                 query.join_tree,
                 {subid: run.outputs[w_index] for subid, run in runs.items()},
             )
-            or []
+            or ColumnarState(columns={})
             for w_index in range(len(self.windows()))
         ]
         for run in runs.values():
             run.outputs = []
-        if spec is None:
-            return [{tuple(sorted(r.items())) for r in rows} for rows in outputs]
-        key = spec.key_field
-        return [{row[key] for row in rows if key in row} for rows in outputs]
+        if spec is None:  # whole rows, as tuples of their values
+            return [set(zip(*(column_values(o, n) for n in o.columns))) for o in outputs]
+        return [column_set(out, spec.key_field) for out in outputs]
 
     def _price_filtered(
         self,

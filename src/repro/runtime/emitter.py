@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.operators import Distinct, Operator, Reduce
-from repro.exec import ColumnarState, concat_states, state_from_rows
+from repro.exec import ColumnarState, Row, concat_states, state_from_rows
 from repro.obs import get_observability
 from repro.planner.plans import InstancePlan
 from repro.streaming.batchops import apply_operator_state, apply_operators_state
-from repro.streaming.rowops import Row, apply_operator, apply_operators
+from repro.streaming.rowops import apply_operator, apply_operators
 from repro.switch.mirror import MirroredBatch, MirroredTuple
 
 

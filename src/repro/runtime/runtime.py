@@ -25,14 +25,16 @@ from dataclasses import dataclass, field
 from repro.analytics import execute_subquery
 from repro.core.errors import PlanningError
 from repro.core.fields import FIELDS
-from repro.exec import value_kind
+from repro.core.query import JoinNode
+from repro.exec import ColumnarState, Row, materialize_rows, value_kind
+from repro.exec.columns import column_set
 from repro.obs import MetricsSnapshot, get_observability
 from repro.packets.trace import Trace
 from repro.planner.plans import InstancePlan, Plan, QueryPlan
 from repro.planner.refinement import filter_table_name
 from repro.runtime.emitter import Emitter
+from repro.streaming import rowops
 from repro.streaming.engine import StreamProcessor
-from repro.streaming.rowops import Row
 from repro.switch.mirror import MirroredBatch, MirroredTuple
 from repro.switch.simulator import PISASwitch
 
@@ -406,16 +408,16 @@ class SonataRuntime:
         with obs.span("stage.stream_processor", window=index) as stage_span:
             tuples_to_sp: dict[int, int] = defaultdict(int)
             tuples_per_instance: dict[str, int] = defaultdict(int)
-            leaf_rows: dict[str, list[Row]] = {}
+            leaves: dict[str, "ColumnarState | list[Row]"] = {}
             for key, batch in batches.items():
                 tuples_to_sp[self._instances[key].qid] += batch.tuples_sent
                 tuples_per_instance[key] += batch.tuples_sent
                 if batch.state is not None:
-                    leaf_rows[key] = self.stream_processor.process_state(
+                    leaves[key] = self.stream_processor.process_state(
                         key, batch.state, tables
                     )
                 else:
-                    leaf_rows[key] = self.stream_processor.process(
+                    leaves[key] = self.stream_processor.process(
                         key, batch.rows, tables
                     )
 
@@ -425,39 +427,42 @@ class SonataRuntime:
             for inst in self._raw_mirror:
                 inst_tables = dict(tables)
                 result = execute_subquery(inst.augmented, window_trace, inst_tables)
-                leaf_rows[inst.key] = result.rows()
+                leaves[inst.key] = result.rows() if self.engine == "rowwise" else result.final
                 raw_qids.add(inst.qid)
                 self.stream_processor.record_raw_mirror(
-                    inst.key, len(window_trace), len(leaf_rows[inst.key])
+                    inst.key, len(window_trace), result.final.n_rows
                 )
                 tuples_per_instance[inst.key] += len(window_trace)
             for qid in raw_qids:
                 tuples_to_sp[qid] += len(window_trace)
         self._h_stage.observe(stage_span.duration, stage="stream_processor")
 
-        # 4. Join assembly per refinement transition + filter updates.
+        # 4. Join assembly per refinement transition + filter updates; the
+        # report's rows are built here, once per state.
         with obs.span("stage.refine", window=index) as stage_span:
             detections: dict[int, list[Row]] = {}
             level_outputs: dict[tuple[int, int], list[Row]] = {}
             sub_outputs: dict[tuple[int, int, int], list[Row]] = {}
+            leaf_rows = {
+                key: leaf if isinstance(leaf, list) else materialize_rows(leaf)
+                for key, leaf in leaves.items()
+            }
             for qid, qplan in self.plan.query_plans.items():
                 finest = qplan.path[-1] if qplan.path else None
                 for r_prev, r_level in qplan.transitions():
-                    for inst in qplan.instances_for(r_prev, r_level):
-                        sub_outputs[(qid, r_level, inst.subid)] = leaf_rows.get(
-                            inst.key, []
-                        )
-                    output = self._transition_output(
-                        qplan, r_prev, r_level, leaf_rows, tables
+                    instances = qplan.instances_for(r_prev, r_level)
+                    for inst in instances:
+                        sub_outputs[(qid, r_level, inst.subid)] = leaf_rows.get(inst.key, [])
+                    output, state = self._transition_output(
+                        qplan, instances, leaves, leaf_rows, tables
                     )
                     level_outputs[(qid, r_level)] = output
                     if r_level == finest:
                         detections[qid] = output
                     elif qplan.spec is not None:
-                        keys = {
-                            row[qplan.spec.key_field]
-                            for row in output
-                            if qplan.spec.key_field in row
+                        key = qplan.spec.key_field
+                        keys = column_set(state, key) if state is not None else {
+                            row[key] for row in output if key in row
                         }
                         update_seconds += self._update_filter_table(
                             filter_table_name(qid, r_level), keys, events
@@ -690,17 +695,22 @@ class SonataRuntime:
     def _transition_output(
         self,
         qplan: QueryPlan,
-        r_prev: int,
-        r_level: int,
+        instances: list[InstancePlan],
+        leaves: dict[str, "ColumnarState | list[Row]"],
         leaf_rows: dict[str, list[Row]],
         tables: dict[str, set],
-    ) -> list[Row]:
-        instances = qplan.instances_for(r_prev, r_level)
-        leaf_outputs: dict[int, list[Row] | None] = {
-            sq.subid: None for sq in qplan.query.subqueries
-        }
-        for inst in instances:
-            leaf_outputs[inst.subid] = leaf_rows.get(inst.key, [])
-        return self.stream_processor.execute_join_tree(
-            qplan.query, qplan.query.join_tree, leaf_outputs, tables
-        )
+    ) -> "tuple[list[Row], ColumnarState | None]":
+        """A transition's output rows and, from the batched engine, its
+        state. A join-free query's are its leaf's; the oracle joins rows,
+        the batched engine joins states."""
+        tree = qplan.query.join_tree
+        if not isinstance(tree, JoinNode):
+            key = instances[0].key if instances else None
+            return leaf_rows.get(key, []), leaves.get(key) if self.engine == "batched" else None
+        outputs: dict = {sq.subid: None for sq in qplan.query.subqueries}
+        if self.engine == "rowwise":
+            outputs.update((inst.subid, leaf_rows.get(inst.key, [])) for inst in instances)
+            return rowops.assemble_join_tree(tree, outputs, tables) or [], None
+        outputs.update((inst.subid, leaves.get(inst.key, ColumnarState({}))) for inst in instances)
+        state = self.stream_processor.execute_join_tree(tree, outputs, tables)
+        return materialize_rows(state), state

@@ -1,16 +1,15 @@
 """The columnar operator interpreter (batched engine).
 
-The one interpreter for ``Filter``/``Map``/``Reduce``/``Distinct`` over
-:class:`~repro.exec.ColumnarState` batches outside the switch: the
-stream processor runs a partitioned query's residual operators on the
-batches the mirror channel delivers, the emitter replays overflow and
-re-merges through it, and :mod:`repro.analytics` runs whole sub-queries
-on it for the planner's cost estimation, the All-SP ground truth and
-raw mirroring. It runs on the shared :mod:`repro.exec` kernels, grouping
-in first-occurrence order. The row-wise interpreter
-:mod:`repro.streaming.rowops` stays as the differential oracle — every
-function here must produce exactly the rows
-:func:`rowops.apply_operators` would, in the same order.
+The one interpreter for ``Filter``/``Map``/``Reduce``/``Distinct`` and
+join trees over :class:`~repro.exec.ColumnarState` batches outside the
+switch: the stream processor runs residual operators and joins on it,
+the emitter its overflow re-merge, :mod:`repro.analytics` whole queries
+(cost estimation, All-SP ground truth, raw mirroring) and the network
+collector its merge. It runs on the shared :mod:`repro.exec` kernels,
+grouping in first-occurrence order. The row-wise
+:mod:`repro.streaming.rowops` is the differential oracle's alone — every
+function here must produce exactly the rows its twin there would, in
+the same order.
 
 Grouped operators first remap string key columns to canonical ids
 (:func:`~repro.exec.canonical_state`), where equal values share one id.
@@ -24,6 +23,7 @@ import numpy as np
 
 from repro.core.errors import QueryValidationError
 from repro.core.operators import Distinct, Filter, Join, Map, Operator, Reduce
+from repro.core.query import JoinNode
 from repro.exec import (
     ColumnarState,
     aggregate_groups,
@@ -32,12 +32,14 @@ from repro.exec import (
     filter_mask,
     group_first_occurrence,
     group_keys,
+    join_states,
     key_columns,
 )
 
 __all__ = [
     "apply_operator_state",
     "apply_operators_state",
+    "assemble_join_tree",
 ]
 
 
@@ -114,3 +116,23 @@ def apply_operators_state(
     for op in operators:
         state = apply_operator_state(state, op, tables)
     return state
+
+
+def assemble_join_tree(
+    node: "int | JoinNode",
+    leaf_outputs: Mapping[int, "ColumnarState | None"],
+    tables: Mapping[str, set] | None = None,
+) -> "ColumnarState | None":
+    """Evaluate a query's join tree (a leaf id or a ``JoinNode``) from
+    per-leaf sub-query outputs. A leaf mapped to ``None`` is *inactive*
+    (a payload sub-query at a coarse level): the join degrades to the
+    active side, post-join operators skipped, so its keys drive refinement
+    (Figure 9). ``None`` only if every leaf under ``node`` is inactive."""
+    if not isinstance(node, JoinNode):
+        return leaf_outputs.get(node)
+    left = assemble_join_tree(node.left, leaf_outputs, tables)
+    right = assemble_join_tree(node.right, leaf_outputs, tables)
+    if left is None or right is None:
+        return right if left is None else left
+    joined = join_states(left, right, node.keys)
+    return apply_operators_state(joined, node.post_ops, tables)

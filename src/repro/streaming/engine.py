@@ -4,7 +4,9 @@ The runtime registers one :class:`SubQueryRuntime` per planned sub-query
 instance (a sub-query at one refinement transition). Each window, the
 emitter delivers tuple batches; the engine executes the residual operators
 and assembles join trees, producing the per-query outputs that the runtime
-feeds back into the data plane as refinement filters.
+feeds back into the data plane as refinement filters. The batched engine
+does both on :class:`~repro.exec.ColumnarState` batches; :meth:`process`
+is the row-wise oracle's.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from typing import Mapping, Sequence
 
 from repro.core.errors import PlanningError
 from repro.core.operators import Operator
-from repro.core.query import JoinNode, Query
-from repro.exec import ColumnarState, materialize_rows
+from repro.core.query import JoinNode
+from repro.exec import ColumnarState, Row
 from repro.obs import get_observability
-from repro.streaming.batchops import apply_operators_state
-from repro.streaming.rowops import Row, apply_operators, assemble_join_tree
+from repro.streaming.batchops import apply_operators_state, assemble_join_tree
+from repro.streaming.rowops import apply_operators
 
 
 @dataclass
@@ -40,17 +42,12 @@ class SubQueryRuntime:
 
     def process_state(
         self, state: ColumnarState, tables: Mapping[str, set] | None = None
-    ) -> list[Row]:
-        """Columnar twin of :meth:`process` (the batched engine's path).
-
-        The residual chain runs on the shared :mod:`repro.exec` kernels;
-        only the (small) final output is materialized to rows for the
-        join-tree/refinement stages.
-        """
+    ) -> ColumnarState:
+        """Columnar twin of :meth:`process` (the batched engine's path):
+        the residual chain runs on the shared :mod:`repro.exec` kernels."""
         self.tuples_in += state.n_rows
-        out_state = apply_operators_state(state, self.residual_ops, tables)
-        out = materialize_rows(out_state, list(out_state.columns))
-        self.tuples_out += len(out)
+        out = apply_operators_state(state, self.residual_ops, tables)
+        self.tuples_out += out.n_rows
         return out
 
 
@@ -106,13 +103,13 @@ class StreamProcessor:
         key: str,
         state: ColumnarState,
         tables: Mapping[str, set] | None = None,
-    ) -> list[Row]:
+    ) -> ColumnarState:
         """Run one instance's residual chain over a columnar batch."""
         n = state.n_rows
         self.total_tuples_received += n
         out = self.instance(key).process_state(state, tables)
         self._m_in.inc(n, instance=key)
-        self._m_out.inc(len(out), instance=key)
+        self._m_out.inc(out.n_rows, instance=key)
         return out
 
     def record_raw_mirror(self, key: str, tuples_in: int, tuples_out: int) -> None:
@@ -127,21 +124,14 @@ class StreamProcessor:
 
     def execute_join_tree(
         self,
-        query: Query,
         node: "int | JoinNode",
-        leaf_outputs: Mapping[int, "list[Row] | None"],
+        leaf_outputs: Mapping[int, "ColumnarState | None"],
         tables: Mapping[str, set] | None = None,
-    ) -> list[Row]:
-        """Assemble a query's join tree from per-leaf sub-query outputs.
-
-        ``leaf_outputs`` maps sub-query id → that sub-query's output rows
-        for the window (already passed through its residual operators).
-        A leaf mapped to ``None`` is inactive at the current refinement
-        level; the join degrades to the active side (see
-        :func:`repro.streaming.rowops.assemble_join_tree`).
-        """
-        rows = assemble_join_tree(node, leaf_outputs, tables)
-        return rows if rows is not None else []
+    ) -> ColumnarState:
+        """Join the window's per-leaf sub-query output states (``None``: an
+        inactive leaf, see :func:`repro.streaming.batchops.assemble_join_tree`)."""
+        state = assemble_join_tree(node, leaf_outputs, tables)
+        return state if state is not None else ColumnarState(columns={})
 
     # -- accounting ----------------------------------------------------------
     def load_report(self) -> dict[str, dict[str, int]]:

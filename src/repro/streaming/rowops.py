@@ -1,22 +1,23 @@
 """Row-wise execution of dataflow operators over dict tuples.
 
 The per-packet reference interpreter: it executes a query's operators
-over dict tuples, one tuple at a time, and serves as the differential
-oracle for the columnar interpreter in :mod:`repro.streaming.batchops`
-(which runs the stream processor, the planner's cost estimation, the
-All-SP ground truth and raw mirroring). Tested invariants keep the two
-identical, row order included. Join trees are assembled here for both.
+and join trees over dict tuples, one tuple at a time, and is the
+differential oracle's alone — the ``engine="rowwise"`` runtime, its
+stream processor (:meth:`~repro.streaming.StreamProcessor.process`) and
+the emitter's row twin. Every production path runs the columnar
+interpreter in :mod:`repro.streaming.batchops`; tested invariants keep
+the two identical, row order included.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.errors import QueryValidationError
 from repro.core.operators import Distinct, Filter, Join, Map, Operator, Reduce
+from repro.core.query import JoinNode
+from repro.exec import Row
 from repro.exec.alu import UPDATE_FUNCS, init_value
-
-Row = dict[str, Any]
 
 
 def _apply_reduce(rows: list[Row], op: Reduce) -> list[Row]:
@@ -83,53 +84,31 @@ def apply_operators(
 
 
 def assemble_join_tree(
-    node,
+    node: "int | JoinNode",
     leaf_outputs: Mapping[int, "list[Row] | None"],
     tables: Mapping[str, set] | None = None,
 ) -> "list[Row] | None":
-    """Evaluate a query's join tree from per-leaf sub-query outputs.
-
-    ``node`` is an ``int`` leaf id or a :class:`repro.core.query.JoinNode`.
-    A leaf mapped to ``None`` is *inactive* (e.g. a payload sub-query at a
-    coarse refinement level): the join degrades to the active side and the
-    post-join operators are skipped, so the active (stateful) side's keys
-    drive refinement — matching the Figure 9 case-study behaviour where
-    payload processing starts only at the finest level. Returns ``None``
-    only if every leaf under ``node`` is inactive.
-    """
-    from repro.core.query import JoinNode  # local import to avoid a cycle
-
+    """Row twin of :func:`repro.streaming.batchops.assemble_join_tree`,
+    inactive (``None``) leaves included."""
     if not isinstance(node, JoinNode):
         return leaf_outputs.get(node)
     left = assemble_join_tree(node.left, leaf_outputs, tables)
     right = assemble_join_tree(node.right, leaf_outputs, tables)
-    if left is None and right is None:
-        return None
-    if left is None:
-        return right
-    if right is None:
-        return left
-    joined = join_rows(left, right, node.keys, node.how)
+    if left is None or right is None:
+        return right if left is None else left
+    joined = join_rows(left, right, node.keys)
     return apply_operators(joined, node.post_ops, tables)
 
 
-def join_rows(
-    left: list[Row],
-    right: list[Row],
-    keys: Sequence[str],
-    how: str = "inner",
-) -> list[Row]:
-    """Hash join of two tuple batches on ``keys``."""
+def join_rows(left: list[Row], right: list[Row], keys: Sequence[str]) -> list[Row]:
+    """Inner hash join of two tuple batches on ``keys``."""
     index: dict[tuple, list[Row]] = {}
     for row in right:
         index.setdefault(tuple(row[k] for k in keys), []).append(row)
     joined: list[Row] = []
     for row in left:
         key = tuple(row[k] for k in keys)
-        matches = index.get(key, [])
-        if not matches and how == "left":
-            joined.append(dict(row))
-        for match in matches:
+        for match in index.get(key, []):
             merged = dict(row)
             for name, value in match.items():
                 if name in keys:

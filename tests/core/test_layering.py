@@ -15,6 +15,13 @@ rename breaks.
 One process pool: :mod:`repro.parallel.pool` alone imports
 ``concurrent.futures`` or ``multiprocessing``; every fan-out in the tree
 goes through its ``parallel_map``.
+
+One production interpreter: the row-wise :mod:`repro.streaming.rowops`
+is the ``engine="rowwise"`` oracle's alone. Every production path —
+stream processor, planner costs, ground truth, plan measurement, network
+collector — filters, aggregates and joins on :mod:`repro.exec` through
+:mod:`repro.streaming.batchops`; a production import of ``rowops`` would
+be the first step back to a second set of semantics.
 """
 
 import ast
@@ -37,6 +44,16 @@ STRING_FIELD_NAMES = {"payload", "dns.rr.name"}
 SRC_ROOT = Path(repro.__path__[0])
 POOL_MODULE = SRC_ROOT / "parallel" / "pool.py"
 PROCESS_MODULES = {"concurrent", "multiprocessing"}
+ROWOPS = "repro.streaming.rowops"
+#: What ``repro.streaming`` re-exports of ``rowops``.
+ROWOPS_NAMES = {"rowops", "apply_operator", "apply_operators"}
+#: The row-wise oracle's modules, and the package that re-exports it.
+ORACLE_MODULES = {
+    "streaming/__init__.py",
+    "streaming/engine.py",
+    "runtime/emitter.py",
+    "runtime/runtime.py",
+}
 
 
 def _imported_roots(path: Path) -> set[str]:
@@ -59,6 +76,32 @@ def test_only_the_pool_starts_processes():
         if path != POOL_MODULE and _imported_roots(path) & PROCESS_MODULES
     )
     assert not offenders, f"process pools outside repro.parallel.pool: {offenders}"
+
+
+def _imports_rowops(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            if any(alias.name == ROWOPS for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == ROWOPS or (node.level and node.module == "rowops"):
+                return True
+            if node.module == "repro.streaming" and any(
+                alias.name in ROWOPS_NAMES for alias in node.names
+            ):
+                return True
+    return False
+
+
+def test_only_the_oracle_imports_rowops():
+    importers = {
+        str(path.relative_to(SRC_ROOT))
+        for path in SRC_ROOT.rglob("*.py")
+        if path.name != "rowops.py" and _imports_rowops(path)
+    }
+    assert "runtime/runtime.py" in importers  # the guard sees the oracle
+    stray = sorted(importers - ORACLE_MODULES)
+    assert not stray, f"production modules import repro.streaming.rowops: {stray}"
 
 
 def test_core_modules_found():

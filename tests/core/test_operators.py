@@ -250,10 +250,6 @@ class TestJoin:
     def test_never_compilable(self):
         assert not Join(right=self._right(), keys=("ipv4.dIP",)).switch_compilable()
 
-    def test_bad_how_rejected(self):
-        with pytest.raises(QueryValidationError):
-            Join(right=self._right(), keys=("ipv4.dIP",), how="outer")
-
 
 class TestSchema:
     def test_total_width(self):

@@ -80,3 +80,19 @@ class TestErrors:
         }
         with pytest.raises(QueryValidationError):
             query_from_dict(data)
+
+    @pytest.mark.parametrize("how", ["left", "outer"])
+    def test_non_inner_join_rejected_on_load(self, how):
+        """Only inner joins exist. A left join's unmatched rows would lack
+        the right-side fields its schema promises: SYNs left-joined to
+        FINs and mapped through ``Difference("syns", "fins")`` once
+        crashed with a bare ``KeyError: 'fins'``."""
+        data = query_to_dict(build_query("incomplete_flows", qid=753))
+        join = next(op for op in data["operators"] if op["op"] == "join")
+        join["how"] = "inner"
+        assert canonical(query_from_dict(data)) == canonical(
+            build_query("incomplete_flows", qid=753)
+        )
+        join["how"] = how
+        with pytest.raises(QueryValidationError, match="join type"):
+            query_from_dict(data)

@@ -7,6 +7,7 @@ from repro.core.expressions import Const, Ratio
 from repro.core.fields import TCP_SYN
 from repro.core.operators import Filter, Predicate
 from repro.core.query import PacketStream, Query
+from repro.exec import materialize_rows, state_from_rows
 from repro.streaming.engine import StreamProcessor
 
 
@@ -59,27 +60,30 @@ class TestJoinAssembly:
         query = self._query()
         sp = StreamProcessor()
         out = sp.execute_join_tree(
-            query,
             query.join_tree,
             {
-                0: [{"ipv4.dIP": 1, "conns": 50}, {"ipv4.dIP": 2, "conns": 1}],
-                1: [{"ipv4.dIP": 1, "bytes": 100}, {"ipv4.dIP": 2, "bytes": 100_000}],
+                0: state_from_rows(
+                    [{"ipv4.dIP": 1, "conns": 50}, {"ipv4.dIP": 2, "conns": 1}]
+                ),
+                1: state_from_rows(
+                    [{"ipv4.dIP": 1, "bytes": 100}, {"ipv4.dIP": 2, "bytes": 100_000}]
+                ),
             },
         )
-        assert out == [{"ipv4.dIP": 1, "cpb": 500_000}]
+        assert materialize_rows(out) == [{"ipv4.dIP": 1, "cpb": 500_000}]
 
     def test_inactive_leaf(self):
         query = self._query()
         sp = StreamProcessor()
-        out = sp.execute_join_tree(
-            query, query.join_tree, {0: None, 1: [{"ipv4.dIP": 7, "bytes": 5}]}
-        )
-        assert out == [{"ipv4.dIP": 7, "bytes": 5}]
+        right = state_from_rows([{"ipv4.dIP": 7, "bytes": 5}])
+        out = sp.execute_join_tree(query.join_tree, {0: None, 1: right})
+        assert materialize_rows(out) == [{"ipv4.dIP": 7, "bytes": 5}]
 
     def test_all_inactive_empty(self):
         query = self._query()
         sp = StreamProcessor()
-        assert sp.execute_join_tree(query, query.join_tree, {0: None, 1: None}) == []
+        out = sp.execute_join_tree(query.join_tree, {0: None, 1: None})
+        assert materialize_rows(out) == []
 
 
 class TestObsCounterAgreement:

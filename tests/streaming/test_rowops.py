@@ -99,12 +99,6 @@ class TestJoinRows:
         out = join_rows(left, right, ("k",))
         assert out == [{"k": 1, "a": 10, "b": 99}]
 
-    def test_left(self):
-        left = [{"k": 1, "a": 10}, {"k": 2, "a": 20}]
-        right = [{"k": 1, "b": 99}]
-        out = join_rows(left, right, ("k",), how="left")
-        assert {"k": 2, "a": 20} in out
-
     def test_collision_suffix(self):
         out = join_rows([{"k": 1, "v": 1}], [{"k": 1, "v": 2}], ("k",))
         assert out == [{"k": 1, "v": 1, "v_r": 2}]
@@ -116,7 +110,7 @@ class TestJoinRows:
 
 class TestAssembleJoinTree:
     def _node(self, post_ops=()):
-        return JoinNode(left=0, right=1, keys=("k",), how="inner", post_ops=tuple(post_ops))
+        return JoinNode(left=0, right=1, keys=("k",), post_ops=tuple(post_ops))
 
     def test_leaf(self):
         assert assemble_join_tree(0, {0: [{"k": 1}]}) == [{"k": 1}]
