@@ -66,24 +66,25 @@ def aggregate_groups(
 
 
 def running_groups(
-    inverse: np.ndarray, values: np.ndarray | None, func: str
+    order: np.ndarray, starts: np.ndarray, values: np.ndarray | None, func: str
 ) -> np.ndarray:
     """Per-row *running* aggregate within each group, in row order.
 
-    Row ``i``'s output is the register value a row-wise engine would
-    observe right after applying row ``i``'s update — the quantity a
-    folded threshold filter probes for first-crossing reports.
+    The groups are given as runs: ``order`` lists the rows group by
+    group, each group's rows in row order, and ``starts`` are the
+    positions where a group begins (a grouping sort's output, see
+    :func:`~repro.exec.group_first_occurrence`). Row ``i``'s output is the
+    register value a row-wise engine would observe right after applying
+    row ``i``'s update — the quantity a folded threshold filter probes
+    for first-crossing reports.
     """
-    n = len(inverse)
+    n = len(order)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(inverse, kind="stable")  # stable: keeps row order per group
-    g = inverse[order]
     if func == "count" or values is None:
         v = np.ones(n, dtype=np.int64)
     else:
         v = values.astype(np.int64)[order]
-    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
     bounds = np.r_[starts, n]
     if func in ("sum", "count"):
         cs = np.cumsum(v)

@@ -100,15 +100,24 @@ class ColumnarState:
 
     @staticmethod
     def from_trace(trace: "Trace", registry: FieldRegistry = FIELDS) -> "ColumnarState":
+        """The trace's columns as read-only views: a grouping shared by
+        column identity (:func:`~repro.exec.kernels.shared_grouping`)
+        cannot go stale through an in-place write."""
         specs = registry.specs()
         return ColumnarState(
-            columns={spec.name: np.asarray(trace.array[spec.column]) for spec in specs},
+            columns={spec.name: _read_only(trace.array[spec.column]) for spec in specs},
             vocabs={
                 spec.name: Vocab(trace.strings(spec.column), spec.kind)
                 for spec in specs
                 if spec.kind != "int"
             },
         )
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    view = np.asarray(column).view()
+    view.flags.writeable = False
+    return view
 
 
 def column_values(state: ColumnarState, name: str) -> list[Any]:

@@ -17,7 +17,9 @@ interpreters share the scalar half of the ALU via :mod:`repro.exec.alu`.
 from __future__ import annotations
 
 import numbers
-from typing import Mapping, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -251,16 +253,46 @@ def _pack_codes(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     return code, width
 
 
+#: The open scope's memo of this window's groupings (``None`` outside one):
+#: a frozenset of key-column ids -> ``(columns, first_rows, order, starts)``.
+#: Holding the columns keeps their ids from being reused while it lives.
+_WINDOW_GROUPS: ContextVar[dict | None] = ContextVar("window_groups", default=None)
+
+
+@contextmanager
+def shared_grouping() -> Iterator[None]:
+    """Share one sort between the groupings of a scope (one window).
+
+    Inside the scope, a grouping whose key columns are the very same
+    array objects as an earlier grouping's, in any order, reuses that
+    grouping's runs and first rows: they partition the rows the same way,
+    whatever the key order. The memo is dropped when the scope exits;
+    outside any scope every grouping sorts.
+    """
+    token = _WINDOW_GROUPS.set({})
+    try:
+        yield
+    finally:
+        _WINDOW_GROUPS.reset(token)
+
+
 def _group(
     state: ColumnarState, keys: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The one sort behind :func:`group_keys` and
     :func:`group_first_occurrence`: ``(unique, first_rows, order, starts)``
-    (see :func:`_sorted_runs` for the last two)."""
+    (see :func:`_sorted_runs` for the last two). Under
+    :func:`shared_grouping` the sort is shared by key-column identity."""
     if state.n_rows == 0:
         empty = np.empty(0, dtype=np.int64)
         return np.empty((0, len(keys)), dtype=np.int64), empty, empty, empty
-    columns = [_int64_column(state.columns[k]) for k in keys]
+    raw = [state.columns[k] for k in keys]
+    memo, ident = _WINDOW_GROUPS.get(), frozenset(map(id, raw))
+    if memo is not None and ident in memo:
+        _raw, first_rows, order, starts = memo[ident]
+        unique = np.stack([_int64_column(c[first_rows]) for c in raw], axis=1)
+        return unique, first_rows, order, starts
+    columns = [_int64_column(c) for c in raw]
     order, starts = _sorted_runs(*_pack_codes(columns))
     # Each run's first row is its group's first occurrence; marked and
     # read back in row order, they rank the groups as a row-wise engine
@@ -269,6 +301,8 @@ def _group(
     is_first[order[starts]] = True
     first_rows = np.flatnonzero(is_first)
     unique = np.stack([column[first_rows] for column in columns], axis=1)
+    if memo is not None:
+        memo[ident] = (raw, first_rows, order, starts)
     return unique, first_rows, order, starts
 
 
@@ -282,8 +316,8 @@ def group_keys(
 
 
 def group_first_occurrence(
-    state: ColumnarState, keys: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    state: ColumnarState, keys: Sequence[str], *, runs: bool = False
+) -> tuple[np.ndarray, ...]:
     """Group rows by key columns, uniques ordered by *first occurrence*.
 
     Returns ``(unique, first_rows, inverse)`` where ``unique`` is the
@@ -297,7 +331,9 @@ def group_first_occurrence(
     The key columns are packed into one ``uint64`` code per row (see
     :func:`_pack_codes`) and grouped by one stable sort (see
     :func:`_sorted_runs`); the order of the codes is irrelevant because
-    groups are ranked by first occurrence afterwards.
+    groups are ranked by first occurrence afterwards. With ``runs`` the
+    sort's ``order`` and ``starts`` follow (what :func:`running_groups`
+    takes).
     """
     n = state.n_rows
     unique, first_rows, order, starts = _group(state, keys)
@@ -305,6 +341,8 @@ def group_first_occurrence(
     rank[first_rows] = np.arange(len(first_rows))
     inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.repeat(rank[order[starts]], np.diff(starts, append=n))
+    if runs:
+        return unique, first_rows, inverse, order, starts
     return unique, first_rows, inverse
 
 

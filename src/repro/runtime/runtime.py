@@ -28,6 +28,7 @@ from repro.core.fields import FIELDS
 from repro.core.query import JoinNode
 from repro.exec import ColumnarState, Row, materialize_rows, value_kind
 from repro.exec.columns import column_set
+from repro.exec.kernels import shared_grouping
 from repro.obs import MetricsSnapshot, get_observability
 from repro.packets.trace import Trace
 from repro.planner.plans import InstancePlan, Plan, QueryPlan
@@ -340,9 +341,11 @@ class SonataRuntime:
     def _run_window(
         self, index: int, start: float, end: float, window_trace: Trace
     ) -> WindowReport:
+        # One grouping memo per window: instances that group the same
+        # columns (the window's trace views) share one sort.
         with self.obs.span(
             "window", index=index, packets=len(window_trace), scope=self._scope
-        ) as window_span:
+        ) as window_span, shared_grouping():
             return self._run_window_inner(
                 index, start, end, window_trace, window_span
             )

@@ -125,14 +125,24 @@ def assemble_join_tree(
 ) -> "ColumnarState | None":
     """Evaluate a query's join tree (a leaf id or a ``JoinNode``) from
     per-leaf sub-query outputs. A leaf mapped to ``None`` is *inactive*
-    (a payload sub-query at a coarse level): the join degrades to the
-    active side, post-join operators skipped, so its keys drive refinement
-    (Figure 9). ``None`` only if every leaf under ``node`` is inactive."""
+    (a payload sub-query at a coarse level): its join degrades to the
+    active side, and every post-join operator above it is skipped, so the
+    refinement keys stay a superset (Figure 9). ``None`` only if every
+    leaf under ``node`` is inactive."""
+    return _join_tree(node, leaf_outputs, tables)[0]
+
+
+def _join_tree(node, leaf_outputs, tables) -> "tuple[ColumnarState | None, bool]":
+    """:func:`assemble_join_tree`, and whether a leaf under ``node`` is
+    inactive."""
     if not isinstance(node, JoinNode):
-        return leaf_outputs.get(node)
-    left = assemble_join_tree(node.left, leaf_outputs, tables)
-    right = assemble_join_tree(node.right, leaf_outputs, tables)
+        state = leaf_outputs.get(node)
+        return state, state is None
+    left, left_partial = _join_tree(node.left, leaf_outputs, tables)
+    right, right_partial = _join_tree(node.right, leaf_outputs, tables)
     if left is None or right is None:
-        return right if left is None else left
+        return (right if left is None else left), True
     joined = join_states(left, right, node.keys)
-    return apply_operators_state(joined, node.post_ops, tables)
+    if left_partial or right_partial:
+        return joined, True
+    return apply_operators_state(joined, node.post_ops, tables), False

@@ -90,14 +90,23 @@ def assemble_join_tree(
 ) -> "list[Row] | None":
     """Row twin of :func:`repro.streaming.batchops.assemble_join_tree`,
     inactive (``None``) leaves included."""
+    return _join_tree(node, leaf_outputs, tables)[0]
+
+
+def _join_tree(node, leaf_outputs, tables) -> "tuple[list[Row] | None, bool]":
+    """:func:`assemble_join_tree`, and whether a leaf under ``node`` is
+    inactive."""
     if not isinstance(node, JoinNode):
-        return leaf_outputs.get(node)
-    left = assemble_join_tree(node.left, leaf_outputs, tables)
-    right = assemble_join_tree(node.right, leaf_outputs, tables)
+        rows = leaf_outputs.get(node)
+        return rows, rows is None
+    left, left_partial = _join_tree(node.left, leaf_outputs, tables)
+    right, right_partial = _join_tree(node.right, leaf_outputs, tables)
     if left is None or right is None:
-        return right if left is None else left
+        return (right if left is None else left), True
     joined = join_rows(left, right, node.keys)
-    return apply_operators(joined, node.post_ops, tables)
+    if left_partial or right_partial:
+        return joined, True
+    return apply_operators(joined, node.post_ops, tables), False
 
 
 def join_rows(left: list[Row], right: list[Row], keys: Sequence[str]) -> list[Row]:

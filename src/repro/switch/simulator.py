@@ -595,7 +595,7 @@ class PISASwitch:
         pos: int,
         items: list,
         out: "str | None" = None,
-    ) -> "tuple[_ChainCache, ColumnarState, np.ndarray, np.ndarray, np.ndarray]":
+    ) -> "tuple[_ChainCache, ColumnarState, np.ndarray, np.ndarray, np.ndarray, tuple]":
         """Operator ``i``'s register updates for one window, batched.
 
         The window's twin of :meth:`_update`. Rows that fault injection
@@ -606,11 +606,11 @@ class PISASwitch:
         batch in packet order, carrying the key columns and ``out`` (a
         reduce's per-row argument column).
 
-        Returns ``(cache, live, live_sel, first_rows, inv)``: the window's
-        :class:`_ChainCache` reporting every inserted key, the rows that
-        reached the chain (``live``, canonical for ``keys``, and their
-        global rows) and :func:`~repro.exec.group_first_occurrence`'s
-        first rows and inverse over them.
+        Returns ``(cache, live, live_sel, first_rows, inv, runs)``: the
+        window's :class:`_ChainCache` reporting every inserted key, the
+        rows that reached the chain (``live``, canonical for ``keys``, and
+        their global rows) and :func:`~repro.exec.group_first_occurrence`'s
+        first rows, inverse and ``(order, starts)`` runs over them.
         """
         injector = self.fault_injector
         forced = (
@@ -623,7 +623,7 @@ class PISASwitch:
         if forced is not None:
             live, live_sel = state.select(~forced), sel[~forced]
         live = canonical_state(live, keys)
-        unique, first_rows, inv = group_first_occurrence(live, keys)
+        unique, first_rows, inv, *runs = group_first_occurrence(live, keys, runs=True)
         chain = inst.chains[i]
         inserted, _array_idx = chain.bulk_load_vec(
             [unique[:, j] for j in range(len(keys))],
@@ -661,7 +661,7 @@ class PISASwitch:
             inserted=inserted,
             reported=inserted,
         )
-        return cache, live, live_sel, first_rows, inv
+        return cache, live, live_sel, first_rows, inv, runs
 
     def _batch_distinct(
         self,
@@ -675,7 +675,7 @@ class PISASwitch:
         ops,
     ) -> "tuple[ColumnarState, np.ndarray] | None":
         keys = op.effective_keys(inst.compiled.schemas[i])
-        cache, live, live_sel, first_rows, _inv = self._register_step(
+        cache, live, live_sel, first_rows, _inv, _runs = self._register_step(
             inst, i, keys, state, sel, pos, items
         )
         if i == len(ops) - 1:
@@ -707,7 +707,7 @@ class PISASwitch:
         # The argument rides along as the output column: the overflow
         # batch mirrors it, and forced rows drop out of it with the keys.
         state = ColumnarState({**state.columns, op.out: args}, state.vocabs)
-        cache, live, _live_sel, _first_rows, inv = self._register_step(
+        cache, live, _live_sel, _first_rows, inv, runs = self._register_step(
             inst, i, op.keys, state, sel, pos, items, out=op.out
         )
         values = None if func == "count" else live.columns[op.out]
@@ -717,7 +717,7 @@ class PISASwitch:
         if folded is not None:
             # Folded threshold: a key is reported iff any of its running
             # (per-update) aggregates passes — first-crossing semantics.
-            running = ColumnarState({op.out: running_groups(inv, values, func)})
+            running = ColumnarState({op.out: running_groups(*runs, values, func)})
             passing = filter_mask(folded, running, None)
             passing &= cache.inserted[inv]
             cache.reported = np.zeros(len(cache.unique), dtype=bool)

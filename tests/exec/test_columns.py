@@ -45,3 +45,19 @@ class TestConcatStates:
             materialize_rows(first, names) + materialize_rows(second, names)
         )
         assert merged.vocabs["p"].kind == "bytes"
+
+
+class TestFromTrace:
+    def test_columns_are_read_only_views(self, backbone_small):
+        """An in-place write raises: a grouping shared by column identity
+        within a window cannot go stale."""
+        state = ColumnarState.from_trace(backbone_small)
+        column = state.columns["ipv4.dIP"]
+        assert np.shares_memory(column, backbone_small.array)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            column += 1
+        # Derived columns stay writable.
+        masked = state.select(np.ones(state.n_rows, dtype=bool)).columns["ipv4.dIP"]
+        masked[0] = 1

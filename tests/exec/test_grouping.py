@@ -21,13 +21,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.evaluation.workloads import build_workload
 from repro.exec import (
+    UPDATE_FUNCS,
     ColumnarState,
     Vocab,
     canonical_state,
     first_occurrences,
     group_first_occurrence,
     group_keys,
+    init_value,
     keys_in,
+    running_groups,
 )
 from repro.exec import kernels
 
@@ -327,3 +330,55 @@ class TestKeysIn:
         assert keys_in(unique, ["k"], {}, empty).tolist() == [False, False]
         probe = ColumnarState({"k": np.array([1])})
         assert keys_in(unique[:0], ["k"], {}, probe).tolist() == []
+
+
+def running_reference(inverse, values, func) -> list[int]:
+    """Each row's register value right after its update, folded one row
+    at a time through the scalar ALU."""
+    stored: dict[int, int] = {}
+    out = []
+    for g, arg in zip(inverse.tolist(), values.tolist()):
+        stored[g] = (
+            UPDATE_FUNCS[func](stored[g], arg) if g in stored else init_value(func, arg)
+        )
+        out.append(stored[g])
+    return out
+
+
+class TestRunningGroups:
+    """``running_groups`` over a grouping's runs equals the scalar fold."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data=st.lists(
+            st.tuples(st.integers(0, 9), st.integers(-1_000, 1_000)), max_size=200
+        ),
+        func=st.sampled_from(["count", "sum", "max", "min", "or"]),
+    )
+    def test_matches_scalar_fold(self, data, func):
+        # Ids 0-9 drawn at random leave some groups empty.
+        inverse = np.array([g for g, _ in data], dtype=np.int64)
+        values = np.array([v for _, v in data], dtype=np.int64)
+        order = np.argsort(inverse, kind="stable")
+        starts = np.flatnonzero(np.r_[True, np.diff(inverse[order]) != 0])[: len(order)]
+        got = running_groups(order, starts, values, func)
+        assert got.dtype == np.int64
+        assert got.tolist() == running_reference(inverse, values, func)
+
+    @pytest.mark.parametrize("func", ["count", "sum", "max", "min", "or"])
+    def test_runs_of_the_grouping_sort(self, func):
+        """The runs ``group_first_occurrence(runs=True)`` returns are
+        ordered by key code, not by group id; within each, rows keep row
+        order, which is all the running aggregate needs."""
+        rng = np.random.default_rng(5)
+        state = ColumnarState(columns={"k": rng.integers(0, 50, 3_000) * 7919})
+        values = rng.integers(-5, 100, 3_000)
+        _u, _f, inverse, order, starts = group_first_occurrence(
+            state, ["k"], runs=True
+        )
+        got = running_groups(order, starts, values, func)
+        assert got.tolist() == running_reference(inverse, values, func)
+
+    def test_no_rows(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert running_groups(empty, empty, empty, "max").tolist() == []

@@ -180,6 +180,31 @@ class TestAssembleJoinTree:
     def test_all_inactive_is_none(self):
         assert self._both(set()) == (None, None)
 
+    def test_inactive_leaf_skips_every_post_join_operator_above_it(self):
+        """``a ⋈ (b ⋈ c)`` with ``b`` inactive and ``Difference("a", "b")``
+        after the outer join: the outer join is above ``b`` too, so its
+        post-join operators are skipped (they would read a ``b`` no row
+        has), and the refinement keys stay a superset."""
+        leaves = {
+            0: [{"k": 1, "a": 5}, {"k": 2, "a": 1}],
+            1: None,
+            2: [{"k": 2, "c": 4}, {"k": 1, "c": 6}, {"k": 3, "c": 1}],
+        }
+        tree = JoinNode(
+            left=0,
+            right=JoinNode(left=1, right=2, keys=("k",), post_ops=()),
+            keys=("k",),
+            post_ops=(
+                Map(keys=("k",), values=(Difference("a", "b", "d"),)),
+                Filter((Predicate("d", "gt", 0),)),
+            ),
+        )
+        states = {i: None if r is None else state_from_rows(r) for i, r in leaves.items()}
+        expected = rowops.assemble_join_tree(tree, leaves)
+        got = batchops.assemble_join_tree(tree, states)
+        assert _items(materialize_rows(got)) == _items(expected)
+        assert expected == [{"k": 1, "a": 5, "c": 6}, {"k": 2, "a": 1, "c": 4}]
+
     def test_empty_active_leaf_gives_empty(self):
         states = {0: state_from_rows(self.LEAVES[0]), 1: ColumnarState(columns={}), 2: None}
         assert materialize_rows(batchops.assemble_join_tree(self.TREE, states)) == []
