@@ -136,12 +136,20 @@ def _data_packet_lengths(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 class RowBuilder:
-    """Accumulates column fragments and assembles the structured array."""
+    """Accumulates column fragments and assembles the time-ordered records.
+
+    A scalar column is kept as ``(count, value)``, not materialized, until
+    :meth:`build` writes it into its field, so fragments hold only the
+    columns that vary from row to row.
+    """
+
+    _DEFAULTS = {"dns_name_id": -1, "payload_id": -1, "ttl": 64}
 
     def __init__(self) -> None:
-        self._fragments: dict[str, list[np.ndarray]] = {
-            name: [] for name in TRACE_DTYPE.names
-        }
+        self._reset()
+
+    def _reset(self) -> None:
+        self._fragments: dict[str, list] = {name: [] for name in TRACE_DTYPE.names}
         self._count = 0
 
     def add(self, count: int, **columns: np.ndarray | int | float) -> None:
@@ -150,12 +158,11 @@ class RowBuilder:
         for name in TRACE_DTYPE.names:
             value = columns.get(name)
             if value is None:
-                defaults = {"dns_name_id": -1, "payload_id": -1, "ttl": 64}
-                value = defaults.get(name, 0)
+                value = self._DEFAULTS.get(name, 0)
             if np.isscalar(value):
-                fragment = np.full(count, value, dtype=TRACE_DTYPE[name])
+                fragment = (count, value)
             else:
-                fragment = np.asarray(value).astype(TRACE_DTYPE[name])
+                fragment = np.asarray(value).astype(TRACE_DTYPE[name], copy=False)
                 if len(fragment) != count:
                     raise ValueError(
                         f"column {name} has {len(fragment)} rows, expected {count}"
@@ -163,13 +170,43 @@ class RowBuilder:
             self._fragments[name].append(fragment)
         self._count += count
 
+    def _column(self, name: str) -> np.ndarray:
+        """Field ``name`` of every row in insertion order; drops its fragments."""
+        column = np.empty(self._count, dtype=TRACE_DTYPE[name])
+        start = 0
+        for fragment in self._fragments.pop(name):
+            if isinstance(fragment, tuple):
+                count, value = fragment
+                # Exactly how np.full fills: out-of-range ints raise, floats truncate.
+                np.copyto(column[start : start + count], value, casting="unsafe")
+            else:
+                count = len(fragment)
+                column[start : start + count] = fragment
+            start += count
+        return column
+
     def build(self, qnames: list[str] | None = None, payloads: list[bytes] | None = None) -> Trace:
-        array = np.zeros(self._count, dtype=TRACE_DTYPE)
-        for name in TRACE_DTYPE.names:
-            if self._fragments[name]:
-                array[name] = np.concatenate(self._fragments[name])
-        trace = Trace(array, qnames or [], payloads or [])
-        return trace.sorted_by_time()
+        """The rows as a trace ordered by ``ts``; ties keep insertion order.
+
+        One stable argsort of ``ts`` orders the rows; each field is then
+        gathered with ``np.take`` into the records, and its fragments are
+        dropped before the next field is assembled. So no field is held
+        both as fragments and in the records for longer than its own copy,
+        and besides those two, memory holds only the sort order and two
+        columns: never a second record array. Empties the builder.
+        """
+        # TRACE_DTYPE is packed (no padding bytes), so filling every field
+        # writes every byte of the uninitialized records.
+        array = np.empty(self._count, dtype=TRACE_DTYPE)
+        order = None
+        for name in TRACE_DTYPE.names:  # "ts" first: it sets the order
+            column = self._column(name)
+            if order is None:
+                order = np.argsort(column, kind="stable")
+            array[name] = np.take(column, order)
+            del column
+        self._reset()
+        return Trace(array, qnames or [], payloads or [])
 
 
 def generate_backbone(config: BackboneConfig | None = None) -> Trace:
@@ -189,6 +226,16 @@ def generate_backbone(config: BackboneConfig | None = None) -> Trace:
 
 
 def _generate_backbone(config: BackboneConfig) -> Trace:
+    builder, qnames = _backbone_rows(config)
+    return builder.build(qnames=qnames)
+
+
+def _backbone_rows(config: BackboneConfig) -> tuple[RowBuilder, list[str]]:
+    """Every backbone packet as builder fragments, plus the DNS name table.
+
+    Kept apart from :meth:`RowBuilder.build` so that the per-protocol
+    temporaries here are freed before the records are assembled.
+    """
     rng = np.random.default_rng(config.seed)
 
     clients = _make_address_pool(rng, config.n_clients, config.n_client_prefixes, 12)
@@ -412,4 +459,4 @@ def _generate_backbone(config: BackboneConfig) -> Trace:
             dip=dst[icmp_idx],
         )
 
-    return builder.build(qnames=qnames)
+    return builder, qnames

@@ -9,8 +9,8 @@ config's fields (:func:`config_key`) and hands the same immutable trace
 back on every hit.
 
 Cached traces are shared, not copied: the packet array is marked
-read-only, and callers that mutate traces (``Trace.merge``,
-``anonymize``) already copy first.
+read-only. ``Trace.merge`` only reads its pieces and writes a new array
+of its own, and ``anonymize`` copies before it rewrites addresses.
 """
 
 from __future__ import annotations

@@ -1,9 +1,16 @@
-"""Tests for the synthetic backbone generator's statistical shape."""
+"""Tests for the synthetic backbone generator: statistical shape, exact bytes, memory."""
+
+import hashlib
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.core.fields import PROTO_TCP, PROTO_UDP, TCP_SYN, TCP_SYNACK
-from repro.packets.generator import BackboneConfig, generate_backbone
+from repro.evaluation.workloads import build_workload
+from repro.packets.generator import BackboneConfig, _generate_backbone, generate_backbone
+from repro.parallel import cache
+from repro.queries.library import QUERY_LIBRARY
 
 
 class TestDeterminism:
@@ -68,3 +75,72 @@ class TestShape:
         web = ((tcp["dport"] == 80) | (tcp["dport"] == 443)).sum()
         syn_like = (tcp["tcpflags"] == TCP_SYN).sum()
         assert web > 0
+
+
+def _digests(trace) -> tuple[str, str, str]:
+    """sha256 prefixes of a trace's records, DNS names and payloads."""
+    records = hashlib.sha256(np.ascontiguousarray(trace.array).tobytes())
+    qnames = hashlib.sha256("\n".join(trace.qnames).encode())
+    payloads = hashlib.sha256()
+    for payload in trace.payloads:
+        payloads.update(len(payload).to_bytes(4, "little") + payload)
+    return tuple(h.hexdigest()[:16] for h in (records, qnames, payloads))
+
+
+class TestGoldenBytes:
+    """Generated traces are pinned byte for byte: a faster or leaner
+    generator must produce exactly these records, names and payloads."""
+
+    BACKBONE = {
+        1: ("7c2e53f77f685b9f", "ae7202bbbcd13f8b", "e3b0c44298fc1c14"),
+        2: ("30aeddc0f396c6a0", "2aa5db1e0714c0d3", "e3b0c44298fc1c14"),
+    }
+    #: All 11 library queries: every attack recipe goes through
+    #: ``Trace.merge``, including the DNS-name remaps and zorro's payloads.
+    WORKLOAD = {
+        1: ("557c654c84c618e6", "a3dc78a6a101df33", "52efb55985faac02"),
+        2: ("fea7caa1b1ec527e", "20bda82d5b7ca9c2", "e460ac74578520c7"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(BACKBONE))
+    def test_backbone(self, seed):
+        trace = generate_backbone(BackboneConfig(duration=6.0, pps=3_000, seed=seed))
+        assert _digests(trace) == self.BACKBONE[seed]
+
+    @pytest.mark.parametrize("seed", sorted(WORKLOAD))
+    def test_all_queries_workload(self, seed):
+        workload = build_workload(list(QUERY_LIBRARY), duration=6.0, pps=3_000, seed=seed)
+        assert _digests(workload.backbone) == self.BACKBONE[seed]
+        assert _digests(workload.trace) == self.WORKLOAD[seed]
+
+
+class TestGenerationMemory:
+    """Generation holds about two copies of its output at its peak: the
+    fragments and the records overlap by one column, and merging places
+    pieces into one new array (tracemalloc sees numpy's buffers)."""
+
+    CONFIG = dict(duration=10.0, pps=30_000.0, seed=5)  # ~300k packets
+    MAX_RATIO = 2.5
+
+    @staticmethod
+    def _peak(make):
+        tracemalloc.start()
+        try:
+            result = make()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_backbone_peak(self):
+        trace, peak = self._peak(lambda: _generate_backbone(BackboneConfig(**self.CONFIG)))
+        assert len(trace) > 250_000
+        assert peak <= self.MAX_RATIO * trace.array.nbytes, peak / trace.array.nbytes
+
+    def test_workload_peak(self, monkeypatch):
+        # A private cache: the backbone is generated under the tracer, not
+        # handed back from an earlier test's run.
+        monkeypatch.setattr(cache, "_GLOBAL_CACHE", cache.TraceCache())
+        names = ["ddos", "newly_opened_tcp_conns", "superspreader"]
+        workload, peak = self._peak(lambda: build_workload(names, **self.CONFIG))
+        nbytes = workload.trace.array.nbytes
+        assert peak <= self.MAX_RATIO * nbytes, peak / nbytes

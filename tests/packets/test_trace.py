@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import TraceFormatError
 from repro.packets.packet import DNSInfo, Packet
-from repro.packets.trace import Trace
+from repro.packets.trace import TRACE_DTYPE, Trace
 
 
 def make_packets(n=10):
@@ -155,6 +155,70 @@ class TestWindows:
         assert len(sub) == 3
 
 
+def _concatenate_then_sort(traces):
+    """The reference merge: copy every piece, remap its side-table ids,
+    concatenate, and stably sort the whole by time."""
+    traces = [t for t in traces if len(t)]
+    if not traces:
+        return Trace.empty()
+    qnames: list[str] = []
+    qname_ids: dict[str, int] = {}
+    payloads: list[bytes] = []
+    arrays = []
+    for trace in traces:
+        array = trace.array.copy()
+        if len(trace.qnames):
+            remap = np.empty(len(trace.qnames), dtype=np.int32)
+            for i, name in enumerate(trace.qnames):
+                if name not in qname_ids:
+                    qname_ids[name] = len(qnames)
+                    qnames.append(name)
+                remap[i] = qname_ids[name]
+            has_name = array["dns_name_id"] >= 0
+            array["dns_name_id"][has_name] = remap[array["dns_name_id"][has_name]]
+        if len(trace.payloads):
+            has_payload = array["payload_id"] >= 0
+            array["payload_id"][has_payload] += len(payloads)
+            payloads.extend(trace.payloads)
+        arrays.append(array)
+    array = np.concatenate(arrays)
+    order = np.argsort(array["ts"], kind="stable")
+    return Trace(array[order], qnames, payloads)
+
+
+def _piece(ts, qnames, name_ids, payloads, payload_ids, sips=None):
+    """A read-only trace, as the trace cache hands out."""
+    array = np.zeros(len(ts), dtype=TRACE_DTYPE)
+    array["ts"] = ts
+    array["sip"] = np.arange(len(ts)) if sips is None else sips
+    array["dns_name_id"] = name_ids
+    array["payload_id"] = payload_ids
+    array.flags.writeable = False
+    return Trace(array, list(qnames), list(payloads))
+
+
+@st.composite
+def merge_piece(draw):
+    """A piece with few distinct timestamps (ties), in any order, listing
+    any subset of a shared name pool in any order, with a few payloads."""
+    count = draw(st.integers(min_value=0, max_value=12))
+    qnames = draw(st.lists(st.sampled_from(["a.com", "b.net", "c.org", "d.io"]),
+                           unique=True, max_size=4))
+    payloads = draw(st.lists(st.binary(max_size=4), max_size=3))
+
+    def column(values):
+        return draw(st.lists(values, min_size=count, max_size=count))
+
+    return _piece(
+        ts=column(st.integers(min_value=0, max_value=4).map(float)),
+        qnames=qnames,
+        name_ids=column(st.integers(min_value=-1, max_value=len(qnames) - 1)),
+        payloads=payloads,
+        payload_ids=column(st.integers(min_value=-1, max_value=len(payloads) - 1)),
+        sips=column(st.integers(min_value=0, max_value=0xFFFFFFFF)),
+    )
+
+
 class TestMerge:
     def test_merge_sorts_by_time(self):
         t1 = Trace.from_packets([Packet(ts=5.0, sip=1)])
@@ -184,6 +248,36 @@ class TestMerge:
         assert len(Trace.merge([])) == 0
         assert len(Trace.merge([Trace.empty()])) == 0
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(merge_piece(), max_size=5))
+    def test_merge_equals_concatenate_then_stable_sort(self, traces):
+        self._check(traces)
+
+    def test_merge_covers_every_case_at_once(self):
+        """Unsorted pieces, ties within and across pieces, an empty piece,
+        the largest piece last, names shared in another order (a remap that
+        is not the identity) and payloads on two pieces, all read-only."""
+        first = _piece([3.0, 1.0, 1.0], ["a.com", "b.net"], [1, -1, 0], [b"x"], [0, -1, -1])
+        second = _piece([1.0, 2.0], ["c.org"], [0, -1], [], [-1, -1])
+        last = _piece(
+            [0.0, 1.0, 1.0, 3.0, 4.0], ["b.net", "a.com"], [0, 1, -1, 0, 1],
+            [b"y", b"zz"], [1, -1, 0, -1, -1],
+        )
+        merged = self._check([first, Trace.empty(), second, last])
+        assert merged.qnames == ["a.com", "b.net", "c.org"]
+        assert merged.payloads == [b"x", b"y", b"zz"]
+
+    @staticmethod
+    def _check(traces):
+        before = [trace.array.tobytes() for trace in traces]
+        merged = Trace.merge(traces)
+        expected = _concatenate_then_sort(traces)
+        assert merged.array.tobytes() == expected.array.tobytes()
+        assert merged.qnames == expected.qnames
+        assert merged.payloads == expected.payloads
+        assert [trace.array.tobytes() for trace in traces] == before
+        return merged
+
 
 class TestColumns:
     def test_column_view(self):
@@ -196,6 +290,12 @@ class TestColumns:
         trace = Trace.from_packets(make_packets())
         columns = trace.columns()
         assert set(columns) == set(FIELDS.names())
+
+    def test_record_layout_is_packed(self):
+        # Generation fills np.empty records field by field: with no padding
+        # bytes, that writes every byte of every record.
+        sizes = sum(TRACE_DTYPE[name].itemsize for name in TRACE_DTYPE.names)
+        assert TRACE_DTYPE.itemsize == sizes == 38
 
     def test_wrong_dtype_rejected(self):
         with pytest.raises(TraceFormatError):
