@@ -24,22 +24,19 @@ class Workload:
     """A composed trace plus its planted ground truth."""
 
     trace: Trace
-    backbone: Trace
     victims: dict[str, int]  # query name -> planted victim/offender address
     duration: float
     config: BackboneConfig
 
 
-def _busy_servers(backbone: Trace, count: int) -> list[int]:
+def _busy_servers(dips: np.ndarray, counts: np.ndarray, count: int) -> list[int]:
     """The most popular destinations — realistic attack victims."""
-    dips, counts = np.unique(backbone.array["dip"], return_counts=True)
     order = np.argsort(counts)[::-1]
     return [int(dips[i]) for i in order[:count]]
 
 
-def _quiet_servers(backbone: Trace, count: int) -> list[int]:
+def _quiet_servers(dips: np.ndarray, counts: np.ndarray, count: int) -> list[int]:
     """Low-volume destinations (Slowloris victims should be quiet)."""
-    dips, counts = np.unique(backbone.array["dip"], return_counts=True)
     eligible = dips[(counts >= 2) & (counts <= 20)]
     return [int(v) for v in eligible[:count]]
 
@@ -54,8 +51,9 @@ def build_workload(
     """Backbone plus one attack per named query, active the whole trace."""
     config = BackboneConfig(duration=duration, pps=pps, seed=seed)
     backbone = generate_backbone(config)
-    busy = _busy_servers(backbone, 16)
-    quiet = _quiet_servers(backbone, 16)
+    dips, counts = np.unique(backbone.array["dip"], return_counts=True)
+    busy = _busy_servers(dips, counts, 16)
+    quiet = _quiet_servers(dips, counts, 16)
     rng = np.random.default_rng(seed + 1)
 
     pieces = [backbone]
@@ -145,7 +143,6 @@ def build_workload(
 
     return Workload(
         trace=Trace.merge(pieces),
-        backbone=backbone,
         victims=victims,
         duration=duration,
         config=config,

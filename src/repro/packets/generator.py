@@ -210,23 +210,8 @@ class RowBuilder:
 
 
 def generate_backbone(config: BackboneConfig | None = None) -> Trace:
-    """Generate a backbone-like trace per ``config`` (deterministic).
-
-    Generation is content-addressed: because the output is a pure function
-    of the config, repeated calls with an equal config within one process
-    return the same immutable trace from :mod:`repro.parallel.cache`
-    instead of regenerating (sweeps rebuild identical workloads per cell).
-    """
-    config = config or BackboneConfig()
-    from repro.parallel.cache import trace_cache
-
-    return trace_cache().get_or_generate(
-        config, lambda: _generate_backbone(config)
-    )
-
-
-def _generate_backbone(config: BackboneConfig) -> Trace:
-    builder, qnames = _backbone_rows(config)
+    """Generate a backbone-like trace per ``config`` (deterministic)."""
+    builder, qnames = _backbone_rows(config or BackboneConfig())
     return builder.build(qnames=qnames)
 
 

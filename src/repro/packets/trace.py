@@ -129,32 +129,7 @@ class Trace:
 
     def packet(self, index: int) -> Packet:
         """Materialize packet ``index`` as a :class:`Packet`."""
-        row = self.array[index]
-        dns = None
-        if row["dns_name_id"] >= 0 or row["dns_qr"] or row["dns_ancount"] or row["dns_qtype"]:
-            qname = self.qnames[row["dns_name_id"]] if row["dns_name_id"] >= 0 else ""
-            dns = DNSInfo(
-                qname=qname,
-                qtype=int(row["dns_qtype"]),
-                ancount=int(row["dns_ancount"]),
-                qr=int(row["dns_qr"]),
-            )
-        payload = (
-            self.payloads[row["payload_id"]] if row["payload_id"] >= 0 else None
-        )
-        return Packet(
-            ts=float(row["ts"]),
-            pktlen=int(row["pktlen"]),
-            proto=int(row["proto"]),
-            sip=int(row["sip"]),
-            dip=int(row["dip"]),
-            sport=int(row["sport"]),
-            dport=int(row["dport"]),
-            tcpflags=int(row["tcpflags"]),
-            ttl=int(row["ttl"]),
-            dns=dns,
-            payload=payload,
-        )
+        return next(Trace(self.array[[index]], self.qnames, self.payloads).packets())
 
     def packets(self) -> Iterator[Packet]:
         """Iterate packets in order (materializing each).
@@ -266,11 +241,10 @@ class Trace:
         Rows come out as a stable sort of the concatenated pieces would
         order them: by ``ts``, ties in piece order, then in row order. A
         piece not ordered by time is sorted first. There is no global sort
-        and no piece is copied or written (cached read-only traces merge as
-        they are): each piece but the largest finds its rows' slots by
-        binary search against the others, and the largest fills the
-        remaining slots in order. Beyond inputs and output, memory holds
-        the smaller pieces' slots and a byte per output row.
+        and no piece is copied or written: each piece but the largest finds
+        its rows' slots by binary search against the others, and the largest
+        fills the remaining slots in order. Beyond inputs and output, memory
+        holds the smaller pieces' slots and a byte per output row.
         """
         traces = [
             trace if _time_ordered(trace.array["ts"]) else trace.sorted_by_time()

@@ -7,8 +7,7 @@ Three layers build on this package (DESIGN.md §11):
   their trace splits, and the parent merges reports, metrics and fault
   accounting deterministically;
 - **evaluation**: :func:`parallel_map` runs independent sweep/benchmark
-  cells concurrently, and the content-addressed :func:`trace_cache`
-  stops sweeps regenerating identical synthetic traces per cell;
+  cells concurrently;
 - **surface**: ``--workers N`` on the CLI and benchmarks, resolved by
   :func:`resolve_workers` / :func:`default_workers` (env override
   ``REPRO_WORKERS``).
@@ -17,7 +16,6 @@ Everything degrades gracefully: ``workers=1`` is exactly the serial code
 path, and platforms without ``fork`` run every map serially.
 """
 
-from repro.parallel.cache import TraceCache, config_key, trace_cache
 from repro.parallel.pool import (
     MAX_AUTO_WORKERS,
     default_workers,
@@ -28,11 +26,8 @@ from repro.parallel.pool import (
 
 __all__ = [
     "MAX_AUTO_WORKERS",
-    "TraceCache",
-    "config_key",
     "default_workers",
     "fork_context",
     "parallel_map",
     "resolve_workers",
-    "trace_cache",
 ]

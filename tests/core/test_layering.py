@@ -16,6 +16,10 @@ One process pool: :mod:`repro.parallel.pool` alone imports
 ``concurrent.futures`` or ``multiprocessing``; every fan-out in the tree
 goes through its ``parallel_map``.
 
+Packets sit below everything that replays them: :mod:`repro.packets`
+imports only :mod:`repro.core`, :mod:`repro.utils`, :mod:`repro.obs` and
+itself.
+
 One production interpreter: the row-wise :mod:`repro.streaming.rowops`
 is the ``engine="rowwise"`` oracle's alone. Every production path —
 stream processor, planner costs, ground truth, plan measurement, network
@@ -44,6 +48,7 @@ STRING_FIELD_NAMES = {"payload", "dns.rr.name"}
 SRC_ROOT = Path(repro.__path__[0])
 POOL_MODULE = SRC_ROOT / "parallel" / "pool.py"
 PROCESS_MODULES = {"concurrent", "multiprocessing"}
+PACKETS_DEPENDENCIES = {"repro.core", "repro.utils", "repro.obs", "repro.packets"}
 ROWOPS = "repro.streaming.rowops"
 #: What ``repro.streaming`` re-exports of ``rowops``.
 ROWOPS_NAMES = {"rowops", "apply_operator", "apply_operators"}
@@ -56,15 +61,20 @@ ORACLE_MODULES = {
 }
 
 
-def _imported_roots(path: Path) -> set[str]:
-    """Top-level packages ``path`` imports, at any depth of its code."""
-    roots = set()
+def _imported_modules(path: Path) -> set[str]:
+    """Modules ``path`` imports by absolute name, at any depth of its code."""
+    modules = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            roots.update(alias.name.split(".")[0] for alias in node.names)
+            modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            roots.add(node.module.split(".")[0])
-    return roots
+            modules.add(node.module)
+    return modules
+
+
+def _imported_roots(path: Path) -> set[str]:
+    """Top-level packages ``path`` imports, at any depth of its code."""
+    return {name.split(".")[0] for name in _imported_modules(path)}
 
 
 def test_only_the_pool_starts_processes():
@@ -76,6 +86,21 @@ def test_only_the_pool_starts_processes():
         if path != POOL_MODULE and _imported_roots(path) & PROCESS_MODULES
     )
     assert not offenders, f"process pools outside repro.parallel.pool: {offenders}"
+
+
+def test_packets_imports_only_lower_layers():
+    paths = sorted((SRC_ROOT / "packets").glob("*.py"))
+    assert {p.name for p in paths} >= {"generator.py", "trace.py"}
+    stray = {}
+    for path in paths:
+        packages = {
+            ".".join(name.split(".")[:2])
+            for name in _imported_modules(path)
+            if name.startswith("repro.")
+        }
+        if packages - PACKETS_DEPENDENCIES:
+            stray[path.name] = sorted(packages - PACKETS_DEPENDENCIES)
+    assert not stray, f"repro.packets imports layers above it: {stray}"
 
 
 def _imports_rowops(path: Path) -> bool:

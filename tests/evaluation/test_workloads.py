@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.evaluation.workloads import build_workload
+from repro.packets import generate_backbone
 from repro.queries.library import TOP8
 
 
@@ -19,7 +20,7 @@ class TestBuildWorkload:
 
     def test_attack_traffic_added(self):
         workload = build_workload(["ddos"], duration=6.0, pps=1_000, seed=3)
-        assert len(workload.trace) > len(workload.backbone)
+        assert len(workload.trace) > len(generate_backbone(workload.config))
 
     def test_deterministic(self):
         a = build_workload(["ddos"], duration=4.0, pps=800, seed=5)
@@ -34,6 +35,6 @@ class TestBuildWorkload:
         workload = build_workload(
             ["newly_opened_tcp_conns", "syn_flood"], duration=6.0, pps=1_000, seed=3
         )
-        backbone_dips = set(np.unique(workload.backbone.array["dip"]))
+        backbone_dips = set(np.unique(generate_backbone(workload.config).array["dip"]))
         for name in ("newly_opened_tcp_conns", "syn_flood"):
             assert workload.victims[name] in backbone_dips

@@ -2,14 +2,15 @@
 
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core.fields import PROTO_TCP, PROTO_UDP, TCP_SYN, TCP_SYNACK
+from repro.evaluation import workloads
 from repro.evaluation.workloads import build_workload
-from repro.packets.generator import BackboneConfig, _generate_backbone, generate_backbone
-from repro.parallel import cache
+from repro.packets.generator import BackboneConfig, generate_backbone
 from repro.queries.library import QUERY_LIBRARY
 
 
@@ -110,37 +111,51 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("seed", sorted(WORKLOAD))
     def test_all_queries_workload(self, seed):
         workload = build_workload(list(QUERY_LIBRARY), duration=6.0, pps=3_000, seed=seed)
-        assert _digests(workload.backbone) == self.BACKBONE[seed]
+        assert _digests(generate_backbone(workload.config)) == self.BACKBONE[seed]
         assert _digests(workload.trace) == self.WORKLOAD[seed]
 
 
 class TestGenerationMemory:
     """Generation holds about two copies of its output at its peak: the
     fragments and the records overlap by one column, and merging places
-    pieces into one new array (tracemalloc sees numpy's buffers)."""
+    pieces into one new array (tracemalloc sees numpy's buffers). Once a
+    workload is built, only its merged trace is kept."""
 
     CONFIG = dict(duration=10.0, pps=30_000.0, seed=5)  # ~300k packets
+    NAMES = ["ddos", "newly_opened_tcp_conns", "superspreader"]
     MAX_RATIO = 2.5
+    MAX_KEPT_RATIO = 1.2
 
     @staticmethod
-    def _peak(make):
+    def _traced(make):
+        """``make()``'s result, and tracemalloc's current and peak bytes."""
         tracemalloc.start()
         try:
             result = make()
-            return result, tracemalloc.get_traced_memory()[1]
+            return (result, *tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
 
     def test_backbone_peak(self):
-        trace, peak = self._peak(lambda: _generate_backbone(BackboneConfig(**self.CONFIG)))
+        trace, _, peak = self._traced(lambda: generate_backbone(BackboneConfig(**self.CONFIG)))
         assert len(trace) > 250_000
         assert peak <= self.MAX_RATIO * trace.array.nbytes, peak / trace.array.nbytes
 
-    def test_workload_peak(self, monkeypatch):
-        # A private cache: the backbone is generated under the tracer, not
-        # handed back from an earlier test's run.
-        monkeypatch.setattr(cache, "_GLOBAL_CACHE", cache.TraceCache())
-        names = ["ddos", "newly_opened_tcp_conns", "superspreader"]
-        workload, peak = self._peak(lambda: build_workload(names, **self.CONFIG))
+    def test_workload_peak(self):
+        workload, _, peak = self._traced(lambda: build_workload(self.NAMES, **self.CONFIG))
         nbytes = workload.trace.array.nbytes
         assert peak <= self.MAX_RATIO * nbytes, peak / nbytes
+
+    def test_workload_retains_one_copy(self, monkeypatch):
+        backbones = []
+
+        def generate(config):
+            backbone = generate_backbone(config)
+            backbones.append(weakref.ref(backbone))
+            return backbone
+
+        monkeypatch.setattr(workloads, "generate_backbone", generate)
+        workload, current, _ = self._traced(lambda: build_workload(self.NAMES, **self.CONFIG))
+        nbytes = workload.trace.array.nbytes
+        assert current <= self.MAX_KEPT_RATIO * nbytes, current / nbytes
+        assert len(backbones) == 1 and backbones[0]() is None

@@ -65,6 +65,17 @@ class TestRoundTrip:
                 assert back.dns is not None
                 assert back.dns.qname == original.dns.qname
 
+    def test_packet_by_index(self):
+        packets = make_packets(4)
+        packets[1] = Packet(ts=1.0, payload=b"hi", dns=DNSInfo("x.com", 16, 1, 1))
+        packets[2] = Packet(ts=2.0, dns=DNSInfo("", 0, 0, 1))  # DNS without a name
+        trace = Trace.from_packets(packets)
+        for index in range(-len(packets), len(packets)):
+            assert trace.packet(index) == packets[index]
+        for index in (len(packets), -len(packets) - 1):
+            with pytest.raises(IndexError):
+                trace.packet(index)
+
     def test_save_load(self, tmp_path):
         packets = make_packets()
         packets[3] = Packet(ts=3.0, payload=b"hello", dns=DNSInfo("x.com", 16, 1, 1))
@@ -187,7 +198,7 @@ def _concatenate_then_sort(traces):
 
 
 def _piece(ts, qnames, name_ids, payloads, payload_ids, sips=None):
-    """A read-only trace, as the trace cache hands out."""
+    """A read-only trace: merging must not write its pieces."""
     array = np.zeros(len(ts), dtype=TRACE_DTYPE)
     array["ts"] = ts
     array["sip"] = np.arange(len(ts)) if sips is None else sips

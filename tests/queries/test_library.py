@@ -10,6 +10,7 @@ import pytest
 
 from repro.analytics import execute_query
 from repro.evaluation.workloads import build_workload
+from repro.packets import generate_backbone
 from repro.queries.library import QUERY_LIBRARY, TOP8, build_queries, build_query
 
 
@@ -70,7 +71,8 @@ class TestDetection:
         spec = QUERY_LIBRARY[name]
         query = spec.query(qid=400 + spec.number)
         victim = workload.victims[name]
-        for _, window in workload.backbone.windows(3.0):
+        backbone = generate_backbone(workload.config)
+        for _, window in backbone.windows(3.0):
             for row in execute_query(query, window):
                 if name in ("slowloris",):
                     continue  # busy-server victims can legitimately appear
@@ -78,7 +80,7 @@ class TestDetection:
         # The strong property: the attack signature count is tiny on the
         # clean backbone relative to the attacked trace.
         clean_hits = sum(
-            len(execute_query(query, w)) for _, w in workload.backbone.windows(3.0)
+            len(execute_query(query, w)) for _, w in backbone.windows(3.0)
         )
         attacked_hits = sum(
             len(execute_query(query, w)) for _, w in workload.trace.windows(3.0)
