@@ -217,10 +217,9 @@ SCALING_SWITCHES = 8
 def run_scaling(mode: str, max_workers: int, reps: int = 3) -> dict:
     """Network-mode strong scaling: same workload, 1..N worker processes.
 
-    Planning happens once per rung *outside* the timed region (a fresh
-    ``NetworkRuntime`` per rep keeps serial and parallel runs identical:
-    parallel workers rebuild their pipelines per run, so the serial rungs
-    must not get to reuse warmed-up ones). Only ``run()`` is timed.
+    Planning happens once per rung *outside* the timed region; every
+    rung, one worker included, builds its per-switch pipelines inside
+    ``run()``. Only ``run()`` is timed.
     """
     from repro.network import NetworkRuntime, Topology
     from repro.queries.library import build_queries
@@ -243,15 +242,15 @@ def run_scaling(mode: str, max_workers: int, reps: int = 3) -> dict:
     for workers in ladder:
         seconds = []
         packets = 0
+        net = NetworkRuntime(
+            queries,
+            topology,
+            trace,
+            window=window,
+            time_limit=10.0,
+            workers=workers,
+        )
         for _ in range(reps):
-            net = NetworkRuntime(
-                queries,
-                topology,
-                trace,
-                window=window,
-                time_limit=10.0,
-                workers=workers,
-            )
             start = time.perf_counter()
             report = net.run(trace)
             seconds.append(time.perf_counter() - start)

@@ -50,7 +50,9 @@ def main() -> None:
     plan = planner.plan("sonata")
 
     # -- 2. one observed run with faults injected -------------------------
-    faults = FaultSpec(seed=42, mirror_drop=0.05)
+    # The DDoS plan mirrors only a handful of tuples per window, so the
+    # drop rate is set high enough that some drops are drawn.
+    faults = FaultSpec(seed=42, mirror_drop=0.2)
     obs = Observability()
     report = SonataRuntime(plan, faults=faults, obs=obs).run(workload.trace)
     print(
@@ -80,7 +82,8 @@ def main() -> None:
     counted = snapshot.value(
         "sonata_faults_injected_total", channel="mirror_drop", scope=""
     )
-    assert counted == len(drops) == report.total_faults()["mirror_drop"]
+    assert drops, "the fault mix dropped no mirrored tuple"
+    assert counted == len(drops) == report.total_faults().get("mirror_drop", 0)
     print("fault events == fault counter == run-report accounting ✓")
 
     # -- 6. export like --metrics-out / --trace-out -------------------------

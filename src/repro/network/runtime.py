@@ -147,17 +147,16 @@ class NetworkWindowReport:
 class NetworkRunReport:
     windows: list[NetworkWindowReport] = field(default_factory=list)
     #: Frozen end-of-run metrics covering the collector *and* every
-    #: per-switch pipeline (in parallel mode each worker's registry is
-    #: merged back in switch-id order); ``None`` when observability is
-    #: disabled.
+    #: per-switch pipeline (each switch task's registry is merged back in
+    #: switch-id order); ``None`` when observability is disabled.
     metrics: "MetricsSnapshot | None" = None
     #: True when :meth:`NetworkRuntime.run` was handed a trace with zero
     #: packets — nothing executed (mirrors ``RunReport.empty_trace``).
     empty_trace: bool = False
     #: Per-switch fault-injector draws of this run, per channel,
-    #: ``{"switch0": {"mirror_drop": 123, ...}, ...}`` — identical between
-    #: the serial and process-parallel paths by construction, and asserted
-    #: so by the differential suite. Empty without fault injection.
+    #: ``{"switch0": {"mirror_drop": 123, ...}, ...}`` — identical for
+    #: every worker count, as the differential suite asserts. Empty
+    #: without fault injection.
     fault_draws: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
@@ -211,13 +210,14 @@ class NetworkRuntime:
         self.engine = engine
         self.channel = channel
         #: Default worker-process count for :meth:`run` (``None``: the
-        #: ``REPRO_WORKERS`` env override, else serial).
+        #: ``REPRO_WORKERS`` env override, else one, in this process).
         self.workers = workers
         self.local_threshold_scale = local_threshold_scale
         self.degradation = degradation or DegradationPolicy()
         self.faults = faults
-        #: One shared observability context: every switch runtime records
-        #: into the same registry/tracer (spans carry a per-switch scope).
+        #: One shared observability context: each run's switch tasks record
+        #: into their own and are merged into it (spans carry a per-switch
+        #: scope).
         self.obs = obs if obs is not None else get_observability()
         self._m_collector_tuples = self.obs.counter(
             "sonata_collector_tuples_total",
@@ -255,29 +255,32 @@ class NetworkRuntime:
                 time_limit=time_limit,
             )
             self.runtimes.append(
-                SonataRuntime(
-                    planner.plan(mode),
-                    faults=faults,
-                    degradation=degradation,
-                    fault_scope=f"switch{switch_id}",
-                    obs=self.obs,
-                    engine=engine,
-                    channel=channel,
-                )
+                self._switch_runtime(switch_id, planner.plan(mode), self.obs)
             )
+
+    def _switch_runtime(self, switch_id: int, plan, obs) -> SonataRuntime:
+        """One switch's pipeline for ``plan``, recording into ``obs``."""
+        return SonataRuntime(
+            plan,
+            faults=self.faults,
+            degradation=self.degradation,
+            fault_scope=f"switch{switch_id}",
+            obs=obs,
+            engine=self.engine,
+            channel=self.channel,
+        )
 
     # -- execution ----------------------------------------------------------
     def run(self, trace: Trace, workers: "int | None" = None) -> NetworkRunReport:
         """Execute the trace network-wide; returns per-window accounting.
 
-        ``workers`` > 1 fans the per-switch pipelines over forked workers
-        (:func:`repro.parallel.parallel_map`): each worker rebuilds its
-        switch pipeline from the plan, runs its trace split, and ships
-        back a :class:`RunReport` the parent merges in switch-id order —
-        so parallel runs are tuple-for-tuple identical to serial ones, and
-        ``workers=1`` *is* the serial path.
-        A repeated run repeats the first: the installed plan, refinement
-        tables and fault streams restart.
+        Every worker count takes one path, :meth:`_run_parallel`: each
+        switch's pipeline is built afresh from its plan, runs its trace
+        split, and hands back a :class:`RunReport` the parent merges in
+        switch-id order. ``workers`` > 1 forks those tasks over
+        :func:`repro.parallel.parallel_map`; ``workers=1`` runs the same
+        tasks in this process. A repeated run therefore repeats the first:
+        the installed plan, refinement tables and fault streams restart.
         """
         if len(trace) == 0:
             # Zero windows: mirror SonataRuntime.run's guard instead of
@@ -290,28 +293,15 @@ class NetworkRuntime:
         n_workers = resolve_workers(workers if workers is not None else self.workers)
         n_workers = min(n_workers, self.topology.n_switches)
         splits = self.topology.split(trace)
-        origin = trace.start_ts
         with self.obs.span(
             "run",
             scope="network",
             switches=self.topology.n_switches,
             workers=n_workers,
         ):
-            if n_workers > 1:
-                per_switch_reports, fault_draws = self._run_parallel(
-                    splits, origin, n_workers
-                )
-            else:
-                per_switch_reports = [
-                    runtime.run(split, window=self.window, origin=origin)
-                    for runtime, split in zip(self.runtimes, splits)
-                ]
-                fault_draws = {
-                    f"switch{switch_id}": draws
-                    for switch_id, runtime in enumerate(self.runtimes)
-                    if runtime.faults is not None
-                    and (draws := runtime.faults.rng_draws())
-                }
+            per_switch_reports, fault_draws = self._run_parallel(
+                splits, trace.start_ts, n_workers
+            )
             report = NetworkRunReport(fault_draws=fault_draws)
             n_windows = max(
                 (len(r.windows) for r in per_switch_reports), default=0
@@ -330,31 +320,26 @@ class NetworkRuntime:
     def _run_parallel(
         self, splits: list[Trace], origin: float, n_workers: int
     ) -> tuple[list, dict[str, dict[str, int]]]:
-        """Fan per-switch pipelines across forked workers and merge back.
+        """Run every switch's pipeline as one task each and merge back.
 
-        A forked child reads its plan and split through the closure
-        (copy-on-write); :func:`parallel_map` pickles only the returned
-        :class:`SwitchResult`. Without ``fork`` it runs the switches in
-        this process, one after another.
+        :func:`parallel_map` forks the tasks over ``n_workers`` processes;
+        at one worker, without ``fork`` or inside a nested map it runs
+        them in this process. A forked child reads its plan and split
+        through the closure (copy-on-write); only the returned
+        :class:`SwitchResult` is pickled.
 
-        Each switch's pipeline is rebuilt from its plan with its own
-        observability context. That loses nothing a serial run keeps:
-        every ``run()`` reinstalls fallen-back instances and restarts the
-        refinement tables, and fault decisions are keyed by ``(scope,
-        channel, window, stream, position)``, not by runtime identity, so a
-        rebuilt pipeline draws what a reused serial one does.
+        Each task builds its switch's pipeline from the plan with its own
+        observability context, so no run inherits state from an earlier
+        one: fallen-back instances are reinstalled, the refinement tables
+        restart, and fault decisions are keyed by ``(scope, channel,
+        window, stream, position)``, not by runtime identity.
         """
         obs = self.obs
 
         def run_switch(switch_id: int) -> SwitchResult:
             local_obs = Observability() if obs.enabled else NULL_OBS
-            runtime = SonataRuntime(
-                self.runtimes[switch_id].plan,
-                faults=self.faults,
-                degradation=self.degradation,
-                fault_scope=f"switch{switch_id}",
-                obs=local_obs,
-                engine=self.engine,
+            runtime = self._switch_runtime(
+                switch_id, self.runtimes[switch_id].plan, local_obs
             )
             report = runtime.run(
                 splits[switch_id], window=self.window, origin=origin

@@ -17,8 +17,9 @@ globals, so children inherit them by COW memory instead of pickling (the
 per-cell sweep closures and the per-switch network closure capture whole
 traces; shipping those per task would drown the win). Only the item
 index crosses the pipe going in; results are pickled coming back.
-Platforms without ``fork`` (or ``workers=1``, or a single item) degrade
-to a plain serial loop with identical semantics.
+Platforms without ``fork``, ``workers=1``, a single item and a map nested
+inside a task all take one serial branch: a plain loop in the calling
+process with identical semantics.
 """
 
 from __future__ import annotations
@@ -91,19 +92,17 @@ def parallel_map(
     item's exception, like the builtin ``map``). ``label`` names the obs
     span/counters so sweeps and benchmarks can be told apart.
     """
+    global _TASK_FN, _TASK_ITEMS
     items = list(items)
     obs = obs if obs is not None else get_observability()
     n_workers = min(resolve_workers(workers), len(items))
-    ctx = fork_context() if n_workers > 1 else None
-    if n_workers <= 1 or ctx is None:
+    # One worker, no fork, or a nested map (a task spawning its own map,
+    # which must not fork a pool from inside a pool worker): run serially.
+    ctx = fork_context() if n_workers > 1 and _TASK_FN is None else None
+    if ctx is None:
         with obs.span("parallel.map", label=label, workers=1, tasks=len(items)):
             return [fn(item) for item in items]
 
-    global _TASK_FN, _TASK_ITEMS
-    if _TASK_FN is not None:
-        # Nested parallel_map (a task spawning its own map): run serial
-        # rather than fork a pool from inside a pool worker's sibling.
-        return [fn(item) for item in items]
     _TASK_FN, _TASK_ITEMS = fn, items
     try:
         with obs.span(

@@ -167,8 +167,10 @@ class TestRepeatedRuns:
         the switch at the start of the next, so serial runs, parallel
         runs and their repeats all agree."""
         from repro.faults import DegradationPolicy
+        from repro.obs import Observability
 
         workload = build_workload(QUERY_NAMES, duration=12.0, pps=3_000, seed=1)
+        obs = Observability()
         net = NetworkRuntime(
             queries,
             Topology.ecmp(2, seed=3),
@@ -177,9 +179,10 @@ class TestRepeatedRuns:
             time_limit=10,
             faults=FaultSpec(seed=2, overflow_pressure=0.5),
             degradation=DegradationPolicy(fallback_overflow_threshold=0.2),
+            obs=obs,
         )
         first = net.run(workload.trace, workers=1)
-        assert any(rt.fallen_back for rt in net.runtimes), "nothing fell back"
+        assert obs.tracer.events_named("runtime.fallback"), "nothing fell back"
         for run_workers in (workers, 1):
             again = net.run(workload.trace, workers=run_workers)
             assert window_fields(again) == window_fields(first), run_workers

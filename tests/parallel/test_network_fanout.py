@@ -4,8 +4,8 @@
 :func:`repro.parallel.parallel_map`, which hands them their trace splits
 by copy-on-write. Nothing is put in shared memory, so multiprocessing's
 resource tracker (a process that outlives the run) never starts. Where
-``fork`` does not exist, the switches run in the calling process and the
-report is the serial one.
+``fork`` does not exist, or at ``workers=1``, the same per-switch tasks
+run in the calling process and the report is the same.
 """
 
 import os
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.network.runtime as network_runtime
 import repro.parallel.pool as pool
 from repro.evaluation.workloads import build_workload
 from repro.faults import FaultSpec
@@ -82,3 +83,21 @@ def test_without_fork_runs_serially(workload, monkeypatch):
     assert unforked.detections() == serial.detections()
     assert serial.fault_draws
     assert unforked.fault_draws == serial.fault_draws
+
+
+def test_every_worker_count_runs_the_switch_task(workload, monkeypatch):
+    """``workers=1`` and ``workers=2`` take one path: every switch id goes
+    through ``parallel_map`` exactly once per run."""
+    dispatched = []
+
+    def spy(fn, items, *args, **kwargs):
+        items = list(items)
+        dispatched.append(items)
+        return pool.parallel_map(fn, items, *args, **kwargs)
+
+    monkeypatch.setattr(network_runtime, "parallel_map", spy)
+    for workers in (1, 2):
+        dispatched.clear()
+        report = _run(workload, workers=workers)
+        assert report.windows
+        assert dispatched == [[0, 1, 2]], f"workers={workers}"
