@@ -6,7 +6,8 @@ block for closed-loop reaction to network events". This example wires a
 mitigation policy to the newly-opened-connections query: after the victim
 is reported in two consecutive windows, the runtime installs an ingress
 drop rule on the switch; when the (now invisible) attack stops being
-detected, the rule ages out.
+detected, the rule ages out. The example asserts what it shows, and that a
+later plain run on the same runtime matches a fresh runtime's.
 
 Run: python examples/closed_loop_mitigation.py
 """
@@ -28,7 +29,8 @@ def main() -> None:
 
     query = build_query("newly_opened_tcp_conns", qid=1, Th=150)
     planner = QueryPlanner([query], trace, window=3.0)
-    runtime = SonataRuntime(planner.plan("sonata"))
+    plan = planner.plan("sonata")
+    runtime = SonataRuntime(plan)
 
     policy = MitigationPolicy(
         qid=1, field="ipv4.dIP", confirm_windows=2, ttl_windows=3
@@ -49,6 +51,30 @@ def main() -> None:
             f"{event.field}={format_ip(event.value)}"
         )
     print(f"\npackets dropped in the data plane: {runtime.switch.packets_dropped}")
+
+    detected = [
+        any(r["ipv4.dIP"] == VICTIM for r in window.detections.get(1, []))
+        for window in report.windows
+    ]
+    blocks = [e.window_index for e in mitigator.log if e.action == "block"]
+    expires = [e.window_index for e in mitigator.log if e.action == "expire"]
+    # Blocked in the window that closes the confirm_windows-th detection.
+    first = blocks[0]
+    assert sum(detected[: first + 1]) == policy.confirm_windows
+    assert all(detected[first - policy.confirm_windows + 1 : first + 1])
+    # Absent from detections while the rule is installed (it still
+    # filters the window whose close expires it).
+    for block in blocks:
+        until = next((e for e in expires if e > block), len(detected) - 1)
+        assert not any(detected[block + 1 : until + 1])
+    # Re-detected once the rule has expired.
+    assert expires and any(detected[expires[0] + 1 :])
+    # A later plain run starts from a fresh install: no drop rule remains.
+    again = runtime.run(trace)
+    fresh = SonataRuntime(plan).run(trace)
+    assert [w.detections for w in again.windows] == [
+        w.detections for w in fresh.windows
+    ]
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Hierarchical wall-clock trace spans and structured events.
 
 A :class:`Tracer` keeps a stack of open spans (the pipeline is
-single-threaded per runtime) so nesting is implicit: the window span
-opened by ``SonataRuntime._run_window`` parents the per-stage spans, which
-parent e.g. individual filter-table updates. Durations come from
+single-threaded per runtime) so nesting is implicit: the window span that
+``SonataRuntime.run`` opens for each window parents the per-stage spans,
+which parent e.g. individual filter-table updates. Durations come from
 ``time.perf_counter`` (monotonic, sub-microsecond); the ``ts`` field is
 ``time.time`` so exported spans line up with external logs.
 

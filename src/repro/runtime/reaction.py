@@ -56,7 +56,9 @@ class Mitigator:
         self.runtime = runtime
         self.policies = {policy.qid: policy for policy in policies}
         self._streak: dict[tuple[int, Any], int] = {}
-        self._expiry: dict[tuple[str, Any], int] = {}
+        #: rule -> (deadline window, qid of the detection that installed
+        #: or last refreshed it)
+        self._expiry: dict[tuple[str, Any], tuple[int, int]] = {}
         self.log: list[MitigationEvent] = []
 
     def observe(self, report: WindowReport) -> None:
@@ -79,20 +81,16 @@ class Mitigator:
                                 report.index, "block", policy.field, value, qid
                             )
                         )
-                    self._expiry[rule] = report.index + policy.ttl_windows
+                    self._expiry[rule] = (report.index + policy.ttl_windows, qid)
         # Reset streaks for keys that went quiet.
         for key in list(self._streak):
             if key not in seen_this_window:
                 del self._streak[key]
         # Expire stale rules.
-        for rule, deadline in list(self._expiry.items()):
+        for rule, (deadline, qid) in list(self._expiry.items()):
             if report.index >= deadline:
                 self.runtime.switch.remove_drop_rule(*rule)
                 del self._expiry[rule]
-                qid = next(
-                    (p.qid for p in self.policies.values() if p.field == rule[0]),
-                    -1,
-                )
                 self.log.append(
                     MitigationEvent(report.index, "expire", rule[0], rule[1], qid)
                 )
@@ -107,26 +105,12 @@ def run_with_mitigation(
     policies: list[MitigationPolicy],
     window: float | None = None,
 ):
-    """Convenience: execute a trace window by window with mitigation.
+    """Execute a trace with mitigation; returns ``(run_report, mitigator)``.
 
-    Returns ``(run_report, mitigator)``. Uses the runtime's normal window
-    loop but feeds each closing window to the mitigator before the next
-    one starts, so installed drop rules shape subsequent traffic.
+    This is :meth:`SonataRuntime.run` with the mitigator's ``observe`` as
+    its ``on_window`` hook: each closing window reaches the mitigator
+    before the next one starts, so installed drop rules shape subsequent
+    traffic. The run starts from a fresh install, as every run does.
     """
-    from repro.core.errors import PlanningError
-    from repro.runtime.runtime import RunReport
-
-    if window is None:
-        windows = {
-            plan.query.window for plan in runtime.plan.query_plans.values()
-        }
-        if len(windows) != 1:
-            raise PlanningError("queries use different window sizes")
-        window = windows.pop()
     mitigator = Mitigator(runtime, policies)
-    report = RunReport(plan_mode=runtime.plan.mode)
-    for index, (start, sub_trace) in enumerate(trace.windows(window)):
-        window_report = runtime._run_window(index, start, start + window, sub_trace)
-        report.windows.append(window_report)
-        mitigator.observe(window_report)
-    return report, mitigator
+    return runtime.run(trace, window=window, on_window=mitigator.observe), mitigator

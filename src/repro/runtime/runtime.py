@@ -151,18 +151,22 @@ def _first_difference(mine: list[dict], theirs: list[dict]) -> str:
 class SonataRuntime:
     """Installs a plan and executes traces window by window.
 
-    ``on_retrain`` (optional) is invoked with the closing
-    :class:`WindowReport` whenever some instance's register-overflow rate
-    exceeds ``retrain_overflow_threshold`` — the §5 behaviour where "too
-    many hash collisions" trigger the runtime to re-run the query planner
-    with fresh data. The callback decides what to do (typically: re-plan
-    on recent windows and swap runtimes); execution continues either way.
+    Every :meth:`run` starts from a fresh install of the plan, so nothing
+    one run leaves on the switch (drop rules, refinement tables, counters,
+    fallen-back instances) reaches the next.
+
+    A window whose register-overflow rate exceeds
+    ``retrain_overflow_threshold`` for some instance is appended to
+    ``retrain_signals`` — the §5 behaviour where "too many hash
+    collisions" trigger the runtime to re-run the query planner with
+    fresh data. A caller that re-plans reads the signal from the
+    ``on_window`` hook of :meth:`run` (typically: re-plan on recent
+    windows and swap runtimes); execution continues either way.
     """
 
     def __init__(
         self,
         plan: Plan,
-        on_retrain=None,
         retrain_overflow_threshold: float = 0.05,
         wire_check: bool = False,
         faults=None,
@@ -173,7 +177,6 @@ class SonataRuntime:
         channel: str = "auto",
     ) -> None:
         self.plan = plan
-        self.on_retrain = on_retrain
         self.retrain_overflow_threshold = retrain_overflow_threshold
         #: Data-plane execution engine: ``"batched"`` runs each window
         #: vectorized and carries columnar :class:`MirroredBatch` items
@@ -188,7 +191,6 @@ class SonataRuntime:
         if channel != "auto":
             raise ValueError(f"unknown channel {channel!r} (only 'auto')")
         self.channel = channel
-        self.retrain_signals: list[int] = []  # window indices that fired
         #: Observability context (``repro.obs``). Defaults to the
         #: process-wide instance (a no-op unless the CLI or a harness
         #: installed one with ``set_observability``). Metric handles are
@@ -242,9 +244,6 @@ class SonataRuntime:
             if faults is not None and faults.active
             else None
         )
-        #: Filter-table updates deferred by the fault injector; applied at
-        #: the start of the next window (stale-plan semantics).
-        self._pending_filter_updates: list[tuple[str, set]] = []
         #: When set, every mirrored tuple is round-tripped through the
         #: emitter's binary wire format (§5), proving the configured
         #: per-instance schemas reconstruct the stream processor's input
@@ -272,7 +271,10 @@ class SonataRuntime:
         self.emitter = Emitter(self._instances, obs=self.obs)
 
     def _install_plan(self) -> None:
-        """Install the plan on a fresh switch, in the plan's instance order."""
+        """Install the plan on a fresh switch, in the plan's instance order,
+        and forget everything a run leaves behind: drop rules, refinement
+        tables, switch counters, fallen-back instances, deferred
+        filter-table updates, retrain signals and fault-draw counts."""
         self.switch = PISASwitch(self.plan.switch_config)
         self.switch.obs = self.obs
         self.switch.fault_injector = self.faults
@@ -288,6 +290,12 @@ class SonataRuntime:
         for inst in self.plan.all_instances():
             if inst.read_filter_table is not None:
                 self.switch.filter_tables.setdefault(inst.read_filter_table, set())
+        #: Filter-table updates deferred by the fault injector; applied at
+        #: the start of the next window (stale-plan semantics).
+        self._pending_filter_updates: list[tuple[str, set]] = []
+        self.retrain_signals: list[int] = []  # window indices that fired
+        if self.faults is not None:
+            self.faults.begin_run()
 
     # -- window execution ---------------------------------------------------
     def run(
@@ -295,11 +303,20 @@ class SonataRuntime:
         trace: Trace,
         window: float | None = None,
         origin: float | None = None,
+        on_window=None,
     ) -> RunReport:
         """Execute the full trace; returns per-window accounting.
 
+        Every run starts from a fresh install of the plan: no drop rules,
+        empty refinement tables, zero switch counters, no fallen-back
+        instances, no retrain signals and restarted fault streams (they
+        are keyed by window index), so a repeated run() repeats the first.
+
         ``origin`` aligns window boundaries to an external clock — used by
         multi-switch execution so every switch closes windows in lockstep.
+        ``on_window`` (optional) is called with each :class:`WindowReport`
+        as its window closes, before the next window starts, so a hook
+        that changes the switch (a mitigation rule) shapes later traffic.
         """
         if window is None:
             windows = {plan.query.window for plan in self.plan.query_plans.values()}
@@ -308,22 +325,13 @@ class SonataRuntime:
                     "queries use different window sizes; pass window explicitly"
                 )
             window = windows.pop()
+        self._install_plan()
         if len(trace) == 0:
             # Zero windows: return an explicitly-marked empty report so
             # helpers (first_detection, total_tuples) read as "never ran"
             # rather than as a clean run that detected nothing.
             logger.warning("run called with an empty trace; nothing executed")
             return RunReport(plan_mode=self.plan.mode, empty_trace=True)
-        # Every run starts from the installed plan and empty refinement
-        # tables and restarts the fault streams (they are keyed by window
-        # index), so a repeated run() repeats the first.
-        if self.fallen_back:
-            self._install_plan()
-        self._pending_filter_updates = []
-        for name in self.switch.filter_tables:
-            self.switch.filter_tables[name] = set()
-        if self.faults is not None:
-            self.faults.begin_run()
         report = RunReport(plan_mode=self.plan.mode)
         with self.obs.span(
             "run", mode=self.plan.mode, packets=len(trace), scope=self._scope
@@ -331,26 +339,22 @@ class SonataRuntime:
             for index, (start, sub_trace) in enumerate(
                 trace.windows(window, origin=origin)
             ):
-                report.windows.append(
-                    self._run_window(index, start, start + window, sub_trace)
-                )
+                # One grouping memo per window: instances that group the
+                # same columns (the window's trace views) share one sort.
+                with self.obs.span(
+                    "window", index=index, packets=len(sub_trace), scope=self._scope
+                ) as window_span, shared_grouping():
+                    window_report = self._run_window(
+                        index, start, start + window, sub_trace, window_span
+                    )
+                report.windows.append(window_report)
+                if on_window is not None:
+                    on_window(window_report)
         if self.obs.enabled:
             report.metrics = self.obs.snapshot()
         return report
 
     def _run_window(
-        self, index: int, start: float, end: float, window_trace: Trace
-    ) -> WindowReport:
-        # One grouping memo per window: instances that group the same
-        # columns (the window's trace views) share one sort.
-        with self.obs.span(
-            "window", index=index, packets=len(window_trace), scope=self._scope
-        ) as window_span, shared_grouping():
-            return self._run_window_inner(
-                index, start, end, window_trace, window_span
-            )
-
-    def _run_window_inner(
         self, index, start, end, window_trace, window_span
     ) -> WindowReport:
         faults = self.faults
@@ -504,8 +508,6 @@ class SonataRuntime:
             )
             self._m_retrain.inc()
             obs.event("runtime.retrain_signal", window=index)
-            if self.on_retrain is not None:
-                self.on_retrain(report)
 
         # Graceful degradation: an instance drowning in register overflow
         # is pulled off the switch and executed raw-mirror from the next

@@ -21,6 +21,7 @@ from repro.queries.library import build_queries
 from repro.runtime import SonataRuntime
 from repro.runtime.emitter import overflow_merge_policy, poll_keys
 from repro.streaming.batchops import apply_operators_state
+from repro.switch.simulator import PISASwitch
 
 NAMES = ["ddos", "newly_opened_tcp_conns"]
 
@@ -44,11 +45,14 @@ def _key_set(state, keys) -> set:
 
 
 def _spied_run(plan, trace, faults):
-    """Batched run recording, per window, the mirror items and key reports."""
+    """Batched run recording, per window, the mirror items and key reports.
+
+    The switch is spied on through its class: every run installs the plan
+    on a fresh switch."""
     obs = Observability()
     runtime = SonataRuntime(plan, faults=faults, obs=obs)
     windows = []
-    ingest, end_switch = runtime.emitter.ingest_items, runtime.switch.end_window_items
+    ingest, end_switch = runtime.emitter.ingest_items, PISASwitch.end_window_items
     end_emitter = runtime.emitter.end_window
     polled = obs.registry.get("sonata_emitter_polled_keys_total")
 
@@ -56,8 +60,8 @@ def _spied_run(plan, trace, faults):
         windows.append({"items": list(items)})
         return ingest(items)
 
-    def spy_end_switch(*args, **kwargs):
-        windows[-1]["reports"] = end_switch(*args, **kwargs)
+    def spy_end_switch(switch, *args, **kwargs):
+        windows[-1]["reports"] = end_switch(switch, *args, **kwargs)
         return windows[-1]["reports"]
 
     def spy_end_emitter(*args, **kwargs):
@@ -68,9 +72,10 @@ def _spied_run(plan, trace, faults):
         return end_emitter(*args, **kwargs)
 
     runtime.emitter.ingest_items = spy_ingest
-    runtime.switch.end_window_items = spy_end_switch
     runtime.emitter.end_window = spy_end_emitter
-    return runtime.run(trace), windows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PISASwitch, "end_window_items", spy_end_switch)
+        return runtime.run(trace), windows
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.packets import Trace, attacks
+from repro.obs import Observability
+from repro.packets import BackboneConfig, Trace, attacks, generate_backbone
 from repro.planner import QueryPlanner
 from repro.queries.library import build_query
 from repro.runtime import SonataRuntime
@@ -11,6 +12,7 @@ from repro.runtime.reaction import (
     Mitigator,
     run_with_mitigation,
 )
+from repro.runtime.runtime import WindowReport
 
 VICTIM = 0x0A000001
 
@@ -70,8 +72,6 @@ class TestMitigation:
             runtime,
             [MitigationPolicy(qid=1, field="ipv4.dIP", confirm_windows=3)],
         )
-        from repro.runtime.runtime import WindowReport
-
         # one-off detection followed by silence: never blocked
         w0 = WindowReport(0, 0, 3, 100, {1: 1},
                           {1: [{"ipv4.dIP": 99, "count": 200}]}, {})
@@ -80,6 +80,48 @@ class TestMitigation:
         mitigator.observe(w1)
         mitigator.observe(w0)
         assert mitigator.active_rules() == set()
+
+    def test_expiry_names_the_query_that_installed_the_rule(self, setup):
+        _, planner = setup
+        runtime = SonataRuntime(planner.plan("max_dp"))
+        mitigator = Mitigator(
+            runtime,
+            [
+                MitigationPolicy(qid=1, field="ipv4.dIP", confirm_windows=1,
+                                 ttl_windows=1),
+                MitigationPolicy(qid=2, field="ipv4.dIP", confirm_windows=1,
+                                 ttl_windows=1),
+            ],
+        )
+        fires = WindowReport(0, 0, 3, 100, {2: 1},
+                             {2: [{"ipv4.dIP": 99, "count": 200}]}, {})
+        quiet = WindowReport(1, 3, 6, 100, {2: 0}, {2: []}, {})
+        mitigator.observe(fires)
+        mitigator.observe(quiet)
+        assert [(e.action, e.qid) for e in mitigator.log] == [
+            ("block", 2), ("expire", 2)
+        ]
+
+    def test_empty_trace_is_marked(self, setup):
+        _, planner = setup
+        runtime = SonataRuntime(planner.plan("max_dp"))
+        policy = MitigationPolicy(qid=1, field="ipv4.dIP")
+        report, mitigator = run_with_mitigation(runtime, Trace.empty(), [policy])
+        assert report.empty_trace
+        assert report.windows == [] and mitigator.log == []
+
+    def test_run_bookkeeping(self, setup):
+        """A mitigation run is a run: one ``run`` span and a metrics
+        snapshot under an enabled Observability."""
+        trace, planner = setup
+        obs = Observability()
+        runtime = SonataRuntime(planner.plan("max_dp"), obs=obs)
+        policy = MitigationPolicy(qid=1, field="ipv4.dIP")
+        report, _ = run_with_mitigation(runtime, trace, [policy])
+        assert report.metrics is not None
+        assert len(obs.tracer.spans_named("run")) == 1
+        windows = obs.tracer.spans_named("window")
+        assert len(windows) == len(report.windows)
 
     def test_control_plane_cost_charged(self, setup):
         trace, planner = setup
@@ -109,13 +151,17 @@ class TestRetrainingSignal:
             for t in inst.tables
         ]
         inst.stage_assignment = None
+        runtime = SonataRuntime(plan, retrain_overflow_threshold=0.05)
         fired = []
-        runtime = SonataRuntime(
-            plan, on_retrain=fired.append, retrain_overflow_threshold=0.05
-        )
-        report = runtime.run(trace)
+
+        def on_window(report):
+            if runtime.retrain_signals[-1:] == [report.index]:
+                fired.append(report)
+
+        runtime.run(trace, on_window=on_window)
         assert runtime.retrain_signals, "undersized registers must signal"
-        assert fired and fired[0].overflow_stats
+        assert [r.index for r in fired] == runtime.retrain_signals
+        assert fired[0].overflow_stats
 
     def test_well_sized_registers_stay_quiet(self, setup):
         trace, planner = setup
@@ -146,10 +192,15 @@ class TestReplanClosesTheLoop:
         ]
         inst.stage_assignment = None
 
-        signals = []
-        runtime = SonataRuntime(plan, on_retrain=signals.append)
-        first_run = runtime.run(trace)
-        assert runtime.retrain_signals, "the undersized plan must signal"
+        runtime = SonataRuntime(plan)
+        signalled = []
+
+        def on_window(report):
+            if runtime.retrain_signals[-1:] == [report.index]:
+                signalled.append(report.index)
+
+        first_run = runtime.run(trace, on_window=on_window)
+        assert signalled, "the undersized plan must signal"
 
         # Re-plan on the traffic that caused the signal, swap runtimes.
         new_plan = replan(plan, trace, window=3.0, time_limit=20)
@@ -157,3 +208,43 @@ class TestReplanClosesTheLoop:
         second_run = new_runtime.run(trace)
         assert not new_runtime.retrain_signals, "re-planned registers hold"
         assert second_run.total_tuples <= first_run.total_tuples
+
+
+class TestRepeatedMitigationRuns:
+    """Every run starts from a fresh install: a drop rule a mitigation run
+    leaves behind does not leak into the next run (the set-up of
+    ``examples/closed_loop_mitigation.py``)."""
+
+    @pytest.fixture(scope="class")
+    def flood(self):
+        backbone = generate_backbone(BackboneConfig(duration=24.0, pps=1_500))
+        attack = attacks.syn_flood(0xCB007132, start=3.0, duration=21.0, pps=200)
+        trace = Trace.merge([backbone, attack])
+        query = build_query("newly_opened_tcp_conns", qid=1, Th=150)
+        plan = QueryPlanner([query], trace, window=3.0).plan("sonata")
+        policy = MitigationPolicy(
+            qid=1, field="ipv4.dIP", confirm_windows=2, ttl_windows=3
+        )
+        return trace, plan, policy
+
+    @staticmethod
+    def _per_window(report):
+        return [(w.detections, w.tuples_to_sp) for w in report.windows]
+
+    def test_run_after_mitigation_equals_a_fresh_run(self, flood):
+        trace, plan, policy = flood
+        runtime = SonataRuntime(plan)
+        mitigated, mitigator = run_with_mitigation(runtime, trace, [policy])
+        assert mitigator.active_rules(), "the set-up ends with a rule installed"
+        fresh = SonataRuntime(plan).run(trace)
+        assert self._per_window(runtime.run(trace)) == self._per_window(fresh)
+        assert self._per_window(mitigated) != self._per_window(fresh)
+
+    def test_mitigation_runs_repeat(self, flood):
+        trace, plan, policy = flood
+        runtime = SonataRuntime(plan)
+        first, first_mitigator = run_with_mitigation(runtime, trace, [policy])
+        second, second_mitigator = run_with_mitigation(runtime, trace, [policy])
+        assert first_mitigator.log
+        assert second == first
+        assert second_mitigator.log == first_mitigator.log
