@@ -144,17 +144,17 @@ def bench_batch_channel_window(benchmark, small_trace, query):
 def bench_emitter_columnar_assembly(benchmark, small_trace, query):
     """Emitter ingest_items + end_window over one window's batch output."""
     from repro.planner import QueryPlanner
-    from repro.runtime import SonataRuntime
+    from repro.runtime import Emitter
 
     planner = QueryPlanner([query], small_trace, window=3.0, time_limit=20)
     plan = planner.plan("sonata")
-    runtime = SonataRuntime(plan)
-    items = runtime.switch.process_window_items(small_trace)
-    key_reports = runtime.switch.end_window_items()
-    tables = runtime.switch.filter_tables
+    switch = plan.install(PISASwitch(plan.switch_config))
+    items = switch.process_window_items(small_trace)
+    key_reports = switch.end_window_items()
+    tables = switch.filter_tables
+    emitter = Emitter({inst.key: inst for inst in plan.all_instances()})
 
     def run():
-        emitter = runtime.emitter
         emitter.ingest_items(items)
         return emitter.end_window(key_reports, tables)
 
@@ -166,13 +166,12 @@ def bench_wire_codec_batch(benchmark, small_trace, query):
     """encode_batch + decode_batch over one window's largest stream batch."""
     from repro.core.fields import FIELDS
     from repro.planner import QueryPlanner
-    from repro.runtime import SonataRuntime
     from repro.runtime.wire import WireCodec
 
     planner = QueryPlanner([query], small_trace, window=3.0, time_limit=20)
     plan = planner.plan("sonata")
-    runtime = SonataRuntime(plan)
-    items = runtime.switch.process_window_items(small_trace)
+    switch = plan.install(PISASwitch(plan.switch_config))
+    items = switch.process_window_items(small_trace)
     batch = max(items, key=lambda b: b.n_rows)
     codec = WireCodec()
     key = f"{batch.instance}#{batch.kind}#{batch.op_index}"

@@ -317,76 +317,6 @@ def check_baseline(result: dict, baseline_path: Path) -> str | None:
     return None
 
 
-#: Stage span names the --profile report groups hot functions under.
-PROFILE_STAGES = (
-    "stage.switch",
-    "stage.emitter",
-    "stage.stream_processor",
-    "stage.refine",
-)
-
-
-def run_profile(mode: str, engine: str, top_n: int) -> None:
-    """Replay the workload under cProfile and print the hot paths.
-
-    Two reports: the global top-N by cumulative time, then a per-stage
-    top-N taken from one profiled run *per pipeline stage* — each stage's
-    profiler is enabled only inside that stage's span, so the rankings
-    are not drowned by the other stages' frames.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    duration, pps, _, _ = MODES[mode]
-    workload = build_workload(QUERIES, duration=duration, pps=pps, seed=7)
-    trace = workload.trace
-    plan = QueryPlanner(
-        build_queries(QUERIES), trace, window=3.0, time_limit=20.0
-    ).plan("sonata")
-
-    def _print(profile: cProfile.Profile, title: str) -> None:
-        stream = io.StringIO()
-        stats = pstats.Stats(profile, stream=stream)
-        stats.sort_stats("cumulative").print_stats(top_n)
-        print(f"\n=== profile: {title} (top {top_n} cumulative) ===")
-        # Skip pstats' preamble ordering banner; keep the table.
-        print("\n".join(stream.getvalue().splitlines()[4:]))
-
-    profile = cProfile.Profile()
-    profile.enable()
-    _run_once(plan, trace, NULL_OBS, engine)
-    profile.disable()
-    _print(profile, "end-to-end")
-
-    # Per-stage: wrap the runtime's obs span entry points so the profiler
-    # only runs inside the requested stage.
-    for stage in PROFILE_STAGES:
-        obs = Observability()
-        stage_profile = cProfile.Profile()
-        original_span = obs.span
-
-        def spying_span(name, *args, _p=stage_profile, _s=stage, **kwargs):
-            ctx = original_span(name, *args, **kwargs)
-            if name != _s:
-                return ctx
-
-            class _Profiled:
-                def __enter__(self_inner):
-                    _p.enable()
-                    return ctx.__enter__()
-
-                def __exit__(self_inner, *exc):
-                    _p.disable()
-                    return ctx.__exit__(*exc)
-
-            return _Profiled()
-
-        obs.span = spying_span
-        _run_once(plan, trace, obs, engine)
-        _print(stage_profile, stage)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -424,12 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         help="cap for the --scaling worker ladder (default: 8)",
     )
     parser.add_argument(
-        "--profile", nargs="?", const=15, type=int, default=None, metavar="N",
-        help="replay the workload under cProfile and print the top-N "
-        "cumulative functions, end-to-end and per pipeline stage "
-        "(default N: 15); skips the benchmark/gates",
-    )
-    parser.add_argument(
         "--min-scaling-speedup", type=float, default=None, metavar="X",
         help="fail (exit 1) if the best --scaling rung is below X times "
         "serial throughput; skipped (with a note) on hosts with fewer "
@@ -438,10 +362,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     mode = "smoke" if args.smoke else "full"
-    if args.profile is not None:
-        engine = args.engine if args.engine != "both" else "batched"
-        run_profile(mode, engine, args.profile)
-        return 0
     max_overhead = args.max_overhead
     if max_overhead is None and args.smoke:
         max_overhead = 10.0

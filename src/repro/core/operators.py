@@ -43,9 +43,6 @@ class Schema:
             raise QueryValidationError(f"schema has no field {name!r}")
         return self.widths[name]
 
-    def total_width(self) -> int:
-        return sum(self.widths[name] for name in self.fields)
-
     @staticmethod
     def packet_schema(registry: FieldRegistry = FIELDS) -> "Schema":
         names = tuple(registry.names())

@@ -9,7 +9,8 @@ splitmix64 generator seeded with ``stable_hash`` of that key
 
 - two runs with the same :class:`~repro.faults.spec.FaultSpec` make
   identical decisions (determinism), and a second ``run()`` makes the
-  same decisions as the first — window indices restart with every run;
+  same decisions as the first — every run builds its own injector, and
+  window indices restart;
 - a per-packet draw and a vectorized draw over a whole batch give
   identical bits, so the batched engine applies faults as masks and
   index plans while the per-packet oracle draws tuple by tuple;
@@ -51,16 +52,12 @@ class FaultInjector:
         self._streams: dict[tuple, list[int]] = {}
         self._draws: Counter = Counter()
         self._counts: Counter = Counter()
-        #: Observability context; the owning runtime overwrites this so
+        #: Observability context; the owning runtime passes its own so
         #: fault events land in the shared tracer. Never affects a fault
         #: decision — enabling observability cannot change a schedule.
         self.obs = obs if obs is not None else get_observability()
 
     # -- streams ------------------------------------------------------------
-    def begin_run(self) -> None:
-        """Reset the draw counts reported by :meth:`rng_draws`."""
-        self._draws.clear()
-
     def begin_window(self, index: int) -> None:
         """Key the following draws to window ``index``."""
         self.window = index
@@ -87,7 +84,7 @@ class FaultInjector:
         return counter_uniforms(*self._advance(channel, stream, n), n)
 
     def rng_draws(self) -> dict[str, int]:
-        """Uniforms drawn per channel since :meth:`begin_run`."""
+        """Uniforms drawn per channel by this injector."""
         return dict(sorted(self._draws.items()))
 
     def _note(self, channel: str, count: int = 1, **attrs) -> None:

@@ -48,11 +48,6 @@ def chain_overflow_rate(n_slots: int, k_keys: int, d: int) -> float:
     return remaining / k_keys
 
 
-def expected_overflow_keys(n_slots: int, k_keys: int, d: int) -> int:
-    """Expected number of keys that overflow (rounded up, conservative)."""
-    return math.ceil(chain_overflow_rate(n_slots, k_keys, d) * k_keys)
-
-
 def size_register(
     name: str,
     estimated_keys: int,

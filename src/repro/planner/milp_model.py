@@ -91,10 +91,6 @@ class MilpModel:
             self._index[name]: value for name, value in coeffs.items()
         }
 
-    def add_objective_term(self, name: str, coeff: float) -> None:
-        index = self._index[name]
-        self._objective[index] = self._objective.get(index, 0.0) + coeff
-
     # -- solve ------------------------------------------------------------------
     def solve(self, time_limit: float | None = 60.0, mip_rel_gap: float = 1e-4) -> "MilpSolution":
         c = np.zeros(self.n_vars)

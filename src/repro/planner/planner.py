@@ -92,9 +92,10 @@ class QueryPlanner:
         self,
         mode: PlanningMode | str = PlanningMode.SONATA,
         solver: str = "ilp",
-        verify_install: bool = True,
     ) -> Plan:
-        """Produce a plan; ``solver`` is ``"ilp"`` or ``"greedy"``."""
+        """Produce a plan; ``solver`` is ``"ilp"`` or ``"greedy"``. The plan
+        is installed on a fresh switch before it is returned
+        (:meth:`verify`), so a plan the switch refuses raises here."""
         mode_value = PlanningMode(mode).value
         costs = self.costs()  # outside the solve span: estimation has its own
         with self.obs.span(
@@ -145,8 +146,7 @@ class QueryPlanner:
             solver,
             plan.est_total_tuples,
         )
-        if verify_install:
-            self.verify(plan)
+        self.verify(plan)
         return plan
 
     def verify(self, plan: Plan) -> PISASwitch:

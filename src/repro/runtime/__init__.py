@@ -1,12 +1,13 @@
 """Sonata's runtime (§5): drives the switch, emitter and stream processor.
 
-Given a :class:`~repro.planner.plans.Plan`, the runtime installs every
-instance's tables on the simulated PISA switch, registers the residual
-operators with the stream processor, and then executes a trace window by
-window: packets flow through the switch, mirrored tuples flow through the
-emitter to the stream processor, per-level query outputs feed the dynamic
-refinement filter tables for the next window, and finest-level outputs are
-the query detections.
+A :class:`SonataRuntime` holds a :class:`~repro.planner.plans.Plan` and
+its run settings. Each run builds its pipeline from the plan: it installs
+every instance's tables on a fresh simulated PISA switch, builds an empty
+emitter, registers the residual operators with a new stream processor,
+and then executes the trace window by window: packets flow through the
+switch, mirrored tuples flow through the emitter to the stream processor,
+per-level query outputs feed the dynamic refinement filter tables for the
+next window, and finest-level outputs are the query detections.
 """
 
 from repro.runtime.emitter import Emitter

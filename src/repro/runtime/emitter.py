@@ -24,8 +24,9 @@ mirror output, so the emitter's remaining jobs are:
   threshold, which yields what a poll of the whole register would. For
   batches this merge runs on the shared :mod:`repro.exec` kernels
   (:mod:`repro.streaming.batchops`) without materializing dict rows;
-- counting tuples: the number of tuples crossing the emitter is the
-  paper's headline load metric.
+- counting each window's tuples (:attr:`EmitterBatch.tuples_sent`): the
+  number of tuples crossing the emitter is the paper's headline load
+  metric.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class Emitter:
         #: Per instance, its window's overflow replayed to the merge level
         #: (see :meth:`_replayed`).
         self._partials: dict[str, "ColumnarState | list[Row]"] = {}
-        self.total_tuples = 0
         self.obs = obs if obs is not None else get_observability()
         self._m_tuples = self.obs.counter(
             "sonata_emitter_tuples_total",
@@ -89,7 +89,6 @@ class Emitter:
     def ingest(self, mirrored: list[MirroredTuple]) -> None:
         """Consume per-packet mirrored tuples (the rowwise oracle)."""
         for m in mirrored:
-            self.total_tuples += 1
             if m.kind == "stream":
                 self._stream[m.instance].append(m.fields)
             elif m.kind == "overflow":
@@ -103,7 +102,6 @@ class Emitter:
             if item.kind not in ("stream", "overflow"):
                 raise ValueError(f"unexpected mirrored kind {item.kind}")
             if item.n_rows:
-                self.total_tuples += item.n_rows
                 self._batches[item.instance].append(item)
 
     def overflow_instances(
@@ -225,7 +223,6 @@ class Emitter:
             report if isinstance(report, MirroredBatch) and report.n_rows else None
         )
         n_reports = report_batch.n_rows if report_batch is not None else 0
-        self.total_tuples += n_reports
         stream_states = [b.state for b in parts if b.kind == "stream"]
         merged: ColumnarState | None = None
         if any(b.kind == "overflow" for b in parts) and plan is not None:
@@ -268,7 +265,6 @@ class Emitter:
     ) -> EmitterBatch:
         stream_rows = self._stream.get(key, [])
         buckets = self._overflow.get(key, {})
-        self.total_tuples += len(reports)
         sent = (
             len(reports)
             + len(stream_rows)

@@ -50,7 +50,8 @@ class MitigationEvent:
 
 
 class Mitigator:
-    """Installs/expires drop rules on a runtime's switch from detections."""
+    """Installs/expires drop rules on the switch of a runtime's current
+    run from detections."""
 
     def __init__(self, runtime: SonataRuntime, policies: list[MitigationPolicy]) -> None:
         self.runtime = runtime
@@ -62,7 +63,14 @@ class Mitigator:
         self.log: list[MitigationEvent] = []
 
     def observe(self, report: WindowReport) -> None:
-        """Feed one closed window; installs and expires rules as needed."""
+        """Feed one closed window; installs and expires rules as needed.
+
+        Window 0 opens a run, whose fresh switch holds no drop rules, so
+        the streaks and rules of an earlier run are forgotten first.
+        """
+        if report.index == 0:
+            self._streak.clear()
+            self._expiry.clear()
         seen_this_window: set[tuple[int, Any]] = set()
         for qid, policy in self.policies.items():
             for row in report.detections.get(qid, []):

@@ -29,6 +29,7 @@ from repro.core.query import JoinNode
 from repro.exec import ColumnarState, Row, materialize_rows, value_kind
 from repro.exec.columns import column_set
 from repro.exec.kernels import shared_grouping
+from repro.faults import DegradationPolicy, FaultInjector
 from repro.obs import MetricsSnapshot, get_observability
 from repro.packets.trace import Trace
 from repro.planner.plans import InstancePlan, Plan, QueryPlan
@@ -149,11 +150,18 @@ def _first_difference(mine: list[dict], theirs: list[dict]) -> str:
 
 
 class SonataRuntime:
-    """Installs a plan and executes traces window by window.
+    """Holds a plan and its run settings; :meth:`run` executes traces
+    window by window.
 
-    Every :meth:`run` starts from a fresh install of the plan, so nothing
-    one run leaves on the switch (drop rules, refinement tables, counters,
-    fallen-back instances) reaches the next.
+    A runtime keeps only the plan and how to run it: the engine, the
+    fault spec, the degradation policy, the wire check and the obs
+    handles. Each :meth:`run` builds the run's pipeline afresh from the
+    plan (:meth:`_install_plan`), so nothing one run leaves behind
+    (drop rules, refinement tables, counters, fallen-back instances,
+    buffered tuples, fault streams) reaches the next. The pipeline parts
+    (``switch``, ``emitter``, ``stream_processor``, ``faults``,
+    ``fallen_back``, ``retrain_signals``) exist from the first run on
+    and hold the last run's state.
 
     A window whose register-overflow rate exceeds
     ``retrain_overflow_threshold`` for some instance is appended to
@@ -235,15 +243,9 @@ class SonataRuntime:
         )
         #: Fault injection (``faults``: a :class:`repro.faults.FaultSpec`)
         #: and the matching degradation policy. ``fault_scope`` namespaces
-        #: the injector's fault streams (per-switch in network-wide mode).
-        from repro.faults import DegradationPolicy, FaultInjector
-
+        #: each run's fault streams (per-switch in network-wide mode).
+        self._fault_spec = faults if faults is not None and faults.active else None
         self.degradation = degradation or DegradationPolicy()
-        self.faults = (
-            FaultInjector(faults, scope=fault_scope)
-            if faults is not None and faults.active
-            else None
-        )
         #: When set, every mirrored tuple is round-tripped through the
         #: emitter's binary wire format (§5), proving the configured
         #: per-instance schemas reconstruct the stream processor's input
@@ -260,42 +262,44 @@ class SonataRuntime:
             self._m_wire_bytes = self.obs.counter(
                 "sonata_wire_bytes_total", "wire-format bytes the wire check encoded"
             )
-        if self.faults is not None:
-            self.faults.obs = self.obs
-        self.stream_processor = StreamProcessor(obs=self.obs)
-        self._instances: dict[str, InstancePlan] = {}
-        for inst in plan.all_instances():
-            self._instances[inst.key] = inst
-            self.stream_processor.register(inst.key, inst.residual_ops)
-        self._install_plan()
-        self.emitter = Emitter(self._instances, obs=self.obs)
+        self._instances: dict[str, InstancePlan] = {
+            inst.key: inst for inst in plan.all_instances()
+        }
 
     def _install_plan(self) -> None:
-        """Install the plan on a fresh switch, in the plan's instance order,
-        and forget everything a run leaves behind: drop rules, refinement
-        tables, switch counters, fallen-back instances, deferred
-        filter-table updates, retrain signals and fault-draw counts."""
+        """Build this run's pipeline from the plan: a fresh fault injector,
+        a stream processor with every instance's residual operators, the
+        plan installed on a fresh switch in the plan's instance order and
+        an empty emitter. Also forgets the per-run state: fallen-back
+        instances, deferred filter-table updates and retrain signals."""
+        self.faults = (
+            FaultInjector(self._fault_spec, scope=self._scope, obs=self.obs)
+            if self._fault_spec is not None
+            else None
+        )
+        self.stream_processor = StreamProcessor(obs=self.obs)
+        for inst in self._instances.values():
+            self.stream_processor.register(inst.key, inst.residual_ops)
         self.switch = PISASwitch(self.plan.switch_config)
         self.switch.obs = self.obs
         self.switch.fault_injector = self.faults
         self.plan.install(self.switch)
+        self.emitter = Emitter(self._instances, obs=self.obs)
         self._raw_mirror: list[InstancePlan] = [  # cut == 0 instances
-            inst for inst in self.plan.all_instances() if not inst.on_switch
+            inst for inst in self._instances.values() if not inst.on_switch
         ]
         #: Instances degraded to raw-mirror execution (exact, but at full
         #: per-packet tuple cost) after sustained register overflow.
         self.fallen_back: set[str] = set()
         # Make sure every refinement filter table exists even when the
         # instance reading it runs entirely at the stream processor.
-        for inst in self.plan.all_instances():
+        for inst in self._instances.values():
             if inst.read_filter_table is not None:
                 self.switch.filter_tables.setdefault(inst.read_filter_table, set())
         #: Filter-table updates deferred by the fault injector; applied at
         #: the start of the next window (stale-plan semantics).
         self._pending_filter_updates: list[tuple[str, set]] = []
         self.retrain_signals: list[int] = []  # window indices that fired
-        if self.faults is not None:
-            self.faults.begin_run()
 
     # -- window execution ---------------------------------------------------
     def run(
@@ -307,10 +311,12 @@ class SonataRuntime:
     ) -> RunReport:
         """Execute the full trace; returns per-window accounting.
 
-        Every run starts from a fresh install of the plan: no drop rules,
-        empty refinement tables, zero switch counters, no fallen-back
-        instances, no retrain signals and restarted fault streams (they
-        are keyed by window index), so a repeated run() repeats the first.
+        Every run builds its pipeline afresh from the plan: a switch with
+        no drop rules, empty refinement tables and zero counters, an empty
+        emitter and stream processor, no fallen-back instances, no retrain
+        signals and a new fault injector (its streams are keyed by window
+        index), so a repeated run() repeats the first. A plan the switch
+        refuses raises here.
 
         ``origin`` aligns window boundaries to an external clock — used by
         multi-switch execution so every switch closes windows in lockstep.

@@ -9,7 +9,7 @@ state lives only within a window (Sonata's stateful operators are windowed,
 
 from repro.streaming.rowops import apply_operators, apply_operator
 from repro.streaming.dstream import DStream, StreamingContext
-from repro.streaming.engine import StreamProcessor, SubQueryRuntime
+from repro.streaming.engine import StreamProcessor
 
 __all__ = [
     "apply_operators",
@@ -17,5 +17,4 @@ __all__ = [
     "DStream",
     "StreamingContext",
     "StreamProcessor",
-    "SubQueryRuntime",
 ]

@@ -155,11 +155,6 @@ class CompiledSubQuery:
         copied = sum(self.registry.get(name).width for name in packet_fields)
         return copied + derived_max + 16 + 1
 
-    def stateful_tables(self, n_operators: int) -> list[LogicalTable]:
-        return [
-            t for t in self.tables_for_partition(n_operators) if t.stateful
-        ]
-
 
 def compile_subquery(
     subquery: SubQuery, registry: FieldRegistry = FIELDS

@@ -252,10 +252,6 @@ class TestJoin:
 
 
 class TestSchema:
-    def test_total_width(self):
-        schema = Schema(keys=("a",), values=("b",), widths={"a": 32, "b": 8})
-        assert schema.total_width() == 40
-
     def test_width_of_missing(self):
         schema = Schema(keys=("a",), values=(), widths={"a": 32})
         with pytest.raises(QueryValidationError):

@@ -5,8 +5,8 @@ so every stage — including dynamic filter-table updates — appears) is
 shared across the assertions:
 
 - the span tree covers every pipeline stage with correct nesting;
-- every exported counter agrees with the authoritative ``RunReport`` /
-  ``StreamProcessor.load_report`` numbers from the same run;
+- every exported counter agrees with the authoritative ``RunReport``
+  numbers from the same run, or with a count the test takes itself;
 - fault injections surface as structured events that match the fault
   counters; and
 - enabling observability never changes pipeline behaviour.
@@ -22,6 +22,7 @@ from repro.obs.exporters import parse_prometheus_text, prometheus_text
 from repro.planner import QueryPlanner
 from repro.queries.library import build_queries, build_query
 from repro.runtime import SonataRuntime
+from repro.streaming.engine import StreamProcessor
 
 #: Per-window stages every single-switch run must produce spans for.
 WINDOW_STAGES = (
@@ -122,19 +123,28 @@ class TestCounterAgreement:
             len(w.detections.get(1, [])) for w in report.windows
         )
 
-    def test_sp_counters_match_load_report(self, observed_run):
-        _, runtime, report = observed_run
-        snap = report.metrics
-        load = runtime.stream_processor.load_report()
-        assert load, "the run must register stream instances"
-        for key, stats in load.items():
+    def test_sp_counters_match_a_spy_count(self, plan, workload, monkeypatch):
+        counted: dict[str, list[int]] = {}
+        process_state = StreamProcessor.process_state
+
+        def spy(sp, key, state, tables=None):
+            out = process_state(sp, key, state, tables)
+            totals = counted.setdefault(key, [0, 0])
+            totals[0] += state.n_rows
+            totals[1] += out.n_rows
+            return out
+
+        monkeypatch.setattr(StreamProcessor, "process_state", spy)
+        report = SonataRuntime(plan, obs=Observability()).run(workload.trace)
+        assert counted, "the run must feed stream instances"
+        for key, (tuples_in, tuples_out) in counted.items():
             assert (
-                snap.value("sonata_sp_tuples_in_total", instance=key)
-                == stats["tuples_in"]
+                report.metrics.value("sonata_sp_tuples_in_total", instance=key)
+                == tuples_in
             )
             assert (
-                snap.value("sonata_sp_tuples_out_total", instance=key)
-                == stats["tuples_out"]
+                report.metrics.value("sonata_sp_tuples_out_total", instance=key)
+                == tuples_out
             )
 
     def test_overflow_accounting_matches_window_reports(self, observed_run):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.planner.collisions import (
     chain_overflow_rate,
-    expected_overflow_keys,
     size_register,
 )
 from repro.switch.config import SwitchConfig
@@ -79,7 +78,3 @@ class TestSizing:
         config = SwitchConfig.paper_default()
         spec = size_register("r", 1, 32, 32, config)
         assert spec.n_slots >= 16
-
-    def test_expected_overflow_keys_conservative(self):
-        assert expected_overflow_keys(100, 0, 2) == 0
-        assert expected_overflow_keys(10, 100, 1) > 0

@@ -54,14 +54,6 @@ class TestModel:
         with pytest.raises(PlanningError):
             model.add_constraint({"x": 0.0}, lower=1.0)
 
-    def test_objective_accumulates(self):
-        model = MilpModel()
-        model.add_var("x", lower=1, upper=1)
-        model.add_objective_term("x", 2.0)
-        model.add_objective_term("x", 3.0)
-        solution = model.solve()
-        assert solution.objective == pytest.approx(5.0)
-
     def test_empty_coefficients_skipped(self):
         model = MilpModel()
         model.add_var("x", lower=0, upper=1)

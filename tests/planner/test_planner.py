@@ -172,7 +172,7 @@ class TestRateSweep:
         trace = build_workload(self.THREE, duration=9, pps=pps, seed=7).trace
         training = trace.time_range(trace.start_ts, trace.start_ts + 3.0)
         planner = QueryPlanner(build_queries(self.THREE, window=3.0), training, window=3.0)
-        plan = planner.plan("sonata")  # verify_install: raises if it does not fit
+        plan = planner.plan("sonata")  # plan() verifies: raises if it does not fit
         assert "fallback" not in plan.solver_info
         cap = planner.config.max_single_register_bits
         assert all(

@@ -19,7 +19,7 @@ from repro.obs import Observability
 from repro.planner import QueryPlanner
 from repro.queries.library import build_queries
 from repro.runtime import SonataRuntime
-from repro.runtime.emitter import overflow_merge_policy, poll_keys
+from repro.runtime.emitter import Emitter, overflow_merge_policy, poll_keys
 from repro.streaming.batchops import apply_operators_state
 from repro.switch.simulator import PISASwitch
 
@@ -47,33 +47,33 @@ def _key_set(state, keys) -> set:
 def _spied_run(plan, trace, faults):
     """Batched run recording, per window, the mirror items and key reports.
 
-    The switch is spied on through its class: every run installs the plan
-    on a fresh switch."""
+    The switch and the emitter are spied on through their classes: every
+    run builds them afresh."""
     obs = Observability()
     runtime = SonataRuntime(plan, faults=faults, obs=obs)
     windows = []
-    ingest, end_switch = runtime.emitter.ingest_items, PISASwitch.end_window_items
-    end_emitter = runtime.emitter.end_window
-    polled = obs.registry.get("sonata_emitter_polled_keys_total")
+    ingest, end_switch = Emitter.ingest_items, PISASwitch.end_window_items
+    end_emitter = Emitter.end_window
 
-    def spy_ingest(items):
+    def spy_ingest(emitter, items):
         windows.append({"items": list(items)})
-        return ingest(items)
+        return ingest(emitter, items)
 
     def spy_end_switch(switch, *args, **kwargs):
         windows[-1]["reports"] = end_switch(switch, *args, **kwargs)
         return windows[-1]["reports"]
 
-    def spy_end_emitter(*args, **kwargs):
+    def spy_end_emitter(emitter, *args, **kwargs):
+        polled = obs.registry.get("sonata_emitter_polled_keys_total")
         windows[-1]["polled"] = {
             inst.key: polled.value(instance=inst.key)
             for inst in plan.all_instances()
         }
-        return end_emitter(*args, **kwargs)
+        return end_emitter(emitter, *args, **kwargs)
 
-    runtime.emitter.ingest_items = spy_ingest
-    runtime.emitter.end_window = spy_end_emitter
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Emitter, "ingest_items", spy_ingest)
+        patch.setattr(Emitter, "end_window", spy_end_emitter)
         patch.setattr(PISASwitch, "end_window_items", spy_end_switch)
         return runtime.run(trace), windows
 

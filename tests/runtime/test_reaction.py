@@ -13,6 +13,7 @@ from repro.runtime.reaction import (
     run_with_mitigation,
 )
 from repro.runtime.runtime import WindowReport
+from repro.switch.simulator import PISASwitch
 
 VICTIM = 0x0A000001
 
@@ -82,8 +83,9 @@ class TestMitigation:
         assert mitigator.active_rules() == set()
 
     def test_expiry_names_the_query_that_installed_the_rule(self, setup):
-        _, planner = setup
+        trace, planner = setup
         runtime = SonataRuntime(planner.plan("max_dp"))
+        runtime.run(trace)  # the mitigator acts on the last run's switch
         mitigator = Mitigator(
             runtime,
             [
@@ -125,10 +127,11 @@ class TestMitigation:
 
     def test_control_plane_cost_charged(self, setup):
         trace, planner = setup
-        runtime = SonataRuntime(planner.plan("max_dp"))
-        before = runtime.switch.control_plane_seconds
-        runtime.switch.add_drop_rule("ipv4.dIP", VICTIM)
-        assert runtime.switch.control_plane_seconds > before
+        plan = planner.plan("max_dp")
+        switch = plan.install(PISASwitch(plan.switch_config))
+        before = switch.control_plane_seconds
+        switch.add_drop_rule("ipv4.dIP", VICTIM)
+        assert switch.control_plane_seconds > before
 
 
 class TestRetrainingSignal:
@@ -248,3 +251,16 @@ class TestRepeatedMitigationRuns:
         assert first_mitigator.log
         assert second == first
         assert second_mitigator.log == first_mitigator.log
+
+    def test_reused_mitigator_repeats_its_first_run(self, flood):
+        """One Mitigator hooked into two runs: the second run's fresh
+        switch holds no drop rules, so the mitigator blocks again."""
+        trace, plan, policy = flood
+        runtime = SonataRuntime(plan)
+        mitigator = Mitigator(runtime, [policy])
+        first = runtime.run(trace, on_window=mitigator.observe)
+        first_log = list(mitigator.log)
+        assert first_log
+        second = runtime.run(trace, on_window=mitigator.observe)
+        assert self._per_window(second) == self._per_window(first)
+        assert mitigator.log[len(first_log):] == first_log

@@ -5,6 +5,7 @@ import pytest
 from repro.analytics import execute_query
 from repro.packets import Trace, attacks
 from repro.planner import QueryPlanner
+from repro.planner.plans import Plan
 from repro.queries.library import build_query
 from repro.runtime import SonataRuntime
 
@@ -160,6 +161,27 @@ class TestEmptyTrace:
         report = SonataRuntime(planner.plan("sonata")).run(trace)
         assert not report.empty_trace
         assert report.windows
+
+
+class TestOneInstallPerRun:
+    def test_construction_installs_nothing_and_each_run_installs_once(
+        self, planner, trace, monkeypatch
+    ):
+        plan = planner.plan("sonata")
+        installs = []
+        original = Plan.install
+
+        def spy(self, switch):
+            installs.append(switch)
+            return original(self, switch)
+
+        monkeypatch.setattr(Plan, "install", spy)
+        runtime = SonataRuntime(plan)
+        assert installs == []
+        runtime.run(trace)
+        assert len(installs) == 1 and installs[0] is runtime.switch
+        runtime.run(trace)
+        assert len(installs) == 2 and installs[1] is runtime.switch
 
 
 def signalled_windows(runtime, trace):
